@@ -7,6 +7,12 @@ count.  Increments and the detector recursions are deterministic functions
 of the paths, evaluated with the same elementwise operations as the
 streaming detectors (np.logaddexp / logaddexp.reduce in the same order), so
 lockstep and streaming runs agree bit for bit.
+
+A chunk of CHUNK trials advances in time blocks of BLOCK steps.  Each block
+samples, scores and recurses only the trials that have not yet alarmed,
+carrying model and statistic state to the next block, and the chunk stops
+once every trial has alarmed.  Neither constant affects any value; memory
+per chunk is O(CHUNK * BLOCK * n_atoms), not O(CHUNK * horizon * n_atoms).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .measures import ChangePrior, MixingGrid
 from .models import ObservationModel
 
 CHUNK = 1024  # fixed: chunking never affects per-trial values
+BLOCK = 64  # fixed: blocking never affects per-trial values
 
 
 def trial_rng(master_seed: int, stream_tag: int, trial_index: int) -> np.random.Generator:
@@ -118,18 +125,21 @@ def run_chunk(
     count: int,
     want_final_stat: bool = False,
 ) -> TrialData:
-    """Run trials [start, start+count) of one scenario in lockstep."""
+    """Run trials [start, start+count) of one scenario in lockstep.
+
+    Time advances in blocks of BLOCK steps.  Trials that have alarmed are
+    neither sampled nor scored again, and the chunk ends once none is left,
+    unless ``want_final_stat`` is set or ``log_threshold`` is None: then
+    every trial runs to ``horizon``.
+    """
     rngs = [trial_rng(master_seed, spec.stream_tag, i) for i in range(start, start + count)]
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
-    paths = model.sample_paths(nus, thetas, horizon, rngs)
-    ell = model.path_increments(paths)
-    b, t, k = ell.shape
     logw = grid.log_weights
 
     kind = detector.lower()
     if kind == "ms":
-        log_pi = prior.log_pmf_array(t)
-        log_tail = prior.log_tail_array(t)
+        log_pi = prior.log_pmf_array(horizon)
+        log_tail = prior.log_tail_array(horizon)
         with np.errstate(divide="ignore"):
             init = np.log(prior.q) if prior.q > 0.0 else -np.inf
     elif kind == "msr":
@@ -139,34 +149,49 @@ def run_chunk(
     else:
         raise ValueError(f"unknown detector kind {detector!r}")
 
-    state = np.full((b, k), init)
-    stop = np.zeros(b, dtype=np.int64)
-    stat_at_stop = np.full(b, np.nan)
-    alive = np.ones(b, dtype=bool)
-    final_stat = np.full(b, np.nan) if want_final_stat else None
+    sampler = model.sampler_state(nus, thetas, horizon, rngs)
+    scorer = model.increment_state(count, horizon)
+    stat_state = np.full((count, grid.size), init)
+    stop = np.zeros(count, dtype=np.int64)
+    stat_at_stop = np.full(count, np.nan)
+    alive = np.ones(count, dtype=bool)
+    early_exit = log_threshold is not None and not want_final_stat
+    rows = np.arange(count)  # the trials this block advances
 
-    for n in range(1, t + 1):
-        if kind == "ms":
-            if not np.isfinite(log_tail[n]) and (want_final_stat or alive.any()):
-                raise PriorSupportExhausted(
-                    f"prior tail Pi({n}) = 0; the MS recursion cannot continue"
-                )
-            state = np.logaddexp(state, log_pi[n - 1]) + ell[:, n - 1, :]
-            log_stat = np.logaddexp.reduce(state + logw, axis=1) - log_tail[n]
-        else:
-            state = np.logaddexp(state, 0.0) + ell[:, n - 1, :]
-            log_stat = np.logaddexp.reduce(state + logw, axis=1)
-        if log_threshold is not None:
-            newly = alive & (log_stat >= log_threshold)
-            if newly.any():
-                stop[newly] = n
-                stat_at_stop[newly] = log_stat[newly]
-                alive &= ~newly
-            if not want_final_stat and not alive.any():
+    for n0 in range(0, horizon, BLOCK):
+        n1 = min(n0 + BLOCK, horizon)
+        if early_exit:
+            rows = np.flatnonzero(alive)
+            if rows.size == 0:
                 break
-    if want_final_stat:
-        final_stat[:] = log_stat
+        ell = model.increment_block(scorer, rows, model.sample_block(sampler, rows, n0, n1), n0)
+        state = stat_state[rows]
+        live = alive[rows]
+        for n in range(n0 + 1, n1 + 1):
+            if kind == "ms":
+                if not np.isfinite(log_tail[n]) and (want_final_stat or live.any()):
+                    raise PriorSupportExhausted(
+                        f"prior tail Pi({n}) = 0; the MS recursion cannot continue"
+                    )
+                state = np.logaddexp(state, log_pi[n - 1]) + ell[:, n - 1 - n0, :]
+                log_stat = np.logaddexp.reduce(state + logw, axis=1) - log_tail[n]
+            else:
+                state = np.logaddexp(state, 0.0) + ell[:, n - 1 - n0, :]
+                log_stat = np.logaddexp.reduce(state + logw, axis=1)
+            if log_threshold is not None:
+                newly = live & (log_stat >= log_threshold)
+                if newly.any():
+                    stop[rows[newly]] = n
+                    stat_at_stop[rows[newly]] = log_stat[newly]
+                    live &= ~newly
+                if early_exit and not live.any():
+                    break
+        stat_state[rows] = state
+        alive[rows] = live
 
     return TrialData(
-        stop_times=stop, log_stat_at_stop=stat_at_stop, nus=nus, final_log_stat=final_stat
+        stop_times=stop,
+        log_stat_at_stop=stat_at_stop,
+        nus=nus,
+        final_log_stat=log_stat if want_final_stat else None,
     )

@@ -680,6 +680,8 @@ def load_csv_stream(path: str, dimension: int) -> np.ndarray:
                 raise RuntimeError(
                     f"{path}:{lineno}: expected {dimension} columns, got {len(vals)}"
                 )
+            if not all(math.isfinite(v) for v in vals):
+                raise RuntimeError(f"{path}:{lineno}: non-finite value in row {line!r}")
             rows.append(vals)
     return np.array(rows, dtype=float).reshape(-1, dimension)
 

@@ -13,9 +13,15 @@ Partial sums of increments over j in (k, n] give the cumulative LLR of
 of the observed path; all randomness lives in path sampling, which consumes
 one caller-supplied generator per path so trials stay reproducible.
 
-Batch variants (``sample_paths`` / ``path_increments``) compute many
-independent paths in lockstep with vectorized arithmetic; they produce
-bit-identical values to the streaming API on the same path.
+Batch work runs through one block kernel per model.  ``sampler_state``
+starts a batch of paths at time 0 and ``sample_block`` advances any subset
+of them over the rows [n0, n1); ``increment_state`` and ``increment_block``
+do the same for the increments of given observations.  Model state (RNG
+position, AR filter memory, HMM chain and forward filter) carries from one
+block to the next, so a path's values do not depend on how its time axis is
+cut into blocks or on which other paths share a call.  The whole-path
+methods ``sample_paths`` / ``path_increments`` are the one-block case, and
+every batch value equals the streaming API's on the same path bit for bit.
 """
 
 from __future__ import annotations
@@ -53,14 +59,14 @@ class ObservationModel(ABC):
         """Consume one observation, return per-atom increments, shape (n_atoms,)."""
 
     @abstractmethod
-    def sample_paths(
+    def sampler_state(
         self,
         nus: np.ndarray,
         thetas: np.ndarray,
         horizon: int,
         rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Sample a batch of paths, shape (len(rngs), horizon, dimension).
+    ) -> "SamplerState":
+        """Start sampling a batch of paths of length ``horizon`` at time 0.
 
         Path i follows the no-change law up to and including time nus[i]
         and the post-change law with parameter thetas[i] afterwards; a value
@@ -69,8 +75,40 @@ class ObservationModel(ABC):
         """
 
     @abstractmethod
+    def sample_block(
+        self, state: "SamplerState", rows: np.ndarray, n0: int, n1: int
+    ) -> np.ndarray:
+        """Advance paths ``rows`` (indices into the batch) from time n0 to n1.
+
+        Every listed path must sit at time n0.  Returns the observations at
+        times n0+1 .. n1, shape (len(rows), n1 - n0, dimension).
+        """
+
+    @abstractmethod
+    def increment_state(self, batch: int, horizon: int):
+        """Start the increments of ``batch`` paths at time 0 with empty history."""
+
+    @abstractmethod
+    def increment_block(self, state, rows: np.ndarray, x: np.ndarray, n0: int) -> np.ndarray:
+        """Per-atom increments of observations x at times n0+1 .. n0+L.
+
+        x has shape (len(rows), L, dimension) and every listed path must sit
+        at time n0; the result has shape (len(rows), L, n_atoms).
+        """
+
+    @abstractmethod
+    def sample_paths(
+        self,
+        nus: np.ndarray,
+        thetas: np.ndarray,
+        horizon: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Whole paths, shape (len(rngs), horizon, dimension): one block from time 0."""
+
+    @abstractmethod
     def path_increments(self, paths: np.ndarray) -> np.ndarray:
-        """Per-atom increments for a batch of paths.
+        """Per-atom increments for a batch of whole paths: one block from time 0.
 
         paths has shape (B, T, dimension); the result has shape
         (B, T, n_atoms) with entry [i, n-1, j] = l_n(theta_j) on path i.
@@ -82,6 +120,43 @@ class ObservationModel(ABC):
         if obs.ndim == 1:
             obs = obs[:, None]
         return self.path_increments(obs[None, :, :])[0]
+
+
+@dataclass
+class SamplerState:
+    """A batch of paths being sampled: per-path inputs and carried model state.
+
+    ``carry`` holds the model's per-path arrays, leading axis = batch.
+    """
+
+    nus: np.ndarray
+    thetas: np.ndarray
+    rngs: list
+    carry: dict
+
+
+def _sampler(nus, thetas, rngs, width: int, **carry) -> SamplerState:
+    return SamplerState(
+        nus=np.asarray(nus, dtype=np.int64),
+        thetas=np.asarray(thetas, dtype=float).reshape(len(rngs), width),
+        rngs=list(rngs),
+        carry=carry,
+    )
+
+
+# The concrete classes define ``sample_paths`` / ``path_increments`` as thin
+# wrappers around these, each in its own class body, so that per-class
+# instrumentation (perfbench/tracer.py) finds them in the class __dict__.
+
+
+def _whole_paths(model: ObservationModel, nus, thetas, horizon: int, rngs) -> np.ndarray:
+    state = model.sampler_state(nus, thetas, horizon, rngs)
+    return model.sample_block(state, np.arange(len(rngs)), 0, horizon)
+
+
+def _whole_increments(model: ObservationModel, paths: np.ndarray) -> np.ndarray:
+    b, t, _ = paths.shape
+    return model.increment_block(model.increment_state(b, t), np.arange(b), paths, 0)
 
 
 def _as_nu_array(nus, horizon: int) -> np.ndarray:
@@ -140,19 +215,28 @@ class GaussianIidModel(ObservationModel):
         xv = float(np.asarray(x).reshape(()))
         return self._theta * xv - self._half_theta_sq
 
+    def sampler_state(self, nus, thetas, horizon, rngs):
+        return _sampler(nus, thetas, rngs, 1)
+
+    def sample_block(self, state, rows, n0, n1):
+        x = np.empty((len(rows), n1 - n0, 1))
+        for r, i in enumerate(rows):
+            x[r, :, 0] = state.rngs[i].standard_normal(n1 - n0)
+        post = np.arange(n0, n1)[None, :] >= state.nus[rows, None]  # column t is time t+1
+        x[:, :, 0] += post * state.thetas[rows]
+        return x
+
+    def increment_state(self, batch, horizon):
+        return None  # memoryless
+
+    def increment_block(self, state, rows, x, n0):
+        return x[:, :, 0, None] * self._theta[None, None, :] - self._half_theta_sq
+
     def sample_paths(self, nus, thetas, horizon, rngs):
-        nus = np.asarray(nus, dtype=np.int64)
-        thetas = np.asarray(thetas, dtype=float).reshape(len(rngs), 1)
-        paths = np.empty((len(rngs), horizon, 1))
-        for i, rng in enumerate(rngs):
-            paths[i, :, 0] = rng.standard_normal(horizon)
-        post = np.arange(horizon)[None, :] >= nus[:, None]  # row t is time t+1
-        paths[:, :, 0] += post * thetas
-        return paths
+        return _whole_paths(self, nus, thetas, horizon, rngs)
 
     def path_increments(self, paths):
-        x = paths[:, :, 0]
-        return x[:, :, None] * self._theta[None, None, :] - self._half_theta_sq
+        return _whole_increments(self, paths)
 
     def info_number(self, theta_vec: np.ndarray) -> float:
         return 0.5 * float(theta_vec[0]) ** 2
@@ -332,31 +416,53 @@ class MultichannelArModel(ObservationModel):
             self._lags[:, 0] = xv
         return self._ell(resid, self._sres_at(self._t))
 
-    def sample_paths(self, nus, thetas, horizon, rngs):
-        nus = np.asarray(nus, dtype=np.int64)
-        thetas = np.asarray(thetas, dtype=float).reshape(len(rngs), self.dimension)
-        noise = np.empty((len(rngs), horizon, self.dimension))
-        for i, rng in enumerate(rngs):
-            noise[i] = rng.standard_normal((horizon, self.dimension))
-        for c in range(self.dimension):
-            fir = self.spec.fir(c)
-            if fir.size > 1:
-                noise[:, :, c] = lfilter([1.0], fir, noise[:, :, c], axis=1)
-        sig = self.spec.signal_matrix(horizon)  # (T, N)
-        post = (np.arange(horizon)[None, :] >= nus[:, None]).astype(float)
-        noise += post[:, :, None] * sig[None, :, :] * thetas[:, None, :]
+    def sampler_state(self, nus, thetas, horizon, rngs):
+        # zi: each channel's lfilter state, carried between blocks
+        zi = [np.zeros((len(rngs), len(ch))) for ch in self.spec.ar_coeffs]
+        return _sampler(
+            nus, thetas, rngs, self.dimension, zi=zi, sig=self.spec.signal_matrix(horizon)
+        )
+
+    def sample_block(self, state, rows, n0, n1):
+        noise = np.empty((len(rows), n1 - n0, self.dimension))
+        for r, i in enumerate(rows):
+            noise[r] = state.rngs[i].standard_normal((n1 - n0, self.dimension))
+        for c, zi in enumerate(state.carry["zi"]):
+            if zi.shape[1]:
+                noise[:, :, c], zi[rows] = lfilter(
+                    [1.0], self.spec.fir(c), noise[:, :, c], axis=1, zi=zi[rows]
+                )
+        sig = state.carry["sig"][n0:n1]  # (L, N)
+        post = (np.arange(n0, n1)[None, :] >= state.nus[rows, None]).astype(float)
+        noise += post[:, :, None] * sig[None, :, :] * state.thetas[rows, None, :]
         return noise
 
-    def path_increments(self, paths):
-        b, t, n = paths.shape
-        resid = paths.copy()
-        for c in range(n):
-            # lags before time 1 are zero, so row j-1 onward sees lag j
+    def increment_state(self, batch, horizon):
+        return {
+            # the last p raw observations of each path, oldest first; zero before time 1
+            "lags": np.zeros((batch, self._order, self.dimension)),
+            "sres": self.spec.residual_signal_matrix(horizon),
+        }
+
+    def increment_block(self, state, rows, x, n0):
+        p, length = self._order, x.shape[1]
+        past = np.concatenate([state["lags"][rows], x], axis=1)  # row p+r is x[:, r]
+        resid = x.copy()
+        for c in range(self.dimension):
+            # lags before time 1 are zero, so rows before time j+1 see no lag j
             for j, beta in enumerate(self.spec.ar_coeffs[c], start=1):
-                if j < t:
-                    resid[:, j:, c] -= beta * paths[:, :-j, c]
-        sres = self.spec.residual_signal_matrix(t)  # (T, N)
-        return self._ell(resid, np.broadcast_to(sres, paths.shape))
+                s = max(j - n0, 0)
+                if s < length:
+                    resid[:, s:, c] -= beta * past[:, p - j + s : p - j + length, c]
+        state["lags"][rows] = past[:, length:, :]
+        sres = state["sres"][n0 : n0 + length]
+        return self._ell(resid, np.broadcast_to(sres, x.shape))
+
+    def sample_paths(self, nus, thetas, horizon, rngs):
+        return _whole_paths(self, nus, thetas, horizon, rngs)
+
+    def path_increments(self, paths):
+        return _whole_increments(self, paths)
 
     def info_number(self, theta_vec: np.ndarray, q_horizon: int = 10_000) -> float:
         qs = [q_limit(self.spec, c, q_horizon).value for c in range(self.dimension)]
@@ -425,6 +531,7 @@ class TwoStateHmmModel(ObservationModel):
         self.dimension = 1
         # parameter table: row 0 is theta0, rows 1.. are the grid atoms
         self._means = np.vstack([np.asarray(spec.theta0), grid.atoms])  # (P, 2)
+        self._mean_cols = self._means[:, None, :]  # (P, 1, 2): broadcasts over paths
         with np.errstate(divide="ignore"):
             self._ltr = {
                 "stay1": np.log(1.0 - spec.beta),
@@ -435,23 +542,28 @@ class TwoStateHmmModel(ObservationModel):
         self.reset()
 
     def reset(self) -> None:
+        self._log_f1, self._log_f2 = self._filter_start(1)
+
+    def _filter_start(self, batch: int):
+        """Normalized log filter (log_f1, log_f2) at time 0, shape (P, batch)."""
         p = self._means.shape[0]
         pi2 = self.spec.pi2
         with np.errstate(divide="ignore"):
-            self._log_f1 = np.full(p, np.log(1.0 - pi2))
-            self._log_f2 = np.full(p, np.log(pi2))
+            return np.full((p, batch), np.log(1.0 - pi2)), np.full((p, batch), np.log(pi2))
 
     def _filter_step(self, log_f1, log_f2, x):
-        """One normalized forward step for all parameters at once.
+        """One normalized forward step for all parameters and paths at once.
 
-        Returns (log_c, log_f1', log_f2') where c is the one-step predictive
-        density of x under each parameter's model given the history.
+        log_f1, log_f2 have shape (P, B), parameters by paths, and x has
+        shape (B,) or is a scalar for B = 1.  Returns (log_c, log_f1', log_f2') where c is the
+        one-step predictive density of x under each parameter's model given
+        the history.
         """
         t = self._ltr
         log_g1 = np.logaddexp(log_f2 + t["to1"], log_f1 + t["stay1"])
         log_g2 = np.logaddexp(log_f2 + t["stay2"], log_f1 + t["to2"])
-        le1 = _log_normal_pdf(x, self._means[..., 0])
-        le2 = _log_normal_pdf(x, self._means[..., 1])
+        le1 = _log_normal_pdf(x, self._mean_cols[..., 0])
+        le2 = _log_normal_pdf(x, self._mean_cols[..., 1])
         log_j1 = log_g1 + le1
         log_j2 = log_g2 + le2
         log_c = np.logaddexp(log_j1, log_j2)
@@ -462,61 +574,76 @@ class TwoStateHmmModel(ObservationModel):
         log_c, self._log_f1, self._log_f2 = self._filter_step(
             self._log_f1, self._log_f2, xv
         )
-        return log_c[1:] - log_c[0]
+        return log_c[1:, 0] - log_c[0, 0]
 
-    def path_increments(self, paths):
-        b, t, _ = paths.shape
-        p = self._means.shape[0]
-        pi2 = self.spec.pi2
-        with np.errstate(divide="ignore"):
-            log_f1 = np.full((p, b), np.log(1.0 - pi2))
-            log_f2 = np.full((p, b), np.log(pi2))
-        means = self._means[:, :, None]  # broadcast over batch
-        out = np.empty((b, t, p - 1))
-        tr = self._ltr
-        for n in range(t):
-            x = paths[:, n, 0][None, :]
-            log_g1 = np.logaddexp(log_f2 + tr["to1"], log_f1 + tr["stay1"])
-            log_g2 = np.logaddexp(log_f2 + tr["stay2"], log_f1 + tr["to2"])
-            log_j1 = log_g1 + _log_normal_pdf(x, means[:, 0])
-            log_j2 = log_g2 + _log_normal_pdf(x, means[:, 1])
-            log_c = np.logaddexp(log_j1, log_j2)
-            log_f1 = log_j1 - log_c
-            log_f2 = log_j2 - log_c
+    def increment_state(self, batch, horizon):
+        return self._filter_start(batch)
+
+    def increment_block(self, state, rows, x, n0):
+        log_f1, log_f2 = state[0][:, rows], state[1][:, rows]
+        out = np.empty((len(rows), x.shape[1], self.grid.size))
+        for n in range(x.shape[1]):
+            log_c, log_f1, log_f2 = self._filter_step(log_f1, log_f2, x[:, n, 0])
             out[:, n, :] = (log_c[1:] - log_c[0]).T
+        state[0][:, rows], state[1][:, rows] = log_f1, log_f2
         return out
 
-    def sample_paths(self, nus, thetas, horizon, rngs):
-        nus = np.asarray(nus, dtype=np.int64)
-        thetas = np.asarray(thetas, dtype=float).reshape(len(rngs), 2)
+    def sampler_state(self, nus, thetas, horizon, rngs):
         spec = self.spec
-        paths = np.empty((len(rngs), horizon, 1))
-        m0 = spec.theta0
+        # every uniform is drawn up front and the normals block by block,
+        # which is the same stream as drawing u, then z, in one go
+        u = np.empty((len(rngs), horizon + 1))
         for i, rng in enumerate(rngs):
-            u = rng.random(horizon + 1)
-            z = rng.standard_normal(horizon)
-            nu = int(nus[i])
-            m1p, m2p = float(thetas[i, 0]), float(thetas[i, 1])
-            # pre-change: simulate the hidden chain of the no-change model
-            state2 = u[0] < spec.pi2
+            u[i] = rng.random(horizon + 1)
+        lf1 = math.log(1.0 - spec.pi2) if spec.pi2 < 1.0 else -math.inf
+        lf2 = math.log(spec.pi2) if spec.pi2 > 0.0 else -math.inf
+        return _sampler(
+            nus,
+            thetas,
+            rngs,
+            2,
+            u=u,
+            # pre-change: the true chain of the no-change model starts here
+            state2=u[:, 0] < spec.pi2,
+            lf1=np.full(len(rngs), lf1),
+            lf2=np.full(len(rngs), lf2),
+        )
+
+    def sample_block(self, state, rows, n0, n1):
+        spec = self.spec
+        m0 = spec.theta0
+        carry = state.carry
+        paths = np.empty((len(rows), n1 - n0, 1))
+        for r, i in enumerate(rows):
+            u = carry["u"][i]
+            z = state.rngs[i].standard_normal(n1 - n0)
+            nu = int(state.nus[i])
+            m1p, m2p = float(state.thetas[i, 0]), float(state.thetas[i, 1])
+            state2 = bool(carry["state2"][i])
             # post-change sampling draws from the post-change model's
             # one-step predictive given the whole realized past, so the
             # detector's increments are exact conditional log-ratios; the
             # filter must therefore track the path from time 1.
-            lf1 = math.log(1.0 - spec.pi2) if spec.pi2 < 1.0 else -math.inf
-            lf2 = math.log(spec.pi2) if spec.pi2 > 0.0 else -math.inf
-            for n in range(horizon):
+            lf1, lf2 = float(carry["lf1"][i]), float(carry["lf2"][i])
+            for n in range(n0, n1):
                 g2 = _scalar_predict2(lf1, lf2, spec)
                 if n < nu:
                     # advance the true chain under the no-change law
                     state2 = (u[n + 1] < (1.0 - spec.gamma)) if state2 else (u[n + 1] < spec.beta)
-                    x = (m0[1] if state2 else m0[0]) + z[n]
+                    x = (m0[1] if state2 else m0[0]) + z[n - n0]
                 else:
                     state2 = u[n + 1] < g2
-                    x = (m2p if state2 else m1p) + z[n]
-                paths[i, n, 0] = x
+                    x = (m2p if state2 else m1p) + z[n - n0]
+                paths[r, n - n0, 0] = x
                 lf1, lf2 = _scalar_filter_update(lf1, lf2, x, m1p, m2p, spec)
+            carry["state2"][i], carry["lf1"][i], carry["lf2"][i] = state2, lf1, lf2
         return paths
+
+    def sample_paths(self, nus, thetas, horizon, rngs):
+        return _whole_paths(self, nus, thetas, horizon, rngs)
+
+    def path_increments(self, paths):
+        return _whole_increments(self, paths)
 
     def info_number(self, theta_vec: np.ndarray) -> float:
         """Long-run LLR rate, by quadrature; symmetric transitions only."""

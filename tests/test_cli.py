@@ -255,6 +255,15 @@ class TestDetect:
         data.write_text("0.0,1.0\n")
         assert main(["detect", path, str(data)]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_value_names_line(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, self.detect_doc(tmp_path))
+        data = tmp_path / "nonfinite.csv"
+        data.write_text(f"x\n0.0\n{value}\n0.0\n")
+        assert main(["detect", path, str(data)]) == 3
+        err = capsys.readouterr().err
+        assert f"{data}:3: non-finite value" in err
+
     def test_matches_in_process_run(self, tmp_path):
         doc = base_config(
             calibration={"kind": "fixed", "log_threshold": 2.0},

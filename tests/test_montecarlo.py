@@ -1,15 +1,29 @@
 """Monte Carlo estimators: exact degenerate cases, consistency, reproducibility."""
 
+import hashlib
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mixdetect._engine import TrialSpec, trial_rng
+from mixdetect import montecarlo
+from mixdetect._engine import BLOCK, CHUNK, TrialSpec, _draw_trials, trial_rng
 from mixdetect.calibration import ms_threshold
-from mixdetect.detectors import run_detector
+from mixdetect.detectors import PriorSupportExhausted, run_detector
 from mixdetect.measures import geometric_prior, grid_from_atoms, point_mass_prior
-from mixdetect.models import gaussian_iid_model
+from mixdetect.models import (
+    ArChannelSpec,
+    GaussianIidModel,
+    HarmonicSignal,
+    Hmm2Spec,
+    MultichannelArModel,
+    TwoStateHmmModel,
+    gaussian_iid_model,
+    hmm2_model,
+    multichannel_ar_model,
+)
 from mixdetect.montecarlo import (
     EstimationError,
     ExperimentConfig,
@@ -20,6 +34,7 @@ from mixdetect.montecarlo import (
     estimate_pfa_tail,
     run_trials,
     slope_regression,
+    statistic_at_horizon,
 )
 
 GRID = grid_from_atoms([[0.5], [1.0], [1.5]])
@@ -251,3 +266,238 @@ class TestEngineMatchesStreamingDetector:
             else:
                 assert td.stop_times[i] == rec.stop_time
                 assert td.log_stat_at_stop[i] == rec.log_stat_at_stop
+
+
+# ---------------------------------------------------------------------------
+# Block-stepped engine: values must not depend on where time blocks fall.
+# ---------------------------------------------------------------------------
+
+BLOCK_MODELS = {
+    "gaussian": lambda: gaussian_iid_model(GRID),
+    # order 2 in one channel, order 1 in the other: lags and filter state
+    # both carry across block boundaries
+    "ar": lambda: multichannel_ar_model(
+        ArChannelSpec(
+            ar_coeffs=((0.5, -0.2), (0.3,)),
+            signals=(HarmonicSignal(1.0, 0.3, 0.0), HarmonicSignal(0.8, 0.0, math.pi / 2)),
+        ),
+        grid_from_atoms([[0.5, 0.5], [1.0, 0.5], [0.5, 1.0]]),
+    ),
+    "hmm": lambda: hmm2_model(
+        Hmm2Spec(theta0=(0.0, 1.0), beta=0.2, gamma=0.4),
+        grid_from_atoms([[0.5, 2.0], [1.0, 2.5]]),
+    ),
+}
+
+BLOCK_SPECS = {
+    "fixed": lambda grid: TrialSpec(
+        mode="fixed", nu=40, theta=tuple(grid.atoms[-1]), stream_tag=21
+    ),
+    "prior": lambda grid: TrialSpec(mode="prior", q_short_circuit=True, stream_tag=22),
+    "no_change": lambda grid: TrialSpec(mode="no_change", stream_tag=23),
+}
+
+
+def _trial_path(cfg, spec, i):
+    """Trial i's path, drawn from its own stream exactly as the engine draws it."""
+    rng = trial_rng(cfg.master_seed, spec.stream_tag, i)
+    nus, thetas = _draw_trials(spec, cfg.prior, cfg.grid, cfg.horizon, [rng])
+    return cfg.model.sample_paths(nus, thetas, cfg.horizon, [rng])[0]
+
+
+def _streaming(cfg, path, log_threshold):
+    return run_detector(
+        cfg.detector,
+        cfg.model,
+        cfg.prior,
+        cfg.grid,
+        log_threshold,
+        path,
+        horizon=cfg.horizon,
+        omega=cfg.omega,
+    )
+
+
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("mode", sorted(BLOCK_SPECS))
+@pytest.mark.parametrize("detector", ["ms", "msr"])
+@pytest.mark.parametrize("model_name", sorted(BLOCK_MODELS))
+def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
+    model = BLOCK_MODELS[model_name]()
+    cfg = ExperimentConfig(
+        model=model,
+        prior=geometric_prior(0.02, q=0.1),
+        grid=model.grid,
+        detector=detector,
+        omega=0.5,
+        log_threshold=0.0,
+        trials=24,
+        horizon=horizon,
+        master_seed=4242,
+    )
+    spec = BLOCK_SPECS[mode](model.grid)
+    paths = [_trial_path(cfg, spec, i) for i in range(cfg.trials)]
+
+    # the streaming statistic over the whole horizon, per trial
+    never = 1e300
+    final = np.array([_streaming(cfg, p, never).log_stat_at_stop for p in paths])
+    np.testing.assert_array_equal(statistic_at_horizon(cfg, spec), final)
+
+    # a threshold that about half the trials reach within the first block
+    # (or the horizon, if shorter), so stops fall on both sides of it
+    pivot = min(horizon, BLOCK)
+    early_max = []
+    for p in paths:
+        rec = run_detector(
+            detector, model, cfg.prior, cfg.grid, never, p[:pivot],
+            record_trajectory=True, omega=cfg.omega,
+        )
+        early_max.append(rec.trajectory[:, 1].max())
+    log_a = float(np.median(early_max))
+    td = run_trials(replace(cfg, log_threshold=log_a), spec)
+    for i, path in enumerate(paths):
+        rec = _streaming(cfg, path, log_a)
+        if rec.censored:
+            assert td.stop_times[i] == 0
+            assert np.isnan(td.log_stat_at_stop[i])
+        else:
+            assert td.stop_times[i] == rec.stop_time
+            assert td.log_stat_at_stop[i] == rec.log_stat_at_stop
+    stops = td.stop_times
+    assert np.any((stops >= 1) & (stops <= pivot))
+    if horizon >= 2 * BLOCK:
+        assert np.any(stops > BLOCK), "no stop past the first block"
+
+
+@pytest.mark.parametrize(
+    "k0,horizon,log_threshold,final,raises",
+    [
+        (70, 70, math.log(19.0), False, False),  # support outlasts the horizon
+        (70, 71, math.log(19.0), False, True),
+        (70, 130, math.log(19.0), False, True),
+        (63, 64, math.log(19.0), False, True),  # exhausted on a block's last step
+        (64, 65, math.log(19.0), False, True),  # exhausted on a block's first step
+        (70, 130, -np.inf, False, False),  # every trial stops at n = 1 first
+        (70, 130, -np.inf, True, True),  # the final statistic needs every step
+    ],
+)
+def test_prior_support_exhausted_unchanged(k0, horizon, log_threshold, final, raises):
+    cfg = make_config(
+        prior=point_mass_prior(k0), log_threshold=log_threshold, trials=40, horizon=horizon
+    )
+    spec = TrialSpec(mode="no_change", stream_tag=9)
+    if raises:
+        with pytest.raises(PriorSupportExhausted, match=rf"Pi\({k0 + 1}\)"):
+            run_trials(cfg, spec, want_final_stat=final)
+    else:
+        td = run_trials(cfg, spec, want_final_stat=final)
+        expected = 1 if log_threshold == -np.inf else 0
+        assert np.all(td.stop_times == expected)
+
+
+# SHA-256 of per-trial outputs, recorded before the engine was block-stepped
+# (200 trials, horizon 150, so stops fall in all three blocks; numpy 2.4,
+# scipy 1.17).  A change of any per-trial random value or statistic shows
+# here even if streaming and lockstep paths still agree with each other.
+PINNED_DIGESTS = {
+    "gaussian-ms": {
+        "stop_times": "29d93d976ec427d4775430d69c827137effe361d475712c34c6aeaa27fa571f4",
+        "log_stat_at_stop": "72bc4cf15bd682073367c657813438e84c82c420dd7dfe1d0d8dc83d84c05a31",
+        "nus": "737b82ff264add6de6331b17a8aab697ea53e054f70ff30a1e42aaf6860df505",
+        "final_log_stat": "be1218210cd46d2cac5431976f327e1baeb387e103e0c42d4ca826ae55d9e54e",
+    },
+    "gaussian-msr": {
+        "stop_times": "9c071eb6792f0707edf2261686256edcb7467bbbf0fd12df4906325f23bb6cae",
+        "log_stat_at_stop": "25cac863abbeec7cbb28a66e2321402961360b6fdc1f7194f11c09ada3ba5190",
+        "nus": "61257e48d2aa24a23a8df4aa7e07dc7513c05d1af69d309cc9634832764e1249",
+        "final_log_stat": "9a9df6155a746cf87af6a2696f17fddf8f90ed77e28bf1f5c643c8b48101fd20",
+    },
+    "ar-ms": {
+        "stop_times": "525e13ddd0284cd8da0d79c89bcd03194d9a8620e3e622361e29dc8308ce9e7c",
+        "log_stat_at_stop": "e0841eb08b61a62512b8beb3942e2c52812cb309ec5fd3b06d9df83fde3cc127",
+        "nus": "737b82ff264add6de6331b17a8aab697ea53e054f70ff30a1e42aaf6860df505",
+        "final_log_stat": "c71a34b6a4aecab73157bed902faaa451e71a85202d73f21b037e80aa830e82c",
+    },
+    "ar-msr": {
+        "stop_times": "961e8c8ba6b4a2b318df0dde723e4cbb94c5688b9a1beb6ab394a7c584119736",
+        "log_stat_at_stop": "46dd3e21207683790bee7605543ce0b3fe22c745df7ecbb2978449fc957ddde6",
+        "nus": "61257e48d2aa24a23a8df4aa7e07dc7513c05d1af69d309cc9634832764e1249",
+        "final_log_stat": "8400f2410004ebc590f9f987921691fcd11dfd4f6b542972c703dace56757c57",
+    },
+    "hmm-ms": {
+        "stop_times": "b96a9528d0b6e91226a1b0ac8cb1742529139f1eefd4cce8a488bc04b753d876",
+        "log_stat_at_stop": "b168395a4299c59256d5b4c312de0cf4a05c6fb69a33d6990884460b5d5aae5b",
+        "nus": "737b82ff264add6de6331b17a8aab697ea53e054f70ff30a1e42aaf6860df505",
+        "final_log_stat": "d795b195aa3fefa0653aaf619e2f4b1dd55a90ebb21b4cdcee391b130fa1e8d1",
+    },
+    "hmm-msr": {
+        "stop_times": "6fb93d4d2ff1102de0af22b29607e9c0b2d4470f0f524cb6a19ba5cc032bb204",
+        "log_stat_at_stop": "90550bbbc125c984c9424221fb6c938744b41e5f0eaac817748d689f65c259fd",
+        "nus": "61257e48d2aa24a23a8df4aa7e07dc7513c05d1af69d309cc9634832764e1249",
+        "final_log_stat": "d8c410ba3cce86fa8b20c380a5c56570e1c4f5882917647fbe86fe8d999c2a32",
+    },
+}
+
+
+def _pinned_config(model, detector):
+    return ExperimentConfig(
+        model=model,
+        prior=geometric_prior(0.02, q=0.1),
+        grid=model.grid,
+        detector=detector,
+        omega=0.5,
+        log_threshold=math.log(40.0 if detector == "ms" else 150.0),
+        trials=200,
+        horizon=150,
+        master_seed=31337,
+    )
+
+
+def _sha256(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("detector", ["ms", "msr"])
+@pytest.mark.parametrize("model_name", sorted(BLOCK_MODELS))
+def test_pinned_per_trial_values(model_name, detector):
+    cfg = _pinned_config(BLOCK_MODELS[model_name](), detector)
+    stopped = run_trials(
+        cfg, TrialSpec(mode="prior", q_short_circuit=detector == "ms", stream_tag=7)
+    )
+    whole = run_trials(
+        cfg, TrialSpec(mode="prior", stream_tag=8), want_final_stat=True, no_stopping=True
+    )
+    got = {
+        "stop_times": _sha256(stopped.stop_times),
+        "log_stat_at_stop": _sha256(stopped.log_stat_at_stop),
+        "nus": _sha256(stopped.nus),
+        "final_log_stat": _sha256(whole.final_log_stat),
+    }
+    assert got == PINNED_DIGESTS[f"{model_name}-{detector}"]
+
+
+def test_benchmark_hook_points(monkeypatch):
+    """Names that perfbench/tracer.py wraps by class __dict__ and by position."""
+    for cls in (GaussianIidModel, MultichannelArModel, TwoStateHmmModel):
+        for name in ("sample_paths", "path_increments", "step"):
+            assert name in cls.__dict__, f"{cls.__name__}.{name}"
+    params = list(inspect.signature(montecarlo.run_chunk).parameters)
+    assert params[5] == "log_threshold"
+    assert params[6] == "horizon"
+    assert params[10] == "count"
+    assert params[11] == "want_final_stat"
+
+    calls = []
+    real = montecarlo.run_chunk
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_chunk", recording)
+    cfg = make_config(trials=CHUNK + 5, horizon=20)
+    run_trials(cfg, TrialSpec(mode="no_change"), want_final_stat=True)
+    assert [args[10] for args, _ in calls] == [CHUNK, 5]
+    for args, kwargs in calls:
+        assert len(args) == 12 and not kwargs
+        assert args[5] == cfg.log_threshold and args[6] == 20 and args[11] is True
