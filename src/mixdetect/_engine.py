@@ -3,10 +3,10 @@
 Trials are independent units of work.  Each trial owns an RNG stream derived
 from (master_seed, stream_tag, trial_index), and its path is sampled from
 that stream alone, so per-trial results do not depend on batching or worker
-count.  Increments and the detector recursions are deterministic functions
-of the paths, evaluated with the same elementwise operations as the
-streaming detectors (np.logaddexp / logaddexp.reduce in the same order), so
-lockstep and streaming runs agree bit for bit.
+count.  Increments and the detector recursion are deterministic functions
+of the paths, computed by the same block kernels and the same
+``detectors.advance`` as the streaming detectors, so lockstep and streaming
+runs agree bit for bit.
 
 A chunk of CHUNK trials advances in time blocks of BLOCK steps.  Each block
 samples, scores and recurses only the trials that have not yet alarmed,
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import PriorSupportExhausted
+from .detectors import PriorSupportExhausted, advance, recursion_tables
 from .measures import ChangePrior, MixingGrid
 from .models import ObservationModel
 
@@ -135,19 +135,8 @@ def run_chunk(
     rngs = [trial_rng(master_seed, spec.stream_tag, i) for i in range(start, start + count)]
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
     logw = grid.log_weights
-
-    kind = detector.lower()
-    if kind == "ms":
-        log_pi = prior.log_pmf_array(horizon)
-        log_tail = prior.log_tail_array(horizon)
-        with np.errstate(divide="ignore"):
-            init = np.log(prior.q) if prior.q > 0.0 else -np.inf
-    elif kind == "msr":
-        log_pi = log_tail = None
-        with np.errstate(divide="ignore"):
-            init = np.log(omega) if omega > 0.0 else -np.inf
-    else:
-        raise ValueError(f"unknown detector kind {detector!r}")
+    init, log_pi, log_tail = recursion_tables(detector, prior, omega, horizon)
+    exhausted = ~np.isfinite(log_tail)  # never, for MSR
 
     sampler = model.sampler_state(nus, thetas, horizon, rngs)
     scorer = model.increment_state(count, horizon)
@@ -168,16 +157,13 @@ def run_chunk(
         state = stat_state[rows]
         live = alive[rows]
         for n in range(n0 + 1, n1 + 1):
-            if kind == "ms":
-                if not np.isfinite(log_tail[n]) and (want_final_stat or live.any()):
-                    raise PriorSupportExhausted(
-                        f"prior tail Pi({n}) = 0; the MS recursion cannot continue"
-                    )
-                state = np.logaddexp(state, log_pi[n - 1]) + ell[:, n - 1 - n0, :]
-                log_stat = np.logaddexp.reduce(state + logw, axis=1) - log_tail[n]
-            else:
-                state = np.logaddexp(state, 0.0) + ell[:, n - 1 - n0, :]
-                log_stat = np.logaddexp.reduce(state + logw, axis=1)
+            if exhausted[n] and (want_final_stat or live.any()):
+                raise PriorSupportExhausted(
+                    f"prior tail Pi({n}) = 0; the MS recursion cannot continue"
+                )
+            state, log_stat = advance(
+                state, ell[:, n - 1 - n0, :], logw, log_pi[n - 1], log_tail[n]
+            )
             if log_threshold is not None:
                 newly = live & (log_stat >= log_threshold)
                 if newly.any():

@@ -500,12 +500,9 @@ def _run_scenario(exp: Experiment, index: int, sc: dict) -> tuple[dict, list[tup
     row: dict = {"name": name, "quantity": q}
     ladder_rows: list[tuple] = []
 
-    if q == "pfa_tail":
-        est = estimate_pfa_tail(exp.mc_config(), stream_tag=tag_base)
-        bound = _implied_alpha(exp)
-        row.update(estimate=est.to_dict(), bound=bound, ratio=est.point / bound)
-    elif q == "pfa_posterior":
-        est = estimate_pfa_posterior(exp.mc_config(), stream_tag=tag_base)
+    if q in ("pfa_tail", "pfa_posterior"):
+        estimate = estimate_pfa_tail if q == "pfa_tail" else estimate_pfa_posterior
+        est = estimate(exp.mc_config(), stream_tag=tag_base)
         bound = _implied_alpha(exp)
         row.update(estimate=est.to_dict(), bound=bound, ratio=est.point / bound)
     elif q == "delay":
@@ -587,6 +584,15 @@ def _run_scenario(exp: Experiment, index: int, sc: dict) -> tuple[dict, list[tup
     return row, ladder_rows
 
 
+def _print_estimate(label: str, estimate: dict, prediction, ratio) -> None:
+    """One summary line: estimate, prediction (or bound) and their ratio."""
+    print(
+        f"{label:<28} {estimate['point']:>14.6g} "
+        f"{(f'{prediction:.6g}' if prediction is not None else '-'):>14} "
+        f"{(f'{ratio:.3f}' if ratio is not None else '-'):>8}"
+    )
+
+
 def cmd_simulate(config_path: str) -> int:
     exp = load_experiment(config_path, need_montecarlo=True)
     rows = []
@@ -622,15 +628,9 @@ def cmd_simulate(config_path: str) -> int:
     print(f"{'scenario':<28} {'estimate':>14} {'prediction':>14} {'ratio':>8}")
     for row in rows:
         if "estimate" in row:
-            est = row["estimate"]["point"]
-            pred = row.get("prediction") or {}
-            pv = pred.get("value") if pred else row.get("bound")
-            ratio = row.get("ratio")
-            print(
-                f"{row['name']:<28} {est:>14.6g} "
-                f"{(f'{pv:.6g}' if pv is not None else '-'):>14} "
-                f"{(f'{ratio:.3f}' if ratio is not None else '-'):>8}"
-            )
+            pred = row.get("prediction")
+            pv = pred["value"] if pred else row.get("bound")
+            _print_estimate(row["name"], row["estimate"], pv, row.get("ratio"))
         elif "slope" in row:
             print(
                 f"{row['name']:<28} slope {row['slope']:.4f} +- {row['slope_stderr']:.4f}"
@@ -642,15 +642,9 @@ def cmd_simulate(config_path: str) -> int:
             )
         if "moments" in row:
             for m, cell in row["moments"].items():
-                est = cell["estimate"]["point"]
                 pred = cell["prediction"]
                 pv = pred["value"] if pred else None
-                ratio = cell["ratio"]
-                print(
-                    f"{row['name'] + f' r={m}':<28} {est:>14.6g} "
-                    f"{(f'{pv:.6g}' if pv is not None else '-'):>14} "
-                    f"{(f'{ratio:.3f}' if ratio is not None else '-'):>8}"
-                )
+                _print_estimate(f"{row['name']} r={m}", cell["estimate"], pv, cell["ratio"])
     if out_path:
         print(f"wrote {out_path}")
     return 0
@@ -704,6 +698,9 @@ def cmd_detect(
     trajectory: bool = False,
 ) -> int:
     exp = load_experiment(config_path, need_montecarlo=False)
+    traj_path = exp.output.get("trajectory")
+    if trajectory and not traj_path:
+        raise ConfigError("output.trajectory: required with --trajectory")
     data = load_csv_stream(data_path, exp.model.dimension)
     log_a = exp.threshold.log_threshold
     traj_segments: list[np.ndarray] = []
@@ -751,9 +748,6 @@ def cmd_detect(
             if not multicyclic and censored:
                 w.writerow(["CENSORED"])
     if trajectory:
-        traj_path = exp.output.get("trajectory")
-        if not traj_path:
-            raise ConfigError("output.trajectory: required with --trajectory")
         _write_trajectory(traj_path, traj_segments)
 
     if multicyclic:

@@ -10,8 +10,11 @@ exact one-step recursions on per-atom numerators:
           R_n = sum_i w_i R_n(theta_i)
 
 which are plain algebra on the defining double sums (cross-checked here by
-brute-force oracles that evaluate those sums literally).  All accumulation
-is log-domain with log-sum-exp; the statistics reach exp(+-hundreds) and are
+brute-force oracles that evaluate those sums literally).  MSR is the MS
+recursion with pi_k = 1 and Pi(n) = 1, started from omega instead of q, so
+one function, ``advance``, computes both; ``recursion_tables`` gives its
+start value and per-step tables for either kind.  All accumulation is
+log-domain with log-sum-exp; the statistics reach exp(+-hundreds) and are
 never exponentiated except inside the guarded posterior computation.
 
 The stopping rules raise an alarm at the first n >= 1 whose log statistic
@@ -33,8 +36,34 @@ class PriorSupportExhausted(RuntimeError):
     """The prior tail Pi(n) hit zero: the MS statistic is undefined past here."""
 
 
-def _logsumexp_weighted(log_values: np.ndarray, log_weights: np.ndarray) -> float:
-    return float(np.logaddexp.reduce(log_weights + log_values))
+def _log_or_ninf(value: float):
+    return np.log(value) if value > 0.0 else -np.inf
+
+
+def recursion_tables(kind: str, prior: ChangePrior, omega: float, horizon: int):
+    """(init, log_pi, log_tail) for ``advance`` over steps n = 1 .. horizon.
+
+    init is the per-atom log numerator at time 0; step n uses log_pi[n-1]
+    and log_tail[n].  MSR's tables are all zero: pi_k = 1 and Pi(n) = 1.
+    """
+    k = kind.lower()
+    if k == "ms":
+        return _log_or_ninf(prior.q), prior.log_pmf_array(horizon), prior.log_tail_array(horizon)
+    if k == "msr":
+        zeros = np.zeros(horizon + 1)
+        return _log_or_ninf(omega), zeros, zeros
+    raise ValueError(f"unknown detector kind {kind!r}; expected 'ms' or 'msr'")
+
+
+def advance(log_num, ell, log_w, log_pi_prev, log_tail_n):
+    """One step of the MS/MSR recursion over any leading shape, atoms last.
+
+    Returns the new per-atom log numerators and the log statistic
+    log sum_i w_i N_n(theta_i) - log Pi(n).  With log_pi_prev = log_tail_n
+    = 0 this is the MSR step, bit for bit.
+    """
+    log_num = np.logaddexp(log_num, log_pi_prev) + ell
+    return log_num, np.logaddexp.reduce(log_num + log_w, axis=-1) - log_tail_n
 
 
 @dataclass
@@ -49,8 +78,7 @@ class MsState:
 
     def __post_init__(self):
         if self.log_num is None:
-            with np.errstate(divide="ignore"):
-                log_q = np.log(self.prior.q) if self.prior.q > 0.0 else -np.inf
+            log_q = _log_or_ninf(self.prior.q)
             self.log_num = np.full(self.grid.size, log_q)
             self.log_stat = log_q - np.log1p(-self.prior.q)
 
@@ -69,17 +97,21 @@ class MsrState:
         if self.omega < 0.0:
             raise ValueError("head-start omega must be >= 0")
         if self.log_r is None:
-            with np.errstate(divide="ignore"):
-                log_w = np.log(self.omega) if self.omega > 0.0 else -np.inf
+            log_w = _log_or_ninf(self.omega)
             self.log_r = np.full(self.grid.size, log_w)
             self.log_stat = log_w
 
 
-def ms_update(state: MsState, increments: np.ndarray) -> MsState:
-    """Advance the MS statistic by one observation's per-atom increments."""
+def _finite(increments) -> np.ndarray:
     inc = np.asarray(increments, dtype=float)
     if not np.all(np.isfinite(inc)):
         raise ValueError("increments must be finite")
+    return inc
+
+
+def ms_update(state: MsState, increments: np.ndarray) -> MsState:
+    """Advance the MS statistic by one observation's per-atom increments."""
+    inc = _finite(increments)
     n = state.n
     log_tail_next = float(state.prior.log_tail(n + 1))
     if not np.isfinite(log_tail_next):
@@ -87,19 +119,20 @@ def ms_update(state: MsState, increments: np.ndarray) -> MsState:
             f"prior tail Pi({n + 1}) = 0; the MS recursion cannot continue"
         )
     log_pi_n = float(state.prior.log_pmf(n))
-    state.log_num = np.logaddexp(state.log_num, log_pi_n) + inc
-    state.log_stat = _logsumexp_weighted(state.log_num, state.grid.log_weights) - log_tail_next
+    state.log_num, log_stat = advance(
+        state.log_num, inc, state.grid.log_weights, log_pi_n, log_tail_next
+    )
+    state.log_stat = float(log_stat)
     state.n = n + 1
     return state
 
 
 def msr_update(state: MsrState, increments: np.ndarray) -> MsrState:
     """Advance the MSR statistic by one observation's per-atom increments."""
-    inc = np.asarray(increments, dtype=float)
-    if not np.all(np.isfinite(inc)):
-        raise ValueError("increments must be finite")
-    state.log_r = np.logaddexp(state.log_r, 0.0) + inc
-    state.log_stat = _logsumexp_weighted(state.log_r, state.grid.log_weights)
+    state.log_r, log_stat = advance(
+        state.log_r, _finite(increments), state.grid.log_weights, 0.0, 0.0
+    )
+    state.log_stat = float(log_stat)
     state.n += 1
     return state
 
@@ -153,40 +186,17 @@ def run_detector(
     """Run one detector over an observation stream until alarm or exhaustion.
 
     ``observations`` is any iterable of rows (scalars for 1-d models);
-    ``horizon`` caps the number of steps.  The comparison is on log values,
-    with >= so that exact ties stop.
+    ``horizon`` caps the number of steps, and no row past it is read.  The
+    comparison is on log values, with >= so that exact ties stop.  A
+    censored record carries the last statistic.
     """
-    if not np.isfinite(log_threshold):
-        raise ValueError("log_threshold must be finite")
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
-    _check_grid(model, grid)
-    model.reset()
-    state = _new_state(kind, prior, grid, omega)
-    update = ms_update if kind.lower() == "ms" else msr_update
-    traj: list[tuple[int, float, int]] = []
-    n = 0
-    for row in observations:
-        n += 1
-        update(state, model.step(row))
-        crossed = state.log_stat >= log_threshold
-        if record_trajectory:
-            traj.append((n, state.log_stat, int(crossed)))
-        if crossed:
-            return AlarmRecord(
-                stop_time=n,
-                censored=False,
-                log_stat_at_stop=state.log_stat,
-                trajectory=np.array(traj) if record_trajectory else None,
-            )
-        if horizon is not None and n >= horizon:
-            break
-    return AlarmRecord(
-        stop_time=None,
-        censored=True,
-        log_stat_at_stop=state.log_stat if n else None,
-        trajectory=np.array(traj) if record_trajectory else None,
+    records, tail = _multicyclic_with_tail(
+        kind, model, prior, grid, log_threshold, observations, omega, record_trajectory,
+        restart=False, horizon=horizon,
     )
+    return records[0] if records else tail
 
 
 def multicyclic_run(
@@ -213,8 +223,18 @@ def multicyclic_run(
 
 
 def _multicyclic_with_tail(
-    kind, model, prior, grid, log_threshold, observations, omega, record_trajectory
+    kind, model, prior, grid, log_threshold, observations, omega, record_trajectory,
+    restart: bool = True, horizon: int | None = None,
 ):
+    """The one alarm loop: (alarm records, censored tail or None).
+
+    With ``restart`` (multicyclic) the statistic restarts after every alarm
+    and the tail has no statistic.  Without it (``run_detector``) the loop
+    returns at the first alarm with tail None, and a censored tail reports
+    the last statistic.  At most ``horizon`` rows are read.  Each row goes
+    through ``model.step`` and the module-level ``ms_update``/``msr_update``
+    exactly once.
+    """
     if not np.isfinite(log_threshold):
         raise ValueError("log_threshold must be finite")
     _check_grid(model, grid)
@@ -240,12 +260,16 @@ def _multicyclic_with_tail(
                     trajectory=np.array(traj[cycle_start:]) if record_trajectory else None,
                 )
             )
+            if not restart:
+                return records, None
             cycle_start = len(traj)
             state = _new_state(kind, prior, grid, omega)
+        if horizon is not None and n >= horizon:
+            break
     tail = AlarmRecord(
         stop_time=None,
         censored=True,
-        log_stat_at_stop=None,
+        log_stat_at_stop=state.log_stat if n and not restart else None,
         trajectory=np.array(traj[cycle_start:]) if record_trajectory else None,
     )
     return records, tail

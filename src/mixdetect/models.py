@@ -21,7 +21,9 @@ position, AR filter memory, HMM chain and forward filter) carries from one
 block to the next, so a path's values do not depend on how its time axis is
 cut into blocks or on which other paths share a call.  The whole-path
 methods ``sample_paths`` / ``path_increments`` are the one-block case, and
-every batch value equals the streaming API's on the same path bit for bit.
+streaming ``step`` is the one-path, one-row case: ``reset()`` starts a
+one-path increment state and ``step(x)`` is ``increment_block`` over the one
+row x, so streaming and batch values agree bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import lfilter
 
 from .measures import MixingGrid
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_STREAM_ROWS = 1024  # first horizon of a streaming increment state; AR doubles it
 
 
 class ObservationModel(ABC):
@@ -50,9 +52,10 @@ class ObservationModel(ABC):
     grid: MixingGrid
     dimension: int
 
-    @abstractmethod
     def reset(self) -> None:
-        """Return to time 0 with empty history."""
+        """Return to time 0 with empty history: a one-path increment state."""
+        self._t = 0
+        self._stream = self.increment_state(1, _STREAM_ROWS)
 
     @abstractmethod
     def step(self, x) -> np.ndarray:
@@ -89,11 +92,14 @@ class ObservationModel(ABC):
         """Start the increments of ``batch`` paths at time 0 with empty history."""
 
     @abstractmethod
-    def increment_block(self, state, rows: np.ndarray, x: np.ndarray, n0: int) -> np.ndarray:
+    def increment_block(
+        self, state, rows: np.ndarray | slice, x: np.ndarray, n0: int
+    ) -> np.ndarray:
         """Per-atom increments of observations x at times n0+1 .. n0+L.
 
-        x has shape (len(rows), L, dimension) and every listed path must sit
-        at time n0; the result has shape (len(rows), L, n_atoms).
+        ``rows`` indexes the batch (an index array, or a slice); x has shape
+        (B, L, dimension) for the B listed paths, every one of which must
+        sit at time n0.  The result has shape (B, L, n_atoms).
         """
 
     @abstractmethod
@@ -144,9 +150,16 @@ def _sampler(nus, thetas, rngs, width: int, **carry) -> SamplerState:
     )
 
 
-# The concrete classes define ``sample_paths`` / ``path_increments`` as thin
-# wrappers around these, each in its own class body, so that per-class
+# The concrete classes define ``step`` / ``sample_paths`` / ``path_increments``
+# as thin wrappers around these, each in its own class body, so that per-class
 # instrumentation (perfbench/tracer.py) finds them in the class __dict__.
+
+
+def _stream_step(model: ObservationModel, x) -> np.ndarray:
+    row = np.asarray(x, dtype=float).reshape(1, 1, model.dimension)
+    ell = model.increment_block(model._stream, slice(None), row, model._t)
+    model._t += 1
+    return ell[0, 0]
 
 
 def _whole_paths(model: ObservationModel, nus, thetas, horizon: int, rngs) -> np.ndarray:
@@ -207,13 +220,10 @@ class GaussianIidModel(ObservationModel):
         self.dimension = 1
         self._theta = grid.atoms[:, 0]
         self._half_theta_sq = 0.5 * self._theta**2
-
-    def reset(self) -> None:
-        pass  # memoryless
+        self.reset()
 
     def step(self, x) -> np.ndarray:
-        xv = float(np.asarray(x).reshape(()))
-        return self._theta * xv - self._half_theta_sq
+        return _stream_step(self, x)
 
     def sampler_state(self, nus, thetas, horizon, rngs):
         return _sampler(nus, thetas, rngs, 1)
@@ -312,6 +322,8 @@ class ArChannelSpec:
 
     def residual_signal_matrix(self, horizon: int) -> np.ndarray:
         """Whitened signals S~_n = S_n - sum_j beta_j S_{n-j} (zero-padded)."""
+        from scipy.signal import lfilter
+
         sig = self.signal_matrix(horizon)
         out = np.empty_like(sig)
         for c in range(self.n_channels):
@@ -371,28 +383,13 @@ class MultichannelArModel(ObservationModel):
         self.grid = grid
         self.dimension = n
         self._order = max((len(c) for c in spec.ar_coeffs), default=0)
-        self._betas = np.zeros((n, self._order))
-        for c, ch in enumerate(spec.ar_coeffs):
-            self._betas[c, : len(ch)] = ch
-        self._sres = spec.residual_signal_matrix(1024)
         self.reset()
-
-    def reset(self) -> None:
-        self._t = 0
-        # most-recent-first raw observation lags, one row per channel
-        self._lags = np.zeros((self.dimension, max(self._order, 1)))
-
-    def _sres_at(self, t: int) -> np.ndarray:
-        while t > self._sres.shape[0]:
-            self._sres = self.spec.residual_signal_matrix(2 * self._sres.shape[0])
-        return self._sres[t - 1]
 
     def _ell(self, resid: np.ndarray, sres: np.ndarray) -> np.ndarray:
         """Increments from whitened data/signals; accumulates channels in order.
 
         resid and sres broadcast over leading axes with trailing axis =
-        channels; the result gains a trailing atom axis.  Streaming and
-        batch paths share this helper so they agree bit for bit.
+        channels; the result has resid's leading shape plus an atom axis.
         """
         atoms = self.grid.atoms
         out = np.zeros(resid.shape[:-1] + (atoms.shape[0],))
@@ -405,16 +402,7 @@ class MultichannelArModel(ObservationModel):
         return out
 
     def step(self, x) -> np.ndarray:
-        xv = np.asarray(x, dtype=float).reshape(self.dimension)
-        self._t += 1
-        resid = xv.copy()
-        # subtract lags one order at a time, matching path_increments bit for bit
-        for j in range(1, self._order + 1):
-            resid = resid - self._betas[:, j - 1] * self._lags[:, j - 1]
-        if self._order:
-            self._lags = np.roll(self._lags, 1, axis=1)
-            self._lags[:, 0] = xv
-        return self._ell(resid, self._sres_at(self._t))
+        return _stream_step(self, x)
 
     def sampler_state(self, nus, thetas, horizon, rngs):
         # zi: each channel's lfilter state, carried between blocks
@@ -424,6 +412,8 @@ class MultichannelArModel(ObservationModel):
         )
 
     def sample_block(self, state, rows, n0, n1):
+        from scipy.signal import lfilter
+
         noise = np.empty((len(rows), n1 - n0, self.dimension))
         for r, i in enumerate(rows):
             noise[r] = state.rngs[i].standard_normal((n1 - n0, self.dimension))
@@ -455,8 +445,11 @@ class MultichannelArModel(ObservationModel):
                 if s < length:
                     resid[:, s:, c] -= beta * past[:, p - j + s : p - j + length, c]
         state["lags"][rows] = past[:, length:, :]
-        sres = state["sres"][n0 : n0 + length]
-        return self._ell(resid, np.broadcast_to(sres, x.shape))
+        sres = state["sres"]
+        if n0 + length > sres.shape[0]:  # a stream outgrew its table: double it
+            sres = self.spec.residual_signal_matrix(max(2 * sres.shape[0], n0 + length))
+            state["sres"] = sres
+        return self._ell(resid, sres[n0 : n0 + length])
 
     def sample_paths(self, nus, thetas, horizon, rngs):
         return _whole_paths(self, nus, thetas, horizon, rngs)
@@ -541,9 +534,6 @@ class TwoStateHmmModel(ObservationModel):
             }
         self.reset()
 
-    def reset(self) -> None:
-        self._log_f1, self._log_f2 = self._filter_start(1)
-
     def _filter_start(self, batch: int):
         """Normalized log filter (log_f1, log_f2) at time 0, shape (P, batch)."""
         p = self._means.shape[0]
@@ -555,7 +545,7 @@ class TwoStateHmmModel(ObservationModel):
         """One normalized forward step for all parameters and paths at once.
 
         log_f1, log_f2 have shape (P, B), parameters by paths, and x has
-        shape (B,) or is a scalar for B = 1.  Returns (log_c, log_f1', log_f2') where c is the
+        shape (B,).  Returns (log_c, log_f1', log_f2') where c is the
         one-step predictive density of x under each parameter's model given
         the history.
         """
@@ -570,18 +560,14 @@ class TwoStateHmmModel(ObservationModel):
         return log_c, log_j1 - log_c, log_j2 - log_c
 
     def step(self, x) -> np.ndarray:
-        xv = float(np.asarray(x).reshape(()))
-        log_c, self._log_f1, self._log_f2 = self._filter_step(
-            self._log_f1, self._log_f2, xv
-        )
-        return log_c[1:, 0] - log_c[0, 0]
+        return _stream_step(self, x)
 
     def increment_state(self, batch, horizon):
         return self._filter_start(batch)
 
     def increment_block(self, state, rows, x, n0):
         log_f1, log_f2 = state[0][:, rows], state[1][:, rows]
-        out = np.empty((len(rows), x.shape[1], self.grid.size))
+        out = np.empty(x.shape[:2] + (self.grid.size,))
         for n in range(x.shape[1]):
             log_c, log_f1, log_f2 = self._filter_step(log_f1, log_f2, x[:, n, 0])
             out[:, n, :] = (log_c[1:] - log_c[0]).T

@@ -233,6 +233,17 @@ class TestDetect:
         lines = (tmp_path / "alarms.csv").read_text().strip().splitlines()
         assert lines == ["alarm_time", "11", "22", "33"]
 
+    @pytest.mark.parametrize("multicyclic", [False, True])
+    def test_trajectory_without_path_fails_before_the_run(self, tmp_path, capsys, multicyclic):
+        doc = self.detect_doc(tmp_path, output={"alarms": str(tmp_path / "alarms.csv")})
+        path = write_config(tmp_path, doc)
+        data = tmp_path / "zeros.csv"
+        data.write_text("".join("0.0\n" for _ in range(33)))
+        argv = ["detect", path, str(data), "--trajectory"]
+        assert main(argv + (["--multicyclic"] if multicyclic else [])) == 2
+        assert "output.trajectory" in capsys.readouterr().err
+        assert not (tmp_path / "alarms.csv").exists()
+
     def test_empty_file_censored(self, tmp_path, capsys):
         path = write_config(tmp_path, self.detect_doc(tmp_path))
         data = tmp_path / "empty.csv"

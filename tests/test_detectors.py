@@ -11,6 +11,7 @@ from mixdetect.detectors import (
     MsrState,
     MsState,
     PriorSupportExhausted,
+    _multicyclic_with_tail,
     brute_force_ms,
     brute_force_msr,
     ms_update,
@@ -284,6 +285,27 @@ class TestRunDetector:
         with pytest.raises(ValueError):
             run_detector("ms", model, geometric_prior(0.1), other, 1.0, np.zeros(5))
 
+    def test_censored_run_reports_last_statistic(self):
+        grid = grid_from_atoms([[0.5], [1.0]])
+        model = gaussian_iid_model(grid)
+        prior = geometric_prior(0.1)
+        x = np.random.default_rng(5).standard_normal(30)
+        rec = run_detector("ms", model, prior, grid, 1e6, x, record_trajectory=True)
+        assert rec.censored and rec.stop_time is None
+        state = MsState(prior=prior, grid=grid)
+        for row in gaussian_increments(grid, 30, seed=5):
+            ms_update(state, row)
+        assert rec.log_stat_at_stop == state.log_stat == rec.trajectory[-1, 1]
+        assert run_detector("ms", model, prior, grid, 1e6, []).log_stat_at_stop is None
+
+    @pytest.mark.parametrize("h", [1, 4, 9])
+    def test_horizon_leaves_later_rows_unread(self, h):
+        model = self.drift_model()
+        rows = iter(np.arange(10.0))
+        rec = run_detector("msr", model, geometric_prior(0.1), model.grid, 1e6, rows, horizon=h)
+        assert rec.censored and rec.log_stat_at_stop == pytest.approx(math.log(h))
+        assert next(rows) == float(h)  # row h + 1
+
     def test_threshold_monotonicity_on_fixed_path(self):
         grid = grid_from_atoms([[0.5], [1.0]])
         model = gaussian_iid_model(grid)
@@ -313,6 +335,16 @@ class TestMulticyclic:
             "msr", model, geometric_prior(0.1), model.grid, math.log(10.5), np.zeros(33)
         )
         assert [r.stop_time for r in records] == [11, 22, 33]
+
+    def test_tail_has_no_statistic(self):
+        model = self.drift_model()
+        records, tail = _multicyclic_with_tail(
+            "msr", model, geometric_prior(0.1), model.grid, math.log(10.5), np.zeros(40),
+            0.0, True,
+        )
+        assert [r.stop_time for r in records] == [11, 22, 33]
+        assert tail.censored and tail.stop_time is None and tail.log_stat_at_stop is None
+        np.testing.assert_array_equal(tail.trajectory[:, 0], np.arange(34, 41))
 
     def test_concatenation_property(self):
         grid = grid_from_atoms([[0.5], [1.0]])

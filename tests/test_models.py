@@ -89,6 +89,24 @@ class TestMultichannelAr:
         m.reset()
         assert m.step([1.0])[0] == pytest.approx(0.5, abs=1e-12)
 
+    def test_streaming_step_across_table_growth(self):
+        # streaming starts a 1024-row whitened-signal table and doubles it;
+        # 2100 rows cross the growth points at 1024 and 2048
+        spec = ArChannelSpec(
+            ar_coeffs=((0.5, -0.2), (0.3, 0.2)),
+            signals=(HarmonicSignal(1.0, 0.37, 0.2), HarmonicSignal(0.8, 1.1, 0.0)),
+        )
+        model = multichannel_ar_model(spec, grid_from_atoms([[0.7, 0.7], [1.0, 0.5]]))
+        path = sample_path(model, 700, 1, 2100, np.random.default_rng(8))
+        batch = model.path_increments(path[None, :, :])[0]
+        model.reset()
+        np.testing.assert_array_equal(np.array([model.step(row) for row in path]), batch)
+        model.reset()
+        for row in path[:1500]:  # past the first growth, then restart mid-stream
+            model.step(row)
+        model.reset()
+        np.testing.assert_array_equal(np.array([model.step(row) for row in path]), batch)
+
     def test_residual_definition(self):
         spec = ArChannelSpec(ar_coeffs=((0.5,),), signals=(constant_signal(1.0),))
         m = multichannel_ar_model(spec, grid_from_atoms([[1.0]]))
