@@ -377,6 +377,12 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
             if q not in _SCENARIO_KEYS:
                 raise ConfigError(f"{where}.quantity: unknown quantity {q!r}")
             _check_keys(sc, where, _SCENARIO_KEYS[q])
+            if "theta" in _SCENARIO_KEYS[q]:
+                _theta_from_doc(exp, sc, where)
+            if q == "delay_ladder":
+                log_thresholds = sc.get("log_thresholds")
+                if not isinstance(log_thresholds, list) or len(log_thresholds) < 4:
+                    raise ConfigError(f"{where}.log_thresholds: need a list of >= 4 values")
             if q in ("pfa_tail", "pfa_posterior"):
                 alpha = _implied_alpha(exp)
                 tail = float(exp.prior.tail(exp.horizon))
@@ -547,11 +553,8 @@ def _run_scenario(exp: Experiment, index: int, sc: dict) -> tuple[dict, list[tup
         theta = _theta_from_doc(exp, sc, where)
         vec = _theta_vec(exp, theta)
         k = int(sc.get("change_point", 0))
-        log_thresholds = sc.get("log_thresholds")
-        if not isinstance(log_thresholds, list) or len(log_thresholds) < 4:
-            raise ConfigError(f"{where}.log_thresholds: need a list of >= 4 values")
         fit_input = []
-        for j, la in enumerate(log_thresholds):
+        for j, la in enumerate(sc["log_thresholds"]):
             cfg = exp.mc_config(log_threshold=float(la))
             est = estimate_delay_moments(
                 cfg, k, vec, r_list=[1.0], stream_tag=tag_base + j

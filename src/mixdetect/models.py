@@ -24,6 +24,10 @@ methods ``sample_paths`` / ``path_increments`` are the one-block case, and
 streaming ``step`` is the one-path, one-row case: ``reset()`` starts a
 one-path increment state and ``step(x)`` is ``increment_block`` over the one
 row x, so streaming and batch values agree bit for bit by construction.
+Sampling is vectorised across the listed paths, and each path still draws
+from its own generator only.  The HMM has one forward filter (``_predict``
+and ``_correct``), which both scores increments and drives the post-change
+hidden chain of sampled paths.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measures import MixingGrid
 
@@ -505,6 +508,18 @@ def _log_normal_pdf(x, mean):
     return -0.5 * (x - mean) ** 2 - _LOG_SQRT_2PI
 
 
+def _correct(log_g1, log_g2, x, m1, m2):
+    """Fold observation x into the log prediction of a chain with state means m1, m2.
+
+    Arguments broadcast.  Returns (log_c, log_f1, log_f2): the log one-step
+    predictive density of x given the history, and the normalized log filter.
+    """
+    log_j1 = log_g1 + _log_normal_pdf(x, m1)
+    log_j2 = log_g2 + _log_normal_pdf(x, m2)
+    log_c = np.logaddexp(log_j1, log_j2)
+    return log_c, log_j1 - log_c, log_j2 - log_c
+
+
 class TwoStateHmmModel(ObservationModel):
     """Marginal-likelihood forward filter per parameter value.
 
@@ -514,6 +529,12 @@ class TwoStateHmmModel(ObservationModel):
     LLR increment is l_n(theta) = log c_n(theta) - log c_n(theta0).  Summing
     increments over (k, n] telescopes to the log-ratio of full-path marginal
     likelihoods, the quantity the mixture statistics are built on.
+
+    The forward filter exists once, as ``_predict`` then ``_correct`` in the
+    log domain.  Scoring runs it over (parameters, paths); sampling runs it
+    over paths with each path's post-change means, vectorised across the
+    block's paths, and draws each post-change hidden state from its
+    prediction.
     """
 
     def __init__(self, spec: Hmm2Spec, grid: MixingGrid):
@@ -524,7 +545,6 @@ class TwoStateHmmModel(ObservationModel):
         self.dimension = 1
         # parameter table: row 0 is theta0, rows 1.. are the grid atoms
         self._means = np.vstack([np.asarray(spec.theta0), grid.atoms])  # (P, 2)
-        self._mean_cols = self._means[:, None, :]  # (P, 1, 2): broadcasts over paths
         with np.errstate(divide="ignore"):
             self._ltr = {
                 "stay1": np.log(1.0 - spec.beta),
@@ -534,95 +554,72 @@ class TwoStateHmmModel(ObservationModel):
             }
         self.reset()
 
-    def _filter_start(self, batch: int):
-        """Normalized log filter (log_f1, log_f2) at time 0, shape (P, batch)."""
-        p = self._means.shape[0]
+    def _filter_start(self, *shape):
+        """Normalized log filter (log_f1, log_f2) at time 0, each of the given shape."""
         pi2 = self.spec.pi2
         with np.errstate(divide="ignore"):
-            return np.full((p, batch), np.log(1.0 - pi2)), np.full((p, batch), np.log(pi2))
+            return np.full(shape, np.log(1.0 - pi2)), np.full(shape, np.log(pi2))
 
-    def _filter_step(self, log_f1, log_f2, x):
-        """One normalized forward step for all parameters and paths at once.
-
-        log_f1, log_f2 have shape (P, B), parameters by paths, and x has
-        shape (B,).  Returns (log_c, log_f1', log_f2') where c is the
-        one-step predictive density of x under each parameter's model given
-        the history.
-        """
+    def _predict(self, log_f1, log_f2):
+        """One-step log prediction (log_g1, log_g2) from the log filter."""
         t = self._ltr
         log_g1 = np.logaddexp(log_f2 + t["to1"], log_f1 + t["stay1"])
         log_g2 = np.logaddexp(log_f2 + t["stay2"], log_f1 + t["to2"])
-        le1 = _log_normal_pdf(x, self._mean_cols[..., 0])
-        le2 = _log_normal_pdf(x, self._mean_cols[..., 1])
-        log_j1 = log_g1 + le1
-        log_j2 = log_g2 + le2
-        log_c = np.logaddexp(log_j1, log_j2)
-        return log_c, log_j1 - log_c, log_j2 - log_c
+        return log_g1, log_g2
 
     def step(self, x) -> np.ndarray:
         return _stream_step(self, x)
 
     def increment_state(self, batch, horizon):
-        return self._filter_start(batch)
+        return self._filter_start(self._means.shape[0], batch)  # (P, batch)
 
     def increment_block(self, state, rows, x, n0):
         log_f1, log_f2 = state[0][:, rows], state[1][:, rows]
+        m1, m2 = self._means[:, :1], self._means[:, 1:]  # (P, 1): broadcast over paths
         out = np.empty(x.shape[:2] + (self.grid.size,))
         for n in range(x.shape[1]):
-            log_c, log_f1, log_f2 = self._filter_step(log_f1, log_f2, x[:, n, 0])
+            log_g1, log_g2 = self._predict(log_f1, log_f2)
+            log_c, log_f1, log_f2 = _correct(log_g1, log_g2, x[:, n, 0], m1, m2)
             out[:, n, :] = (log_c[1:] - log_c[0]).T
         state[0][:, rows], state[1][:, rows] = log_f1, log_f2
         return out
 
     def sampler_state(self, nus, thetas, horizon, rngs):
-        spec = self.spec
         # every uniform is drawn up front and the normals block by block,
         # which is the same stream as drawing u, then z, in one go
         u = np.empty((len(rngs), horizon + 1))
         for i, rng in enumerate(rngs):
             u[i] = rng.random(horizon + 1)
-        lf1 = math.log(1.0 - spec.pi2) if spec.pi2 < 1.0 else -math.inf
-        lf2 = math.log(spec.pi2) if spec.pi2 > 0.0 else -math.inf
-        return _sampler(
-            nus,
-            thetas,
-            rngs,
-            2,
-            u=u,
-            # pre-change: the true chain of the no-change model starts here
-            state2=u[:, 0] < spec.pi2,
-            lf1=np.full(len(rngs), lf1),
-            lf2=np.full(len(rngs), lf2),
-        )
+        lf1, lf2 = self._filter_start(len(rngs))
+        # pre-change: the true chain of the no-change model starts here
+        state2 = u[:, 0] < self.spec.pi2
+        return _sampler(nus, thetas, rngs, 2, u=u, state2=state2, lf1=lf1, lf2=lf2)
 
     def sample_block(self, state, rows, n0, n1):
-        spec = self.spec
-        m0 = spec.theta0
-        carry = state.carry
-        paths = np.empty((len(rows), n1 - n0, 1))
+        spec, carry = self.spec, state.carry
+        (b1, b2), m1, m2 = spec.theta0, state.thetas[rows, 0], state.thetas[rows, 1]
+        z = np.empty((len(rows), n1 - n0))
         for r, i in enumerate(rows):
-            u = carry["u"][i]
-            z = state.rngs[i].standard_normal(n1 - n0)
-            nu = int(state.nus[i])
-            m1p, m2p = float(state.thetas[i, 0]), float(state.thetas[i, 1])
-            state2 = bool(carry["state2"][i])
-            # post-change sampling draws from the post-change model's
-            # one-step predictive given the whole realized past, so the
-            # detector's increments are exact conditional log-ratios; the
-            # filter must therefore track the path from time 1.
-            lf1, lf2 = float(carry["lf1"][i]), float(carry["lf2"][i])
-            for n in range(n0, n1):
-                g2 = _scalar_predict2(lf1, lf2, spec)
-                if n < nu:
-                    # advance the true chain under the no-change law
-                    state2 = (u[n + 1] < (1.0 - spec.gamma)) if state2 else (u[n + 1] < spec.beta)
-                    x = (m0[1] if state2 else m0[0]) + z[n - n0]
-                else:
-                    state2 = u[n + 1] < g2
-                    x = (m2p if state2 else m1p) + z[n - n0]
-                paths[r, n - n0, 0] = x
-                lf1, lf2 = _scalar_filter_update(lf1, lf2, x, m1p, m2p, spec)
-            carry["state2"][i], carry["lf1"][i], carry["lf2"][i] = state2, lf1, lf2
+            z[r] = state.rngs[i].standard_normal(n1 - n0)
+        u, nus = carry["u"][rows, n0 + 1 : n1 + 1], state.nus[rows]
+        state2, log_f1, log_f2 = carry["state2"][rows], carry["lf1"][rows], carry["lf2"][rows]
+        paths = np.empty((len(rows), n1 - n0, 1))
+        # post-change moves draw from the post-change model's one-step
+        # predictive given the whole realized past, so the detector's
+        # increments are exact conditional log-ratios; the filter therefore
+        # tracks every path, with its post-change means, from time 1
+        for k in range(n1 - n0):
+            log_g1, log_g2 = self._predict(log_f1, log_f2)
+            pre = n0 + k < nus
+            state2 = np.where(
+                pre,  # pre-change: advance the true chain under the no-change law
+                np.where(state2, u[:, k] < 1.0 - spec.gamma, u[:, k] < spec.beta),
+                u[:, k] < np.exp(log_g2 - np.logaddexp(log_g1, log_g2)),
+            )
+            x = np.where(state2, np.where(pre, b2, m2), np.where(pre, b1, m1)) + z[:, k]
+            paths[:, k, 0] = x
+            _, log_f1, log_f2 = _correct(log_g1, log_g2, x, m1, m2)
+        carry["state2"][rows], carry["lf1"][rows], carry["lf2"][rows] = state2, log_f1, log_f2
         return paths
 
     def sample_paths(self, nus, thetas, horizon, rngs):
@@ -633,6 +630,8 @@ class TwoStateHmmModel(ObservationModel):
 
     def info_number(self, theta_vec: np.ndarray) -> float:
         """Long-run LLR rate, by quadrature; symmetric transitions only."""
+        from scipy.integrate import quad
+
         if not self.spec.symmetric:
             raise NotImplementedError(
                 "info number is only available for symmetric transitions "
@@ -648,24 +647,6 @@ class TwoStateHmmModel(ObservationModel):
 
         val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-10, limit=400)
         return float(val)
-
-
-def _scalar_predict2(lf1: float, lf2: float, spec: Hmm2Spec) -> float:
-    """P(next state = 2 | history) from normalized log filter values."""
-    g1 = (1.0 - spec.beta) * math.exp(lf1) + spec.gamma * math.exp(lf2)
-    g2 = spec.beta * math.exp(lf1) + (1.0 - spec.gamma) * math.exp(lf2)
-    return g2 / (g1 + g2)
-
-
-def _scalar_filter_update(lf1, lf2, x, m1, m2, spec):
-    g1 = (1.0 - spec.beta) * math.exp(lf1) + spec.gamma * math.exp(lf2)
-    g2 = spec.beta * math.exp(lf1) + (1.0 - spec.gamma) * math.exp(lf2)
-    j1 = g1 * math.exp(_log_normal_pdf(x, m1))
-    j2 = g2 * math.exp(_log_normal_pdf(x, m2))
-    c = j1 + j2
-    lf1 = math.log(j1 / c) if j1 > 0.0 else -math.inf
-    lf2 = math.log(j2 / c) if j2 > 0.0 else -math.inf
-    return lf1, lf2
 
 
 def hmm2_model(spec: Hmm2Spec, grid: MixingGrid) -> TwoStateHmmModel:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,30 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_gaussian_config_loads_without_signal_or_integrate():
+    """A fresh Gaussian load imports neither scipy.signal (AR's lfilter) nor
+    scipy.integrate (the HMM's quad): both are imported where they are used."""
+    code = (
+        "import sys\n"
+        "from mixdetect.cli import load_experiment\n"
+        f"load_experiment({str(ROOT / 'configs' / 'pfa_bounds.json')!r}, need_montecarlo=True)\n"
+        "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])\n"
+    )
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCalibrate:
@@ -148,6 +176,24 @@ class TestSimulate:
             },
             output={"report": str(tmp_path / report)},
         )
+
+    @pytest.mark.parametrize(
+        "scenario,message",
+        [
+            ({"quantity": "delay", "theta": 3}, r"scenarios\[2\]\.theta: atom index out of range"),
+            (
+                {"quantity": "delay_ladder", "theta": 0, "log_thresholds": [3, 4, 5]},
+                r"scenarios\[2\]\.log_thresholds: need a list of >= 4 values",
+            ),
+        ],
+        ids=["theta_index", "ladder_thresholds"],
+    )
+    def test_bad_scenario_rejected_at_load(self, tmp_path, scenario, message):
+        # rejected by load_experiment, so no earlier scenario runs first
+        doc = self.small_doc(tmp_path)
+        doc["montecarlo"]["scenarios"].append(scenario)
+        with pytest.raises(ConfigError, match=message):
+            load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
 
     def test_report_written_and_echo_roundtrips(self, tmp_path):
         doc = self.small_doc(tmp_path)

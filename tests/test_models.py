@@ -1,5 +1,6 @@
 """Observation models: increments, sampling laws, information numbers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -254,6 +255,38 @@ class TestTwoStateHmm:
     def test_initial_distribution(self):
         spec = Hmm2Spec(theta0=(0.0, 1.0), beta=0.2, gamma=0.6)
         assert spec.pi2 == pytest.approx(0.75)
+
+
+# SHA-256 of HMM sample_paths, recorded while sampling still ran a scalar
+# probability-domain filter per path (numpy 2.4).  24 paths, horizon 150, change
+# points cycling over 0, mid-path, the horizon and past it.  A sampled value
+# changes only if a post-change move u < P(state 2 | past) flips.
+HMM_SAMPLE_CASES = {
+    # name: (beta, gamma, post-change means; None cycles the grid atoms)
+    "beta0": (0.0, 0.4, None),
+    "gamma0": (0.3, 0.0, None),
+    "asymmetric": (0.2, 0.7, None),
+    "off_grid": (0.5, 0.5, (1.3, -0.4)),
+}
+HMM_SAMPLE_DIGESTS = {
+    "beta0": "befefc22033d8d82d61bd914d3677080ec3538ab4526a009fa132725ab6c9239",
+    "gamma0": "ea24c31a07a2b2e63c01fcfea6e38b505250f99e96abc0f4c6439b0d5b9189b1",
+    "asymmetric": "ee915e75d4360daefead8eb082ba6c92973dd239f043467dda8a6df9dcc5bfa8",
+    "off_grid": "de83430ff30c122fce09d1a57a8214514618fe8cf33cc5c5fb3ec211d3990149",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HMM_SAMPLE_CASES))
+def test_hmm_sample_paths_pinned(case):
+    beta, gamma, off_grid = HMM_SAMPLE_CASES[case]
+    atoms = [[0.8, 1.6], [0.4, 1.9]]
+    model = hmm2_model(Hmm2Spec(theta0=(0.0, 1.0), beta=beta, gamma=gamma), grid_from_atoms(atoms))
+    horizon, batch = 150, 24
+    nus = np.array([(0, horizon // 2, horizon, horizon + 50)[i % 4] for i in range(batch)])
+    thetas = np.array([off_grid or atoms[i % 2] for i in range(batch)], dtype=float)
+    paths = model.sample_paths(nus, thetas, horizon, spawn_rngs(2718, batch))
+    digest = hashlib.sha256(np.ascontiguousarray(paths).tobytes()).hexdigest()
+    assert digest == HMM_SAMPLE_DIGESTS[case]
 
 
 # ---------------------------------------------------------------------------
