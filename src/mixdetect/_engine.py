@@ -8,6 +8,15 @@ of the paths, computed by the same block kernels and the same
 ``detectors.advance`` as the streaming detectors, so lockstep and streaming
 runs agree bit for bit.
 
+A chunk derives all of its trials' streams in one pass: ``trial_rngs``
+hashes every ``SeedSequence([master_seed, stream_tag, i])`` with NumPy's
+fixed seed-hashing algorithm (NEP 19) over an array of trial indices, and
+seeds each trial's PCG64 from those words.  When a seed word does not fit
+in 32 bits it falls back to the exact per-trial ``trial_rng``.  Each trial
+then draws its (nu, theta) uniforms from its own stream in the same order
+as before, and the prior and the mixing grid are inverted for all trials at
+once, so every drawn value is unchanged.
+
 A chunk of CHUNK trials advances in time blocks of BLOCK steps.  Each block
 samples, scores and recurses only the trials that have not yet alarmed,
 carrying model and statistic state to the next block, and the chunk stops
@@ -20,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .detectors import PriorSupportExhausted, advance, recursion_tables
 from .measures import ChangePrior, MixingGrid
@@ -33,6 +43,81 @@ def trial_rng(master_seed: int, stream_tag: int, trial_index: int) -> np.random.
     return np.random.default_rng(
         np.random.SeedSequence([master_seed, stream_tag, trial_index])
     )
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx, NEP 19)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_state(entropy: list) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each column of ``entropy``.
+
+    ``entropy`` holds at most ``_POOL_SIZE`` words, each a uint32 array or
+    scalar (broadcast together); the result has shape (n, 4).  This is
+    SeedSequence's pool mixing and output hash in wrapping uint32 arithmetic;
+    the hash constants do not depend on the data, so they stay Python ints.
+    """
+    u32 = np.uint32
+    cols = np.broadcast_arrays(*[np.asarray(w, dtype=u32) for w in entropy])
+    n = np.size(cols[0])
+    words = [np.ravel(c) for c in cols]
+    words += [np.zeros(n, dtype=u32)] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    pool = [hashmix(w) for w in words]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+    state = np.empty((n, 8), dtype=u32)
+    hash_const = _INIT_B
+    for i_dst in range(8):
+        value = pool[i_dst % _POOL_SIZE] ^ u32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * u32(hash_const)
+        state[:, i_dst] = value ^ (value >> u32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state is already computed (see ``_seed_state``)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def trial_rngs(master_seed: int, stream_tag: int, start: int, count: int) -> list:
+    """``trial_rng(master_seed, stream_tag, i)`` for i in [start, start + count).
+
+    The seed words of all trials are hashed at once.  SeedSequence turns an
+    integer of 2^32 or more into several words, which the one-word-per-entry
+    hash does not cover, so such chunks (and anything that is not a
+    non-negative integer) take the per-trial ``trial_rng`` path instead.
+    """
+    ends = (master_seed, stream_tag, start, start + count - 1)
+    if not all(isinstance(w, (int, np.integer)) and 0 <= w <= _MASK32 for w in ends):
+        return [trial_rng(master_seed, stream_tag, i) for i in range(start, start + count)]
+    words = _seed_state([master_seed, stream_tag, np.arange(start, start + count)])
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
 @dataclass(frozen=True)
@@ -96,16 +181,21 @@ def _draw_trials(
         nus[:] = min(int(spec.nu), horizon)
         thetas[:] = fixed_theta
     elif spec.mode == "prior":
+        # each trial's uniforms in stream order: the q short-circuit, nu, the atom
+        short_circuit = spec.q_short_circuit and prior.q > 0.0
+        at_zero = np.zeros(b, dtype=bool)
+        u_nu = np.zeros(b)
+        u_atom = np.zeros(b)
         for i, rng in enumerate(rngs):
-            if spec.q_short_circuit and prior.q > 0.0 and rng.random() < prior.q:
-                nu = 0
+            if short_circuit and rng.random() < prior.q:
+                at_zero[i] = True
             else:
-                nu = prior.sample(rng)
-            nus[i] = min(nu, horizon)
+                u_nu[i] = rng.random()
             if fixed_theta is None:
-                thetas[i] = grid.atoms[grid.sample_index(rng)]
-            else:
-                thetas[i] = fixed_theta
+                u_atom[i] = rng.random()
+        nus[at_zero] = 0
+        nus[~at_zero] = np.minimum(prior.inverse_cdf(u_nu[~at_zero]), horizon)
+        thetas[:] = grid.atoms[grid.inverse_cdf(u_atom)] if fixed_theta is None else fixed_theta
     else:
         raise ValueError(f"unknown trial mode {spec.mode!r}")
     return nus, thetas
@@ -132,7 +222,7 @@ def run_chunk(
     unless ``want_final_stat`` is set or ``log_threshold`` is None: then
     every trial runs to ``horizon``.
     """
-    rngs = [trial_rng(master_seed, spec.stream_tag, i) for i in range(start, start + count)]
+    rngs = trial_rngs(master_seed, spec.stream_tag, start, count)
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
     logw = grid.log_weights
     init, log_pi, log_tail = recursion_tables(detector, prior, omega, horizon)

@@ -92,13 +92,17 @@ def _check_keys(obj: dict, where: str, allowed: set[str], required: set[str] = f
             raise ConfigError(f"{where}.{key}: missing required key")
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _number(obj: dict, where: str, key: str, default=None):
     if key not in obj:
         if default is None:
             raise ConfigError(f"{where}.{key}: missing required key")
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise ConfigError(f"{where}.{key}: expected a number")
     return val
 
@@ -379,10 +383,20 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
             _check_keys(sc, where, _SCENARIO_KEYS[q])
             if "theta" in _SCENARIO_KEYS[q]:
                 _theta_from_doc(exp, sc, where)
+            k = sc.get("change_point", 0)
+            if not (_is_number(k) and k >= 0 and (isinstance(k, int) or k.is_integer())):
+                raise ConfigError(f"{where}.change_point: expected a non-negative integer")
+            moments = sc.get("moments", [1])
+            if not isinstance(moments, list) or not all(_is_number(m) for m in moments):
+                raise ConfigError(f"{where}.moments: expected a list of numbers")
+            _number(sc, where, "moment", 1)
             if q == "delay_ladder":
                 log_thresholds = sc.get("log_thresholds")
                 if not isinstance(log_thresholds, list) or len(log_thresholds) < 4:
                     raise ConfigError(f"{where}.log_thresholds: need a list of >= 4 values")
+                for j, la in enumerate(log_thresholds):
+                    if not _is_number(la):
+                        raise ConfigError(f"{where}.log_thresholds[{j}]: expected a number")
             if q in ("pfa_tail", "pfa_posterior"):
                 alpha = _implied_alpha(exp)
                 tail = float(exp.prior.tail(exp.horizon))

@@ -72,27 +72,47 @@ class ChangePrior:
     def sample(self, rng: np.random.Generator) -> int:
         """Draw nu from the prior restricted to k >= 0 (mass renormalized by 1-q).
 
+        Consumes exactly one uniform; see ``inverse_cdf``.
+        """
+        return int(self.inverse_cdf(np.array([rng.random()]))[0])
+
+    def inverse_cdf(self, u) -> np.ndarray:
+        """nu for each uniform in ``u``, from the prior restricted to k >= 0.
+
         Inverse-cdf on the tail: the smallest k with Pi(k+1)/(1-q) <= u,
         located by exponential search + bisection on the closed-form tail
         (heavy tails can put u's quantile at astronomically large k, so a
-        linear walk is not an option).  Consumes exactly one uniform.
+        linear walk is not an option).  All elements search at once, and
+        each probes the same k in the same order as a search of its own.
+        A quantile past the int64 range raises ``OverflowError``.
         """
-        u = rng.random()
-        if u <= 0.0:
-            u = 5e-324  # probability-zero edge; keep the draw count fixed
-        target = math.log(u) + math.log1p(-self.q)
-        if float(self.log_tail(1)) <= target:
-            return 0
-        lo, hi = 0, 1  # invariant: log_tail(lo + 1) > target
-        while float(self.log_tail(hi + 1)) > target:
-            lo, hi = hi, hi * 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if float(self.log_tail(mid + 1)) > target:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        log_1mq = math.log1p(-self.q)
+        # math.log, not np.log: the two can differ in the last bit; u = 0 is
+        # a probability-zero edge, moved to the smallest positive double
+        target = np.array(
+            [math.log(x if x > 0.0 else 5e-324) + log_1mq for x in np.ravel(u).tolist()]
+        )
+        nu = np.zeros(target.size, dtype=np.int64)
+        todo = np.flatnonzero(self.log_tail(1) > target)
+        target = target[todo]
+        lo = np.zeros(todo.size, dtype=np.int64)  # invariant: log_tail(lo + 1) > target
+        hi = np.ones(todo.size, dtype=np.int64)
+        grow = np.arange(todo.size)
+        while grow.size:
+            grow = grow[self.log_tail(hi[grow] + 1) > target[grow]]
+            if grow.size and hi[grow].max() >= 2**62:
+                raise OverflowError("prior quantile beyond the int64 range")
+            lo[grow] = hi[grow]
+            hi[grow] *= 2
+        split = np.flatnonzero(hi - lo > 1)
+        while split.size:
+            mid = (lo[split] + hi[split]) // 2
+            above = self.log_tail(mid + 1) > target[split]
+            lo[split[above]] = mid[above]
+            hi[split[~above]] = mid[~above]
+            split = split[hi[split] - lo[split] > 1]
+        nu[todo] = hi
+        return nu.reshape(np.shape(u))
 
 
 # family kernels live at module level (with bound parameters via partial) so
@@ -284,10 +304,13 @@ class MixingGrid:
         return np.exp(self.log_weights)
 
     def sample_index(self, rng: np.random.Generator) -> int:
-        """Draw an atom index according to the weights."""
-        u = rng.random()
+        """Draw an atom index according to the weights (one uniform)."""
+        return int(self.inverse_cdf(np.array([rng.random()]))[0])
+
+    def inverse_cdf(self, u) -> np.ndarray:
+        """The atom index for each uniform in ``u``."""
         csum = np.cumsum(np.exp(self.log_weights))
-        return int(np.searchsorted(csum, u, side="right").clip(0, self.size - 1))
+        return np.searchsorted(csum, u, side="right").clip(0, self.size - 1)
 
 
 def grid_from_atoms(atoms, weights=None) -> MixingGrid:

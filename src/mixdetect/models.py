@@ -386,6 +386,8 @@ class MultichannelArModel(ObservationModel):
         self.grid = grid
         self.dimension = n
         self._order = max((len(c) for c in spec.ar_coeffs), default=0)
+        atoms = np.ascontiguousarray(grid.atoms.T)  # row c: every atom's channel c
+        self._atom_cols = list(zip(atoms, atoms**2))
         self.reset()
 
     def _ell(self, resid: np.ndarray, sres: np.ndarray) -> np.ndarray:
@@ -394,14 +396,14 @@ class MultichannelArModel(ObservationModel):
         resid and sres broadcast over leading axes with trailing axis =
         channels; the result has resid's leading shape plus an atom axis.
         """
-        atoms = self.grid.atoms
-        out = np.zeros(resid.shape[:-1] + (atoms.shape[0],))
-        for c in range(self.dimension):
-            sx = sres[..., c] * resid[..., c]
-            out += (
-                sx[..., None] * atoms[:, c]
-                - 0.5 * (sres[..., c] ** 2)[..., None] * atoms[:, c] ** 2
-            )
+        out = None
+        for c, (theta, theta_sq) in enumerate(self._atom_cols):
+            s = sres[..., c]
+            term = (s * resid[..., c])[..., None] * theta - (0.5 * s**2)[..., None] * theta_sq
+            if out is None:
+                out = term
+            else:
+                out += term
         return out
 
     def step(self, x) -> np.ndarray:

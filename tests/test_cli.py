@@ -185,8 +185,51 @@ class TestSimulate:
                 {"quantity": "delay_ladder", "theta": 0, "log_thresholds": [3, 4, 5]},
                 r"scenarios\[2\]\.log_thresholds: need a list of >= 4 values",
             ),
+            (
+                {"quantity": "delay", "theta": 0, "change_point": "x"},
+                r"scenarios\[2\]\.change_point: expected a non-negative integer",
+            ),
+            (
+                {"quantity": "delay", "theta": 0, "change_point": True},
+                r"scenarios\[2\]\.change_point: expected a non-negative integer",
+            ),
+            (
+                {"quantity": "delay", "theta": 0, "change_point": -1},
+                r"scenarios\[2\]\.change_point: expected a non-negative integer",
+            ),
+            (
+                {"quantity": "delay", "theta": 0, "change_point": 2.5},
+                r"scenarios\[2\]\.change_point: expected a non-negative integer",
+            ),
+            (
+                {"quantity": "delay", "theta": 0, "moments": [1, "2"]},
+                r"scenarios\[2\]\.moments: expected a list of numbers",
+            ),
+            (
+                {"quantity": "delay", "theta": 0, "moments": "12"},
+                r"scenarios\[2\]\.moments: expected a list of numbers",
+            ),
+            (
+                {"quantity": "average_delay", "theta": 0, "moment": "1"},
+                r"scenarios\[2\]\.moment: expected a number",
+            ),
+            (
+                {"quantity": "delay_ladder", "theta": 0, "log_thresholds": [3, 4, "x", 6]},
+                r"scenarios\[2\]\.log_thresholds\[2\]: expected a number",
+            ),
         ],
-        ids=["theta_index", "ladder_thresholds"],
+        ids=[
+            "theta_index",
+            "ladder_thresholds",
+            "change_point_string",
+            "change_point_bool",
+            "change_point_negative",
+            "change_point_fraction",
+            "moments_entry",
+            "moments_not_list",
+            "moment",
+            "ladder_threshold_entry",
+        ],
     )
     def test_bad_scenario_rejected_at_load(self, tmp_path, scenario, message):
         # rejected by load_experiment, so no earlier scenario runs first
@@ -194,6 +237,21 @@ class TestSimulate:
         doc["montecarlo"]["scenarios"].append(scenario)
         with pytest.raises(ConfigError, match=message):
             load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
+
+    def test_bad_scenario_exits_2_before_running(self, tmp_path, capsys):
+        doc = self.small_doc(tmp_path)
+        doc["montecarlo"]["scenarios"].append(
+            {"quantity": "delay", "theta": 0, "change_point": "x"}
+        )
+        assert main(["simulate", write_config(tmp_path, doc)]) == 2
+        assert "scenarios[2].change_point" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integral_float_change_point_accepted(self, tmp_path):
+        doc = self.small_doc(tmp_path)
+        doc["montecarlo"]["scenarios"][1]["change_point"] = 3.0
+        exp = load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
+        assert exp.scenarios[1]["change_point"] == 3.0
 
     def test_report_written_and_echo_roundtrips(self, tmp_path):
         doc = self.small_doc(tmp_path)

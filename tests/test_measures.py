@@ -218,3 +218,83 @@ def test_heavy_tail_identity_property(c, n):
     p = heavy_tail_prior(c)
     lhs = float(p.tail(n)) - float(p.tail(n + 1))
     assert lhs == pytest.approx(float(p.pmf(n)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Inverse cdfs: the array search must probe exactly as a one-uniform search.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_inverse_cdf(prior, u):
+    """Reference: exponential search + bisection for one uniform, in Python ints."""
+    if u <= 0.0:
+        u = 5e-324
+    target = math.log(u) + math.log1p(-prior.q)
+    if float(prior.log_tail(1)) <= target:
+        return 0
+    lo, hi = 0, 1
+    while float(prior.log_tail(hi + 1)) > target:
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if float(prior.log_tail(mid + 1)) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+INVERSE_CDF_PRIORS = {
+    "geometric": geometric_prior(0.1),
+    "geometric_q": geometric_prior(1e-6, q=0.3),
+    "heavy_c1.5": heavy_tail_prior(1.5),
+    "heavy_c3_q": heavy_tail_prior(3.0, q=0.2),
+    "point_mass_0": point_mass_prior(0),
+    "point_mass_7": point_mass_prior(7),
+}
+EDGES = [0.0, 5e-324, 1e-300, 1e-30, 1e-12, 1e-8, 0.5, 1.0 - 2.0**-53]
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_CDF_PRIORS))
+def test_inverse_cdf_matches_scalar_search(name):
+    prior = INVERSE_CDF_PRIORS[name]
+    u = list(np.random.default_rng(11).random(3000))
+    for edge in EDGES:
+        try:
+            _scalar_inverse_cdf(prior, edge)
+        except OverflowError:  # the quantile is past int64: both refuse it
+            with pytest.raises(OverflowError):
+                prior.inverse_cdf([edge])
+        else:
+            u.append(edge)
+    got = prior.inverse_cdf(np.array(u))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, [_scalar_inverse_cdf(prior, x) for x in u])
+
+
+def test_inverse_cdf_edges_reach_far():
+    # u -> 0 reaches deep into the tail; the heavy tails overflow int64 there
+    assert geometric_prior(1e-6, q=0.3).inverse_cdf([0.0])[0] > 7e8
+    assert point_mass_prior(7).inverse_cdf([0.0, 0.999])[0] == 7
+    for c in (1.5, 3.0):
+        with pytest.raises(OverflowError):
+            heavy_tail_prior(c).inverse_cdf([0.0])
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_CDF_PRIORS))
+def test_sample_is_the_one_element_inverse_cdf(name):
+    prior = INVERSE_CDF_PRIORS[name]
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(50):
+        assert prior.sample(rng) == _scalar_inverse_cdf(prior, ref.random())
+    assert rng.random() == ref.random()  # one uniform per draw
+
+
+def test_grid_inverse_cdf_matches_sample_index():
+    grid = grid_from_atoms([[0.5], [1.0], [1.5], [2.0]], weights=[0.1, 0.2, 0.3, 0.4])
+    u = np.concatenate([np.random.default_rng(3).random(2000), [0.0, 0.1, 0.3, 1.0 - 2.0**-53]])
+    csum = np.cumsum(grid.weights())
+    want = [min(int(np.searchsorted(csum, x, side="right")), grid.size - 1) for x in u]
+    np.testing.assert_array_equal(grid.inverse_cdf(u), want)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    assert [grid.sample_index(rng) for _ in range(100)] == list(grid.inverse_cdf(ref.random(100)))

@@ -7,12 +7,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixdetect import montecarlo
-from mixdetect._engine import BLOCK, CHUNK, TrialSpec, _draw_trials, trial_rng
+from mixdetect._engine import (
+    BLOCK,
+    CHUNK,
+    TrialSpec,
+    _draw_trials,
+    _seed_state,
+    trial_rng,
+    trial_rngs,
+)
 from mixdetect.calibration import ms_threshold
 from mixdetect.detectors import PriorSupportExhausted, run_detector
-from mixdetect.measures import geometric_prior, grid_from_atoms, point_mass_prior
+from mixdetect.measures import (
+    geometric_prior,
+    grid_from_atoms,
+    heavy_tail_prior,
+    point_mass_prior,
+)
 from mixdetect.models import (
     ArChannelSpec,
     GaussianIidModel,
@@ -501,3 +516,79 @@ def test_benchmark_hook_points(monkeypatch):
     for args, kwargs in calls:
         assert len(args) == 12 and not kwargs
         assert args[5] == cfg.log_threshold and args[6] == 20 and args[11] is True
+
+
+# ---------------------------------------------------------------------------
+# Batched seeding: each trial's stream is the one its own SeedSequence gives.
+# ---------------------------------------------------------------------------
+
+WORD = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=WORD, tag=WORD, index=WORD)
+@example(seed=0, tag=0, index=0)
+@example(seed=2**32 - 1, tag=2**32 - 1, index=2**32 - 1)
+@example(seed=20240601, tag=0, index=1)
+def test_seed_state_matches_seed_sequence(seed, tag, index):
+    want = np.random.SeedSequence([seed, tag, index]).generate_state(4, np.uint64)
+    got = _seed_state([seed, tag, np.array([index, index])])
+    assert got.dtype == np.uint64 and got.shape == (2, 4)
+    np.testing.assert_array_equal(got, [want, want])
+
+
+def test_seed_state_over_a_range_of_trials():
+    idx = np.arange(2 * CHUNK + 3)
+    got = _seed_state([1234, 5, idx])
+    want = [np.random.SeedSequence([1234, 5, int(i)]).generate_state(4, np.uint64) for i in idx]
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "master_seed,stream_tag,start,batched",
+    [
+        (1234, 9, CHUNK - 3, True),  # spans a chunk boundary
+        (0, 0, 0, True),
+        (2**32 - 1, 2**32 - 1, 2**32 - 6, True),  # largest one-word values
+        (2**32, 9, 0, False),  # a two-word seed
+        (7, 2**40, 0, False),  # a two-word stream tag
+        (7, 9, 2**32 - 3, False),  # indices cross into two words
+    ],
+)
+def test_trial_rngs_match_trial_rng(master_seed, stream_tag, start, batched):
+    count = 6
+    rngs = trial_rngs(master_seed, stream_tag, start, count)
+    assert len(rngs) == count
+    for i, rng in zip(range(start, start + count), rngs):
+        ref = trial_rng(master_seed, stream_tag, i)
+        assert isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence) != batched
+        np.testing.assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
+        np.testing.assert_array_equal(rng.random(5), ref.random(5))
+        np.testing.assert_array_equal(rng.standard_normal((3, 2)), ref.standard_normal((3, 2)))
+
+
+def test_trial_rngs_empty_and_invalid_seed():
+    assert trial_rngs(1, 2, 10, 0) == []
+    # not a non-negative integer: the exact SeedSequence path raises as before
+    with pytest.raises(ValueError):
+        trial_rngs(-1, 0, 0, 2)
+
+
+@pytest.mark.parametrize("q_short_circuit", [False, True])
+@pytest.mark.parametrize("theta", [None, (1.0,)])
+def test_draw_trials_keeps_per_trial_uniform_order(q_short_circuit, theta):
+    """(nu, theta) per trial as drawn one uniform at a time from its own stream."""
+    prior = heavy_tail_prior(2.0, q=0.2)
+    spec = TrialSpec(mode="prior", theta=theta, q_short_circuit=q_short_circuit, stream_tag=3)
+    count, horizon = 600, 400
+    nus, thetas = _draw_trials(spec, prior, GRID, horizon, trial_rngs(99, 3, 0, count))
+    for i in range(count):
+        rng = trial_rng(99, 3, i)
+        if q_short_circuit and rng.random() < prior.q:
+            nu = 0
+        else:
+            nu = prior.sample(rng)
+        assert nus[i] == min(nu, horizon)
+        want = GRID.atoms[GRID.sample_index(rng)] if theta is None else theta
+        np.testing.assert_array_equal(thetas[i], want)
+    assert 0 < (nus == 0).sum() < count and (nus == horizon).any()
