@@ -20,8 +20,15 @@ once, so every drawn value is unchanged.
 A chunk of CHUNK trials advances in time blocks of BLOCK steps.  Each block
 samples, scores and recurses only the trials that have not yet alarmed,
 carrying model and statistic state to the next block, and the chunk stops
-once every trial has alarmed.  Neither constant affects any value; memory
-per chunk is O(CHUNK * BLOCK * n_atoms), not O(CHUNK * horizon * n_atoms).
+once every trial has alarmed.  Inside a block, after a step where trials
+alarm, the alarmed trials are dropped from the recursion once at most half
+of the block's current rows are live and the block has steps left; each
+drop at least halves the rows, so the copying is a constant factor.  The
+chunk's statistic is stored atoms first, (n_atoms, CHUNK), and each block's
+increments are transposed once to (steps, n_atoms, trials), so the
+recursion reduces over contiguous atom rows.  Neither constant nor the
+compaction affects any value; memory per chunk is
+O(CHUNK * BLOCK * n_atoms), not O(CHUNK * horizon * n_atoms).
 """
 
 from __future__ import annotations
@@ -218,19 +225,20 @@ def run_chunk(
     """Run trials [start, start+count) of one scenario in lockstep.
 
     Time advances in blocks of BLOCK steps.  Trials that have alarmed are
-    neither sampled nor scored again, and the chunk ends once none is left,
-    unless ``want_final_stat`` is set or ``log_threshold`` is None: then
-    every trial runs to ``horizon``.
+    neither sampled nor scored again, they leave the recursion mid-block once
+    at most half of the block's rows are live, and the chunk ends once none
+    is left, unless ``want_final_stat`` is set or ``log_threshold`` is None:
+    then every trial runs to ``horizon``.
     """
     rngs = trial_rngs(master_seed, spec.stream_tag, start, count)
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
-    logw = grid.log_weights
+    logw = grid.log_weights[:, None]
     init, log_pi, log_tail = recursion_tables(detector, prior, omega, horizon)
     exhausted = ~np.isfinite(log_tail)  # never, for MSR
 
     sampler = model.sampler_state(nus, thetas, horizon, rngs)
     scorer = model.increment_state(count, horizon)
-    stat_state = np.full((count, grid.size), init)
+    stat_state = np.full((grid.size, count), init)  # atoms first
     stop = np.zeros(count, dtype=np.int64)
     stat_at_stop = np.full(count, np.nan)
     alive = np.ones(count, dtype=bool)
@@ -244,7 +252,10 @@ def run_chunk(
             if rows.size == 0:
                 break
         ell = model.increment_block(scorer, rows, model.sample_block(sampler, rows, n0, n1), n0)
-        state = stat_state[rows]
+        # (L, K, B), so step n reads the contiguous (K, B) slice ell[n - 1 - off]
+        ell = np.ascontiguousarray(ell.transpose(1, 2, 0))
+        off = n0
+        state = np.take(stat_state, rows, axis=1)  # contiguous (K, B)
         live = alive[rows]
         for n in range(n0 + 1, n1 + 1):
             if exhausted[n] and (want_final_stat or live.any()):
@@ -252,7 +263,7 @@ def run_chunk(
                     f"prior tail Pi({n}) = 0; the MS recursion cannot continue"
                 )
             state, log_stat = advance(
-                state, ell[:, n - 1 - n0, :], logw, log_pi[n - 1], log_tail[n]
+                state, ell[n - 1 - off], logw, log_pi[n - 1], log_tail[n]
             )
             if log_threshold is not None:
                 newly = live & (log_stat >= log_threshold)
@@ -260,9 +271,16 @@ def run_chunk(
                     stop[rows[newly]] = n
                     stat_at_stop[rows[newly]] = log_stat[newly]
                     live &= ~newly
+                    if early_exit and n < n1 and 2 * np.count_nonzero(live) <= live.size:
+                        # drop alarmed trials mid-block; halving bounds the copying
+                        alive[rows[~live]] = False
+                        # np.compress keeps the arrays contiguous; state[:, live] would not
+                        state = np.compress(live, state, axis=1)
+                        ell = np.compress(live, ell[n - off:], axis=2)
+                        rows, live, off = rows[live], live[live], n
                 if early_exit and not live.any():
                     break
-        stat_state[rows] = state
+        stat_state[:, rows] = state
         alive[rows] = live
 
     return TrialData(

@@ -13,9 +13,12 @@ which are plain algebra on the defining double sums (cross-checked here by
 brute-force oracles that evaluate those sums literally).  MSR is the MS
 recursion with pi_k = 1 and Pi(n) = 1, started from omega instead of q, so
 one function, ``advance``, computes both; ``recursion_tables`` gives its
-start value and per-step tables for either kind.  All accumulation is
-log-domain with log-sum-exp; the statistics reach exp(+-hundreds) and are
-never exponentiated except inside the guarded posterior computation.
+start value and per-step tables for either kind.  ``advance`` keeps atoms on
+the leading axis: a stream's state is a (K,) vector and a batch of B trials
+is (K, B), so the Monte Carlo engine reduces over contiguous atom rows.
+All accumulation is log-domain with log-sum-exp; the statistics reach
+exp(+-hundreds) and are never exponentiated except inside the guarded
+posterior computation.
 
 The stopping rules raise an alarm at the first n >= 1 whose log statistic
 meets the log threshold (ties stop).  A multi-cyclic wrapper restarts the
@@ -56,14 +59,17 @@ def recursion_tables(kind: str, prior: ChangePrior, omega: float, horizon: int):
 
 
 def advance(log_num, ell, log_w, log_pi_prev, log_tail_n):
-    """One step of the MS/MSR recursion over any leading shape, atoms last.
+    """One step of the MS/MSR recursion, atoms first.
 
-    Returns the new per-atom log numerators and the log statistic
-    log sum_i w_i N_n(theta_i) - log Pi(n).  With log_pi_prev = log_tail_n
-    = 0 this is the MSR step, bit for bit.
+    ``log_num`` and ``ell`` are (K,) for one stream or (K, B) for B trials,
+    and ``log_w`` is (K,) or (K, 1) to match.  Returns the new per-atom log
+    numerators and the log statistic log sum_i w_i N_n(theta_i) - log Pi(n),
+    a scalar or (B,).  The reduce folds atoms in the order 0 .. K-1 for
+    every trial, so batch column b equals the one-stream step on it, bit for
+    bit.  With log_pi_prev = log_tail_n = 0 this is the MSR step.
     """
     log_num = np.logaddexp(log_num, log_pi_prev) + ell
-    return log_num, np.logaddexp.reduce(log_num + log_w, axis=-1) - log_tail_n
+    return log_num, np.logaddexp.reduce(log_num + log_w, axis=0) - log_tail_n
 
 
 @dataclass

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixdetect.detectors import (
     MsrState,
     MsState,
     PriorSupportExhausted,
     _multicyclic_with_tail,
+    advance,
     brute_force_ms,
     brute_force_msr,
     ms_update,
@@ -392,3 +394,50 @@ def test_weight_scale_invariance(scale, seed):
         msr_update(r2, row)
         assert s1.log_stat == pytest.approx(s2.log_stat, abs=1e-12)
         assert r1.log_stat == pytest.approx(r2.log_stat, abs=1e-12)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+# -inf, exact ties and +-700 are drawn often; logaddexp of two equal values
+# and of -inf with anything are its edge cases
+_LOG_VALUES = st.one_of(
+    st.sampled_from([-np.inf, -700.0, -1.0, 0.0, 1.0, 700.0]),
+    st.floats(-700.0, 700.0),
+)
+
+
+@st.composite
+def _advance_inputs(draw):
+    k = draw(st.integers(1, 9))
+    b = draw(st.integers(1, 64))
+    log_num = draw(hnp.arrays(np.float64, (k, b), elements=_LOG_VALUES))
+    ell = draw(hnp.arrays(np.float64, (k, b), elements=_LOG_VALUES))
+    log_w_values = st.one_of(st.just(-np.inf), st.floats(-50.0, 0.0))
+    log_w = draw(hnp.arrays(np.float64, k, elements=log_w_values))
+    log_pi_prev = draw(st.one_of(st.just(-np.inf), st.just(0.0), st.floats(-700.0, 0.0)))
+    log_tail_n = draw(st.one_of(st.just(0.0), st.floats(-700.0, 0.0)))
+    return log_num, ell, log_w, log_pi_prev, log_tail_n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_advance_inputs())
+@example((np.full((3, 2), -np.inf), np.zeros((3, 2)), np.log([0.2, 0.3, 0.5]), -np.inf, 0.0))
+@example((np.full((5, 4), 700.0), np.full((5, 4), -700.0), np.zeros(5), 0.0, 0.0))
+def test_advance_atoms_first_matches_atoms_last(inputs):
+    log_num, ell, log_w, log_pi_prev, log_tail_n = inputs
+    # the atoms-last form the recursion had before, kept as the reference
+    ref_num = np.logaddexp(log_num.T, log_pi_prev) + ell.T
+    ref_stat = np.logaddexp.reduce(ref_num + log_w, axis=-1) - log_tail_n
+
+    new_num, new_stat = advance(log_num, ell, log_w[:, None], log_pi_prev, log_tail_n)
+    assert new_num.shape == log_num.shape and new_stat.shape == (log_num.shape[1],)
+    np.testing.assert_array_equal(_bits(new_num), _bits(ref_num.T))
+    np.testing.assert_array_equal(_bits(new_stat), _bits(ref_stat))
+
+    # one stream, (K,) state and (K,) weights, is column b of the batch
+    for b in range(log_num.shape[1]):
+        one_num, one_stat = advance(log_num[:, b], ell[:, b], log_w, log_pi_prev, log_tail_n)
+        np.testing.assert_array_equal(_bits(one_num), _bits(new_num[:, b]))
+        assert _bits(one_stat) == _bits(new_stat[b])

@@ -592,3 +592,76 @@ def test_draw_trials_keeps_per_trial_uniform_order(q_short_circuit, theta):
         want = GRID.atoms[GRID.sample_index(rng)] if theta is None else theta
         np.testing.assert_array_equal(thetas[i], want)
     assert 0 < (nus == 0).sum() < count and (nus == horizon).any()
+
+
+# ---------------------------------------------------------------------------
+# In-block compaction: alarmed trials leave the recursion mid-block.
+# ---------------------------------------------------------------------------
+
+
+def _compactions(stop_times, horizon):
+    """(n0, n, rows before, rows live after, compacted) per step that meets the rule.
+
+    The rule is the engine's: after a step where trials alarm, drop them if
+    at most half of the block's current rows are live and the block has
+    steps left.  A step that meets it on a block's last step is listed with
+    compacted False.
+    """
+    stops = np.where(stop_times == 0, horizon + 1, stop_times)
+    out = []
+    for n0 in range(0, horizon, BLOCK):
+        n1 = min(n0 + BLOCK, horizon)
+        size = int(np.sum(stops > n0))
+        for n in range(n0 + 1, n1 + 1):
+            live = int(np.sum(stops > n))
+            if size and np.any(stops == n) and 2 * live <= size:
+                out.append((n0, n, size, live, n < n1))
+                if n < n1:
+                    size = live
+    return out
+
+
+def _drift_config(detector, log_threshold, master_seed, **kw):
+    return make_config(
+        detector=detector, log_threshold=log_threshold, trials=100, horizon=130,
+        master_seed=master_seed, **kw,
+    )
+
+
+DRIFT_SPEC = TrialSpec(mode="fixed", nu=0, theta=(1.0,), stream_tag=3)
+
+
+@pytest.mark.parametrize(
+    "detector,log_threshold,master_seed", [("ms", 22.0, 20), ("msr", 20.0, 1)]
+)
+def test_compaction_matches_streaming(detector, log_threshold, master_seed):
+    cfg = _drift_config(detector, log_threshold, master_seed)
+    td = run_trials(cfg, DRIFT_SPEC)
+
+    # the data reach every branch of the rule
+    events = _compactions(td.stop_times, cfg.horizon)
+    inner = [e for e in events if e[4]]
+    assert max(sum(e[0] == n0 for e in inner) for n0 in (0, BLOCK)) >= 2
+    assert any(2 * live == size for _, _, size, live, _ in inner)
+    assert any(not compacted and live > 0 for _, _, _, live, compacted in events)
+    assert any(e[0] == BLOCK for e in inner), "no compaction in the second block"
+
+    for i in range(cfg.trials):
+        rec = _streaming(cfg, _trial_path(cfg, DRIFT_SPEC, i), log_threshold)
+        assert not rec.censored
+        assert td.stop_times[i] == rec.stop_time
+        assert td.log_stat_at_stop[i] == rec.log_stat_at_stop
+
+
+def test_compaction_keeps_prior_support_exhausted():
+    # a point mass at k0 with a lump q before time 0: the MS statistic grows
+    # from step 1, trials alarm and are dropped, and Pi(k0 + 1) = 0 must
+    # still stop the chunk at step k0 + 1 while some trial is live
+    k0 = 25
+    prior = replace(point_mass_prior(k0), q=0.5)
+    cfg = _drift_config("ms", 8.0, 3, prior=prior)
+    td = run_trials(replace(cfg, horizon=k0), DRIFT_SPEC)
+    assert any(compacted for _, _, _, _, compacted in _compactions(td.stop_times, k0))
+    assert np.any(td.stop_times == 0), "every trial alarmed before the support ran out"
+    with pytest.raises(PriorSupportExhausted, match=rf"Pi\({k0 + 1}\)"):
+        run_trials(cfg, DRIFT_SPEC)

@@ -1,0 +1,57 @@
+"""Smoke tests: each example script runs at a tiny size and prints its header."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "script,args,header",
+    [
+        (
+            "false_alarm_bounds.py",
+            ["--trials", "64", "--horizon", "200"],
+            "rule     alpha          A     tail est     post est  est/alpha",
+        ),
+        (
+            "delay_ladder_study.py",
+            ["--trials", "32"],
+            "case                slope   stderr  predicted",
+        ),
+    ],
+    ids=["false_alarm_bounds", "delay_ladder_study"],
+)
+def test_script_prints_table(script, args, header, tmp_path):
+    proc = _run(script, *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == header
+    assert len(lines) > 1
+
+
+def test_streaming_demo(tmp_path):
+    outdir = tmp_path / "demo"
+    proc = _run(
+        "streaming_demo.py", "--length", "300", "--change-at", "200", "--outdir", str(outdir),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "stream of 300 rows, rate shift at row 200" in proc.stdout.splitlines()
+    trajectory = (outdir / "trajectory.csv").read_text().splitlines()
+    assert len(trajectory) == 1 + 300  # header plus one row per CSV row
