@@ -68,6 +68,7 @@ from .montecarlo import (
     slope_regression,
 )
 from .theory import (
+    FIRST_ORDER_NOTE,
     Prediction,
     integrated_risk_prediction,
     ms_delay_prediction,
@@ -107,6 +108,22 @@ def _number(obj: dict, where: str, key: str, default=None):
     return val
 
 
+def _integer(obj: dict, where: str, key: str, default=None, nonnegative: bool = False) -> int:
+    """A whole number: integral floats such as 3.0 pass, 2.5 and booleans do not.
+
+    Keys without a default must be required by the section's ``_check_keys``.
+    """
+    val = obj.get(key, default)
+    if not (
+        _is_number(val)
+        and (isinstance(val, int) or val.is_integer())
+        and (val >= 0 or not nonnegative)
+    ):
+        expected = "a non-negative integer" if nonnegative else "an integer"
+        raise ConfigError(f"{where}.{key}: expected {expected}")
+    return int(val)
+
+
 def _check_kind_keys(obj: dict, where: str, by_kind: dict[str, set[str]]) -> str:
     """Validate the section's kind and its kind-specific key set."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -132,7 +149,9 @@ def build_prior(doc: dict) -> ChangePrior:
             return heavy_tail_prior(
                 _number(doc, where, "c_exponent"), _number(doc, where, "q", 0.0)
             )
-        return point_mass_prior(int(_number(doc, where, "k0", 0)))
+        return point_mass_prior(_integer(doc, where, "k0", 0))
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -185,21 +204,22 @@ def build_model(doc: dict, grid: MixingGrid) -> ObservationModel:
             )
             return multichannel_ar_model(spec, grid)
         if kind == "hmm2":
+            theta0 = doc["theta0"]
+            if not (isinstance(theta0, list) and len(theta0) == 2):
+                raise ConfigError(f"{where}.theta0: expected two numbers")
             spec = Hmm2Spec(
-                theta0=tuple(doc["theta0"]),
+                theta0=tuple(theta0),
                 beta=_number(doc, where, "beta"),
                 gamma=_number(doc, where, "gamma"),
             )
             return hmm2_model(spec, grid)
     except KeyError as exc:
         raise ConfigError(f"{where}.{exc.args[0]}: missing required key") from exc
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.kind: unknown model kind {kind!r}")
-
-
-def _grid_info_numbers(model: ObservationModel, grid: MixingGrid) -> np.ndarray:
-    return np.array([info_number(model, i) for i in range(grid.size)])
 
 
 def build_threshold(
@@ -228,24 +248,31 @@ def build_threshold(
         if kind == "bayes-cost":
             c = _number(doc, where, "c")
             r = _number(doc, where, "r", 1.0)
-            info = _grid_info_numbers(model, grid)
+            info = np.array([info_number(model, i) for i in range(grid.size)])
             d = d_constant(grid, info, prior.mu, r)
             return bayes_threshold(c, r, d)
         return fixed_threshold(_number(doc, where, "log_threshold"))
-    except NotImplementedError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    except ValueError as exc:
+    except (NotImplementedError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_SCENARIO_KEYS = {
-    "pfa_tail": {"name", "quantity"},
-    "pfa_posterior": {"name", "quantity"},
-    "delay": {"name", "quantity", "change_point", "theta", "moments"},
-    "average_delay": {"name", "quantity", "theta", "moment"},
-    "integrated_risk": {"name", "quantity"},
-    "delay_ladder": {"name", "quantity", "change_point", "theta", "moments", "log_thresholds"},
-}
+@dataclass(frozen=True)
+class Scenario:
+    """One ``montecarlo.scenarios[i]`` entry, checked and converted at load.
+
+    ``log_thresholds`` is the ladder of ``delay_ladder`` and the calibrated
+    threshold otherwise; rung j runs on stream tag ``tag_base + j``.
+    """
+
+    quantity: str
+    name: str
+    tag_base: int
+    log_thresholds: tuple[float, ...]
+    theta: tuple[float, ...] | None  # None where the quantity takes no theta
+    on_grid: bool
+    change_point: int
+    moments: tuple[float, ...]
+    moment: float
 
 
 @dataclass
@@ -263,7 +290,7 @@ class Experiment:
     horizon: int = 0
     seed: int = 0
     workers: int = 1
-    scenarios: list = field(default_factory=list)
+    scenarios: list[Scenario] = field(default_factory=list)
     output: dict = field(default_factory=dict)
 
     def mc_config(self, log_threshold: float | None = None) -> ExperimentConfig:
@@ -285,9 +312,8 @@ class Experiment:
 
 def _implied_alpha(exp: Experiment) -> float:
     """False-alarm level implied by the configured threshold (for validation)."""
-    cal = exp.doc["calibration"]
-    if cal["kind"] in ("ms-pfa", "msr-pfa"):
-        return float(cal["alpha"])
+    if exp.threshold.kind in ("ms-pfa", "msr-pfa"):
+        return float(exp.threshold.inputs["alpha"])
     a = exp.threshold.threshold
     if exp.detector == "ms":
         return 1.0 / (1.0 + a)
@@ -297,6 +323,79 @@ def _implied_alpha(exp: Experiment) -> float:
             "under an infinite-mean prior; use a finite-mean prior for PFA scenarios"
         )
     return (exp.omega * exp.prior.b + exp.prior.mean) / a
+
+
+def _scenario_theta(grid: MixingGrid, sc: dict, where: str) -> np.ndarray:
+    theta = sc.get("theta")
+    if theta is None:
+        raise ConfigError(f"{where}.theta: missing required key")
+    if not isinstance(theta, (int, list)):
+        raise ConfigError(f"{where}.theta: expected an atom index or a vector")
+    try:
+        return grid.theta_vector(theta)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}.theta: {exc}") from exc
+
+
+def _scenario(exp: Experiment, index: int, sc) -> Scenario:
+    """Check one raw scenario against the loaded experiment and convert it."""
+    where = f"montecarlo.scenarios[{index}]"
+    if not isinstance(sc, dict) or "quantity" not in sc:
+        raise ConfigError(f"{where}.quantity: missing required key")
+    q = sc["quantity"]
+    if not isinstance(q, str) or q not in _QUANTITIES:
+        raise ConfigError(f"{where}.quantity: unknown quantity {q!r}")
+    keys, _ = _QUANTITIES[q]
+    _check_keys(sc, where, keys)
+    theta, on_grid = None, True
+    if "theta" in keys:
+        vec = _scenario_theta(exp.grid, sc, where)
+        theta = tuple(map(float, vec))
+        on_grid = any(np.array_equal(vec, atom) for atom in exp.grid.atoms)
+    change_point = _integer(sc, where, "change_point", 0, nonnegative=True)
+    moments = sc.get("moments", [1])
+    if not isinstance(moments, list) or not all(_is_number(m) for m in moments):
+        raise ConfigError(f"{where}.moments: expected a list of numbers")
+    moment = float(_number(sc, where, "moment", 1))
+    log_thresholds = [exp.threshold.log_threshold]
+    if q == "delay_ladder":
+        log_thresholds = sc.get("log_thresholds")
+        if not isinstance(log_thresholds, list) or len(log_thresholds) < 4:
+            raise ConfigError(f"{where}.log_thresholds: need a list of >= 4 values")
+        for j, la in enumerate(log_thresholds):
+            if not _is_number(la):
+                raise ConfigError(f"{where}.log_thresholds[{j}]: expected a number")
+        moments = [1]  # the ladder fits the mean delay
+    if q in ("pfa_tail", "pfa_posterior"):
+        alpha = _implied_alpha(exp)
+        tail = float(exp.prior.tail(exp.horizon))
+        if not tail < 0.01 * alpha:
+            raise ConfigError(
+                f"montecarlo.horizon: prior tail Pi({exp.horizon}) = {tail:.3e} "
+                f"is not below 0.01 * alpha = {0.01 * alpha:.3e}; raise the horizon"
+            )
+    if q == "pfa_posterior" and exp.detector != "ms":
+        raise ConfigError(f"{where}: pfa_posterior applies to the ms rule only")
+    if q == "average_delay" and not (
+        math.isfinite(exp.prior.mean) or float(exp.prior.tail(exp.horizon)) < 1e-4
+    ):
+        raise ConfigError(
+            f"{where}: horizon must cover 99.99% of the prior mass "
+            "when the prior mean is infinite"
+        )
+    if q == "integrated_risk" and exp.threshold.kind != "bayes-cost":
+        raise ConfigError(f"{where}: integrated_risk requires bayes-cost calibration")
+    return Scenario(
+        quantity=q,
+        name=sc.get("name", f"{q}_{index}"),
+        tag_base=1000 * (index + 1),
+        log_thresholds=tuple(map(float, log_thresholds)),
+        theta=theta,
+        on_grid=on_grid,
+        change_point=change_point,
+        moments=tuple(map(float, moments)),
+        moment=moment,
+    )
 
 
 def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
@@ -355,10 +454,10 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
             mc, "montecarlo", {"trials", "horizon", "seed", "workers", "scenarios"},
             {"trials", "horizon", "seed", "scenarios"},
         )
-        exp.trials = int(_number(mc, "montecarlo", "trials"))
-        exp.horizon = int(_number(mc, "montecarlo", "horizon"))
-        exp.seed = int(_number(mc, "montecarlo", "seed"))
-        exp.workers = int(_number(mc, "montecarlo", "workers", 1))
+        exp.trials = _integer(mc, "montecarlo", "trials")
+        exp.horizon = _integer(mc, "montecarlo", "horizon")
+        exp.seed = _integer(mc, "montecarlo", "seed")
+        exp.workers = _integer(mc, "montecarlo", "workers", 1)
         env_workers = os.environ.get(WORKERS_ENV)
         if env_workers:
             try:
@@ -370,55 +469,11 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
         if exp.horizon < 1:
             raise ConfigError("montecarlo.horizon: must be >= 1")
         if exp.workers < 1:
-            raise ConfigError("montecarlo.workers: must be >= 1")
+            where = WORKERS_ENV if env_workers else "montecarlo.workers"
+            raise ConfigError(f"{where}: must be >= 1")
         if not isinstance(mc["scenarios"], list) or not mc["scenarios"]:
             raise ConfigError("montecarlo.scenarios: need a non-empty list")
-        for i, sc in enumerate(mc["scenarios"]):
-            where = f"montecarlo.scenarios[{i}]"
-            if not isinstance(sc, dict) or "quantity" not in sc:
-                raise ConfigError(f"{where}.quantity: missing required key")
-            q = sc["quantity"]
-            if q not in _SCENARIO_KEYS:
-                raise ConfigError(f"{where}.quantity: unknown quantity {q!r}")
-            _check_keys(sc, where, _SCENARIO_KEYS[q])
-            if "theta" in _SCENARIO_KEYS[q]:
-                _theta_from_doc(exp, sc, where)
-            k = sc.get("change_point", 0)
-            if not (_is_number(k) and k >= 0 and (isinstance(k, int) or k.is_integer())):
-                raise ConfigError(f"{where}.change_point: expected a non-negative integer")
-            moments = sc.get("moments", [1])
-            if not isinstance(moments, list) or not all(_is_number(m) for m in moments):
-                raise ConfigError(f"{where}.moments: expected a list of numbers")
-            _number(sc, where, "moment", 1)
-            if q == "delay_ladder":
-                log_thresholds = sc.get("log_thresholds")
-                if not isinstance(log_thresholds, list) or len(log_thresholds) < 4:
-                    raise ConfigError(f"{where}.log_thresholds: need a list of >= 4 values")
-                for j, la in enumerate(log_thresholds):
-                    if not _is_number(la):
-                        raise ConfigError(f"{where}.log_thresholds[{j}]: expected a number")
-            if q in ("pfa_tail", "pfa_posterior"):
-                alpha = _implied_alpha(exp)
-                tail = float(exp.prior.tail(exp.horizon))
-                if not tail < 0.01 * alpha:
-                    raise ConfigError(
-                        f"montecarlo.horizon: prior tail Pi({exp.horizon}) = {tail:.3e} "
-                        f"is not below 0.01 * alpha = {0.01 * alpha:.3e}; raise the horizon"
-                    )
-            if q == "pfa_posterior" and exp.detector != "ms":
-                raise ConfigError(f"{where}: pfa_posterior applies to the ms rule only")
-            if q == "average_delay" and not (
-                math.isfinite(exp.prior.mean) or float(exp.prior.tail(exp.horizon)) < 1e-4
-            ):
-                raise ConfigError(
-                    f"{where}: horizon must cover 99.99% of the prior mass "
-                    "when the prior mean is infinite"
-                )
-            if q == "integrated_risk" and doc["calibration"]["kind"] != "bayes-cost":
-                raise ConfigError(
-                    f"{where}: integrated_risk requires bayes-cost calibration"
-                )
-        exp.scenarios = mc["scenarios"]
+        exp.scenarios = [_scenario(exp, i, sc) for i, sc in enumerate(mc["scenarios"])]
 
     # grid/model compatibility was enforced by the model constructor; priors
     # with zero tail inside the horizon break the MS recursion, catch it now
@@ -458,147 +513,138 @@ def cmd_calibrate(config_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _theta_from_doc(exp: Experiment, sc: dict, where: str):
-    theta = sc.get("theta")
-    if theta is None:
-        raise ConfigError(f"{where}.theta: missing required key")
-    if isinstance(theta, (int,)) and not isinstance(theta, bool):
-        if not 0 <= theta < exp.grid.size:
-            raise ConfigError(f"{where}.theta: atom index out of range")
-        return int(theta)
-    if isinstance(theta, list):
-        vec = np.asarray(theta, dtype=float)
-        if vec.shape != (exp.grid.dimension,):
-            raise ConfigError(
-                f"{where}.theta: expected {exp.grid.dimension} components"
-            )
-        return vec
-    raise ConfigError(f"{where}.theta: expected an atom index or a vector")
+def _compare(est, pred: Prediction | None) -> dict:
+    """An estimate beside its first-order prediction, where there is one."""
+    return {
+        "estimate": est.to_dict(),
+        "prediction": pred.to_dict() if pred else None,
+        "ratio": est.point / pred.value if pred else None,
+    }
 
 
-def _theta_vec(exp: Experiment, theta) -> np.ndarray:
-    return exp.grid.atoms[theta] if isinstance(theta, int) else theta
-
-
-def _is_on_grid(exp: Experiment, vec: np.ndarray) -> bool:
-    return any(np.array_equal(vec, atom) for atom in exp.grid.atoms)
-
-
-def _delay_prediction(exp: Experiment, vec, m: float, log_a: float) -> Prediction | None:
+def _info(exp: Experiment, sc: Scenario) -> float | None:
+    """I_theta at the scenario's theta, or None where the model has none."""
     try:
-        i_theta = info_number(exp.model, vec)
+        return info_number(exp.model, sc.theta)
     except NotImplementedError:
         return None
-    if i_theta <= 0.0:
+
+
+def _delay_prediction(
+    exp: Experiment, sc: Scenario, i_theta: float | None, m: float, log_a: float
+) -> Prediction | None:
+    if i_theta is None or i_theta <= 0.0:
         return None
     a = math.exp(log_a)
     if exp.detector == "ms":
         value = ms_delay_prediction(a, i_theta, exp.prior.mu, m)
-        inputs = {"log_A": log_a, "I": i_theta, "mu": exp.prior.mu, "m": m}
-        name = "ms_delay"
+        name, inputs = "ms_delay", {"log_A": log_a, "I": i_theta, "mu": exp.prior.mu, "m": m}
     else:
         value = msr_delay_prediction(a, i_theta, m)
-        inputs = {"log_A": log_a, "I": i_theta, "m": m}
-        name = "msr_delay"
-    note_bits = []
-    if not _is_on_grid(exp, vec):
-        note_bits.append("off-grid theta: robustness probe, no optimality claim")
-    pred = Prediction(quantity=name, value=value, inputs=inputs)
-    if note_bits:
-        pred = Prediction(
-            quantity=name, value=value, inputs=inputs, note=pred.note + "; " + "; ".join(note_bits)
-        )
-    return pred
+        name, inputs = "msr_delay", {"log_A": log_a, "I": i_theta, "m": m}
+    note = FIRST_ORDER_NOTE
+    if not sc.on_grid:
+        note += "; off-grid theta: robustness probe, no optimality claim"
+    return Prediction(quantity=name, value=value, inputs=inputs, note=note)
 
 
-def _run_scenario(exp: Experiment, index: int, sc: dict) -> tuple[dict, list[tuple]]:
-    """Returns (report row, ladder rows) for one scenario."""
-    q = sc["quantity"]
-    name = sc.get("name", f"{q}_{index}")
-    where = f"montecarlo.scenarios[{index}]"
-    tag_base = 1000 * (index + 1)
-    row: dict = {"name": name, "quantity": q}
-    ladder_rows: list[tuple] = []
+def _delay_rungs(exp: Experiment, sc: Scenario) -> tuple[list[dict], float | None]:
+    """{moment: (estimate, prediction)} per threshold in ``sc.log_thresholds``, and I_theta."""
+    runs = [
+        estimate_delay_moments(
+            exp.mc_config(log_threshold=log_a),
+            sc.change_point,
+            sc.theta,
+            r_list=sc.moments,
+            stream_tag=sc.tag_base + j,
+        )
+        for j, log_a in enumerate(sc.log_thresholds)
+    ]
+    # I_theta only after the runs: the HMM's quadrature loads scipy.integrate,
+    # which would otherwise add its memory to the runs' peak
+    i_theta = _info(exp, sc)
+    rungs = [
+        {m: (est, _delay_prediction(exp, sc, i_theta, m, log_a)) for m, est in ests.items()}
+        for log_a, ests in zip(sc.log_thresholds, runs)
+    ]
+    return rungs, i_theta
 
-    if q in ("pfa_tail", "pfa_posterior"):
-        estimate = estimate_pfa_tail if q == "pfa_tail" else estimate_pfa_posterior
-        est = estimate(exp.mc_config(), stream_tag=tag_base)
-        bound = _implied_alpha(exp)
-        row.update(estimate=est.to_dict(), bound=bound, ratio=est.point / bound)
-    elif q == "delay":
-        theta = _theta_from_doc(exp, sc, where)
-        vec = _theta_vec(exp, theta)
-        k = int(sc.get("change_point", 0))
-        moments = [float(m) for m in sc.get("moments", [1])]
-        ests = estimate_delay_moments(
-            exp.mc_config(), k, vec, r_list=moments, stream_tag=tag_base
-        )
-        row["moments"] = {}
-        for m, est in ests.items():
-            pred = _delay_prediction(exp, vec, m, exp.threshold.log_threshold)
-            row["moments"][f"{m:g}"] = {
-                "estimate": est.to_dict(),
-                "prediction": pred.to_dict() if pred else None,
-                "ratio": est.point / pred.value if pred else None,
-            }
-    elif q == "average_delay":
-        theta = _theta_from_doc(exp, sc, where)
-        vec = _theta_vec(exp, theta)
-        m = float(sc.get("moment", 1))
-        est = estimate_average_delay_risk(exp.mc_config(), vec, m, stream_tag=tag_base)
-        pred = _delay_prediction(exp, vec, m, exp.threshold.log_threshold)
-        row.update(
-            estimate=est.to_dict(),
-            prediction=pred.to_dict() if pred else None,
-            ratio=est.point / pred.value if pred else None,
-        )
-    elif q == "integrated_risk":
-        cal = exp.doc["calibration"]
-        c, r = float(cal["c"]), float(cal.get("r", 1.0))
-        est = estimate_integrated_risk(exp.mc_config(), c, r, stream_tag=tag_base)
-        d = float(exp.threshold.inputs["D"])
-        pred = Prediction(
-            quantity="integrated_risk",
-            value=integrated_risk_prediction(c, r, d),
-            inputs={"c": c, "r": r, "D": d},
-        )
-        row.update(estimate=est.to_dict(), prediction=pred.to_dict(), ratio=est.point / pred.value)
-    elif q == "delay_ladder":
-        theta = _theta_from_doc(exp, sc, where)
-        vec = _theta_vec(exp, theta)
-        k = int(sc.get("change_point", 0))
-        fit_input = []
-        for j, la in enumerate(sc["log_thresholds"]):
-            cfg = exp.mc_config(log_threshold=float(la))
-            est = estimate_delay_moments(
-                cfg, k, vec, r_list=[1.0], stream_tag=tag_base + j
-            )[1.0]
-            pred = _delay_prediction(exp, vec, 1.0, float(la))
-            ladder_rows.append(
-                (float(la), est.point, est.stderr, pred.value if pred else float("nan"))
-            )
-            fit_input.append((float(la), est.point, est.stderr))
-        fit = slope_regression(fit_input)
-        pred_slope = None
-        try:
-            i_theta = info_number(exp.model, vec)
-            pred_slope = (
-                1.0 / (i_theta + exp.prior.mu) if exp.detector == "ms" else 1.0 / i_theta
-            )
-        except NotImplementedError:
-            pass
-        row.update(
-            ladder=[
-                {"log_A": a, "mean_delay": m_, "stderr": s, "prediction": p}
-                for a, m_, s, p in ladder_rows
-            ],
-            slope=fit.slope,
-            slope_stderr=fit.slope_stderr,
-            intercept=fit.intercept,
-            prediction_slope=pred_slope,
-            slope_ratio=fit.slope / pred_slope if pred_slope else None,
-        )
-    return row, ladder_rows
+
+def _run_pfa(exp: Experiment, sc: Scenario, estimate) -> dict:
+    est = estimate(exp.mc_config(), stream_tag=sc.tag_base)
+    bound = _implied_alpha(exp)
+    return {"estimate": est.to_dict(), "bound": bound, "ratio": est.point / bound}
+
+
+def _run_delay(exp: Experiment, sc: Scenario) -> dict:
+    (rung,), _ = _delay_rungs(exp, sc)
+    return {"moments": {f"{m:g}": _compare(est, pred) for m, (est, pred) in rung.items()}}
+
+
+def _run_delay_ladder(exp: Experiment, sc: Scenario) -> dict:
+    rungs, i_theta = _delay_rungs(exp, sc)
+    points = []  # one (log_A, mean_delay, stderr, prediction) per threshold
+    for log_a, rung in zip(sc.log_thresholds, rungs):
+        est, pred = rung[1.0]
+        points.append((log_a, est.point, est.stderr, pred.value if pred else math.nan))
+    fit = slope_regression([p[:3] for p in points])
+    rate = i_theta
+    if i_theta is not None and exp.detector == "ms":
+        rate = i_theta + exp.prior.mu
+    pred_slope = 1.0 / rate if rate else None
+    return {
+        "ladder": [dict(zip(LADDER_COLUMNS, p)) for p in points],
+        "slope": fit.slope,
+        "slope_stderr": fit.slope_stderr,
+        "intercept": fit.intercept,
+        "prediction_slope": pred_slope,
+        "slope_ratio": fit.slope / pred_slope if pred_slope else None,
+    }
+
+
+def _run_average_delay(exp: Experiment, sc: Scenario) -> dict:
+    est = estimate_average_delay_risk(exp.mc_config(), sc.theta, sc.moment, stream_tag=sc.tag_base)
+    log_a = exp.threshold.log_threshold
+    return _compare(est, _delay_prediction(exp, sc, _info(exp, sc), sc.moment, log_a))
+
+
+def _run_integrated_risk(exp: Experiment, sc: Scenario) -> dict:
+    inputs = exp.threshold.inputs
+    c, r, d = float(inputs["c"]), float(inputs["r"]), float(inputs["D"])
+    est = estimate_integrated_risk(exp.mc_config(), c, r, stream_tag=sc.tag_base)
+    pred = Prediction(
+        quantity="integrated_risk",
+        value=integrated_risk_prediction(c, r, d),
+        inputs={"c": c, "r": r, "D": d},
+    )
+    return _compare(est, pred)
+
+
+# quantity -> (its scenario keys, its runner).  A runner returns the report
+# row's fields; it looks the estimators and predictions up in this module's
+# globals as it runs, so code that wraps those names sees every call.
+_QUANTITIES = {
+    "pfa_tail": ({"name", "quantity"}, lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_tail)),
+    "pfa_posterior": (
+        {"name", "quantity"},
+        lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_posterior),
+    ),
+    "delay": ({"name", "quantity", "change_point", "theta", "moments"}, _run_delay),
+    "average_delay": ({"name", "quantity", "theta", "moment"}, _run_average_delay),
+    "integrated_risk": ({"name", "quantity"}, _run_integrated_risk),
+    "delay_ladder": (
+        {"name", "quantity", "change_point", "theta", "moments", "log_thresholds"},
+        _run_delay_ladder,
+    ),
+}
+
+LADDER_COLUMNS = ("log_A", "mean_delay", "stderr", "prediction")
+
+
+def _run_scenario(exp: Experiment, sc: Scenario) -> dict:
+    """The report row of one scenario."""
+    _, run = _QUANTITIES[sc.quantity]
+    return {"name": sc.name, "quantity": sc.quantity, **run(exp, sc)}
 
 
 def _print_estimate(label: str, estimate: dict, prediction, ratio) -> None:
@@ -613,15 +659,11 @@ def _print_estimate(label: str, estimate: dict, prediction, ratio) -> None:
 def cmd_simulate(config_path: str) -> int:
     exp = load_experiment(config_path, need_montecarlo=True)
     rows = []
-    ladder_files = {}
-    for i, sc in enumerate(exp.scenarios):
+    for sc in exp.scenarios:
         try:
-            row, ladder = _run_scenario(exp, i, sc)
+            rows.append(_run_scenario(exp, sc))
         except EstimationError as exc:
-            raise RuntimeError(f"scenario {sc.get('name', i)}: {exc}") from exc
-        rows.append(row)
-        if ladder:
-            ladder_files[row["name"]] = ladder
+            raise RuntimeError(f"scenario {sc.name}: {exc}") from exc
     report = {
         "config": exp.doc,
         "threshold": exp.threshold.to_dict(),
@@ -633,14 +675,15 @@ def cmd_simulate(config_path: str) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     ladder_dir = exp.output.get("ladder_dir", ".")
-    for name, ladder in ladder_files.items():
+    for row in rows:
+        if "ladder" not in row:
+            continue
         os.makedirs(ladder_dir, exist_ok=True)
-        path = os.path.join(ladder_dir, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
+        with open(os.path.join(ladder_dir, f"{row['name']}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["log_A", "mean_delay", "stderr", "prediction"])
-            for r in ladder:
-                w.writerow([repr(v) for v in r])
+            w.writerow(LADDER_COLUMNS)
+            for rung in row["ladder"]:
+                w.writerow([repr(rung[col]) for col in LADDER_COLUMNS])
 
     print(f"{'scenario':<28} {'estimate':>14} {'prediction':>14} {'ratio':>8}")
     for row in rows:

@@ -303,6 +303,24 @@ class MixingGrid:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
+    def theta_vector(self, theta) -> np.ndarray:
+        """The parameter vector for an atom index or an explicit vector.
+
+        An index must lie in [0, size): negative ones do not count from the
+        end, and booleans are not indexes.  A vector needs ``dimension``
+        entries; off-grid vectors are allowed.
+        """
+        if isinstance(theta, (bool, np.bool_)):
+            raise ValueError("expected an atom index or a vector, not a boolean")
+        if isinstance(theta, (int, np.integer)):
+            if not 0 <= theta < self.size:
+                raise ValueError(f"atom index out of range: {theta} is not in [0, {self.size})")
+            return self.atoms[int(theta)]
+        vec = np.atleast_1d(np.asarray(theta, dtype=float))
+        if vec.shape != (self.dimension,):
+            raise ValueError(f"expected {self.dimension} components, got shape {vec.shape}")
+        return vec
+
     def sample_index(self, rng: np.random.Generator) -> int:
         """Draw an atom index according to the weights (one uniform)."""
         return int(self.inverse_cdf(np.array([rng.random()]))[0])

@@ -200,10 +200,8 @@ def sample_path(model: ObservationModel, nu, theta, horizon: int, rng) -> np.nda
     nus = _as_nu_array([nu], horizon)
     if theta is None:
         vec = np.zeros(model.grid.dimension)
-    elif isinstance(theta, (int, np.integer)):
-        vec = model.grid.atoms[int(theta)]
     else:
-        vec = np.asarray(theta, dtype=float).reshape(model.grid.dimension)
+        vec = model.grid.theta_vector(theta)
     paths = model.sample_paths(nus, vec[None, :], horizon, [rng])
     return paths[0]
 
@@ -661,8 +659,4 @@ def info_number(model: ObservationModel, theta) -> float:
     Gaussian i.i.d.: theta^2/2.  Multichannel AR: sum theta_c^2 Q_c / 2 with
     numeric Q_c.  HMM: Kullback-Leibler rate by quadrature (symmetric case).
     """
-    if isinstance(theta, (int, np.integer)):
-        vec = model.grid.atoms[int(theta)]
-    else:
-        vec = np.atleast_1d(np.asarray(theta, dtype=float))
-    return model.info_number(vec)
+    return model.info_number(model.grid.theta_vector(theta))

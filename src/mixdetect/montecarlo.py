@@ -220,7 +220,7 @@ def estimate_delay_moments(
     """
     if k < 0:
         raise ValueError("change point k must be >= 0")
-    theta_vec = _theta_vector(config.grid, theta)
+    theta_vec = config.grid.theta_vector(theta)
     td = run_trials(
         config,
         TrialSpec(mode="fixed", nu=k, theta=tuple(theta_vec), stream_tag=stream_tag),
@@ -265,7 +265,7 @@ def estimate_average_delay_risk(
     excluded (counted in extras).  Censored trials with nu inside the
     horizon count as (horizon-nu)^r, flagged as a downward bias.
     """
-    theta_vec = _theta_vector(config.grid, theta)
+    theta_vec = config.grid.theta_vector(theta)
     td = run_trials(
         config,
         TrialSpec(mode="prior", theta=tuple(theta_vec), stream_tag=stream_tag),
@@ -328,15 +328,6 @@ def estimate_integrated_risk(
         "censor_rate": censored / config.trials,
     }
     return _mean_estimate(contrib, f"integrated_risk_r{r:g}", censored, extras)
-
-
-def _theta_vector(grid: MixingGrid, theta) -> np.ndarray:
-    if isinstance(theta, (int, np.integer)):
-        return np.asarray(grid.atoms[int(theta)], dtype=float)
-    vec = np.atleast_1d(np.asarray(theta, dtype=float))
-    if vec.shape != (grid.dimension,):
-        raise ValueError(f"theta must have dimension {grid.dimension}")
-    return vec
 
 
 @dataclass(frozen=True)

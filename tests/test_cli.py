@@ -150,6 +150,17 @@ class TestConfigValidation:
         assert main(["simulate", write_config(tmp_path, doc)]) == 2
         assert "horizon" in capsys.readouterr().err
 
+    def test_hmm_theta0_needs_two_means(self, tmp_path):
+        doc = base_config(
+            model={"kind": "hmm2", "theta0": [0.0, 1.0, 7.0], "beta": 0.5, "gamma": 0.5},
+            mixing={"kind": "atoms", "atoms": [[0.5, 1.5]]},
+            calibration={"kind": "fixed", "log_threshold": 3.0},
+        )
+        with pytest.raises(ConfigError, match=r"^model\.theta0: expected two numbers$"):
+            load_experiment(write_config(tmp_path, doc))
+        doc["model"]["theta0"] = [0.0, 1.0]
+        assert load_experiment(write_config(tmp_path, doc)).model.spec.theta0 == (0.0, 1.0)
+
     def test_msr_omega_on_ms_rejected(self, tmp_path):
         doc = base_config(detector={"kind": "ms", "omega": 3.0})
         assert main(["calibrate", write_config(tmp_path, doc)]) == 2
@@ -181,6 +192,16 @@ class TestSimulate:
         "scenario,message",
         [
             ({"quantity": "delay", "theta": 3}, r"scenarios\[2\]\.theta: atom index out of range"),
+            ({"quantity": "delay", "theta": -1}, r"scenarios\[2\]\.theta: atom index out of range"),
+            (
+                {"quantity": "delay", "theta": True},
+                r"scenarios\[2\]\.theta: expected an atom index or a vector",
+            ),
+            (
+                {"quantity": "delay", "theta": ["a"]},
+                r"scenarios\[2\]\.theta: could not convert",
+            ),
+            ({"quantity": ["delay"]}, r"scenarios\[2\]\.quantity: unknown quantity"),
             (
                 {"quantity": "delay_ladder", "theta": 0, "log_thresholds": [3, 4, 5]},
                 r"scenarios\[2\]\.log_thresholds: need a list of >= 4 values",
@@ -220,6 +241,10 @@ class TestSimulate:
         ],
         ids=[
             "theta_index",
+            "theta_negative_index",
+            "theta_bool",
+            "theta_not_numbers",
+            "quantity_not_a_string",
             "ladder_thresholds",
             "change_point_string",
             "change_point_bool",
@@ -247,11 +272,45 @@ class TestSimulate:
         assert "scenarios[2].change_point" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("montecarlo", "trials", 100.7),
+            ("montecarlo", "horizon", 2000.5),
+            ("montecarlo", "seed", 7.9),
+            ("montecarlo", "workers", 1.5),
+            ("prior", "k0", 2.5),
+        ],
+    )
+    def test_fractional_integer_rejected(self, tmp_path, section, key, value):
+        # int() would silently truncate these
+        doc = self.small_doc(tmp_path)
+        if section == "prior":
+            doc["prior"] = {"kind": "point_mass", "k0": 2}
+            doc["detector"] = {"kind": "msr"}
+            doc["calibration"] = {"kind": "fixed", "log_threshold": 3.0}
+            doc["montecarlo"]["scenarios"] = doc["montecarlo"]["scenarios"][1:]
+        path = write_config(tmp_path, doc)
+        load_experiment(path, need_montecarlo=True)  # integral values load
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected an integer$"):
+            load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
+
+    def test_workers_env_named_in_message(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, self.small_doc(tmp_path))
+        monkeypatch.setenv("MIXDETECT_WORKERS", "0")
+        with pytest.raises(ConfigError, match=r"^MIXDETECT_WORKERS: must be >= 1$"):
+            load_experiment(path, need_montecarlo=True)
+        monkeypatch.delenv("MIXDETECT_WORKERS")
+        doc = self.small_doc(tmp_path, workers=0)
+        with pytest.raises(ConfigError, match=r"^montecarlo\.workers: must be >= 1$"):
+            load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
+
     def test_integral_float_change_point_accepted(self, tmp_path):
         doc = self.small_doc(tmp_path)
         doc["montecarlo"]["scenarios"][1]["change_point"] = 3.0
         exp = load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
-        assert exp.scenarios[1]["change_point"] == 3.0
+        assert exp.scenarios[1].change_point == 3.0
 
     def test_report_written_and_echo_roundtrips(self, tmp_path):
         doc = self.small_doc(tmp_path)
@@ -284,6 +343,27 @@ class TestSimulate:
         t0 = time.time()
         assert main(["simulate", write_config(tmp_path, doc)]) == 0
         assert time.time() - t0 < 10.0
+
+    def test_ladder_without_information_has_no_slope_prediction(self, tmp_path):
+        # MSR at the zero atom: I = 0, so there is no first-order slope 1 / I
+        doc = base_config(
+            mixing={"kind": "atoms", "atoms": [[0.0], [1.0]]},
+            detector={"kind": "msr"},
+            calibration={"kind": "fixed", "log_threshold": 3.0},
+            montecarlo={
+                "trials": 50,
+                "horizon": 100,
+                "seed": 1,
+                "scenarios": [
+                    {"quantity": "delay_ladder", "theta": 0, "log_thresholds": [1, 2, 3, 4]}
+                ],
+            },
+            output={"report": str(tmp_path / "r.json"), "ladder_dir": str(tmp_path)},
+        )
+        assert main(["simulate", write_config(tmp_path, doc)]) == 0
+        row = json.loads((tmp_path / "r.json").read_text())["scenarios"][0]
+        assert row["prediction_slope"] is None and row["slope_ratio"] is None
+        assert all(math.isnan(p["prediction"]) for p in row["ladder"])
 
     def test_ladder_csv_written(self, tmp_path):
         doc = base_config(
@@ -473,3 +553,153 @@ class TestShiftScenario:
         assert main(["detect", path, str(data)]) == 0
         alarm = int((tmp_path / "alarms.csv").read_text().strip().splitlines()[1])
         assert alarm >= 501
+
+
+# ---------------------------------------------------------------------------
+# simulate outputs pinned byte for byte: every quantity, an off-grid theta
+# (the robustness-probe note) and a model without an information number
+# (asymmetric HMM: every prediction is None or NaN).
+# ---------------------------------------------------------------------------
+
+PINNED_SIMULATE = {
+    "gaussian-ms-bayes": base_config(
+        calibration={"kind": "bayes-cost", "c": 0.01, "r": 1},
+        montecarlo={
+            "trials": 300,
+            "horizon": 200,
+            "seed": 5,
+            "scenarios": [
+                {"name": "pfa", "quantity": "pfa_tail"},
+                {"quantity": "pfa_posterior"},
+                {
+                    "name": "delay_off_grid",
+                    "quantity": "delay",
+                    "change_point": 5,
+                    "theta": [1.2],
+                    "moments": [1, 2],
+                },
+                {"name": "average", "quantity": "average_delay", "theta": 2, "moment": 1.5},
+                {"name": "risk", "quantity": "integrated_risk"},
+                {
+                    "name": "ladder",
+                    "quantity": "delay_ladder",
+                    "change_point": 0,
+                    "theta": 1,
+                    "log_thresholds": [3, 4, 5, 6],
+                },
+            ],
+        },
+        output={"report": "report.json", "ladder_dir": "ladders"},
+    ),
+    "hmm-asymmetric-msr": base_config(
+        model={"kind": "hmm2", "theta0": [0.0, 1.0], "beta": 0.3, "gamma": 0.6},
+        prior={"kind": "geometric", "rho": 0.05, "q": 0.0},
+        mixing={"kind": "atoms", "atoms": [[0.5, 1.5], [1.0, 2.0]]},
+        detector={"kind": "msr", "omega": 0.0},
+        calibration={"kind": "fixed", "log_threshold": 5.0},
+        montecarlo={
+            "trials": 100,
+            "horizon": 300,
+            "seed": 9,
+            "scenarios": [
+                {"quantity": "delay", "change_point": 10, "theta": 1, "moments": [1]},
+                {"quantity": "delay_ladder", "theta": [1.0, 2.0], "log_thresholds": [3, 4, 5, 6]},
+            ],
+        },
+        output={"report": "report.json"},
+    ),
+}
+
+PINNED_SIMULATE_DIGESTS = {
+    "gaussian-ms-bayes": {
+        "ladders/ladder.csv": "cb00cdb8b13f4a5c80477d97a652200026dd067c0511afb58ea785030e3dde67",
+        "report.json": "3d862948fc99b05f3231c85dfa9a612ab333d301644430a49e7ea56d817f6c3f",
+        "stdout": "66d2dbd4231d58072c705cf62fb6dba3fc9a748b805542dac22a215e829261f3",
+    },
+    "hmm-asymmetric-msr": {
+        "delay_ladder_1.csv": "b99ec98709187895ab14eafc665fbf09163bf70a486fdc453fb2954def6819bb",
+        "report.json": "eed840426d203f5b94f78222480d8908933b7c41734ee7ddcea7038d84ea0da0",
+        "stdout": "f51ab5505fad6e3bd773595f94b30d34833825b2bf048078a864ddb922cdba22",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SIMULATE))
+def test_simulate_outputs_pinned(tmp_path, monkeypatch, capsys, name):
+    """SHA-256 of stdout and of every file simulate writes, run from the work dir."""
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, PINNED_SIMULATE[name], name="config.json")
+    assert main(["simulate", config]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file() and path.name != "config.json":
+            got[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(
+                path.read_bytes()
+            ).hexdigest()
+    assert got == PINNED_SIMULATE_DIGESTS[name]
+
+
+def _tracer_patches():
+    """(owner, attribute) for every name perfbench/tracer.py's install wraps."""
+    import importlib.util
+
+    from mixdetect import cli
+
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    patched = []
+
+    class Recorder(tracer.Tracer):
+        def patch(self, owner, attr, name, on_result=None):
+            patched.append((owner, attr))
+
+    tracer.install(Recorder(), cli)
+    return patched
+
+
+def test_benchmark_hook_points_cli(tmp_path, monkeypatch):
+    """The tracer wraps cli's names with setattr; simulate must call them through
+    the module globals, so a wrapped name sees every call made while it runs."""
+    from mixdetect import cli
+
+    patched = _tracer_patches()
+    for owner, attr in patched:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+    cli_names = {attr for owner, attr in patched if owner is cli}
+    assert {"estimate_delay_moments", "info_number", "load_experiment"} <= cli_names
+
+    called = set()
+
+    def wrap(attr):
+        real = getattr(cli, attr)
+
+        def counting(*args, **kwargs):
+            called.add(attr)
+            return real(*args, **kwargs)
+
+        return counting
+
+    for attr in cli_names - {"main"}:
+        monkeypatch.setattr(cli, attr, wrap(attr))
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, PINNED_SIMULATE["gaussian-ms-bayes"], name="config.json")
+    assert cli.main(["simulate", config]) == 0
+    assert called >= {
+        "load_experiment",
+        "bayes_threshold",
+        "d_constant",
+        "estimate_pfa_tail",
+        "estimate_pfa_posterior",
+        "estimate_delay_moments",
+        "estimate_average_delay_risk",
+        "estimate_integrated_risk",
+        "slope_regression",
+        "info_number",
+        "ms_delay_prediction",
+        "integrated_risk_prediction",
+    }

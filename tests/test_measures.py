@@ -200,6 +200,36 @@ class TestGridFromAtoms:
         assert g.dimension == 1
 
 
+class TestThetaVector:
+    GRID = grid_from_atoms([[0.5, 1.0], [1.0, 2.0], [1.5, 3.0]])
+
+    @pytest.mark.parametrize("index", [0, 2, np.int64(1)])
+    def test_index_gives_the_atom(self, index):
+        np.testing.assert_array_equal(self.GRID.theta_vector(index), self.GRID.atoms[int(index)])
+
+    @pytest.mark.parametrize("theta", [(0.7, 1.1), [0.7, 1.1], np.array([0.7, 1.1])])
+    def test_vector_passes_off_grid(self, theta):
+        vec = self.GRID.theta_vector(theta)
+        assert vec.dtype == float
+        np.testing.assert_array_equal(vec, [0.7, 1.1])
+
+    @pytest.mark.parametrize("index", [-1, -3, 3, np.int64(-1)])
+    def test_index_out_of_range_rejected(self, index):
+        # a negative index would otherwise pick an atom counted from the end
+        with pytest.raises(ValueError, match="out of range"):
+            self.GRID.theta_vector(index)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_boolean_rejected(self, flag):
+        with pytest.raises(ValueError, match="boolean"):
+            self.GRID.theta_vector(flag)
+
+    @pytest.mark.parametrize("theta", [(1.0,), (1.0, 2.0, 3.0), [[0.5, 1.0]]])
+    def test_wrong_dimension_rejected(self, theta):
+        with pytest.raises(ValueError, match="expected 2 components"):
+            self.GRID.theta_vector(theta)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rho=st.floats(0.01, 0.95),

@@ -48,6 +48,18 @@ class TestGaussianIid:
     def test_info_number(self):
         m = gaussian_iid_model(grid_from_atoms([[1.0], [2.0]]))
         assert info_number(m, 0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("theta", [-1, 2, True])
+    def test_info_number_rejects_bad_index(self, theta):
+        m = gaussian_iid_model(grid_from_atoms([[1.0], [2.0]]))
+        with pytest.raises(ValueError):
+            info_number(m, theta)
+
+    @pytest.mark.parametrize("theta", [-1, True])
+    def test_sample_path_rejects_bad_index(self, theta):
+        m = gaussian_iid_model(grid_from_atoms([[1.0], [2.0]]))
+        with pytest.raises(ValueError):
+            sample_path(m, 0, theta, 10, np.random.default_rng(0))
         assert info_number(m, (2.0,)) == pytest.approx(2.0)
 
     def test_requires_scalar_atoms(self):

@@ -127,6 +127,14 @@ class TestPfaTail:
 
 
 class TestDelayMoments:
+    @pytest.mark.parametrize("theta", [-1, 3, True])
+    def test_bad_atom_index_rejected(self, theta):
+        cfg = make_config(trials=10, horizon=20)
+        with pytest.raises(ValueError):
+            estimate_delay_moments(cfg, 0, theta)
+        with pytest.raises(ValueError):
+            estimate_average_delay_risk(cfg, theta)
+
     def test_immediate_stop_zero_variance(self):
         cfg = make_config(log_threshold=-50.0, trials=400, horizon=50)
         est = estimate_delay_moments(cfg, 0, (1.0,), r_list=[1.0])[1.0]
