@@ -124,136 +124,120 @@ def _integer(obj: dict, where: str, key: str, default=None, nonnegative: bool = 
     return int(val)
 
 
-def _check_kind_keys(obj: dict, where: str, by_kind: dict[str, set[str]]) -> str:
-    """Validate the section's kind and its kind-specific key set."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{where}.kind: missing required key")
-    kind = obj["kind"]
-    if kind not in by_kind:
-        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
-    _check_keys(obj, where, by_kind[kind] | {"kind"})
-    return kind
+def _entry(obj, where: str, table: dict, key: str = "kind"):
+    """The builder of the ``table`` entry that ``obj[key]`` names; checks obj's keys."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"{where}.{key}: missing required key")
+    kind = obj[key]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{where}.{key}: unknown {key} {kind!r}")
+    keys, build = table[kind]
+    _check_keys(obj, where, keys | {key})
+    return build
 
 
-def build_prior(doc: dict) -> ChangePrior:
-    where = "prior"
-    kind = _check_kind_keys(
-        doc,
-        where,
-        {"geometric": {"rho", "q"}, "heavy_tail": {"c_exponent", "q"}, "point_mass": {"k0"}},
-    )
+def _section(doc: dict, where: str, *args):
+    """Build config section ``where`` through its ``_KINDS`` entry.
+
+    A ConfigError passes through; a KeyError names the missing key, and any
+    other ValueError, TypeError or NotImplementedError is prefixed with the
+    section.
+    """
+    obj = doc[where]
     try:
-        if kind == "geometric":
-            return geometric_prior(_number(doc, where, "rho"), _number(doc, where, "q", 0.0))
-        if kind == "heavy_tail":
-            return heavy_tail_prior(
-                _number(doc, where, "c_exponent"), _number(doc, where, "q", 0.0)
-            )
-        return point_mass_prior(_integer(doc, where, "k0", 0))
+        return _entry(obj, where, _KINDS[where])(obj, *args)
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def build_grid(doc: dict) -> MixingGrid:
-    where = "mixing"
-    kind = _check_kind_keys(
-        doc,
-        where,
-        {"uniform_grid": {"lower", "upper", "counts"}, "atoms": {"atoms", "weights"}},
-    )
-    try:
-        if kind == "uniform_grid":
-            return uniform_grid(doc["lower"], doc["upper"], doc["counts"])
-        return grid_from_atoms(doc["atoms"], doc.get("weights"))
     except KeyError as exc:
         raise ConfigError(f"{where}.{exc.args[0]}: missing required key") from exc
-    except ValueError as exc:
+    except (ValueError, TypeError, NotImplementedError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def build_model(doc: dict, grid: MixingGrid) -> ObservationModel:
-    where = "model"
-    kind = _check_kind_keys(
-        doc,
-        where,
-        {
-            "gaussian_iid": set(),
-            "multichannel_ar": {"ar_coeffs", "signals"},
-            "hmm2": {"theta0", "beta", "gamma"},
-        },
-    )
-    try:
-        if kind == "gaussian_iid":
-            return gaussian_iid_model(grid)
-        if kind == "multichannel_ar":
-            signals = []
-            for i, s in enumerate(doc.get("signals", [])):
-                _check_keys(s, f"{where}.signals[{i}]", {"amplitude", "omega", "phase"})
-                signals.append(
-                    HarmonicSignal(
-                        amplitude=_number(s, f"{where}.signals[{i}]", "amplitude", 1.0),
-                        omega=_number(s, f"{where}.signals[{i}]", "omega", 0.0),
-                        phase=_number(s, f"{where}.signals[{i}]", "phase", 0.0),
-                    )
-                )
-            spec = ArChannelSpec(
-                ar_coeffs=tuple(tuple(ch) for ch in doc["ar_coeffs"]),
-                signals=tuple(signals),
+def _ar_model(doc: dict, grid: MixingGrid) -> ObservationModel:
+    signals = []
+    for i, s in enumerate(doc.get("signals", [])):
+        where = f"model.signals[{i}]"
+        _check_keys(s, where, {"amplitude", "omega", "phase"})
+        signals.append(
+            HarmonicSignal(
+                amplitude=_number(s, where, "amplitude", 1.0),
+                omega=_number(s, where, "omega", 0.0),
+                phase=_number(s, where, "phase", 0.0),
             )
-            return multichannel_ar_model(spec, grid)
-        if kind == "hmm2":
-            theta0 = doc["theta0"]
-            if not (isinstance(theta0, list) and len(theta0) == 2):
-                raise ConfigError(f"{where}.theta0: expected two numbers")
-            spec = Hmm2Spec(
-                theta0=tuple(theta0),
-                beta=_number(doc, where, "beta"),
-                gamma=_number(doc, where, "gamma"),
-            )
-            return hmm2_model(spec, grid)
-    except KeyError as exc:
-        raise ConfigError(f"{where}.{exc.args[0]}: missing required key") from exc
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.kind: unknown model kind {kind!r}")
-
-
-def build_threshold(
-    doc: dict,
-    prior: ChangePrior,
-    grid: MixingGrid,
-    model: ObservationModel,
-    omega: float,
-) -> ThresholdSpec:
-    where = "calibration"
-    kind = _check_kind_keys(
-        doc,
-        where,
-        {
-            "ms-pfa": {"alpha"},
-            "msr-pfa": {"alpha"},
-            "bayes-cost": {"c", "r"},
-            "fixed": {"log_threshold"},
-        },
+        )
+    spec = ArChannelSpec(
+        ar_coeffs=tuple(tuple(ch) for ch in doc["ar_coeffs"]), signals=tuple(signals)
     )
-    try:
-        if kind == "ms-pfa":
-            return ms_threshold(_number(doc, where, "alpha"), prior.q)
-        if kind == "msr-pfa":
-            return msr_threshold(_number(doc, where, "alpha"), omega, prior)
-        if kind == "bayes-cost":
-            c = _number(doc, where, "c")
-            r = _number(doc, where, "r", 1.0)
-            info = np.array([info_number(model, i) for i in range(grid.size)])
-            d = d_constant(grid, info, prior.mu, r)
-            return bayes_threshold(c, r, d)
-        return fixed_threshold(_number(doc, where, "log_threshold"))
-    except (NotImplementedError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return multichannel_ar_model(spec, grid)
+
+
+def _hmm_model(doc: dict, grid: MixingGrid) -> ObservationModel:
+    theta0 = doc["theta0"]
+    if not (isinstance(theta0, list) and len(theta0) == 2):
+        raise ConfigError("model.theta0: expected two numbers")
+    spec = Hmm2Spec(
+        theta0=tuple(theta0),
+        beta=_number(doc, "model", "beta"),
+        gamma=_number(doc, "model", "gamma"),
+    )
+    return hmm2_model(spec, grid)
+
+
+def _bayes_threshold(doc: dict, prior: ChangePrior, model: ObservationModel, *_) -> ThresholdSpec:
+    c = _number(doc, "calibration", "c")
+    r = _number(doc, "calibration", "r", 1.0)
+    info = np.array([info_number(model, i) for i in range(model.grid.size)])
+    return bayes_threshold(c, r, d_constant(model.grid, info, prior.mu, r))
+
+
+# section -> kind -> (the kind's keys besides "kind", its builder).  Builders
+# look the constructors and calibration functions up in this module's globals
+# as they run, so code that wraps those names sees every call.
+_KINDS = {
+    "prior": {
+        "geometric": (
+            {"rho", "q"},
+            lambda d: geometric_prior(_number(d, "prior", "rho"), _number(d, "prior", "q", 0.0)),
+        ),
+        "heavy_tail": (
+            {"c_exponent", "q"},
+            lambda d: heavy_tail_prior(
+                _number(d, "prior", "c_exponent"), _number(d, "prior", "q", 0.0)
+            ),
+        ),
+        "point_mass": ({"k0"}, lambda d: point_mass_prior(_integer(d, "prior", "k0", 0))),
+    },
+    "mixing": {
+        "uniform_grid": (
+            {"lower", "upper", "counts"},
+            lambda d: uniform_grid(d["lower"], d["upper"], d["counts"]),
+        ),
+        "atoms": ({"atoms", "weights"}, lambda d: grid_from_atoms(d["atoms"], d.get("weights"))),
+    },
+    "model": {
+        "gaussian_iid": (set(), lambda d, grid: gaussian_iid_model(grid)),
+        "multichannel_ar": ({"ar_coeffs", "signals"}, _ar_model),
+        "hmm2": ({"theta0", "beta", "gamma"}, _hmm_model),
+    },
+    "calibration": {
+        "ms-pfa": (
+            {"alpha"},
+            lambda d, prior, *_: ms_threshold(_number(d, "calibration", "alpha"), prior.q),
+        ),
+        "msr-pfa": (
+            {"alpha"},
+            lambda d, prior, _, omega: msr_threshold(
+                _number(d, "calibration", "alpha"), omega, prior
+            ),
+        ),
+        "bayes-cost": ({"c", "r"}, _bayes_threshold),
+        "fixed": (
+            {"log_threshold"},
+            lambda d, *_: fixed_threshold(_number(d, "calibration", "log_threshold")),
+        ),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -340,19 +324,22 @@ def _scenario_theta(grid: MixingGrid, sc: dict, where: str) -> np.ndarray:
 def _scenario(exp: Experiment, index: int, sc) -> Scenario:
     """Check one raw scenario against the loaded experiment and convert it."""
     where = f"montecarlo.scenarios[{index}]"
-    if not isinstance(sc, dict) or "quantity" not in sc:
-        raise ConfigError(f"{where}.quantity: missing required key")
+    _entry(sc, where, _QUANTITIES, key="quantity")
     q = sc["quantity"]
-    if not isinstance(q, str) or q not in _QUANTITIES:
-        raise ConfigError(f"{where}.quantity: unknown quantity {q!r}")
     keys, _ = _QUANTITIES[q]
-    _check_keys(sc, where, keys)
     theta, on_grid = None, True
     if "theta" in keys:
         vec = _scenario_theta(exp.grid, sc, where)
         theta = tuple(map(float, vec))
         on_grid = any(np.array_equal(vec, atom) for atom in exp.grid.atoms)
     change_point = _integer(sc, where, "change_point", 0, nonnegative=True)
+    if change_point >= exp.horizon:
+        raise ConfigError(f"{where}.change_point: must be below montecarlo.horizon = {exp.horizon}")
+    name = sc.get("name", f"{q}_{index}")
+    if not (isinstance(name, str) and name):
+        raise ConfigError(f"{where}.name: expected a non-empty string")
+    if os.sep in name or (os.altsep and os.altsep in name):
+        raise ConfigError(f"{where}.name: must not contain a path separator")
     moments = sc.get("moments", [1])
     if not isinstance(moments, list) or not all(_is_number(m) for m in moments):
         raise ConfigError(f"{where}.moments: expected a list of numbers")
@@ -387,7 +374,7 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         raise ConfigError(f"{where}: integrated_risk requires bayes-cost calibration")
     return Scenario(
         quantity=q,
-        name=sc.get("name", f"{q}_{index}"),
+        name=name,
         tag_base=1000 * (index + 1),
         log_thresholds=tuple(map(float, log_thresholds)),
         theta=theta,
@@ -413,9 +400,9 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
         {"model", "prior", "mixing", "detector", "calibration", "montecarlo", "output"},
         {"model", "prior", "mixing", "detector", "calibration"},
     )
-    prior = build_prior(doc["prior"])
-    grid = build_grid(doc["mixing"])
-    model = build_model(doc["model"], grid)
+    prior = _section(doc, "prior")
+    grid = _section(doc, "mixing")
+    model = _section(doc, "model", grid)
 
     det = doc["detector"]
     _check_keys(det, "detector", {"kind", "omega"}, {"kind"})
@@ -428,7 +415,7 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
     if kind == "ms" and omega != 0.0:
         raise ConfigError("detector.omega: the head-start applies to the msr rule only")
 
-    threshold = build_threshold(doc["calibration"], prior, grid, model, omega)
+    threshold = _section(doc, "calibration", prior, model, omega)
     exp = Experiment(
         doc=doc,
         prior=prior,
@@ -439,12 +426,12 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
         threshold=threshold,
         output=doc.get("output", {}),
     )
-    if exp.output:
-        _check_keys(
-            exp.output,
-            "output",
-            {"report", "ladder_dir", "alarms", "trajectory", "threshold_json"},
-        )
+    _check_keys(
+        exp.output, "output", {"report", "ladder_dir", "alarms", "trajectory", "threshold_json"}
+    )
+    for key, val in exp.output.items():
+        if not isinstance(val, str):
+            raise ConfigError(f"output.{key}: expected a string")
 
     if need_montecarlo:
         if "montecarlo" not in doc:
@@ -474,6 +461,10 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
         if not isinstance(mc["scenarios"], list) or not mc["scenarios"]:
             raise ConfigError("montecarlo.scenarios: need a non-empty list")
         exp.scenarios = [_scenario(exp, i, sc) for i, sc in enumerate(mc["scenarios"])]
+        names = [sc.name for sc in exp.scenarios]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"montecarlo.scenarios[{i}].name: duplicate name {name!r}")
 
     # grid/model compatibility was enforced by the model constructor; priors
     # with zero tail inside the horizon break the MS recursion, catch it now
@@ -533,7 +524,9 @@ def _info(exp: Experiment, sc: Scenario) -> float | None:
 def _delay_prediction(
     exp: Experiment, sc: Scenario, i_theta: float | None, m: float, log_a: float
 ) -> Prediction | None:
-    if i_theta is None or i_theta <= 0.0:
+    # no first-order rate to predict from: zero information, or (ms) a prior
+    # tail rate mu that is infinite, as for a point mass
+    if i_theta is None or i_theta <= 0.0 or (exp.detector == "ms" and math.isinf(exp.prior.mu)):
         return None
     a = math.exp(log_a)
     if exp.detector == "ms":
@@ -591,7 +584,7 @@ def _run_delay_ladder(exp: Experiment, sc: Scenario) -> dict:
     rate = i_theta
     if i_theta is not None and exp.detector == "ms":
         rate = i_theta + exp.prior.mu
-    pred_slope = 1.0 / rate if rate else None
+    pred_slope = 1.0 / rate if rate and math.isfinite(rate) else None
     return {
         "ladder": [dict(zip(LADDER_COLUMNS, p)) for p in points],
         "slope": fit.slope,
@@ -620,20 +613,18 @@ def _run_integrated_risk(exp: Experiment, sc: Scenario) -> dict:
     return _compare(est, pred)
 
 
-# quantity -> (its scenario keys, its runner).  A runner returns the report
-# row's fields; it looks the estimators and predictions up in this module's
-# globals as it runs, so code that wraps those names sees every call.
+# quantity -> (its scenario keys besides "quantity", its runner).  A runner
+# returns the report row's fields; it looks the estimators and predictions up
+# in this module's globals as it runs, so code that wraps those names sees
+# every call.
 _QUANTITIES = {
-    "pfa_tail": ({"name", "quantity"}, lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_tail)),
-    "pfa_posterior": (
-        {"name", "quantity"},
-        lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_posterior),
-    ),
-    "delay": ({"name", "quantity", "change_point", "theta", "moments"}, _run_delay),
-    "average_delay": ({"name", "quantity", "theta", "moment"}, _run_average_delay),
-    "integrated_risk": ({"name", "quantity"}, _run_integrated_risk),
+    "pfa_tail": ({"name"}, lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_tail)),
+    "pfa_posterior": ({"name"}, lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_posterior)),
+    "delay": ({"name", "change_point", "theta", "moments"}, _run_delay),
+    "average_delay": ({"name", "theta", "moment"}, _run_average_delay),
+    "integrated_risk": ({"name"}, _run_integrated_risk),
     "delay_ladder": (
-        {"name", "quantity", "change_point", "theta", "moments", "log_thresholds"},
+        {"name", "change_point", "theta", "moments", "log_thresholds"},
         _run_delay_ladder,
     ),
 }

@@ -358,9 +358,12 @@ def uniform_grid(lower, upper, counts) -> MixingGrid:
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    counts = np.atleast_1d(np.asarray(counts, dtype=int))
+    counts = np.atleast_1d(np.asarray(counts, dtype=float))
     if not (lower.shape == upper.shape == counts.shape):
         raise ValueError("lower, upper, counts must have the same dimension")
+    if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
+        raise ValueError("counts must be whole numbers")
+    counts = counts.astype(int)
     if np.any(counts < 1):
         raise ValueError("counts must be >= 1")
     for lo, hi, c in zip(lower, upper, counts):

@@ -203,6 +203,28 @@ def estimate_pfa_posterior(config: ExperimentConfig, stream_tag: int = 1) -> Est
     return _mean_estimate(contrib, "pfa_posterior", censored, extras)
 
 
+def _delays(td: TrialData, horizon: int) -> tuple[np.ndarray, int, int, int]:
+    """Delays of the trials that satisfy T > nu, for the delay estimators.
+
+    The detections' T - nu come first, then the censored trials'
+    horizon - nu.  Returns the delays and the counts of censored trials,
+    of rejected trials (T <= nu) and of trials whose nu is at or beyond the
+    horizon, which cannot resolve the conditioning event.
+    """
+    stopped = td.stop_times > 0
+    in_range = td.nus < horizon
+    detected = stopped & (td.stop_times > td.nus) & in_range
+    censored = ~stopped & in_range
+    delays = np.concatenate(
+        [
+            (td.stop_times[detected] - td.nus[detected]).astype(float),
+            (horizon - td.nus[censored]).astype(float),
+        ]
+    )
+    rejected = int((stopped & (td.stop_times <= td.nus)).sum())
+    return delays, int(censored.sum()), rejected, int((~in_range).sum())
+
+
 def estimate_delay_moments(
     config: ExperimentConfig,
     k: int,
@@ -213,32 +235,23 @@ def estimate_delay_moments(
     """Conditional delay moments E[(T-k)^r | T > k] under change at k.
 
     ``theta`` is an atom index or an explicit parameter vector (off-grid
-    values probe robustness; no optimality claim attaches to them).  Trials
-    with T <= k are discarded (the conditioning event); censored trials
-    count as (horizon-k)^r and are flagged as a downward-bias certificate.
-    A censor rate above 0.1% marks the estimate unreliable.
+    values probe robustness; no optimality claim attaches to them).  The
+    change point must lie in [0, horizon).  Trials with T <= k are discarded
+    (the conditioning event); censored trials count as (horizon-k)^r and are
+    flagged as a downward-bias certificate.  A censor rate above 0.1% marks
+    the estimate unreliable.
     """
-    if k < 0:
-        raise ValueError("change point k must be >= 0")
+    if not 0 <= k < config.horizon:
+        raise ValueError(f"change point k must be in [0, horizon = {config.horizon}), got {k}")
     theta_vec = config.grid.theta_vector(theta)
     td = run_trials(
         config,
         TrialSpec(mode="fixed", nu=k, theta=tuple(theta_vec), stream_tag=stream_tag),
     )
-    stopped = td.stop_times > 0
-    rejected = int((stopped & (td.stop_times <= k)).sum())
-    survivors = stopped & (td.stop_times > k)
-    censored = int((~stopped).sum())
-    delays = np.concatenate(
-        [
-            (td.stop_times[survivors] - k).astype(float),
-            np.full(censored, float(config.horizon - k)),
-        ]
-    )
-    n_surv = delays.size
-    if n_surv == 0:
+    delays, censored, rejected, _ = _delays(td, config.horizon)
+    if delays.size == 0:
         raise EstimationError("no trials survived the conditioning event T > k")
-    censor_rate = censored / n_surv
+    censor_rate = censored / delays.size
     out: dict[float, Estimate] = {}
     for r in r_list:
         extras = {
@@ -270,21 +283,9 @@ def estimate_average_delay_risk(
         config,
         TrialSpec(mode="prior", theta=tuple(theta_vec), stream_tag=stream_tag),
     )
-    stopped = td.stop_times > 0
-    in_range = td.nus < config.horizon
-    survivors = stopped & (td.stop_times > td.nus) & in_range
-    censored_mask = (~stopped) & in_range
-    rejected = int((stopped & (td.stop_times <= td.nus)).sum())
-    out_of_range = int((~in_range).sum())
-    delays = np.concatenate(
-        [
-            (td.stop_times[survivors] - td.nus[survivors]).astype(float),
-            (config.horizon - td.nus[censored_mask]).astype(float),
-        ]
-    )
+    delays, censored, rejected, out_of_range = _delays(td, config.horizon)
     if delays.size == 0:
         raise EstimationError("no trials survived the conditioning event T > nu")
-    censored = int(censored_mask.sum())
     extras = {
         "theta": list(map(float, theta_vec)),
         "moment": float(r),

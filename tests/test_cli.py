@@ -161,6 +161,71 @@ class TestConfigValidation:
         doc["model"]["theta0"] = [0.0, 1.0]
         assert load_experiment(write_config(tmp_path, doc)).model.spec.theta0 == (0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "section,value,message",
+        [
+            ("calibration", {"kind": "bayes-cost", "c": "x"}, "calibration.c: expected a number"),
+            ("calibration", {"kind": "ms-pfa"}, "calibration.alpha: missing required key"),
+            ("calibration", {"kind": ["fixed"]}, "calibration.kind: unknown kind ['fixed']"),
+            (
+                "calibration",
+                {"kind": "ms-pfa", "alpha": 1.5},
+                "calibration: alpha must satisfy 0 < alpha < 1 - q = 1.0, got 1.5",
+            ),
+            ("prior", {"kind": ["geometric"]}, "prior.kind: unknown kind ['geometric']"),
+            ("prior", {"kind": {"a": 1}}, "prior.kind: unknown kind {'a': 1}"),
+            ("prior", {"rho": 0.1}, "prior.kind: missing required key"),
+            ("prior", {"kind": "geometric", "rho": 2}, "prior: rho must be in (0, 1), got 2"),
+            (
+                "mixing",
+                {"kind": "uniform_grid", "lower": [0.5], "upper": [1.5]},
+                "mixing.counts: missing required key",
+            ),
+            (
+                "mixing",
+                {"kind": "uniform_grid", "lower": [0.5], "upper": [1.5], "counts": [2.7]},
+                "mixing: counts must be whole numbers",
+            ),
+            (
+                "mixing",
+                {"kind": "atoms", "atoms": {"a": 1}},
+                "mixing: float() argument must be a string or a real number, not 'dict'",
+            ),
+            ("model", {"kind": None}, "model.kind: unknown kind None"),
+            ("model", {"kind": "multichannel_ar"}, "model.ar_coeffs: missing required key"),
+        ],
+        ids=[
+            "calibration_field",
+            "calibration_missing",
+            "calibration_kind_list",
+            "calibration_value",
+            "prior_kind_list",
+            "prior_kind_dict",
+            "prior_no_kind",
+            "prior_value",
+            "mixing_missing",
+            "mixing_counts_fraction",
+            "mixing_type",
+            "model_kind_null",
+            "model_missing",
+        ],
+    )
+    def test_section_error_rule(self, tmp_path, capsys, section, value, message):
+        # one rule for every section: field errors keep their own name, a
+        # missing key is named, any other builder error gets the section prefix
+        doc = base_config(**{section: value})
+        assert main(["calibrate", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key", ["report", "ladder_dir", "alarms", "trajectory", "threshold_json"]
+    )
+    def test_output_value_must_be_a_string(self, tmp_path, capsys, key):
+        # "report": 5 used to open file descriptor 5
+        doc = base_config(output={key: 5})
+        assert main(["calibrate", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"config error: output.{key}: expected a string\n"
+
     def test_msr_omega_on_ms_rejected(self, tmp_path):
         doc = base_config(detector={"kind": "ms", "omega": 3.0})
         assert main(["calibrate", write_config(tmp_path, doc)]) == 2
@@ -238,6 +303,39 @@ class TestSimulate:
                 {"quantity": "delay_ladder", "theta": 0, "log_thresholds": [3, 4, "x", 6]},
                 r"scenarios\[2\]\.log_thresholds\[2\]: expected a number",
             ),
+            (
+                {"quantity": "delay", "theta": 0, "change_point": 200},
+                r"scenarios\[2\]\.change_point: must be below montecarlo\.horizon = 200$",
+            ),
+            (
+                {
+                    "quantity": "delay_ladder",
+                    "theta": 0,
+                    "change_point": 500,
+                    "log_thresholds": [3, 4, 5, 6],
+                },
+                r"scenarios\[2\]\.change_point: must be below montecarlo\.horizon = 200$",
+            ),
+            (
+                {"name": "pfa", "quantity": "pfa_tail"},
+                r"scenarios\[2\]\.name: duplicate name 'pfa'$",
+            ),
+            (
+                {"name": "delay0", "quantity": "delay", "theta": 0},
+                r"scenarios\[2\]\.name: duplicate name 'delay0'$",
+            ),
+            (
+                {"name": 5, "quantity": "pfa_tail"},
+                r"scenarios\[2\]\.name: expected a non-empty string$",
+            ),
+            (
+                {"name": "", "quantity": "pfa_tail"},
+                r"scenarios\[2\]\.name: expected a non-empty string$",
+            ),
+            (
+                {"name": "a/b", "quantity": "pfa_tail"},
+                r"scenarios\[2\]\.name: must not contain a path separator$",
+            ),
         ],
         ids=[
             "theta_index",
@@ -254,6 +352,13 @@ class TestSimulate:
             "moments_not_list",
             "moment",
             "ladder_threshold_entry",
+            "change_point_at_horizon",
+            "ladder_change_point_beyond_horizon",
+            "name_duplicate",
+            "name_duplicate_delay",
+            "name_not_a_string",
+            "name_empty",
+            "name_path_separator",
         ],
     )
     def test_bad_scenario_rejected_at_load(self, tmp_path, scenario, message):
@@ -364,6 +469,29 @@ class TestSimulate:
         row = json.loads((tmp_path / "r.json").read_text())["scenarios"][0]
         assert row["prediction_slope"] is None and row["slope_ratio"] is None
         assert all(math.isnan(p["prediction"]) for p in row["ladder"])
+
+    def test_point_mass_ms_delay_has_no_prediction(self, tmp_path):
+        # a point mass has tail rate mu = inf, so the ms first-order delay
+        # (log A / (I + mu))^r is 0 and there is nothing to divide by
+        doc = base_config(
+            prior={"kind": "point_mass", "k0": 500},
+            montecarlo={
+                "trials": 50,
+                "horizon": 100,
+                "seed": 1,
+                "scenarios": [
+                    {"quantity": "delay", "theta": 1},
+                    {"quantity": "delay_ladder", "theta": 1, "log_thresholds": [1, 2, 3, 4]},
+                ],
+            },
+            output={"report": str(tmp_path / "r.json"), "ladder_dir": str(tmp_path)},
+        )
+        assert main(["simulate", write_config(tmp_path, doc)]) == 0
+        delay, ladder = json.loads((tmp_path / "r.json").read_text())["scenarios"]
+        assert delay["moments"]["1"]["prediction"] is None
+        assert delay["moments"]["1"]["ratio"] is None
+        assert ladder["prediction_slope"] is None and ladder["slope_ratio"] is None
+        assert all(math.isnan(p["prediction"]) for p in ladder["ladder"])
 
     def test_ladder_csv_written(self, tmp_path):
         doc = base_config(
@@ -663,8 +791,9 @@ def _tracer_patches():
 
 
 def test_benchmark_hook_points_cli(tmp_path, monkeypatch):
-    """The tracer wraps cli's names with setattr; simulate must call them through
-    the module globals, so a wrapped name sees every call made while it runs."""
+    """The tracer wraps cli's names with setattr; simulate and calibrate must call
+    them through the module globals, so a wrapped name sees every call made
+    while it runs."""
     from mixdetect import cli
 
     patched = _tracer_patches()
@@ -689,8 +818,20 @@ def test_benchmark_hook_points_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = write_config(tmp_path, PINNED_SIMULATE["gaussian-ms-bayes"], name="config.json")
     assert cli.main(["simulate", config]) == 0
+    calibrations = {
+        "ms-pfa": base_config(),
+        "msr-pfa": base_config(
+            detector={"kind": "msr"}, calibration={"kind": "msr-pfa", "alpha": 0.01}
+        ),
+        "fixed": base_config(calibration={"kind": "fixed", "log_threshold": 3.0}),
+    }
+    for name, doc in calibrations.items():
+        assert cli.main(["calibrate", write_config(tmp_path, doc, name=f"{name}.json")]) == 0
     assert called >= {
         "load_experiment",
+        "ms_threshold",
+        "msr_threshold",
+        "fixed_threshold",
         "bayes_threshold",
         "d_constant",
         "estimate_pfa_tail",

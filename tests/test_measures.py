@@ -179,6 +179,9 @@ class TestUniformGrid:
             uniform_grid([5], [1], [3])
         with pytest.raises(ValueError):
             uniform_grid([1], [5], [0])
+        with pytest.raises(ValueError, match="whole numbers"):
+            uniform_grid([1], [5], [2.7])  # int() would truncate to 2
+        assert uniform_grid([1], [5], [5.0]).size == 5
 
 
 class TestGridFromAtoms:

@@ -135,6 +135,13 @@ class TestDelayMoments:
         with pytest.raises(ValueError):
             estimate_average_delay_risk(cfg, theta)
 
+    @pytest.mark.parametrize("k", [-1, 20, 80])
+    def test_change_point_outside_horizon_rejected(self, k):
+        # k >= horizon used to report horizon - k < 0 as every censored delay
+        cfg = make_config(trials=10, horizon=20)
+        with pytest.raises(ValueError, match=r"change point k must be in \[0, horizon = 20\)"):
+            estimate_delay_moments(cfg, k, (1.0,))
+
     def test_immediate_stop_zero_variance(self):
         cfg = make_config(log_threshold=-50.0, trials=400, horizon=50)
         est = estimate_delay_moments(cfg, 0, (1.0,), r_list=[1.0])[1.0]
