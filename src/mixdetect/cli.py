@@ -124,6 +124,16 @@ def _integer(obj: dict, where: str, key: str, default=None, nonnegative: bool = 
     return int(val)
 
 
+def _numbers(obj: dict, where: str, key: str, nested: bool = False) -> list:
+    """``obj[key]`` checked as a list of numbers, or of lists of numbers if ``nested``."""
+    val = obj[key]
+    entry_ok = (lambda v: isinstance(v, list) and all(map(_is_number, v))) if nested else _is_number
+    if not (isinstance(val, list) and all(map(entry_ok, val))):
+        shape = "a list of lists of numbers" if nested else "a list of numbers"
+        raise ConfigError(f"{where}.{key}: expected {shape}")
+    return val
+
+
 def _entry(obj, where: str, table: dict, key: str = "kind"):
     """The builder of the ``table`` entry that ``obj[key]`` names; checks obj's keys."""
     if not isinstance(obj, dict) or key not in obj:
@@ -155,8 +165,12 @@ def _section(doc: dict, where: str, *args):
 
 
 def _ar_model(doc: dict, grid: MixingGrid) -> ObservationModel:
+    ar_coeffs = _numbers(doc, "model", "ar_coeffs", nested=True)
+    raw_signals = doc.get("signals", [])
+    if not isinstance(raw_signals, list):
+        raise ConfigError("model.signals: expected a list of objects")
     signals = []
-    for i, s in enumerate(doc.get("signals", [])):
+    for i, s in enumerate(raw_signals):
         where = f"model.signals[{i}]"
         _check_keys(s, where, {"amplitude", "omega", "phase"})
         signals.append(
@@ -166,15 +180,13 @@ def _ar_model(doc: dict, grid: MixingGrid) -> ObservationModel:
                 phase=_number(s, where, "phase", 0.0),
             )
         )
-    spec = ArChannelSpec(
-        ar_coeffs=tuple(tuple(ch) for ch in doc["ar_coeffs"]), signals=tuple(signals)
-    )
+    spec = ArChannelSpec(ar_coeffs=tuple(tuple(ch) for ch in ar_coeffs), signals=tuple(signals))
     return multichannel_ar_model(spec, grid)
 
 
 def _hmm_model(doc: dict, grid: MixingGrid) -> ObservationModel:
     theta0 = doc["theta0"]
-    if not (isinstance(theta0, list) and len(theta0) == 2):
+    if not (isinstance(theta0, list) and len(theta0) == 2 and all(map(_is_number, theta0))):
         raise ConfigError("model.theta0: expected two numbers")
     spec = Hmm2Spec(
         theta0=tuple(theta0),
@@ -182,6 +194,11 @@ def _hmm_model(doc: dict, grid: MixingGrid) -> ObservationModel:
         gamma=_number(doc, "model", "gamma"),
     )
     return hmm2_model(spec, grid)
+
+
+def _atoms_grid(doc: dict) -> MixingGrid:
+    weights = None if doc.get("weights") is None else _numbers(doc, "mixing", "weights")
+    return grid_from_atoms(_numbers(doc, "mixing", "atoms", nested=True), weights)
 
 
 def _bayes_threshold(doc: dict, prior: ChangePrior, model: ObservationModel, *_) -> ThresholdSpec:
@@ -211,9 +228,11 @@ _KINDS = {
     "mixing": {
         "uniform_grid": (
             {"lower", "upper", "counts"},
-            lambda d: uniform_grid(d["lower"], d["upper"], d["counts"]),
+            lambda d: uniform_grid(
+                *(_numbers(d, "mixing", key) for key in ("lower", "upper", "counts"))
+            ),
         ),
-        "atoms": ({"atoms", "weights"}, lambda d: grid_from_atoms(d["atoms"], d.get("weights"))),
+        "atoms": ({"atoms", "weights"}, _atoms_grid),
     },
     "model": {
         "gaussian_iid": (set(), lambda d, grid: gaussian_iid_model(grid)),
@@ -521,12 +540,22 @@ def _info(exp: Experiment, sc: Scenario) -> float | None:
         return None
 
 
+def _delay_rate(exp: Experiment, i_theta: float | None) -> float | None:
+    """First-order delay rate: I for msr, I + mu for ms; None unless positive and finite.
+
+    None covers a model with no information number, zero information under
+    msr, and a point-mass prior's infinite mu under ms.
+    """
+    if i_theta is None:
+        return None
+    rate = i_theta + exp.prior.mu if exp.detector == "ms" else i_theta
+    return rate if 0.0 < rate < math.inf else None
+
+
 def _delay_prediction(
     exp: Experiment, sc: Scenario, i_theta: float | None, m: float, log_a: float
 ) -> Prediction | None:
-    # no first-order rate to predict from: zero information, or (ms) a prior
-    # tail rate mu that is infinite, as for a point mass
-    if i_theta is None or i_theta <= 0.0 or (exp.detector == "ms" and math.isinf(exp.prior.mu)):
+    if _delay_rate(exp, i_theta) is None:
         return None
     a = math.exp(log_a)
     if exp.detector == "ms":
@@ -581,10 +610,8 @@ def _run_delay_ladder(exp: Experiment, sc: Scenario) -> dict:
         est, pred = rung[1.0]
         points.append((log_a, est.point, est.stderr, pred.value if pred else math.nan))
     fit = slope_regression([p[:3] for p in points])
-    rate = i_theta
-    if i_theta is not None and exp.detector == "ms":
-        rate = i_theta + exp.prior.mu
-    pred_slope = 1.0 / rate if rate and math.isfinite(rate) else None
+    rate = _delay_rate(exp, i_theta)
+    pred_slope = 1.0 / rate if rate else None
     return {
         "ladder": [dict(zip(LADDER_COLUMNS, p)) for p in points],
         "slope": fit.slope,

@@ -321,15 +321,18 @@ class ArChannelSpec:
         """Raw signals S_n, shape (horizon, n_channels), n = 1..horizon."""
         return np.column_stack([s.values(horizon) for s in self.signals])
 
-    def residual_signal_matrix(self, horizon: int) -> np.ndarray:
-        """Whitened signals S~_n = S_n - sum_j beta_j S_{n-j} (zero-padded)."""
-        from scipy.signal import lfilter
+    def residual_signal(self, channel: int, horizon: int) -> np.ndarray:
+        """One channel's whitened signal S~_n = S_n - sum_j beta_j S_{n-j}, n = 1..horizon.
 
-        sig = self.signal_matrix(horizon)
-        out = np.empty_like(sig)
-        for c in range(self.n_channels):
-            out[:, c] = lfilter(self.fir(c), [1.0], sig[:, c])
-        return out
+        Signal values before time 1 are zero.  The full convolution cut to
+        ``horizon`` is what ``lfilter(fir, [1.0], S)`` computes for an FIR
+        filter, in the same argument order, so the values are the same bits.
+        """
+        return np.convolve(self.fir(channel), self.signals[channel].values(horizon))[:horizon]
+
+    def residual_signal_matrix(self, horizon: int) -> np.ndarray:
+        """Whitened signals of every channel, shape (horizon, n_channels)."""
+        return np.column_stack([self.residual_signal(c, horizon) for c in range(self.n_channels)])
 
 
 @dataclass(frozen=True)
@@ -353,11 +356,41 @@ def q_limit(spec: ArChannelSpec, channel: int, horizon: int = 10_000) -> QLimit:
     """
     if horizon < 10_000:
         raise ValueError("horizon must be >= 10^4 for a stable average")
-    sres = spec.residual_signal_matrix(2 * horizon)[:, channel]
-    sq = sres**2
+    sq = spec.residual_signal(channel, 2 * horizon) ** 2
     a = float(sq[:horizon].mean())
     b = float(sq[horizon:].mean())
     return QLimit(value=max(a, b), spread=abs(a - b))
+
+
+def _ar_noise(w: np.ndarray, fir: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """AR noise from white noise: ``lfilter([1.0], fir, w, axis=1, zi=z)``, bit for bit.
+
+    ``w`` is (paths, steps) white noise, ``fir`` = [1, -beta_1, ..., -beta_p]
+    with p >= 1, and ``z`` is the (paths, p) filter state carried from one
+    block to the next.  Returns the (paths, steps) noise and the final state.
+    Each step runs lfilter's transposed direct form II term for term,
+
+        y = z_0 + w,
+        z_{j-1} = (z_j + w*0) - fir_j * y   for j = 1 .. p-1,
+        z_{p-1} = w*0 - fir_p * y,
+
+    zero numerator taps w*0 included: they set the sign of exact zeros as
+    lfilter does, so outputs and state match it to the bit.
+    """
+    p = len(fir) - 1
+    a = fir.tolist()
+    w = np.ascontiguousarray(w.T)  # (steps, paths): one contiguous row per step
+    w0 = w * 0.0
+    y = np.empty_like(w)
+    z = z.T.copy()  # (p, paths); a copy, so the caller's state is not written
+    ay = np.empty(w.shape[1])
+    for t in range(w.shape[0]):
+        np.add(z[0], w[t], out=y[t])
+        for j in range(1, p):
+            np.add(z[j], w0[t], out=z[j - 1])
+            np.subtract(z[j - 1], np.multiply(y[t], a[j], out=ay), out=z[j - 1])
+        np.subtract(w0[t], np.multiply(y[t], a[p], out=ay), out=z[p - 1])
+    return y.T, z.T
 
 
 class MultichannelArModel(ObservationModel):
@@ -408,23 +441,19 @@ class MultichannelArModel(ObservationModel):
         return _stream_step(self, x)
 
     def sampler_state(self, nus, thetas, horizon, rngs):
-        # zi: each channel's lfilter state, carried between blocks
+        # zi: each channel's noise-filter state (see _ar_noise), carried between blocks
         zi = [np.zeros((len(rngs), len(ch))) for ch in self.spec.ar_coeffs]
         return _sampler(
             nus, thetas, rngs, self.dimension, zi=zi, sig=self.spec.signal_matrix(horizon)
         )
 
     def sample_block(self, state, rows, n0, n1):
-        from scipy.signal import lfilter
-
         noise = np.empty((len(rows), n1 - n0, self.dimension))
         for r, i in enumerate(rows):
             noise[r] = state.rngs[i].standard_normal((n1 - n0, self.dimension))
         for c, zi in enumerate(state.carry["zi"]):
             if zi.shape[1]:
-                noise[:, :, c], zi[rows] = lfilter(
-                    [1.0], self.spec.fir(c), noise[:, :, c], axis=1, zi=zi[rows]
-                )
+                noise[:, :, c], zi[rows] = _ar_noise(noise[:, :, c], self.spec.fir(c), zi[rows])
         sig = state.carry["sig"][n0:n1]  # (L, N)
         post = (np.arange(n0, n1)[None, :] >= state.nus[rows, None]).astype(float)
         noise += post[:, :, None] * sig[None, :, :] * state.thetas[rows, None, :]

@@ -45,12 +45,21 @@ def _check_common(i: float, m: float) -> None:
 
 
 def ms_delay_prediction(a: float, i: float, mu: float = 0.0, m: float = 1.0) -> float:
-    """(log A / (I + mu))^m: m-th delay moment of the MS rule, to first order."""
-    _check_common(i, m)
+    """(log A / (I + mu))^m: m-th delay moment of the MS rule, to first order.
+
+    I = 0 is allowed when mu > 0: the prior's tail alone then drives the
+    statistic to the threshold.
+    """
+    if i < 0.0:
+        raise ValueError("information number must be >= 0")
+    if m < 1.0:
+        raise ValueError("moment order m must be >= 1")
     if a <= 1.0:
         raise ValueError("threshold A must exceed 1")
     if mu < 0.0:
         raise ValueError("tail exponent mu must be >= 0")
+    if i + mu <= 0.0:
+        raise ValueError("I + mu must be positive")
     return (math.log(a) / (i + mu)) ** m
 
 

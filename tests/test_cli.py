@@ -61,6 +61,55 @@ def test_gaussian_config_loads_without_signal_or_integrate():
     assert proc.stdout.strip() == "[]"
 
 
+def test_ar_commands_run_without_signal_or_stats(tmp_path):
+    """Loading an AR config, a one-chunk AR simulate and a short AR detect leave
+    scipy.signal and scipy.stats unimported: the AR filters are plain NumPy."""
+    stream_cfg = str(ROOT / "configs" / "detect_ar_stream.json")
+    with open(stream_cfg) as fh:
+        doc = json.load(fh)
+    doc["prior"]["rho"] = 0.1
+    doc["calibration"] = {"kind": "fixed", "log_threshold": 4.0}
+    doc["montecarlo"] = {
+        "trials": 64,
+        "horizon": 200,
+        "seed": 3,
+        "scenarios": [
+            {"name": "pfa", "quantity": "pfa_tail"},
+            {"name": "delay", "quantity": "delay", "theta": 0, "change_point": 20},
+        ],
+    }
+    doc["output"] = {"report": "report.json"}
+    sim_cfg = write_config(tmp_path, doc)
+    data = tmp_path / "stream.csv"
+    noise = np.random.default_rng(4).standard_normal(300).tolist()
+    data.write_text("".join(f"{v!r}\n" for v in noise))
+    code = (
+        "import sys\n"
+        "from mixdetect.cli import load_experiment, main\n"
+        "def loaded():\n"
+        "    print('loaded', [m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])\n"
+        f"load_experiment({stream_cfg!r})\n"
+        "loaded()\n"
+        f"assert main(['simulate', {sim_cfg!r}]) == 0\n"
+        "loaded()\n"
+        f"assert main(['detect', {stream_cfg!r}, {str(data)!r}, '--multicyclic',"
+        " '--trajectory']) == 0\n"
+        "loaded()\n"
+    )
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded")] == ["loaded []"] * 3
+    assert (tmp_path / "report.json").exists() and (tmp_path / "trajectory.csv").exists()
+
+
 class TestCalibrate:
     def test_ms_threshold_output(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
@@ -189,10 +238,51 @@ class TestConfigValidation:
             (
                 "mixing",
                 {"kind": "atoms", "atoms": {"a": 1}},
-                "mixing: float() argument must be a string or a real number, not 'dict'",
+                "mixing.atoms: expected a list of lists of numbers",
             ),
             ("model", {"kind": None}, "model.kind: unknown kind None"),
             ("model", {"kind": "multichannel_ar"}, "model.ar_coeffs: missing required key"),
+            # list-valued fields name themselves, whatever the constructor would say
+            (
+                "model",
+                {"kind": "multichannel_ar", "ar_coeffs": 5},
+                "model.ar_coeffs: expected a list of lists of numbers",
+            ),
+            (
+                "model",
+                {"kind": "multichannel_ar", "ar_coeffs": [[0.5]], "signals": 5},
+                "model.signals: expected a list of objects",
+            ),
+            (
+                "model",
+                {"kind": "hmm2", "theta0": ["a", "b"], "beta": 0.5, "gamma": 0.5},
+                "model.theta0: expected two numbers",
+            ),
+            (
+                "mixing",
+                {"kind": "atoms", "atoms": [["a"]]},
+                "mixing.atoms: expected a list of lists of numbers",
+            ),
+            (
+                "mixing",
+                {"kind": "atoms", "atoms": [[1.0]], "weights": ["x"]},
+                "mixing.weights: expected a list of numbers",
+            ),
+            (
+                "mixing",
+                {"kind": "uniform_grid", "lower": ["a"], "upper": [1.5], "counts": [3]},
+                "mixing.lower: expected a list of numbers",
+            ),
+            (
+                "mixing",
+                {"kind": "uniform_grid", "lower": [0.5], "upper": 1.5, "counts": [3]},
+                "mixing.upper: expected a list of numbers",
+            ),
+            (
+                "mixing",
+                {"kind": "uniform_grid", "lower": [0.5], "upper": [1.5], "counts": [True]},
+                "mixing.counts: expected a list of numbers",
+            ),
         ],
         ids=[
             "calibration_field",
@@ -208,6 +298,14 @@ class TestConfigValidation:
             "mixing_type",
             "model_kind_null",
             "model_missing",
+            "model_ar_coeffs",
+            "model_signals",
+            "model_theta0",
+            "mixing_atoms",
+            "mixing_weights",
+            "mixing_lower",
+            "mixing_upper",
+            "mixing_counts",
         ],
     )
     def test_section_error_rule(self, tmp_path, capsys, section, value, message):
@@ -492,6 +590,39 @@ class TestSimulate:
         assert delay["moments"]["1"]["ratio"] is None
         assert ladder["prediction_slope"] is None and ladder["slope_ratio"] is None
         assert all(math.isnan(p["prediction"]) for p in ladder["ladder"])
+
+    @pytest.mark.parametrize("detector", ["ms", "msr"])
+    def test_zero_information_delay_prediction(self, tmp_path, detector):
+        # at theta = 0 the information I is 0: the ms rate I + mu is still the
+        # prior's tail rate mu > 0, while the msr rate I leaves nothing to predict
+        doc = base_config(
+            mixing={"kind": "atoms", "atoms": [[0.0], [1.0]]},
+            detector={"kind": detector},
+            calibration={"kind": "fixed", "log_threshold": 3.0},
+            montecarlo={
+                "trials": 50,
+                "horizon": 200,
+                "seed": 1,
+                "scenarios": [
+                    {"quantity": "delay", "theta": 0},
+                    {"quantity": "delay_ladder", "theta": 0, "log_thresholds": [1, 2, 3, 4]},
+                ],
+            },
+            output={"report": str(tmp_path / "r.json"), "ladder_dir": str(tmp_path)},
+        )
+        assert main(["simulate", write_config(tmp_path, doc)]) == 0
+        delay, ladder = json.loads((tmp_path / "r.json").read_text())["scenarios"]
+        pred = delay["moments"]["1"]["prediction"]
+        if detector == "msr":
+            assert pred is None and ladder["prediction_slope"] is None
+            assert all(math.isnan(p["prediction"]) for p in ladder["ladder"])
+            return
+        mu = -math.log(1.0 - 0.1)
+        assert pred["value"] == pytest.approx(3.0 / mu, rel=1e-12)
+        assert pred["inputs"]["I"] == 0.0
+        assert ladder["prediction_slope"] == pytest.approx(1.0 / mu, rel=1e-12)
+        for rung in ladder["ladder"]:
+            assert rung["prediction"] == pytest.approx(rung["log_A"] / mu, rel=1e-12)
 
     def test_ladder_csv_written(self, tmp_path):
         doc = base_config(

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixdetect.measures import grid_from_atoms, uniform_grid
 from mixdetect.models import (
     ArChannelSpec,
     HarmonicSignal,
     Hmm2Spec,
+    _ar_noise,
     gaussian_iid_model,
     hmm2_model,
     info_number,
@@ -183,6 +187,81 @@ class TestMultichannelAr:
         path = sample_path(m, None, None, 1_000_000, np.random.default_rng(8))[:, 0]
         r1 = np.corrcoef(path[:-1], path[1:])[0, 1]
         assert abs(r1 - 0.5) < 0.01
+
+
+# AR noise colouring and whitening against scipy.signal.lfilter, compared as
+# bits so that signed zeros count; scipy.signal is imported only here.
+_FILTER_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def _ar_filter_inputs(draw):
+    """(fir, white noise (paths, steps), carried state (paths, p)), p in 1..4."""
+    p = draw(st.integers(1, 4))
+    paths = draw(st.integers(1, 4))
+    steps = draw(st.integers(1, 12))
+    beta = draw(hnp.arrays(np.float64, p, elements=st.floats(-0.9 / p, 0.9 / p)))
+    w = draw(hnp.arrays(np.float64, (paths, steps), elements=_FILTER_VALUES))
+    z = draw(
+        st.one_of(
+            st.just(np.zeros((paths, p))),
+            hnp.arrays(np.float64, (paths, p), elements=_FILTER_VALUES),
+        )
+    )
+    return np.concatenate([[1.0], -beta]), w, z
+
+
+@given(_ar_filter_inputs())
+# beta < 0 on zero noise: dropping lfilter's w*0 taps turns +0 into -0 here
+@example((np.array([1.0, 0.5]), np.array([[0.0, -0.0]]), np.zeros((1, 1))))
+def test_ar_noise_matches_lfilter_bitwise(inputs):
+    from scipy.signal import lfilter
+
+    fir, w, z = inputs
+    z_before = z.copy()
+    y, z_end = _ar_noise(w, fir, z)
+    y_ref, z_ref = lfilter([1.0], fir, w, axis=1, zi=z)
+    np.testing.assert_array_equal(_bits(y), _bits(y_ref))
+    np.testing.assert_array_equal(_bits(z_end), _bits(z_ref))
+    np.testing.assert_array_equal(_bits(z), _bits(z_before))
+
+
+@given(_ar_filter_inputs(), st.integers(0, 12))
+def test_ar_noise_in_two_pieces_equals_one(inputs, cut):
+    fir, w, z = inputs
+    cut = min(cut, w.shape[1])
+    y1, z1 = _ar_noise(w[:, :cut], fir, z)
+    y2, z2 = _ar_noise(w[:, cut:], fir, z1)
+    y, z_end = _ar_noise(w, fir, z)
+    np.testing.assert_array_equal(_bits(np.concatenate([y1, y2], axis=1)), _bits(y))
+    np.testing.assert_array_equal(_bits(z2), _bits(z_end))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 9])
+def test_residual_signal_matrix_matches_lfilter(horizon):
+    from scipy.signal import lfilter
+
+    # filters of length 4, 2 and 1, so horizons fall short of, on and past
+    # each; amplitude 0 gives exact +-0 values, sin(0 * n) exact +0 ones
+    spec = ArChannelSpec(
+        ar_coeffs=((0.5, -0.2, 0.1), (-0.3,), ()),
+        signals=(
+            HarmonicSignal(1.0, 0.37, 0.2),
+            HarmonicSignal(0.0, 1.0, 0.0),
+            HarmonicSignal(2.0, 0.0, 0.0),
+        ),
+    )
+    sig = spec.signal_matrix(horizon)
+    got = spec.residual_signal_matrix(horizon)
+    assert got.shape == (horizon, 3)
+    for c in range(3):
+        expected = lfilter(spec.fir(c), [1.0], sig[:, c])
+        np.testing.assert_array_equal(_bits(got[:, c]), _bits(expected))
+        np.testing.assert_array_equal(_bits(spec.residual_signal(c, horizon)), _bits(expected))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ class TestMsDelay:
     def test_unit_case(self):
         assert ms_delay_prediction(math.e, 0.4, 0.6, 2.0) == pytest.approx(1.0)
 
+    def test_zero_information_uses_mu_alone(self):
+        assert ms_delay_prediction(math.exp(3.0), 0.0, 0.5, 2.0) == pytest.approx(36.0)
+        with pytest.raises(ValueError):
+            ms_delay_prediction(math.exp(3.0), 0.0, 0.0)
+
 
 class TestMsrDelay:
     def test_substitution(self):
