@@ -23,6 +23,7 @@ from .detectors import (
     AlarmRecord,
     MsrState,
     MsState,
+    NonFiniteIncrements,
     PriorSupportExhausted,
     brute_force_ms,
     brute_force_msr,

@@ -37,7 +37,7 @@ from .calibration import (
     ms_threshold,
     msr_threshold,
 )
-from .detectors import _multicyclic_with_tail, run_detector
+from .detectors import NonFiniteIncrements, _multicyclic_with_tail, run_detector
 from .measures import (
     ChangePrior,
     MixingGrid,
@@ -198,7 +198,11 @@ def _hmm_model(doc: dict, grid: MixingGrid) -> ObservationModel:
 
 def _atoms_grid(doc: dict) -> MixingGrid:
     weights = None if doc.get("weights") is None else _numbers(doc, "mixing", "weights")
-    return grid_from_atoms(_numbers(doc, "mixing", "atoms", nested=True), weights)
+    atoms = _numbers(doc, "mixing", "atoms", nested=True)
+    # unlike ar_coeffs, whose channels may differ in order, atoms form a matrix
+    if not (atoms and atoms[0] and all(len(a) == len(atoms[0]) for a in atoms)):
+        raise ConfigError("mixing.atoms: expected non-empty rows of equal length")
+    return grid_from_atoms(atoms, weights)
 
 
 def _bayes_threshold(doc: dict, prior: ChangePrior, model: ObservationModel, *_) -> ThresholdSpec:
@@ -582,8 +586,6 @@ def _delay_rungs(exp: Experiment, sc: Scenario) -> tuple[list[dict], float | Non
         )
         for j, log_a in enumerate(sc.log_thresholds)
     ]
-    # I_theta only after the runs: the HMM's quadrature loads scipy.integrate,
-    # which would otherwise add its memory to the runs' peak
     i_theta = _info(exp, sc)
     rungs = [
         {m: (est, _delay_prediction(exp, sc, i_theta, m, log_a)) for m, est in ests.items()}
@@ -758,6 +760,15 @@ def load_csv_stream(path: str, dimension: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, dimension)
 
 
+def _data_line(path: str, rows: int, row: int) -> int:
+    """File line of the ``row``-th (1-based) of the ``rows`` rows that
+    ``load_csv_stream`` read from ``path``: blank lines are skipped, and a
+    header can only be the first non-blank line."""
+    with open(path) as fh:
+        lines = [i for i, line in enumerate(fh, start=1) if line.strip()]
+    return lines[len(lines) - rows + row - 1]
+
+
 def _write_trajectory(path: str, segments: list[np.ndarray]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -784,37 +795,43 @@ def cmd_detect(
     traj_segments: list[np.ndarray] = []
     alarms: list[int] = []
     censored = False
-    if multicyclic:
-        records, tail = _multicyclic_with_tail(
-            exp.detector,
-            exp.model,
-            exp.prior,
-            exp.grid,
-            log_a,
-            data,
-            exp.omega,
-            trajectory,
-        )
-        alarms = [r.stop_time for r in records]
-        if trajectory:
-            traj_segments = [r.trajectory for r in records] + [tail.trajectory]
-    else:
-        rec = run_detector(
-            exp.detector,
-            exp.model,
-            exp.prior,
-            exp.grid,
-            log_a,
-            data,
-            horizon=None,
-            record_trajectory=trajectory,
-            omega=exp.omega,
-        )
-        censored = rec.censored
-        if not rec.censored:
-            alarms = [rec.stop_time]
-        if trajectory:
-            traj_segments = [rec.trajectory]
+    try:
+        if multicyclic:
+            records, tail = _multicyclic_with_tail(
+                exp.detector,
+                exp.model,
+                exp.prior,
+                exp.grid,
+                log_a,
+                data,
+                exp.omega,
+                trajectory,
+            )
+            alarms = [r.stop_time for r in records]
+            if trajectory:
+                traj_segments = [r.trajectory for r in records] + [tail.trajectory]
+        else:
+            rec = run_detector(
+                exp.detector,
+                exp.model,
+                exp.prior,
+                exp.grid,
+                log_a,
+                data,
+                horizon=None,
+                record_trajectory=trajectory,
+                omega=exp.omega,
+            )
+            censored = rec.censored
+            if not rec.censored:
+                alarms = [rec.stop_time]
+            if trajectory:
+                traj_segments = [rec.trajectory]
+    except NonFiniteIncrements as exc:
+        line = _data_line(data_path, len(data), exc.row)
+        raise RuntimeError(
+            f"{data_path}:{line}: observation out of range, its LLR increments overflow"
+        ) from None
 
     alarms_path = exp.output.get("alarms")
     if alarms_path:

@@ -108,10 +108,22 @@ class MsrState:
             self.log_stat = log_w
 
 
+class NonFiniteIncrements(ValueError):
+    """A row's LLR increments are not all finite.
+
+    ``row`` is the 1-based index of that row in the stream when the alarm
+    loop raised it, and None from a bare ``ms_update``/``msr_update``.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
 def _finite(increments) -> np.ndarray:
     inc = np.asarray(increments, dtype=float)
     if not np.all(np.isfinite(inc)):
-        raise ValueError("increments must be finite")
+        raise NonFiniteIncrements("increments must be finite")
     return inc
 
 
@@ -239,7 +251,9 @@ def _multicyclic_with_tail(
     returns at the first alarm with tail None, and a censored tail reports
     the last statistic.  At most ``horizon`` rows are read.  Each row goes
     through ``model.step`` and the module-level ``ms_update``/``msr_update``
-    exactly once.
+    exactly once.  A row whose increments are not finite (a finite but huge
+    observation can overflow them) raises ``NonFiniteIncrements`` with its
+    1-based ``row``.
     """
     if not np.isfinite(log_threshold):
         raise ValueError("log_threshold must be finite")
@@ -251,27 +265,30 @@ def _multicyclic_with_tail(
     traj: list[tuple[int, float, int]] = []
     cycle_start = 0
     n = 0
-    for row in observations:
-        n += 1
-        update(state, model.step(row))
-        crossed = state.log_stat >= log_threshold
-        if record_trajectory:
-            traj.append((n, state.log_stat, int(crossed)))
-        if crossed:
-            records.append(
-                AlarmRecord(
-                    stop_time=n,
-                    censored=False,
-                    log_stat_at_stop=state.log_stat,
-                    trajectory=np.array(traj[cycle_start:]) if record_trajectory else None,
+    try:
+        for row in observations:
+            n += 1
+            update(state, model.step(row))
+            crossed = state.log_stat >= log_threshold
+            if record_trajectory:
+                traj.append((n, state.log_stat, int(crossed)))
+            if crossed:
+                records.append(
+                    AlarmRecord(
+                        stop_time=n,
+                        censored=False,
+                        log_stat_at_stop=state.log_stat,
+                        trajectory=np.array(traj[cycle_start:]) if record_trajectory else None,
+                    )
                 )
-            )
-            if not restart:
-                return records, None
-            cycle_start = len(traj)
-            state = _new_state(kind, prior, grid, omega)
-        if horizon is not None and n >= horizon:
-            break
+                if not restart:
+                    return records, None
+                cycle_start = len(traj)
+                state = _new_state(kind, prior, grid, omega)
+            if horizon is not None and n >= horizon:
+                break
+    except NonFiniteIncrements as exc:
+        raise NonFiniteIncrements(f"row {n}: {exc}", row=n) from None
     tail = AlarmRecord(
         stop_time=None,
         censored=True,

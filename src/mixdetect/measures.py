@@ -26,7 +26,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import zeta
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,8 @@ def _poly_log_pmf(k, c, log_1mq, log_norm):
 
 
 def _poly_log_tail(n, c, log_1mq, log_norm):
+    from scipy.special import zeta
+
     return log_1mq + np.log(zeta(c, n + 2.0)) - log_norm
 
 
@@ -172,6 +173,10 @@ def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
         raise ValueError(f"c_exponent must exceed 1 for normalizability, got {c_exponent}")
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must be in [0, 1), got {q}")
+    # imported here and in _poly_log_tail, not at module level, so that runs
+    # without a heavy-tail prior never load scipy
+    from scipy.special import zeta
+
     c = float(c_exponent)
     norm = float(zeta(c, 2.0))  # sum_{m>=2} m^-c
     log_norm = math.log(norm)

@@ -17,7 +17,6 @@ byte-identical results for any number of workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +140,8 @@ def run_trials(
     if config.workers <= 1 or len(payloads) == 1:
         parts = [_run_chunk_star(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(_run_chunk_star, payloads))
     return TrialData.concatenate(parts)

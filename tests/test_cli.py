@@ -40,30 +40,89 @@ def write_config(tmp_path, doc, name="cfg.json"):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_gaussian_config_loads_without_signal_or_integrate():
-    """A fresh Gaussian load imports neither scipy.signal (AR's lfilter) nor
-    scipy.integrate (the HMM's quad): both are imported where they are used."""
-    code = (
-        "import sys\n"
-        "from mixdetect.cli import load_experiment\n"
-        f"load_experiment({str(ROOT / 'configs' / 'pfa_bounds.json')!r}, need_montecarlo=True)\n"
-        "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])\n"
-    )
+# prints the scipy modules a fresh interpreter has loaded so far, as a list
+_SCIPY_LOADED = (
+    "import sys\n"
+    "def loaded():\n"
+    "    print('loaded', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+def _fresh_python(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports mixdetect from src/."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, "-c", _SCIPY_LOADED + code],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def _loaded_lines(proc: subprocess.CompletedProcess) -> list[str]:
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded")]
+
+
+def test_gaussian_config_loads_without_signal_or_integrate():
+    """A fresh Gaussian load imports no scipy module at all: only the
+    heavy-tail prior needs scipy, and it imports it itself."""
+    code = (
+        "from mixdetect.cli import load_experiment\n"
+        f"load_experiment({str(ROOT / 'configs' / 'pfa_bounds.json')!r}, need_montecarlo=True)\n"
+        "loaded()\n"
+    )
+    assert _loaded_lines(_fresh_python(code)) == ["loaded []"]
+
+
+def test_gaussian_and_hmm_simulate_import_no_scipy(tmp_path):
+    """A Gaussian simulate and a symmetric-HMM simulate with a delay scenario,
+    whose information number I_theta is computed, import no scipy module."""
+    scenarios = [
+        {"name": "pfa", "quantity": "pfa_tail"},
+        {"name": "delay", "quantity": "delay", "theta": 0, "change_point": 5},
+    ]
+    gauss = base_config(
+        calibration={"kind": "fixed", "log_threshold": 3.0},
+        montecarlo={"trials": 64, "horizon": 100, "seed": 3, "scenarios": scenarios},
+        output={"report": "gauss.json"},
+    )
+    hmm = base_config(
+        model={"kind": "hmm2", "theta0": [0.0, 1.0], "beta": 0.5, "gamma": 0.5},
+        mixing={"kind": "atoms", "atoms": [[0.8, 1.8], [0.3, 1.4]]},
+        detector={"kind": "msr"},
+        calibration={"kind": "fixed", "log_threshold": 3.0},
+        montecarlo={"trials": 64, "horizon": 100, "seed": 3, "scenarios": scenarios},
+        output={"report": "hmm.json"},
+    )
+    code = "from mixdetect.cli import main\n" + "".join(
+        f"assert main(['simulate', {write_config(tmp_path, doc, name=name)!r}]) == 0\nloaded()\n"
+        for name, doc in (("gauss_cfg.json", gauss), ("hmm_cfg.json", hmm))
+    )
+    assert _loaded_lines(_fresh_python(code, cwd=tmp_path)) == ["loaded []"] * 2
+    delay = json.loads((tmp_path / "hmm.json").read_text())["scenarios"][1]
+    assert delay["moments"]["1"]["prediction"]["inputs"]["I"] > 0.0
+
+
+def test_heavy_tail_config_imports_scipy_special_on_load():
+    """The heavy-tail prior still loads, and it is what imports scipy.special."""
+    code = (
+        "from mixdetect.cli import load_experiment\n"
+        "loaded()\n"
+        f"exp = load_experiment({str(ROOT / 'configs' / 'delay_ladder.json')!r})\n"
+        "assert exp.prior.name == 'heavy_tail'\n"
+        "print('has special', 'scipy.special' in sys.modules)\n"
+    )
+    proc = _fresh_python(code)
+    assert _loaded_lines(proc) == ["loaded []"]
+    assert "has special True" in proc.stdout.splitlines()
 
 
 def test_ar_commands_run_without_signal_or_stats(tmp_path):
-    """Loading an AR config, a one-chunk AR simulate and a short AR detect leave
-    scipy.signal and scipy.stats unimported: the AR filters are plain NumPy."""
+    """Loading an AR config, a one-chunk AR simulate and a short AR detect
+    import no scipy module: the AR filters are plain NumPy."""
     stream_cfg = str(ROOT / "configs" / "detect_ar_stream.json")
     with open(stream_cfg) as fh:
         doc = json.load(fh)
@@ -84,10 +143,7 @@ def test_ar_commands_run_without_signal_or_stats(tmp_path):
     noise = np.random.default_rng(4).standard_normal(300).tolist()
     data.write_text("".join(f"{v!r}\n" for v in noise))
     code = (
-        "import sys\n"
         "from mixdetect.cli import load_experiment, main\n"
-        "def loaded():\n"
-        "    print('loaded', [m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])\n"
         f"load_experiment({stream_cfg!r})\n"
         "loaded()\n"
         f"assert main(['simulate', {sim_cfg!r}]) == 0\n"
@@ -96,17 +152,7 @@ def test_ar_commands_run_without_signal_or_stats(tmp_path):
         " '--trajectory']) == 0\n"
         "loaded()\n"
     )
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded")] == ["loaded []"] * 3
+    assert _loaded_lines(_fresh_python(code, cwd=tmp_path)) == ["loaded []"] * 3
     assert (tmp_path / "report.json").exists() and (tmp_path / "trajectory.csv").exists()
 
 
@@ -265,6 +311,21 @@ class TestConfigValidation:
             ),
             (
                 "mixing",
+                {"kind": "atoms", "atoms": []},
+                "mixing.atoms: expected non-empty rows of equal length",
+            ),
+            (
+                "mixing",
+                {"kind": "atoms", "atoms": [[]]},
+                "mixing.atoms: expected non-empty rows of equal length",
+            ),
+            (
+                "mixing",
+                {"kind": "atoms", "atoms": [[1.0], [2.0, 3.0]]},
+                "mixing.atoms: expected non-empty rows of equal length",
+            ),
+            (
+                "mixing",
                 {"kind": "atoms", "atoms": [[1.0]], "weights": ["x"]},
                 "mixing.weights: expected a list of numbers",
             ),
@@ -302,6 +363,9 @@ class TestConfigValidation:
             "model_signals",
             "model_theta0",
             "mixing_atoms",
+            "mixing_atoms_empty",
+            "mixing_atoms_empty_row",
+            "mixing_atoms_ragged",
             "mixing_weights",
             "mixing_lower",
             "mixing_upper",
@@ -717,6 +781,36 @@ class TestDetect:
         assert main(["detect", path, str(data)]) == 3
         err = capsys.readouterr().err
         assert f"{data}:3: non-finite value" in err
+
+    @pytest.mark.parametrize("multicyclic", [False, True])
+    @pytest.mark.parametrize(
+        "model,atoms,text,line",
+        [
+            # theta * x - theta^2 / 2 overflows to -inf
+            ({"kind": "gaussian_iid"}, [[2.0]], "x\n0.0\n\n-1e308\n0.0\n", 4),
+            # (x - mean)^2 overflows in both filters: inf - inf is nan
+            (
+                {"kind": "hmm2", "theta0": [0.0, 1.0], "beta": 0.5, "gamma": 0.5},
+                [[0.5, 1.5]],
+                "0.0\n1e200\n0.0\n",
+                2,
+            ),
+        ],
+        ids=["gaussian", "hmm"],
+    )
+    def test_overflowing_value_names_line(
+        self, tmp_path, capsys, model, atoms, text, line, multicyclic
+    ):
+        """A finite value whose increments overflow exits 3 naming its line."""
+        doc = self.detect_doc(tmp_path, model=model, mixing={"kind": "atoms", "atoms": atoms})
+        path = write_config(tmp_path, doc)
+        data = tmp_path / "huge.csv"
+        data.write_text(text)
+        argv = ["detect", path, str(data)] + (["--multicyclic"] if multicyclic else [])
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"error: {data}:{line}: observation out of range" in err
+        assert "Traceback" not in err
 
     def test_matches_in_process_run(self, tmp_path):
         doc = base_config(

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from mixdetect.detectors import (
     MsrState,
     MsState,
+    NonFiniteIncrements,
     PriorSupportExhausted,
     _multicyclic_with_tail,
     advance,
@@ -238,6 +239,15 @@ class TestRunDetector:
             "ms", model, prior, model.grid, -50.0, np.zeros(10), horizon=10
         )
         assert rec.stop_time == 1 and not rec.censored
+
+    @pytest.mark.parametrize("kind", ["ms", "msr"])
+    def test_overflowing_row_is_named(self, kind):
+        # finite observations whose increments overflow: the loop names row 3
+        model = gaussian_iid_model(grid_from_atoms([[2.0]]))
+        rows = np.array([0.0, 0.0, -1e308, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteIncrements) as info:
+            run_detector(kind, model, geometric_prior(0.1), model.grid, 50.0, rows)
+        assert info.value.row == 3 and str(info.value).startswith("row 3: ")
 
     def test_drift_crossing_time(self):
         model = self.drift_model()

@@ -1,6 +1,11 @@
 """Priors: closed-form pmf/tail consistency, tail exponents, mixing grids."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +96,33 @@ class TestHeavyTailPrior:
             heavy_tail_prior(1.0)
         with pytest.raises(ValueError):
             heavy_tail_prior(0.5)
+
+
+def test_heavy_tail_prior_unpickles_without_scipy_loaded():
+    """Workers receive priors by pickle.  The heavy-tail kernels import zeta
+    themselves, so a fresh interpreter that has not loaded scipy computes the
+    same bits."""
+    prior = heavy_tail_prior(2.5, q=0.1)
+    n = np.arange(0, 3000, 7)
+    code = (
+        "import pickle, sys\n"
+        "prior, n = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "sys.stdout.buffer.write(pickle.dumps((prior.log_pmf(n), prior.log_tail(n))))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps((prior, n)),
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    log_pmf, log_tail = pickle.loads(proc.stdout)
+    assert log_pmf.tobytes() == prior.log_pmf(n).tobytes()
+    assert log_tail.tobytes() == prior.log_tail(n).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -331,6 +331,24 @@ class TestTwoStateHmm:
         m = hmm2_model(spec, grid_from_atoms([[0.5, 0.5], [0.0, 0.0]]))
         assert info_number(m, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-10)
 
+    def test_info_number_matches_adaptive_quadrature(self):
+        """The trapezoid rule agrees with scipy's adaptive quad to 1e-10 on
+        random symmetric-HMM means; scipy is imported only here."""
+        from scipy.integrate import quad
+
+        rng = np.random.default_rng(11)
+        for a1, a2, b1, b2 in rng.uniform(-4.0, 4.0, size=(100, 4)):
+            spec = Hmm2Spec(theta0=(b1, b2), beta=0.5, gamma=0.5)
+            m = hmm2_model(spec, grid_from_atoms([[a1, a2]]))
+
+            def integrand(x):
+                log_num = np.logaddexp(log_phi(x, a1), log_phi(x, a2))
+                log_den = np.logaddexp(log_phi(x, b1), log_phi(x, b2))
+                return (log_num - log_den) * 0.5 * math.exp(log_num)
+
+            expected, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-10, limit=400)
+            assert abs(info_number(m, 0) - expected) < 1e-10, (a1, a2, b1, b2)
+
     def test_info_number_nonsymmetric_unsupported(self):
         spec = Hmm2Spec(theta0=(0.0, 1.0), beta=0.3, gamma=0.6)
         m = hmm2_model(spec, hmm_grid())
