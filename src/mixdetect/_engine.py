@@ -220,15 +220,14 @@ def run_chunk(
     master_seed: int,
     start: int,
     count: int,
-    want_final_stat: bool = False,
 ) -> TrialData:
     """Run trials [start, start+count) of one scenario in lockstep.
 
     Time advances in blocks of BLOCK steps.  Trials that have alarmed are
     neither sampled nor scored again, they leave the recursion mid-block once
     at most half of the block's rows are live, and the chunk ends once none
-    is left, unless ``want_final_stat`` is set or ``log_threshold`` is None:
-    then every trial runs to ``horizon``.
+    is left.  With ``log_threshold`` None no trial stops: every trial runs to
+    ``horizon``, and the result carries its final statistic.
     """
     rngs = trial_rngs(master_seed, spec.stream_tag, start, count)
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
@@ -237,20 +236,17 @@ def run_chunk(
     exhausted = ~np.isfinite(log_tail)  # never, for MSR
 
     sampler = model.sampler_state(nus, thetas, horizon, rngs)
-    scorer = model.increment_state(count, horizon)
+    scorer = model.increment_state(count)
     stat_state = np.full((grid.size, count), init)  # atoms first
     stop = np.zeros(count, dtype=np.int64)
     stat_at_stop = np.full(count, np.nan)
     alive = np.ones(count, dtype=bool)
-    early_exit = log_threshold is not None and not want_final_stat
-    rows = np.arange(count)  # the trials this block advances
 
     for n0 in range(0, horizon, BLOCK):
         n1 = min(n0 + BLOCK, horizon)
-        if early_exit:
-            rows = np.flatnonzero(alive)
-            if rows.size == 0:
-                break
+        rows = np.flatnonzero(alive)  # the trials this block advances
+        if rows.size == 0:
+            break
         ell = model.increment_block(scorer, rows, model.sample_block(sampler, rows, n0, n1), n0)
         # (L, K, B), so step n reads the contiguous (K, B) slice ell[n - 1 - off]
         ell = np.ascontiguousarray(ell.transpose(1, 2, 0))
@@ -258,7 +254,7 @@ def run_chunk(
         state = np.take(stat_state, rows, axis=1)  # contiguous (K, B)
         live = alive[rows]
         for n in range(n0 + 1, n1 + 1):
-            if exhausted[n] and (want_final_stat or live.any()):
+            if exhausted[n] and live.any():
                 raise PriorSupportExhausted(
                     f"prior tail Pi({n}) = 0; the MS recursion cannot continue"
                 )
@@ -271,14 +267,14 @@ def run_chunk(
                     stop[rows[newly]] = n
                     stat_at_stop[rows[newly]] = log_stat[newly]
                     live &= ~newly
-                    if early_exit and n < n1 and 2 * np.count_nonzero(live) <= live.size:
+                    if n < n1 and 2 * np.count_nonzero(live) <= live.size:
                         # drop alarmed trials mid-block; halving bounds the copying
                         alive[rows[~live]] = False
                         # np.compress keeps the arrays contiguous; state[:, live] would not
                         state = np.compress(live, state, axis=1)
                         ell = np.compress(live, ell[n - off:], axis=2)
                         rows, live, off = rows[live], live[live], n
-                if early_exit and not live.any():
+                if not live.any():
                     break
         stat_state[:, rows] = state
         alive[rows] = live
@@ -287,5 +283,5 @@ def run_chunk(
         stop_times=stop,
         log_stat_at_stop=stat_at_stop,
         nus=nus,
-        final_log_stat=log_stat if want_final_stat else None,
+        final_log_stat=log_stat if log_threshold is None else None,
     )

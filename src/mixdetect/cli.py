@@ -37,7 +37,8 @@ from .calibration import (
     ms_threshold,
     msr_threshold,
 )
-from .detectors import NonFiniteIncrements, _multicyclic_with_tail, run_detector
+# run_detector is unused here, but perfbench/tracer.py wraps ``cli.run_detector`` by name
+from .detectors import NonFiniteIncrements, _multicyclic_with_tail, run_detector  # noqa: F401
 from .measures import (
     ChangePrior,
     MixingGrid,
@@ -466,7 +467,7 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
         )
         exp.trials = _integer(mc, "montecarlo", "trials")
         exp.horizon = _integer(mc, "montecarlo", "horizon")
-        exp.seed = _integer(mc, "montecarlo", "seed")
+        exp.seed = _integer(mc, "montecarlo", "seed", nonnegative=True)
         exp.workers = _integer(mc, "montecarlo", "workers", 1)
         env_workers = os.environ.get(WORKERS_ENV)
         if env_workers:
@@ -792,46 +793,26 @@ def cmd_detect(
         raise ConfigError("output.trajectory: required with --trajectory")
     data = load_csv_stream(data_path, exp.model.dimension)
     log_a = exp.threshold.log_threshold
-    traj_segments: list[np.ndarray] = []
-    alarms: list[int] = []
-    censored = False
     try:
-        if multicyclic:
-            records, tail = _multicyclic_with_tail(
-                exp.detector,
-                exp.model,
-                exp.prior,
-                exp.grid,
-                log_a,
-                data,
-                exp.omega,
-                trajectory,
-            )
-            alarms = [r.stop_time for r in records]
-            if trajectory:
-                traj_segments = [r.trajectory for r in records] + [tail.trajectory]
-        else:
-            rec = run_detector(
-                exp.detector,
-                exp.model,
-                exp.prior,
-                exp.grid,
-                log_a,
-                data,
-                horizon=None,
-                record_trajectory=trajectory,
-                omega=exp.omega,
-            )
-            censored = rec.censored
-            if not rec.censored:
-                alarms = [rec.stop_time]
-            if trajectory:
-                traj_segments = [rec.trajectory]
+        records, tail = _multicyclic_with_tail(
+            exp.detector,
+            exp.model,
+            exp.prior,
+            exp.grid,
+            log_a,
+            data,
+            exp.omega,
+            trajectory,
+            restart=multicyclic,
+        )
     except NonFiniteIncrements as exc:
         line = _data_line(data_path, len(data), exc.row)
         raise RuntimeError(
             f"{data_path}:{line}: observation out of range, its LLR increments overflow"
         ) from None
+    alarms = [r.stop_time for r in records]
+    # a single-shot run has a tail only when it is censored
+    censored = not multicyclic and tail is not None
 
     alarms_path = exp.output.get("alarms")
     if alarms_path:
@@ -840,10 +821,11 @@ def cmd_detect(
             w.writerow(["alarm_time"])
             for t in alarms:
                 w.writerow([t])
-            if not multicyclic and censored:
+            if censored:
                 w.writerow(["CENSORED"])
     if trajectory:
-        _write_trajectory(traj_path, traj_segments)
+        segments = [r.trajectory for r in records] + ([tail.trajectory] if tail else [])
+        _write_trajectory(traj_path, segments)
 
     if multicyclic:
         print(f"alarms: {','.join(map(str, alarms)) if alarms else '(none)'}")

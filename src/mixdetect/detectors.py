@@ -247,13 +247,14 @@ def _multicyclic_with_tail(
     """The one alarm loop: (alarm records, censored tail or None).
 
     With ``restart`` (multicyclic) the statistic restarts after every alarm
-    and the tail has no statistic.  Without it (``run_detector``) the loop
-    returns at the first alarm with tail None, and a censored tail reports
-    the last statistic.  At most ``horizon`` rows are read.  Each row goes
-    through ``model.step`` and the module-level ``ms_update``/``msr_update``
-    exactly once.  A row whose increments are not finite (a finite but huge
-    observation can overflow them) raises ``NonFiniteIncrements`` with its
-    1-based ``row``.
+    and the tail has no statistic.  Without it (``run_detector``, single-shot
+    ``detect``) the loop returns at the first alarm with tail None, and a
+    censored tail reports the last statistic.  At most ``horizon`` rows are
+    read.  Each row goes through ``model.step`` and the module-level
+    ``ms_update``/``msr_update`` exactly once.  A row whose increments are
+    not finite (a finite but huge observation can overflow them) raises
+    ``NonFiniteIncrements`` with its 1-based ``row``, and NumPy's overflow
+    and invalid-value warnings are silenced for the loop.
     """
     if not np.isfinite(log_threshold):
         raise ValueError("log_threshold must be finite")
@@ -265,30 +266,31 @@ def _multicyclic_with_tail(
     traj: list[tuple[int, float, int]] = []
     cycle_start = 0
     n = 0
-    try:
-        for row in observations:
-            n += 1
-            update(state, model.step(row))
-            crossed = state.log_stat >= log_threshold
-            if record_trajectory:
-                traj.append((n, state.log_stat, int(crossed)))
-            if crossed:
-                records.append(
-                    AlarmRecord(
-                        stop_time=n,
-                        censored=False,
-                        log_stat_at_stop=state.log_stat,
-                        trajectory=np.array(traj[cycle_start:]) if record_trajectory else None,
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for row in observations:
+                n += 1
+                update(state, model.step(row))
+                crossed = state.log_stat >= log_threshold
+                if record_trajectory:
+                    traj.append((n, state.log_stat, int(crossed)))
+                if crossed:
+                    records.append(
+                        AlarmRecord(
+                            stop_time=n,
+                            censored=False,
+                            log_stat_at_stop=state.log_stat,
+                            trajectory=np.array(traj[cycle_start:]) if record_trajectory else None,
+                        )
                     )
-                )
-                if not restart:
-                    return records, None
-                cycle_start = len(traj)
-                state = _new_state(kind, prior, grid, omega)
-            if horizon is not None and n >= horizon:
-                break
-    except NonFiniteIncrements as exc:
-        raise NonFiniteIncrements(f"row {n}: {exc}", row=n) from None
+                    if not restart:
+                        return records, None
+                    cycle_start = len(traj)
+                    state = _new_state(kind, prior, grid, omega)
+                if horizon is not None and n >= horizon:
+                    break
+        except NonFiniteIncrements as exc:
+            raise NonFiniteIncrements(f"row {n}: {exc}", row=n) from None
     tail = AlarmRecord(
         stop_time=None,
         censored=True,

@@ -42,7 +42,6 @@ import numpy as np
 from .measures import MixingGrid
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_STREAM_ROWS = 1024  # first horizon of a streaming increment state; AR doubles it
 
 
 class ObservationModel(ABC):
@@ -58,7 +57,7 @@ class ObservationModel(ABC):
     def reset(self) -> None:
         """Return to time 0 with empty history: a one-path increment state."""
         self._t = 0
-        self._stream = self.increment_state(1, _STREAM_ROWS)
+        self._stream = self.increment_state(1)
 
     @abstractmethod
     def step(self, x) -> np.ndarray:
@@ -91,7 +90,7 @@ class ObservationModel(ABC):
         """
 
     @abstractmethod
-    def increment_state(self, batch: int, horizon: int):
+    def increment_state(self, batch: int):
         """Start the increments of ``batch`` paths at time 0 with empty history."""
 
     @abstractmethod
@@ -172,7 +171,7 @@ def _whole_paths(model: ObservationModel, nus, thetas, horizon: int, rngs) -> np
 
 def _whole_increments(model: ObservationModel, paths: np.ndarray) -> np.ndarray:
     b, t, _ = paths.shape
-    return model.increment_block(model.increment_state(b, t), np.arange(b), paths, 0)
+    return model.increment_block(model.increment_state(b), np.arange(b), paths, 0)
 
 
 def _as_nu_array(nus, horizon: int) -> np.ndarray:
@@ -237,7 +236,7 @@ class GaussianIidModel(ObservationModel):
         x[:, :, 0] += post * state.thetas[rows]
         return x
 
-    def increment_state(self, batch, horizon):
+    def increment_state(self, batch):
         return None  # memoryless
 
     def increment_block(self, state, rows, x, n0):
@@ -459,11 +458,11 @@ class MultichannelArModel(ObservationModel):
         noise += post[:, :, None] * sig[None, :, :] * state.thetas[rows, None, :]
         return noise
 
-    def increment_state(self, batch, horizon):
+    def increment_state(self, batch):
         return {
             # the last p raw observations of each path, oldest first; zero before time 1
             "lags": np.zeros((batch, self._order, self.dimension)),
-            "sres": self.spec.residual_signal_matrix(horizon),
+            "sres": np.empty((0, self.dimension)),  # whitened signals; grown on demand
         }
 
     def increment_block(self, state, rows, x, n0):
@@ -478,9 +477,11 @@ class MultichannelArModel(ObservationModel):
                     resid[:, s:, c] -= beta * past[:, p - j + s : p - j + length, c]
         state["lags"][rows] = past[:, length:, :]
         sres = state["sres"]
-        if n0 + length > sres.shape[0]:  # a stream outgrew its table: double it
-            sres = self.spec.residual_signal_matrix(max(2 * sres.shape[0], n0 + length))
-            state["sres"] = sres
+        if n0 + length > sres.shape[0]:
+            # np.convolve sums in another order when the signal is not longer
+            # than the FIR, so a table always has at least p + 2 rows
+            size = max(2 * sres.shape[0], n0 + length, p + 2)
+            sres = state["sres"] = self.spec.residual_signal_matrix(size)
         return self._ell(resid, sres[n0 : n0 + length])
 
     def sample_paths(self, nus, thetas, horizon, rngs):
@@ -599,7 +600,7 @@ class TwoStateHmmModel(ObservationModel):
     def step(self, x) -> np.ndarray:
         return _stream_step(self, x)
 
-    def increment_state(self, batch, horizon):
+    def increment_state(self, batch):
         return self._filter_start(self._means.shape[0], batch)  # (P, batch)
 
     def increment_block(self, state, rows, x, n0):

@@ -95,12 +95,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown detector {self.detector!r}")
 
 
-def _chunk_payloads(
-    config: ExperimentConfig,
-    spec: TrialSpec,
-    want_final_stat: bool,
-    no_stopping: bool,
-):
+def _chunk_payloads(config: ExperimentConfig, spec: TrialSpec, no_stopping: bool):
     log_threshold = None if no_stopping else config.log_threshold
     for start in range(0, config.trials, CHUNK):
         count = min(CHUNK, config.trials - start)
@@ -116,7 +111,6 @@ def _chunk_payloads(
             config.master_seed,
             start,
             count,
-            want_final_stat,
         )
 
 
@@ -124,25 +118,22 @@ def _run_chunk_star(args):
     return run_chunk(*args)
 
 
-def run_trials(
-    config: ExperimentConfig,
-    spec: TrialSpec,
-    want_final_stat: bool = False,
-    no_stopping: bool = False,
-) -> TrialData:
+def run_trials(config: ExperimentConfig, spec: TrialSpec, no_stopping: bool = False) -> TrialData:
     """Run all trials of one scenario, chunked and optionally parallel.
 
     Chunk size is fixed; workers only decide how chunks are executed, and
     chunk results are concatenated in trial order, so outputs are identical
-    for any worker count.
+    for any worker count.  The pool has at most one process per chunk.  With
+    ``no_stopping`` every trial runs to the horizon and the result carries
+    its final statistic.
     """
-    payloads = list(_chunk_payloads(config, spec, want_final_stat, no_stopping))
+    payloads = list(_chunk_payloads(config, spec, no_stopping))
     if config.workers <= 1 or len(payloads) == 1:
         parts = [_run_chunk_star(p) for p in payloads]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(payloads))) as pool:
             parts = list(pool.map(_run_chunk_star, payloads))
     return TrialData.concatenate(parts)
 
@@ -152,7 +143,7 @@ def statistic_at_horizon(
 ) -> np.ndarray:
     """log statistic after exactly ``horizon`` steps for every trial (no stopping)."""
     spec = spec or TrialSpec(mode="no_change", stream_tag=0)
-    td = run_trials(config, spec, want_final_stat=True, no_stopping=True)
+    td = run_trials(config, spec, no_stopping=True)
     return td.final_log_stat
 
 

@@ -156,6 +156,63 @@ def test_ar_commands_run_without_signal_or_stats(tmp_path):
     assert (tmp_path / "report.json").exists() and (tmp_path / "trajectory.csv").exists()
 
 
+
+def test_benchmark_tracer_installs_and_counts(tmp_path):
+    """perfbench/tracer.py wraps functions and methods by name: a renamed or
+    removed hook fails here, and each layer's spans and counts add up."""
+    sim_cfg = write_config(
+        tmp_path,
+        base_config(
+            montecarlo={
+                "trials": 64,
+                "horizon": 100,
+                "seed": 3,
+                "scenarios": [{"name": "pfa", "quantity": "pfa_tail"}],
+            },
+            output={"report": "report.json"},
+        ),
+        name="sim.json",
+    )
+    det_cfg = write_config(
+        tmp_path,
+        base_config(
+            detector={"kind": "msr"},
+            calibration={"kind": "fixed", "log_threshold": 3.0},
+            mixing={"kind": "atoms", "atoms": [[1.0]]},
+        ),
+        name="det.json",
+    )
+    stream = np.random.default_rng(5).standard_normal(200)
+    stream[50:] += 1.5
+    data = tmp_path / "stream.csv"
+    data.write_text("".join(f"{float(v)!r}\n" for v in stream))
+    code = (
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "import json\n"
+        "from tracer import Tracer, install\n"
+        "import mixdetect.cli as cli\n"
+        "tr = Tracer()\n"
+        "install(tr, cli)\n"
+        f"assert cli.main(['simulate', {sim_cfg!r}]) == 0\n"
+        f"assert cli.main(['detect', {det_cfg!r}, {str(data)!r}]) == 0\n"
+        f"assert cli.main(['detect', {det_cfg!r}, {str(data)!r}, '--multicyclic']) == 0\n"
+        "print('trace', json.dumps({'calls': tr.self_times()[1], 'counts': tr.counts}))\n"
+    )
+    proc = _fresh_python(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    single = int(next(ln for ln in lines if ln.startswith("alarm at n = ")).split()[-1])
+    cycles = next(ln for ln in lines if ln.startswith("alarms: ")).split()[-1].split(",")
+    trace = json.loads(next(ln for ln in lines if ln.startswith("trace ")).split(" ", 1)[1])
+    calls, counts = trace["calls"], trace["counts"]
+    assert calls["montecarlo.run_trials"] == 1 and calls["engine.chunk"] == 1
+    assert counts["engine.steps_simulated"] == 64 * 100
+    assert counts["montecarlo.trials_simulated"] == 64
+    assert calls["detectors.loop"] == 2
+    assert calls["models.step"] == calls["detectors.update"] == single + stream.size
+    assert counts["detectors.alarms"] == 1 + len(cycles)
+
+
 class TestCalibrate:
     def test_ms_threshold_output(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
@@ -344,6 +401,16 @@ class TestConfigValidation:
                 {"kind": "uniform_grid", "lower": [0.5], "upper": [1.5], "counts": [True]},
                 "mixing.counts: expected a list of numbers",
             ),
+            (
+                "montecarlo",
+                {
+                    "trials": 10,
+                    "horizon": 100,
+                    "seed": -1,
+                    "scenarios": [{"quantity": "pfa_tail"}],
+                },
+                "montecarlo.seed: expected a non-negative integer",
+            ),
         ],
         ids=[
             "calibration_field",
@@ -370,13 +437,15 @@ class TestConfigValidation:
             "mixing_lower",
             "mixing_upper",
             "mixing_counts",
+            "montecarlo_seed_negative",
         ],
     )
     def test_section_error_rule(self, tmp_path, capsys, section, value, message):
         # one rule for every section: field errors keep their own name, a
         # missing key is named, any other builder error gets the section prefix
         doc = base_config(**{section: value})
-        assert main(["calibrate", write_config(tmp_path, doc)]) == 2
+        command = "simulate" if section == "montecarlo" else "calibrate"
+        assert main([command, write_config(tmp_path, doc)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
@@ -560,7 +629,8 @@ class TestSimulate:
         path = write_config(tmp_path, doc)
         load_experiment(path, need_montecarlo=True)  # integral values load
         doc[section][key] = value
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected an integer$"):
+        expected = "a non-negative integer" if key == "seed" else "an integer"
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected {expected}$"):
             load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
 
     def test_workers_env_named_in_message(self, tmp_path, monkeypatch):
@@ -798,10 +868,12 @@ class TestDetect:
         ],
         ids=["gaussian", "hmm"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_value_names_line(
         self, tmp_path, capsys, model, atoms, text, line, multicyclic
     ):
-        """A finite value whose increments overflow exits 3 naming its line."""
+        """A finite value whose increments overflow exits 3 naming its line, and
+        NumPy prints no RuntimeWarning before it."""
         doc = self.detect_doc(tmp_path, model=model, mixing={"kind": "atoms", "atoms": atoms})
         path = write_config(tmp_path, doc)
         data = tmp_path / "huge.csv"

@@ -399,8 +399,47 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
         assert np.any(stops > BLOCK), "no stop past the first block"
 
 
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_short_high_order_ar_paths_match_streaming(order):
+    """Paths of 1 .. p + 2 rows under an AR(p) channel agree with streaming to the bit.
+
+    np.convolve orders its sums by which input is longer, so a whitened-signal
+    table of at most p + 1 rows would end in other bits than a stream's.
+    """
+    rng = np.random.default_rng(order)
+    roots = rng.uniform(-0.9, 0.9, order)  # a stable AR polynomial
+    model = multichannel_ar_model(
+        ArChannelSpec(
+            ar_coeffs=(tuple(-np.poly(roots)[1:]),),
+            signals=(HarmonicSignal(*rng.uniform([0.5, 0.1, 0.0], [1.5, 1.0, math.pi])),),
+        ),
+        grid_from_atoms([[0.5], [1.0], [1.5]]),
+    )
+    spec = TrialSpec(mode="prior", q_short_circuit=True, stream_tag=24)
+    for horizon in range(1, order + 3):
+        for detector in ("ms", "msr"):
+            cfg = ExperimentConfig(
+                model=model,
+                prior=geometric_prior(0.02, q=0.1),
+                grid=model.grid,
+                detector=detector,
+                omega=0.5,
+                log_threshold=0.0,
+                trials=8,
+                horizon=horizon,
+                master_seed=order,
+            )
+            paths = [_trial_path(cfg, spec, i) for i in range(cfg.trials)]
+            stream = [_streaming(cfg, p, 1e300).log_stat_at_stop for p in paths]
+            assert statistic_at_horizon(cfg, spec).tobytes() == np.array(stream).tobytes()
+        for x in paths:
+            model.reset()
+            steps = np.array([model.step(row) for row in x])
+            assert model.increments_for(x).tobytes() == steps.tobytes()
+
+
 @pytest.mark.parametrize(
-    "k0,horizon,log_threshold,final,raises",
+    "k0,horizon,log_threshold,no_stopping,raises",
     [
         (70, 70, math.log(19.0), False, False),  # support outlasts the horizon
         (70, 71, math.log(19.0), False, True),
@@ -411,16 +450,16 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
         (70, 130, -np.inf, True, True),  # the final statistic needs every step
     ],
 )
-def test_prior_support_exhausted_unchanged(k0, horizon, log_threshold, final, raises):
+def test_prior_support_exhausted_unchanged(k0, horizon, log_threshold, no_stopping, raises):
     cfg = make_config(
         prior=point_mass_prior(k0), log_threshold=log_threshold, trials=40, horizon=horizon
     )
     spec = TrialSpec(mode="no_change", stream_tag=9)
     if raises:
         with pytest.raises(PriorSupportExhausted, match=rf"Pi\({k0 + 1}\)"):
-            run_trials(cfg, spec, want_final_stat=final)
+            run_trials(cfg, spec, no_stopping=no_stopping)
     else:
-        td = run_trials(cfg, spec, want_final_stat=final)
+        td = run_trials(cfg, spec, no_stopping=no_stopping)
         expected = 1 if log_threshold == -np.inf else 0
         assert np.all(td.stop_times == expected)
 
@@ -494,9 +533,7 @@ def test_pinned_per_trial_values(model_name, detector):
     stopped = run_trials(
         cfg, TrialSpec(mode="prior", q_short_circuit=detector == "ms", stream_tag=7)
     )
-    whole = run_trials(
-        cfg, TrialSpec(mode="prior", stream_tag=8), want_final_stat=True, no_stopping=True
-    )
+    whole = run_trials(cfg, TrialSpec(mode="prior", stream_tag=8), no_stopping=True)
     got = {
         "stop_times": _sha256(stopped.stop_times),
         "log_stat_at_stop": _sha256(stopped.log_stat_at_stop),
@@ -515,7 +552,6 @@ def test_benchmark_hook_points(monkeypatch):
     assert params[5] == "log_threshold"
     assert params[6] == "horizon"
     assert params[10] == "count"
-    assert params[11] == "want_final_stat"
 
     calls = []
     real = montecarlo.run_chunk
@@ -526,11 +562,41 @@ def test_benchmark_hook_points(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "run_chunk", recording)
     cfg = make_config(trials=CHUNK + 5, horizon=20)
-    run_trials(cfg, TrialSpec(mode="no_change"), want_final_stat=True)
+    run_trials(cfg, TrialSpec(mode="no_change"))
     assert [args[10] for args, _ in calls] == [CHUNK, 5]
     for args, kwargs in calls:
-        assert len(args) == 12 and not kwargs
-        assert args[5] == cfg.log_threshold and args[6] == 20 and args[11] is True
+        assert len(args) == 11 and not kwargs
+        assert args[5] == cfg.log_threshold and args[6] == 20
+
+
+def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
+    """A worker count above the number of chunks opens no more processes."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:  # records its size and maps in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = make_config(trials=CHUNK + 5, horizon=40, workers=5000)
+    spec = TrialSpec(mode="no_change", stream_tag=3)
+    pooled = run_trials(cfg, spec)
+    assert sizes == [2]
+    serial = run_trials(replace(cfg, workers=1), spec)
+    assert sizes == [2]
+    for name in ("stop_times", "log_stat_at_stop", "nus"):
+        assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
