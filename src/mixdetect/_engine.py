@@ -5,8 +5,8 @@ from (master_seed, stream_tag, trial_index), and its path is sampled from
 that stream alone, so per-trial results do not depend on batching or worker
 count.  Increments and the detector recursion are deterministic functions
 of the paths, computed by the same block kernels and the same
-``detectors.advance`` as the streaming detectors, so lockstep and streaming
-runs agree bit for bit.
+``detectors.advance`` and ``detectors.log_statistic`` as the streaming
+detectors, so lockstep and streaming runs agree bit for bit.
 
 A chunk derives all of its trials' streams in one pass: ``trial_rngs``
 hashes every ``SeedSequence([master_seed, stream_tag, i])`` with NumPy's
@@ -26,8 +26,12 @@ of the block's current rows are live and the block has steps left; each
 drop at least halves the rows, so the copying is a constant factor.  The
 chunk's statistic is stored atoms first, (n_atoms, CHUNK), and each block's
 increments are transposed once to (steps, n_atoms, trials), so the
-recursion reduces over contiguous atom rows.  Neither constant nor the
-compaction affects any value; memory per chunk is
+recursion reduces over contiguous atom rows.  The recursion runs on every
+live trial at every step, but the statistic's K-term log-sum-exp runs only
+on the trials whose largest weighted atom term leaves it within log K of the
+threshold; the others cannot alarm at that step.  A column's log-sum-exp
+does not depend on which other columns are present, so neither constant,
+the compaction nor this bound affects any value; memory per chunk is
 O(CHUNK * BLOCK * n_atoms), not O(CHUNK * horizon * n_atoms).
 """
 
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .detectors import PriorSupportExhausted, advance, recursion_tables
+from .detectors import PriorSupportExhausted, advance, log_statistic, recursion_tables
 from .measures import ChangePrior, MixingGrid
 from .models import ObservationModel
 
@@ -208,6 +212,22 @@ def _draw_trials(
     return nus, thetas
 
 
+def _alarm_floor(log_threshold: float, log_tail: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Per step n, the value of max_i(log N_n(theta_i) + log w_i) below which
+    a trial cannot alarm at step n.
+
+    A mixture of K terms is at most K times its largest term, so the
+    statistic is at most that max + log K - log Pi(n).  ``tol`` covers
+    rounding: each of the K - 1 logaddexp steps of the statistic's fold errs
+    by a few ulps of its running value, which near the threshold is at most
+    |log A| + |log Pi(n)| + log K in size, so the fold errs by less than
+    1e-9 * (1 + |log A| + |log Pi(n)|) for K < 10^5 atoms (a block of
+    increments for that many atoms would take 50 GB).
+    """
+    tol = 1e-9 * (1.0 + abs(log_threshold) + np.abs(log_tail))
+    return log_threshold + log_tail - np.log(n_atoms) - tol
+
+
 def run_chunk(
     model: ObservationModel,
     prior: ChangePrior,
@@ -235,6 +255,8 @@ def run_chunk(
     init, log_pi, log_tail = recursion_tables(detector, prior, omega, horizon)
     exhausted = ~np.isfinite(log_tail)  # never, for MSR
 
+    if log_threshold is not None:
+        floor = _alarm_floor(log_threshold, log_tail, grid.size)
     sampler = model.sampler_state(nus, thetas, horizon, rngs)
     scorer = model.increment_state(count)
     stat_state = np.full((grid.size, count), init)  # atoms first
@@ -258,24 +280,31 @@ def run_chunk(
                 raise PriorSupportExhausted(
                     f"prior tail Pi({n}) = 0; the MS recursion cannot continue"
                 )
-            state, log_stat = advance(
-                state, ell[n - 1 - off], logw, log_pi[n - 1], log_tail[n]
-            )
-            if log_threshold is not None:
-                newly = live & (log_stat >= log_threshold)
-                if newly.any():
-                    stop[rows[newly]] = n
-                    stat_at_stop[rows[newly]] = log_stat[newly]
-                    live &= ~newly
-                    if n < n1 and 2 * np.count_nonzero(live) <= live.size:
-                        # drop alarmed trials mid-block; halving bounds the copying
-                        alive[rows[~live]] = False
-                        # np.compress keeps the arrays contiguous; state[:, live] would not
-                        state = np.compress(live, state, axis=1)
-                        ell = np.compress(live, ell[n - off:], axis=2)
-                        rows, live, off = rows[live], live[live], n
-                if not live.any():
-                    break
+            state = advance(state, ell[n - 1 - off], log_pi[n - 1])
+            if log_threshold is None:
+                continue
+            # the exact statistic only where the bound allows an alarm; a NaN
+            # max fails the < test, so its column takes the exact path too
+            near = np.flatnonzero(live & ~((state + logw).max(axis=0) < floor[n]))
+            if near.size == 0:
+                continue
+            log_stat = log_statistic(np.take(state, near, axis=1), logw, log_tail[n])
+            crossed = log_stat >= log_threshold
+            if not crossed.any():
+                continue
+            newly = near[crossed]
+            stop[rows[newly]] = n
+            stat_at_stop[rows[newly]] = log_stat[crossed]
+            live[newly] = False
+            if not live.any():
+                break
+            if n < n1 and 2 * np.count_nonzero(live) <= live.size:
+                # drop alarmed trials mid-block; halving bounds the copying
+                alive[rows[~live]] = False
+                # np.compress keeps the arrays contiguous; state[:, live] would not
+                state = np.compress(live, state, axis=1)
+                ell = np.compress(live, ell[n - off:], axis=2)
+                rows, live, off = rows[live], live[live], n
         stat_state[:, rows] = state
         alive[rows] = live
 
@@ -283,5 +312,7 @@ def run_chunk(
         stop_times=stop,
         log_stat_at_stop=stat_at_stop,
         nus=nus,
-        final_log_stat=log_stat if log_threshold is None else None,
+        final_log_stat=(
+            log_statistic(stat_state, logw, log_tail[horizon]) if log_threshold is None else None
+        ),
     )

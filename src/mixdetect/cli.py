@@ -771,14 +771,16 @@ def _data_line(path: str, rows: int, row: int) -> int:
 
 
 def _write_trajectory(path: str, segments: list[np.ndarray]) -> None:
+    # csv.writer's default dialect: "\r\n" line ends; no field here needs quoting
+    lines = (
+        f"{int(n)},{stat!r},{int(crossed)}\r\n"
+        for seg in segments
+        if seg is not None
+        for n, stat, crossed in seg.tolist()
+    )
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "log_stat", "crossed"])
-        for seg in segments:
-            if seg is None or len(seg) == 0:
-                continue
-            for n, stat, crossed in seg:
-                w.writerow([int(n), repr(float(stat)), int(crossed)])
+        fh.write("n,log_stat,crossed\r\n")
+        fh.writelines(lines)
 
 
 def cmd_detect(

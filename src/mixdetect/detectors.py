@@ -12,10 +12,13 @@ exact one-step recursions on per-atom numerators:
 which are plain algebra on the defining double sums (cross-checked here by
 brute-force oracles that evaluate those sums literally).  MSR is the MS
 recursion with pi_k = 1 and Pi(n) = 1, started from omega instead of q, so
-one function, ``advance``, computes both; ``recursion_tables`` gives its
-start value and per-step tables for either kind.  ``advance`` keeps atoms on
-the leading axis: a stream's state is a (K,) vector and a batch of B trials
-is (K, B), so the Monte Carlo engine reduces over contiguous atom rows.
+two kernels serve both: ``advance`` steps the per-atom numerators and
+``log_statistic`` mixes them into log S_n or log R_n; ``recursion_tables``
+gives the start value and per-step tables for either kind.  The streaming
+updates call both at every step; the Monte Carlo engine calls
+``log_statistic`` only where the statistic can meet the threshold.  Both
+keep atoms on the leading axis: a stream's state is a (K,) vector and a
+batch of B trials is (K, B), so the engine reduces over contiguous atom rows.
 All accumulation is log-domain with log-sum-exp; the statistics reach
 exp(+-hundreds) and are never exponentiated except inside the guarded
 posterior computation.
@@ -44,7 +47,7 @@ def _log_or_ninf(value: float):
 
 
 def recursion_tables(kind: str, prior: ChangePrior, omega: float, horizon: int):
-    """(init, log_pi, log_tail) for ``advance`` over steps n = 1 .. horizon.
+    """(init, log_pi, log_tail) for ``advance`` and ``log_statistic``, n = 1 .. horizon.
 
     init is the per-atom log numerator at time 0; step n uses log_pi[n-1]
     and log_tail[n].  MSR's tables are all zero: pi_k = 1 and Pi(n) = 1.
@@ -58,18 +61,26 @@ def recursion_tables(kind: str, prior: ChangePrior, omega: float, horizon: int):
     raise ValueError(f"unknown detector kind {kind!r}; expected 'ms' or 'msr'")
 
 
-def advance(log_num, ell, log_w, log_pi_prev, log_tail_n):
-    """One step of the MS/MSR recursion, atoms first.
+def advance(log_num, ell, log_pi_prev):
+    """One step of the MS/MSR recursion on the per-atom log numerators.
 
-    ``log_num`` and ``ell`` are (K,) for one stream or (K, B) for B trials,
-    and ``log_w`` is (K,) or (K, 1) to match.  Returns the new per-atom log
-    numerators and the log statistic log sum_i w_i N_n(theta_i) - log Pi(n),
-    a scalar or (B,).  The reduce folds atoms in the order 0 .. K-1 for
-    every trial, so batch column b equals the one-stream step on it, bit for
-    bit.  With log_pi_prev = log_tail_n = 0 this is the MSR step.
+    ``log_num`` and ``ell`` are (K,) for one stream or (K, B) for B trials;
+    returns log N_n(theta_i) of the same shape.  With log_pi_prev = 0 this
+    is the MSR step.
     """
-    log_num = np.logaddexp(log_num, log_pi_prev) + ell
-    return log_num, np.logaddexp.reduce(log_num + log_w, axis=0) - log_tail_n
+    return np.logaddexp(log_num, log_pi_prev) + ell
+
+
+def log_statistic(log_num, log_w, log_tail_n):
+    """log sum_i w_i N_n(theta_i) - log Pi(n): a scalar, or (B,) for (K, B).
+
+    ``log_w`` is (K,) or (K, 1) to match ``log_num``.  The reduce folds
+    atoms in the order 0 .. K-1 for every column, so a column's value does
+    not depend on which other columns are present, and batch column b
+    equals the one-stream value on it, bit for bit.  With log_tail_n = 0
+    this is the MSR statistic.
+    """
+    return np.logaddexp.reduce(log_num + log_w, axis=0) - log_tail_n
 
 
 @dataclass
@@ -122,7 +133,7 @@ class NonFiniteIncrements(ValueError):
 
 def _finite(increments) -> np.ndarray:
     inc = np.asarray(increments, dtype=float)
-    if not np.all(np.isfinite(inc)):
+    if not np.isfinite(inc).all():
         raise NonFiniteIncrements("increments must be finite")
     return inc
 
@@ -136,21 +147,16 @@ def ms_update(state: MsState, increments: np.ndarray) -> MsState:
         raise PriorSupportExhausted(
             f"prior tail Pi({n + 1}) = 0; the MS recursion cannot continue"
         )
-    log_pi_n = float(state.prior.log_pmf(n))
-    state.log_num, log_stat = advance(
-        state.log_num, inc, state.grid.log_weights, log_pi_n, log_tail_next
-    )
-    state.log_stat = float(log_stat)
+    state.log_num = advance(state.log_num, inc, float(state.prior.log_pmf(n)))
+    state.log_stat = float(log_statistic(state.log_num, state.grid.log_weights, log_tail_next))
     state.n = n + 1
     return state
 
 
 def msr_update(state: MsrState, increments: np.ndarray) -> MsrState:
     """Advance the MSR statistic by one observation's per-atom increments."""
-    state.log_r, log_stat = advance(
-        state.log_r, _finite(increments), state.grid.log_weights, 0.0, 0.0
-    )
-    state.log_stat = float(log_stat)
+    state.log_r = advance(state.log_r, _finite(increments), 0.0)
+    state.log_stat = float(log_statistic(state.log_r, state.grid.log_weights, 0.0))
     state.n += 1
     return state
 

@@ -926,6 +926,29 @@ class TestDetect:
         last = lines[-1].split(",")
         assert last[0] == "11" and last[2] == "1"
 
+    def test_trajectory_bytes_match_csv_writer(self, tmp_path):
+        """_write_trajectory writes what csv.writer writes for the same rows,
+        kept here as the reference, with non-finite and empty segments."""
+        import csv
+
+        from mixdetect.cli import _write_trajectory
+
+        segments = [
+            np.array([[1, -np.inf, 0], [2, 0.1 + 0.2, 0], [3, 1e300, 1]], dtype=float),
+            None,
+            np.array([]),
+            np.array([[4, np.nan, 0], [5, -2.5e-310, 0], [6, 7.0, 1]], dtype=float),
+        ]
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["n", "log_stat", "crossed"])
+            for seg in segments:
+                for n, stat, crossed in seg if seg is not None else []:
+                    w.writerow([int(n), repr(float(stat)), int(crossed)])
+        _write_trajectory(str(tmp_path / "got.csv"), segments)
+        assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
+
     def test_header_detection(self, tmp_path):
         data = tmp_path / "h.csv"
         data.write_text("value\n1.5\n2.5\n")
@@ -1066,6 +1089,22 @@ def test_simulate_outputs_pinned(tmp_path, monkeypatch, capsys, name):
                 path.read_bytes()
             ).hexdigest()
     assert got == PINNED_SIMULATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("workload", ["gauss_pfa", "ar_no_change", "hmm_late_change"])
+def test_benchmark_reference_digests(tmp_path, monkeypatch, workload):
+    """The benchmark's simulate workloads at seed 1, full size, write the bytes
+    whose SHA-256 perfbench/reference.json records."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delenv("MIXDETECT_WORKERS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    import workloads
+
+    inputs = getattr(workloads, f"prepare_{workload}")(str(ROOT), str(tmp_path), 1, False)
+    assert main(inputs.argv) == 0
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    want = reference["workloads"][workload]["output_sha256"]["1"]
+    assert workloads.output_digest(str(tmp_path), inputs) == want
 
 
 def _tracer_patches():

@@ -7,21 +7,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixdetect import montecarlo
 from mixdetect._engine import (
     BLOCK,
     CHUNK,
     TrialSpec,
+    _alarm_floor,
     _draw_trials,
     _seed_state,
     trial_rng,
     trial_rngs,
 )
 from mixdetect.calibration import ms_threshold
-from mixdetect.detectors import PriorSupportExhausted, run_detector
+from mixdetect.detectors import PriorSupportExhausted, log_statistic, run_detector
 from mixdetect.measures import (
     geometric_prior,
     grid_from_atoms,
@@ -746,3 +748,71 @@ def test_compaction_keeps_prior_support_exhausted():
     assert np.any(td.stop_times == 0), "every trial alarmed before the support ran out"
     with pytest.raises(PriorSupportExhausted, match=rf"Pi\({k0 + 1}\)"):
         run_trials(cfg, DRIFT_SPEC)
+
+
+# ---------------------------------------------------------------------------
+# The alarm floor: the exact statistic is computed only where it can cross.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _atoms_near_threshold(draw):
+    k = draw(st.integers(1, 64))
+    # -inf atoms, exact ties and +-700 are the log-sum-exp fold's edge cases
+    values = st.one_of(
+        st.sampled_from([-np.inf, -700.0, 0.0, 700.0]), st.floats(-700.0, 700.0)
+    )
+    log_num = draw(hnp.arrays(np.float64, k, elements=values))
+    log_w = draw(hnp.arrays(np.float64, k, elements=st.floats(-50.0, 0.0)))
+    log_tail = draw(st.one_of(st.just(0.0), st.floats(-700.0, 0.0)))
+    ulps = draw(st.integers(-4, 4))
+    return log_num, log_w, log_tail, ulps
+
+
+@settings(max_examples=500, deadline=None)
+@given(_atoms_near_threshold())
+@example((np.full(64, 3.0), np.full(64, -math.log(64)), 0.0, 0))  # the bound is tight
+@example((np.full(64, 700.0), np.zeros(64), -700.0, -1))
+@example((np.array([-np.inf, 1.0, -np.inf]), np.log([0.2, 0.3, 0.5]), -5.0, 0))
+def test_alarm_floor_never_hides_a_crossing(inputs):
+    """A column whose statistic meets the threshold never has its largest
+    weighted atom term below the floor, at and a few ulps around a tie."""
+    log_num, log_w, log_tail, ulps = inputs
+    stat = float(log_statistic(log_num, log_w, log_tail))
+    assume(np.isfinite(stat))
+    log_a = stat
+    for _ in range(abs(ulps)):
+        log_a = float(np.nextafter(log_a, math.copysign(np.inf, ulps)))
+    floor = _alarm_floor(log_a, np.array([log_tail]), log_num.size)[0]
+    if stat >= log_a:
+        assert (log_num + log_w).max() >= floor
+
+
+@pytest.mark.parametrize("detector", ["ms", "msr"])
+def test_threshold_tie_stops_like_streaming(detector):
+    """log A equal to a value the streaming statistic reaches: that trial stops
+    on the tie, and every trial's stop time and statistic match streaming."""
+    grid = grid_from_atoms([[0.25], [0.5], [1.0], [1.5], [2.0]])
+    cfg = make_config(grid=grid, detector=detector, omega=0.5, trials=40, horizon=130)
+    spec = TrialSpec(mode="fixed", nu=60, theta=(1.0,), stream_tag=8)
+    paths = [_trial_path(cfg, spec, i) for i in range(cfg.trials)]
+    # trial 0's largest statistic over the second block, first reached at `tie`
+    traj = run_detector(
+        detector, cfg.model, cfg.prior, grid, 1e300, paths[0],
+        record_trajectory=True, omega=cfg.omega,
+    ).trajectory
+    tie = BLOCK + int(np.argmax(traj[BLOCK : 2 * BLOCK, 1]))
+    log_a = float(traj[tie, 1])
+    assert traj[:tie, 1].max() < log_a, "trial 0 reaches log A before the tie"
+
+    td = run_trials(replace(cfg, log_threshold=log_a), spec)
+    assert td.stop_times[0] == tie + 1 and td.log_stat_at_stop[0] == log_a
+    for i, path in enumerate(paths):
+        rec = _streaming(cfg, path, log_a)
+        if rec.censored:
+            assert td.stop_times[i] == 0 and np.isnan(td.log_stat_at_stop[i])
+        else:
+            assert td.stop_times[i] == rec.stop_time
+            got, want = np.array([td.log_stat_at_stop[i], rec.log_stat_at_stop])
+            assert got.view(np.uint64) == want.view(np.uint64)
+    assert np.count_nonzero(td.stop_times) > 1
