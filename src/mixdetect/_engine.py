@@ -42,12 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .detectors import PriorSupportExhausted, advance, log_statistic, recursion_tables
+from .detectors import BLOCK, PriorSupportExhausted, advance, log_statistic, recursion_tables
 from .measures import ChangePrior, MixingGrid
 from .models import ObservationModel
 
 CHUNK = 1024  # fixed: chunking never affects per-trial values
-BLOCK = 64  # fixed: blocking never affects per-trial values
 
 
 def trial_rng(master_seed: int, stream_tag: int, trial_index: int) -> np.random.Generator:

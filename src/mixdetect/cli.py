@@ -737,8 +737,10 @@ def cmd_simulate(config_path: str) -> int:
 
 
 def load_csv_stream(path: str, dimension: int) -> np.ndarray:
-    """Read a (T, dimension) observation stream; header row optional."""
+    """Read a (T, dimension) observation stream; blank lines are skipped, and
+    the first non-blank line may be a header."""
     rows = []
+    header = False
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -748,8 +750,9 @@ def load_csv_stream(path: str, dimension: int) -> np.ndarray:
             try:
                 vals = [float(p) for p in parts]
             except ValueError:
-                if lineno == 1:
-                    continue  # header
+                if not rows and not header:  # the first non-blank line
+                    header = True
+                    continue
                 raise RuntimeError(f"{path}:{lineno}: malformed CSV row {line!r}")
             if len(vals) != dimension:
                 raise RuntimeError(

@@ -14,28 +14,38 @@ brute-force oracles that evaluate those sums literally).  MSR is the MS
 recursion with pi_k = 1 and Pi(n) = 1, started from omega instead of q, so
 two kernels serve both: ``advance`` steps the per-atom numerators and
 ``log_statistic`` mixes them into log S_n or log R_n; ``recursion_tables``
-gives the start value and per-step tables for either kind.  The streaming
-updates call both at every step; the Monte Carlo engine calls
-``log_statistic`` only where the statistic can meet the threshold.  Both
-keep atoms on the leading axis: a stream's state is a (K,) vector and a
-batch of B trials is (K, B), so the engine reduces over contiguous atom rows.
+gives the start value and per-step tables for either kind.  Both keep atoms
+on the leading axis: a stream's state is a (K,) vector and a batch of B
+trials is (K, B), so the engine reduces over contiguous atom rows.  The
+one-row updates ``ms_update``/``msr_update`` call both kernels once.  The
+streaming alarm loop scores a block of BLOCK rows at a time, runs
+``advance`` over its rows and mixes them in one ``log_statistic`` call,
+with the same values; the Monte Carlo engine calls ``log_statistic`` only
+where the statistic can meet the threshold.
 All accumulation is log-domain with log-sum-exp; the statistics reach
 exp(+-hundreds) and are never exponentiated except inside the guarded
 posterior computation.
 
 The stopping rules raise an alarm at the first n >= 1 whose log statistic
 meets the log threshold (ties stop).  A multi-cyclic wrapper restarts the
-statistic from its initial value after every alarm for surveillance use.
+statistic from its initial value after every alarm for surveillance use,
+at that row, in the middle of a block too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .measures import ChangePrior, MixingGrid
 from .models import ObservationModel
+
+
+# rows per block in the alarm loop, and steps per block in the Monte Carlo
+# engine; no value depends on it
+BLOCK = 64
 
 
 class PriorSupportExhausted(RuntimeError):
@@ -56,6 +66,8 @@ def recursion_tables(kind: str, prior: ChangePrior, omega: float, horizon: int):
     if k == "ms":
         return _log_or_ninf(prior.q), prior.log_pmf_array(horizon), prior.log_tail_array(horizon)
     if k == "msr":
+        if omega < 0.0:
+            raise ValueError("head-start omega must be >= 0")
         zeros = np.zeros(horizon + 1)
         return _log_or_ninf(omega), zeros, zeros
     raise ValueError(f"unknown detector kind {kind!r}; expected 'ms' or 'msr'")
@@ -179,15 +191,6 @@ class AlarmRecord:
     trajectory: np.ndarray | None = None
 
 
-def _new_state(kind: str, prior: ChangePrior, grid: MixingGrid, omega: float):
-    k = kind.lower()
-    if k == "ms":
-        return MsState(prior=prior, grid=grid)
-    if k == "msr":
-        return MsrState(grid=grid, omega=omega)
-    raise ValueError(f"unknown detector kind {kind!r}; expected 'ms' or 'msr'")
-
-
 def _check_grid(model: ObservationModel, grid: MixingGrid) -> None:
     if grid is not model.grid and not (
         np.array_equal(grid.atoms, model.grid.atoms)
@@ -209,10 +212,11 @@ def run_detector(
 ) -> AlarmRecord:
     """Run one detector over an observation stream until alarm or exhaustion.
 
-    ``observations`` is any iterable of rows (scalars for 1-d models);
-    ``horizon`` caps the number of steps, and no row past it is read.  The
-    comparison is on log values, with >= so that exact ties stop.  A
-    censored record carries the last statistic.
+    ``observations`` is any iterable of rows (scalars for 1-d models).  Rows
+    are read BLOCK at a time, so up to BLOCK - 1 rows after the alarm may be
+    read from an iterator; ``horizon`` caps the number of steps, and no row
+    past it is read.  The comparison is on log values, with >= so that exact
+    ties stop.  A censored record carries the last statistic.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -255,55 +259,106 @@ def _multicyclic_with_tail(
     With ``restart`` (multicyclic) the statistic restarts after every alarm
     and the tail has no statistic.  Without it (``run_detector``, single-shot
     ``detect``) the loop returns at the first alarm with tail None, and a
-    censored tail reports the last statistic.  At most ``horizon`` rows are
-    read.  Each row goes through ``model.step`` and the module-level
-    ``ms_update``/``msr_update`` exactly once.  A row whose increments are
-    not finite (a finite but huge observation can overflow them) raises
-    ``NonFiniteIncrements`` with its 1-based ``row``, and NumPy's overflow
-    and invalid-value warnings are silenced for the loop.
+    censored tail reports the last statistic.
+
+    Rows are read in blocks of at most BLOCK, and never past ``horizon``, so
+    a run may read up to BLOCK - 1 rows beyond the row it stops at.  One
+    ``model.stream_block`` call scores each block.  ``advance`` then steps
+    the per-atom numerators row by row, and one ``log_statistic`` call mixes
+    the rows, which gives the values of ``ms_update``/``msr_update`` bit for
+    bit.  An alarm inside a block restarts the statistic and its prior clock
+    (the index into the tables of ``recursion_tables``, grown by doubling)
+    at the next row, and the block's later rows, already scored, run again
+    from there.  The rows before the block's first row whose increments are
+    not finite (a finite but huge observation can overflow them) are
+    processed first, so an alarm among them still stands; then that row
+    raises ``NonFiniteIncrements`` with its 1-based ``row``.  A step past the
+    prior's support raises ``PriorSupportExhausted`` at its own row in the
+    same way.  NumPy's overflow and invalid-value warnings are silenced for
+    the loop.
     """
     if not np.isfinite(log_threshold):
         raise ValueError("log_threshold must be finite")
     _check_grid(model, grid)
     model.reset()
-    state = _new_state(kind, prior, grid, omega)
-    update = ms_update if kind.lower() == "ms" else msr_update
+    init, log_pi, log_tail = recursion_tables(kind, prior, omega, BLOCK)
+    log_w = grid.log_weights[:, None]
+    state = np.full(grid.size, init)
+    clock = 0  # steps since the last (re)start
     records: list[AlarmRecord] = []
-    traj: list[tuple[int, float, int]] = []
-    cycle_start = 0
-    n = 0
+    cycle: list[np.ndarray] = []  # trajectory rows since the last (re)start
+    last_stat = None
+    n = 0  # rows read before the current block
+    rows = iter(observations)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for row in observations:
-                n += 1
-                update(state, model.step(row))
-                crossed = state.log_stat >= log_threshold
-                if record_trajectory:
-                    traj.append((n, state.log_stat, int(crossed)))
-                if crossed:
+        while horizon is None or n < horizon:
+            block = list(islice(rows, BLOCK if horizon is None else min(BLOCK, horizon - n)))
+            if not block:
+                break
+            ell = model.stream_block(block)  # (L, K)
+            finite = np.isfinite(ell).all(axis=1)
+            good = len(block) if finite.all() else int(finite.argmin())
+            i = 0  # the block's next row
+            while i < good:
+                if clock + good - i >= log_tail.size:
+                    size = max(2 * log_tail.size, clock + good - i)
+                    _, log_pi, log_tail = recursion_tables(kind, prior, omega, size)
+                tails = log_tail[clock + 1 : clock + 1 + good - i]
+                supported = np.isfinite(tails)
+                m = tails.size if supported.all() else int(supported.argmin())
+                nums = np.empty((grid.size, m))
+                for j in range(m):
+                    nums[:, j] = state = advance(state, ell[i + j], log_pi[clock + j])
+                stats = log_statistic(nums, log_w, tails[:m])
+                hit = np.flatnonzero(stats >= log_threshold)
+                steps = int(hit[0]) + 1 if hit.size else m
+                if steps:
+                    last_stat = float(stats[steps - 1])
+                    if record_trajectory:
+                        cycle.append(_trajectory_rows(n + i + 1, stats[:steps], hit.size > 0))
+                i += steps
+                clock += steps
+                if hit.size:
                     records.append(
                         AlarmRecord(
-                            stop_time=n,
+                            stop_time=n + i,
                             censored=False,
-                            log_stat_at_stop=state.log_stat,
-                            trajectory=np.array(traj[cycle_start:]) if record_trajectory else None,
+                            log_stat_at_stop=last_stat,
+                            trajectory=_trajectory(cycle) if record_trajectory else None,
                         )
                     )
                     if not restart:
                         return records, None
-                    cycle_start = len(traj)
-                    state = _new_state(kind, prior, grid, omega)
-                if horizon is not None and n >= horizon:
-                    break
-        except NonFiniteIncrements as exc:
-            raise NonFiniteIncrements(f"row {n}: {exc}", row=n) from None
+                    state, clock, cycle = np.full(grid.size, init), 0, []
+                elif m < tails.size:
+                    raise PriorSupportExhausted(
+                        f"prior tail Pi({clock + 1}) = 0; the MS recursion cannot continue"
+                    )
+            if good < len(block):
+                row = n + good + 1
+                raise NonFiniteIncrements(f"row {row}: increments must be finite", row=row)
+            n += len(block)
     tail = AlarmRecord(
         stop_time=None,
         censored=True,
-        log_stat_at_stop=state.log_stat if n and not restart else None,
-        trajectory=np.array(traj[cycle_start:]) if record_trajectory else None,
+        log_stat_at_stop=None if restart else last_stat,
+        trajectory=_trajectory(cycle) if record_trajectory else None,
     )
     return records, tail
+
+
+def _trajectory_rows(first: int, stats: np.ndarray, crossed: bool) -> np.ndarray:
+    """Trajectory rows (n, log_stat, crossed_flag) for steps first, first + 1, ...;
+    only the last step can carry the crossing."""
+    out = np.zeros((stats.size, 3))
+    out[:, 0] = np.arange(first, first + stats.size)
+    out[:, 1] = stats
+    out[-1, 2] = crossed
+    return out
+
+
+def _trajectory(cycle: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(cycle) if cycle else np.array([])
 
 
 # ---------------------------------------------------------------------------

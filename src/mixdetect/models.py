@@ -21,9 +21,11 @@ position, AR filter memory, HMM chain and forward filter) carries from one
 block to the next, so a path's values do not depend on how its time axis is
 cut into blocks or on which other paths share a call.  The whole-path
 methods ``sample_paths`` / ``path_increments`` are the one-block case, and
-streaming ``step`` is the one-path, one-row case: ``reset()`` starts a
-one-path increment state and ``step(x)`` is ``increment_block`` over the one
-row x, so streaming and batch values agree bit for bit by construction.
+streaming is the one-path case: ``reset()`` starts a one-path increment
+state, ``stream_block(rows)`` is ``increment_block`` over the next rows of
+the stream (the alarm loop feeds it blocks of rows), and ``step(x)`` is its
+one-row case, so streaming and batch values agree bit for bit by
+construction.
 Sampling is vectorised across the listed paths, and each path still draws
 from its own generator only.  The HMM has one forward filter (``_predict``
 and ``_correct``), which both scores increments and drives the post-change
@@ -58,6 +60,18 @@ class ObservationModel(ABC):
         """Return to time 0 with empty history: a one-path increment state."""
         self._t = 0
         self._stream = self.increment_state(1)
+
+    def stream_block(self, rows) -> np.ndarray:
+        """Increments (L, n_atoms) of the next L stream rows; advances the stream by L.
+
+        ``rows`` holds L observations (scalars for 1-d models, or rows of
+        ``dimension`` values), scored on the one-path state that ``reset()``
+        started.
+        """
+        x = np.asarray(rows, dtype=float).reshape(1, len(rows), self.dimension)
+        ell = self.increment_block(self._stream, slice(None), x, self._t)
+        self._t += len(rows)
+        return ell[0]
 
     @abstractmethod
     def step(self, x) -> np.ndarray:
@@ -152,16 +166,10 @@ def _sampler(nus, thetas, rngs, width: int, **carry) -> SamplerState:
     )
 
 
-# The concrete classes define ``step`` / ``sample_paths`` / ``path_increments``
-# as thin wrappers around these, each in its own class body, so that per-class
-# instrumentation (perfbench/tracer.py) finds them in the class __dict__.
-
-
-def _stream_step(model: ObservationModel, x) -> np.ndarray:
-    row = np.asarray(x, dtype=float).reshape(1, 1, model.dimension)
-    ell = model.increment_block(model._stream, slice(None), row, model._t)
-    model._t += 1
-    return ell[0, 0]
+# The concrete classes define ``step`` (around ``stream_block``), ``sample_paths``
+# and ``path_increments`` (around these) as thin wrappers, each in its own class
+# body, so that per-class instrumentation (perfbench/tracer.py) finds them in
+# the class __dict__.
 
 
 def _whole_paths(model: ObservationModel, nus, thetas, horizon: int, rngs) -> np.ndarray:
@@ -223,7 +231,7 @@ class GaussianIidModel(ObservationModel):
         self.reset()
 
     def step(self, x) -> np.ndarray:
-        return _stream_step(self, x)
+        return self.stream_block([x])[0]
 
     def sampler_state(self, nus, thetas, horizon, rngs):
         return _sampler(nus, thetas, rngs, 1)
@@ -437,7 +445,7 @@ class MultichannelArModel(ObservationModel):
         return out
 
     def step(self, x) -> np.ndarray:
-        return _stream_step(self, x)
+        return self.stream_block([x])[0]
 
     def sampler_state(self, nus, thetas, horizon, rngs):
         # zi: each channel's noise-filter state (see _ar_noise), carried between blocks
@@ -598,7 +606,7 @@ class TwoStateHmmModel(ObservationModel):
         return log_g1, log_g2
 
     def step(self, x) -> np.ndarray:
-        return _stream_step(self, x)
+        return self.stream_block([x])[0]
 
     def increment_state(self, batch):
         return self._filter_start(self._means.shape[0], batch)  # (P, batch)

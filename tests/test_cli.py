@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixdetect._engine import TrialSpec
 from mixdetect.calibration import msr_threshold
@@ -201,7 +203,7 @@ def test_benchmark_tracer_installs_and_counts(tmp_path):
     proc = _fresh_python(code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    single = int(next(ln for ln in lines if ln.startswith("alarm at n = ")).split()[-1])
+    assert any(ln.startswith("alarm at n = ") for ln in lines)
     cycles = next(ln for ln in lines if ln.startswith("alarms: ")).split()[-1].split(",")
     trace = json.loads(next(ln for ln in lines if ln.startswith("trace ")).split(" ", 1)[1])
     calls, counts = trace["calls"], trace["counts"]
@@ -209,7 +211,9 @@ def test_benchmark_tracer_installs_and_counts(tmp_path):
     assert counts["engine.steps_simulated"] == 64 * 100
     assert counts["montecarlo.trials_simulated"] == 64
     assert calls["detectors.loop"] == 2
-    assert calls["models.step"] == calls["detectors.update"] == single + stream.size
+    # detect scores rows in blocks, so neither one-row wrapper runs; the rows
+    # scored are counted in test_detectors.py::test_each_row_read_is_scored_once
+    assert calls["models.step"] == calls["detectors.update"] == 0
     assert counts["detectors.alarms"] == 1 + len(cycles)
 
 
@@ -884,6 +888,61 @@ class TestDetect:
         assert f"error: {data}:{line}: observation out of range" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("multicyclic", [False, True])
+    @pytest.mark.parametrize("row", [1, 64, 65, 130])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_named_at_block_positions(self, tmp_path, capsys, row, multicyclic):
+        """Rows are scored 64 at a time; the overflowing row is still named by
+        its own line, on a block's first or last row too."""
+        doc = self.detect_doc(tmp_path, mixing={"kind": "atoms", "atoms": [[2.0]]})
+        path = write_config(tmp_path, doc)
+        values = ["0.0"] * 140
+        values[row - 1] = "-1e308"
+        data = tmp_path / "huge.csv"
+        data.write_text("x\n" + "\n".join(values) + "\n")
+        argv = ["detect", path, str(data)] + (["--multicyclic"] if multicyclic else [])
+        assert main(argv) == 3
+        assert f"error: {data}:{row + 1}: observation out of range" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_named_after_mid_block_restart(self, tmp_path, capsys):
+        # x = 3 with theta = 2 gives increments of exactly 4 = log A: every
+        # row alarms, so rows 65 .. 69 restart inside the block that row 70,
+        # the overflowing one, ends
+        doc = self.detect_doc(
+            tmp_path,
+            mixing={"kind": "atoms", "atoms": [[2.0]]},
+            calibration={"kind": "fixed", "log_threshold": 4.0},
+        )
+        path = write_config(tmp_path, doc)
+        values = ["3.0"] * 100
+        values[69] = "-1e308"
+        data = tmp_path / "huge.csv"
+        data.write_text("x\n" + "\n".join(values) + "\n")
+        assert main(["detect", path, str(data), "--multicyclic"]) == 3
+        assert f"error: {data}:71: observation out of range" in capsys.readouterr().err
+        data.write_text("x\n" + "\n".join(values[:69]) + "\n")
+        assert main(["detect", path, str(data), "--multicyclic"]) == 0
+        assert capsys.readouterr().out.strip() == "alarms: " + ",".join(map(str, range(1, 70)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alarm_before_overflow_in_same_block(self, tmp_path, capsys):
+        """A single-shot run stops at its alarm, so an overflowing row later in
+        the same block is no error; a multicyclic run goes on and reaches it."""
+        doc = self.detect_doc(
+            tmp_path,
+            mixing={"kind": "atoms", "atoms": [[2.0]]},
+            calibration={"kind": "fixed", "log_threshold": 3.0},
+        )
+        path = write_config(tmp_path, doc)
+        data = tmp_path / "huge.csv"
+        data.write_text("5\n5\n5\n5\n-1e308\n0\n")
+        assert main(["detect", path, str(data)]) == 0
+        assert capsys.readouterr().out.strip() == "alarm at n = 1"
+        assert (tmp_path / "alarms.csv").read_text().split() == ["alarm_time", "1"]
+        assert main(["detect", path, str(data), "--multicyclic"]) == 3
+        assert f"error: {data}:5: observation out of range" in capsys.readouterr().err
+
     def test_matches_in_process_run(self, tmp_path):
         doc = base_config(
             calibration={"kind": "fixed", "log_threshold": 2.0},
@@ -954,6 +1013,185 @@ class TestDetect:
         data.write_text("value\n1.5\n2.5\n")
         rows = load_csv_stream(str(data), 1)
         np.testing.assert_allclose(rows.ravel(), [1.5, 2.5])
+
+    def test_header_after_blank_lines(self, tmp_path, capsys):
+        """The first non-blank line may be a header, after leading blank lines
+        too, and later lines keep their own line numbers in errors."""
+        data = tmp_path / "b.csv"
+        data.write_text("\nx\n1.5\n2.5\n")
+        np.testing.assert_array_equal(load_csv_stream(str(data), 1).ravel(), [1.5, 2.5])
+        data.write_text("\n\nx\n1.5\ny\n")
+        with pytest.raises(RuntimeError, match=rf"^{data}:5: malformed CSV row 'y'$"):
+            load_csv_stream(str(data), 1)
+        doc = self.detect_doc(tmp_path, mixing={"kind": "atoms", "atoms": [[2.0]]})
+        path = write_config(tmp_path, doc)
+        data.write_text("\nx\n0.0\n\n-1e308\n")
+        assert main(["detect", path, str(data)]) == 3
+        assert f"error: {data}:5: observation out of range" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Block-stepped detect: CSV, in-process and a per-row reference agree bit for bit.
+# ---------------------------------------------------------------------------
+
+# (model section, mixing atoms) for detect configs
+AGREE_MODELS = {
+    "gaussian": ({"kind": "gaussian_iid"}, [[0.5], [1.0], [2.0]]),
+    "ar": (
+        {
+            "kind": "multichannel_ar",
+            "ar_coeffs": [[0.5, -0.2], [0.3, 0.1]],
+            "signals": [
+                {"amplitude": 1.0, "omega": 0.3, "phase": 0.0},
+                {"amplitude": 0.8, "omega": 0.0, "phase": math.pi / 2},
+            ],
+        },
+        [[0.5, 0.5], [1.0, 0.5], [0.5, 1.0]],
+    ),
+    # asymmetric transitions: the forward filter carries state across rows
+    "hmm": (
+        {"kind": "hmm2", "theta0": [0.0, 1.0], "beta": 0.2, "gamma": 0.4},
+        [[0.5, 2.0], [1.0, 2.5]],
+    ),
+}
+# a shift of 3, times the model's own signal for AR, makes every increment
+# positive, so the statistic of a cycle rises at every row and a threshold
+# taken from it fixes where the cycle ends
+AGREE_SHIFT = 3.0
+AGREE_DETECTORS = {
+    "ms": {"kind": "ms"},
+    "msr": {"kind": "msr", "omega": 0.5},
+}
+
+
+def _agree_experiment(tmp, model_name, detector, log_a):
+    model, atoms = AGREE_MODELS[model_name]
+    doc = base_config(
+        model=model,
+        prior={"kind": "geometric", "rho": 0.05, "q": 0.1 if detector == "ms" else 0.0},
+        mixing={"kind": "atoms", "atoms": atoms},
+        detector=AGREE_DETECTORS[detector],
+        calibration={"kind": "fixed", "log_threshold": log_a},
+        output={"alarms": str(tmp / "alarms.csv"), "trajectory": str(tmp / "traj.csv")},
+    )
+    return write_config(tmp, doc)
+
+
+def _agree_stream(exp, model_name, rows, noise, seed):
+    """A shifted stream of ``rows`` rows, plus noise of the given scale."""
+    if model_name == "ar":
+        base = AGREE_SHIFT * exp.model.spec.signal_matrix(rows)
+    else:
+        base = np.full((rows, 1), AGREE_SHIFT)
+    return base + noise * np.random.default_rng(seed).standard_normal(base.shape)
+
+
+def _per_row_reference(exp, data, log_a):
+    """Alarms, statistics at stop and trajectory rows of a multicyclic run, by
+    one ``model.step`` and one ``ms_update``/``msr_update`` per row."""
+    from mixdetect.detectors import MsrState, MsState, ms_update, msr_update
+
+    def fresh():
+        if exp.detector == "ms":
+            return MsState(prior=exp.prior, grid=exp.grid)
+        return MsrState(grid=exp.grid, omega=exp.omega)
+
+    update = ms_update if exp.detector == "ms" else msr_update
+    exp.model.reset()
+    state, alarms, stats, traj = fresh(), [], [], []
+    for n, row in enumerate(data, start=1):
+        update(state, exp.model.step(row))
+        crossed = state.log_stat >= log_a
+        traj.append((n, state.log_stat, int(crossed)))
+        if crossed:
+            alarms.append(n)
+            stats.append(state.log_stat)
+            state = fresh()
+    return alarms, stats, traj
+
+
+def _check_block_agreement(tmp, model_name, detector, data, log_a):
+    """Runs CSV ``detect --multicyclic --trajectory``, ``multicyclic_run`` and
+    ``run_detector`` and compares them with the per-row reference; returns
+    the reference alarms."""
+    import csv
+
+    path = _agree_experiment(tmp, model_name, detector, log_a)
+    exp = load_experiment(path)
+    alarms, stats, traj = _per_row_reference(exp, data, log_a)
+
+    csv_path = tmp / "stream.csv"
+    csv_path.write_text("x\n" + "".join(",".join(map(repr, r)) + "\n" for r in data.tolist()))
+    assert main(["detect", path, str(csv_path), "--multicyclic", "--trajectory"]) == 0
+    got = (tmp / "alarms.csv").read_text().split()
+    assert got == ["alarm_time"] + [str(a) for a in alarms]
+    want = tmp / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "log_stat", "crossed"])
+        w.writerows((n, repr(s), c) for n, s, c in traj)
+    assert (tmp / "traj.csv").read_bytes() == want.read_bytes()
+
+    args = (exp.detector, exp.model, exp.prior, exp.grid, log_a)
+    records = multicyclic_run(*args, data, omega=exp.omega, record_trajectory=True)
+    assert [r.stop_time for r in records] == alarms
+    np.testing.assert_array_equal(
+        np.array([r.log_stat_at_stop for r in records]).view(np.uint64),
+        np.array(stats).view(np.uint64),
+    )
+    traj = np.array(traj, dtype=float)
+    for r, lo, hi in zip(records, [0] + alarms, alarms):
+        np.testing.assert_array_equal(r.trajectory.view(np.uint64), traj[lo:hi].view(np.uint64))
+
+    single = run_detector(*args, data, omega=exp.omega)
+    if alarms:
+        assert single.stop_time == alarms[0] and single.log_stat_at_stop == stats[0]
+    else:
+        assert single.censored and single.log_stat_at_stop == traj[-1, 1]
+    return alarms
+
+
+@pytest.mark.parametrize("cycle", [1, 3, 30, 64, 65])
+@pytest.mark.parametrize("detector", sorted(AGREE_DETECTORS))
+@pytest.mark.parametrize("model_name", sorted(AGREE_MODELS))
+def test_block_detect_restarts_where_designed(tmp_path, model_name, detector, cycle):
+    """Noise-free shifted streams of 130 rows.  The threshold is the statistic
+    a first cycle reaches at row ``cycle``, so the first alarm, and every
+    restart for the Gaussian model, falls where the block position is known:
+    cycles of 1 and 3 restart at every position, 64 on a block's last row, 65
+    on a block's first row (then mid-block at 130), 30 mid-block."""
+    path = _agree_experiment(tmp_path, model_name, detector, 1e6)
+    exp = load_experiment(path)
+    data = _agree_stream(exp, model_name, 130, 0.0, 0)
+    _, _, traj = _per_row_reference(exp, data, 1e6)
+    log_a = traj[cycle - 1][1]
+    alarms = _check_block_agreement(tmp_path, model_name, detector, data, log_a)
+    assert alarms[0] == cycle
+    if model_name == "gaussian":
+        assert alarms == list(range(cycle, 131, cycle))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model_name=st.sampled_from(sorted(AGREE_MODELS)),
+    detector=st.sampled_from(sorted(AGREE_DETECTORS)),
+    rows=st.sampled_from([1, 63, 64, 65, 130]),
+    noise=st.sampled_from([0.0, 0.5, 3.0]),
+    seed=st.integers(0, 2**16),
+    at=st.floats(0.0, 1.0),
+)
+def test_block_detect_matches_per_row_reference(model_name, detector, rows, noise, seed, at):
+    """Random streams; the threshold is a value the first cycle reaches, at a
+    row drawn from the whole stream, so ties stop and restarts fall anywhere."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        exp = load_experiment(_agree_experiment(tmp, model_name, detector, 1e6))
+        data = _agree_stream(exp, model_name, rows, noise, seed)
+        _, _, traj = _per_row_reference(exp, data, 1e6)
+        log_a = traj[min(int(at * rows), rows - 1)][1]
+        _check_block_agreement(tmp, model_name, detector, data, log_a)
 
 
 class TestShiftScenario:

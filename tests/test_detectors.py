@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mixdetect.detectors import (
+    BLOCK,
     MsrState,
     MsState,
     NonFiniteIncrements,
@@ -25,6 +26,7 @@ from mixdetect.detectors import (
     run_detector,
 )
 from mixdetect.measures import (
+    ChangePrior,
     geometric_prior,
     grid_from_atoms,
     heavy_tail_prior,
@@ -118,6 +120,9 @@ class TestMsrRecursion:
     def test_negative_headstart_rejected(self):
         with pytest.raises(ValueError):
             MsrState(grid=grid_from_atoms([[1.0]]), omega=-1.0)
+        model = gaussian_iid_model(grid_from_atoms([[1.0]]))
+        with pytest.raises(ValueError, match="omega must be >= 0"):
+            run_detector("msr", model, geometric_prior(0.1), model.grid, 1.0, [0.0], omega=-1.0)
 
 
 class TestSingleAtomCollapse:
@@ -380,6 +385,132 @@ class TestMulticyclic:
             for r in multicyclic_run("msr", model, prior, grid, 3.0, stream[cut:])
         ]
         assert first + second == full
+
+
+# ---------------------------------------------------------------------------
+# The block-stepped alarm loop: what it reads, scores and raises.
+# ---------------------------------------------------------------------------
+
+
+def _recording_increments(model, monkeypatch):
+    """Record (n0, rows) of every increment_block call on ``model``."""
+    calls = []
+    real = model.increment_block
+
+    def recording(state, rows, x, n0):
+        calls.append((n0, x.shape[1]))
+        return real(state, rows, x, n0)
+
+    monkeypatch.setattr(model, "increment_block", recording)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130, 200])
+def test_each_row_read_is_scored_once(rows, monkeypatch):
+    """One increment_block call per block of BLOCK rows, each row scored once,
+    in order; the restart after every row's alarm scores nothing again."""
+    model = gaussian_iid_model(grid_from_atoms([[2.0]]))
+    calls = _recording_increments(model, monkeypatch)
+    # x = 3 with theta = 2 gives increments of exactly 4 = log A: every row alarms
+    x = np.full(rows, 3.0)
+    records = multicyclic_run("msr", model, geometric_prior(0.1), model.grid, 4.0, x)
+    assert [r.stop_time for r in records] == list(range(1, rows + 1))
+    assert calls == [(n0, min(BLOCK, rows - n0)) for n0 in range(0, rows, BLOCK)]
+    assert len(calls) == math.ceil(rows / BLOCK)
+
+
+@pytest.mark.parametrize("horizon", [None, 1, 64, 65, 100])
+def test_rows_read_stop_at_block_or_horizon(horizon, monkeypatch):
+    """A single-shot run reads ahead to the end of its block, never past the
+    horizon, and scores exactly the rows it reads."""
+    model = gaussian_iid_model(grid_from_atoms([[2.0]]))
+    calls = _recording_increments(model, monkeypatch)
+    x = np.zeros(200)
+    x[69] = 3.0  # the one alarm, at row 70
+    rows = iter(x)
+    rec = run_detector("msr", model, geometric_prior(0.1), model.grid, 4.0, rows, horizon=horizon)
+    read = 200 - len(list(rows))
+    assert read == (2 * BLOCK if horizon is None else horizon)
+    assert sum(length for _, length in calls) == read
+    assert rec.stop_time == (70 if read >= 70 else None)
+
+
+def test_rows_of_the_wrong_width_are_refused():
+    """A block stacks its rows but never regroups them: two-value rows for a
+    one-channel model are refused, not read as twice as many rows."""
+    model = gaussian_iid_model(grid_from_atoms([[1.0]]))
+    rows = [[0.0, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError):
+        run_detector("msr", model, geometric_prior(0.1), model.grid, 1e6, rows)
+    model.reset()
+    with pytest.raises(ValueError):
+        model.step(rows[0])
+
+
+def _half_point_mass(k0: int) -> ChangePrior:
+    """q = 1/2 and pi_{k0} = 1/2: the MS statistic can alarm, and Pi(n) = 0 for n > k0."""
+    half = math.log(0.5)
+    return ChangePrior(
+        name="half_point_mass",
+        q=0.5,
+        mu=math.inf,
+        mean=0.5 * k0,
+        b=0.5 if k0 >= 1 else 0.0,
+        log_pmf_fn=lambda k: np.where(k == k0, half, -np.inf),
+        log_tail_fn=lambda n: np.where(n <= k0, half, -np.inf),
+    )
+
+
+def _per_row_exhausted_at(model, prior, log_a, data) -> int:
+    """The row where one ms_update per row, restarted after every alarm, finds Pi = 0."""
+    model.reset()
+    state = MsState(prior=prior, grid=model.grid)
+    for n, row in enumerate(data, start=1):
+        try:
+            ms_update(state, model.step(row))
+        except PriorSupportExhausted:
+            return n
+        if state.log_stat >= log_a:
+            state = MsState(prior=prior, grid=model.grid)
+    raise AssertionError("the prior's support never ran out")
+
+
+@pytest.mark.parametrize(
+    "prior,restarts,row",
+    [
+        (point_mass_prior(0), False, 1),
+        (point_mass_prior(63), False, 64),
+        (point_mass_prior(64), False, 65),
+        (point_mass_prior(70), False, 71),
+        # alarms at rows 5 and 10 restart the prior's clock
+        (_half_point_mass(50), True, 61),
+        (_half_point_mass(53), True, 64),
+        (_half_point_mass(60), True, 71),
+    ],
+)
+def test_prior_exhaustion_row(prior, restarts, row):
+    """PriorSupportExhausted fires on the row the per-row updates find,
+    counted from the last restart: the run over the rows before it ends
+    without the error, the run that includes it raises."""
+    model = gaussian_iid_model(grid_from_atoms([[1.0]]))
+    data = np.zeros(140)
+    data[:10] = 3.0  # increments 2.5 while the shift lasts, -0.5 after
+    ms = MsState(prior=prior, grid=model.grid)
+    log_a = 1e6
+    if restarts:
+        for x in data[:5]:
+            ms_update(ms, model.increments_for([x])[0])
+        log_a = ms.log_stat  # the statistic five rows into a cycle
+    assert _per_row_exhausted_at(model, prior, log_a, data) == row
+    args = ("ms", model, prior, model.grid, log_a)
+    records = multicyclic_run(*args, data[: row - 1])
+    assert [r.stop_time for r in records] == ([5, 10] if restarts else [])
+    with pytest.raises(PriorSupportExhausted, match=rf"Pi\({row - 10 * restarts}\) = 0"):
+        multicyclic_run(*args, data[:row])
+    if not restarts:
+        assert run_detector(*args, data[: row - 1]).censored
+        with pytest.raises(PriorSupportExhausted):
+            run_detector(*args, data)
 
 
 @settings(max_examples=30, deadline=None)
