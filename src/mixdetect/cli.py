@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -736,50 +737,94 @@ def cmd_simulate(config_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+# lines per chunk of load_csv_stream; no value or error depends on it
+CSV_CHUNK = 4096
+
+
 def load_csv_stream(path: str, dimension: int) -> np.ndarray:
     """Read a (T, dimension) observation stream; blank lines are skipped, and
-    the first non-blank line may be a header."""
+    the first non-blank line may be a header.
+
+    The file is read CSV_CHUNK lines at a time.  A chunk whose every line
+    holds ``dimension`` fields that ``float`` reads as finite values is
+    converted in one pass; any other chunk (with a blank line, the header or
+    an error in it) goes through ``_parse_lines``, which alone decides the
+    header and names the failing line.
+    """
+    chunks = []
+    first = True  # no non-blank line read yet
+    lineno = 0  # lines read before the chunk
+    with open(path, encoding="utf-8-sig") as fh:
+        while lines := list(islice(fh, CSV_CHUNK)):
+            rows = _parse_chunk(lines, dimension)
+            if rows is None:
+                rows, first = _parse_lines(path, lines, lineno, dimension, first)
+            else:
+                first = False
+            chunks.append(rows)
+            lineno += len(lines)
+    return np.concatenate(chunks) if chunks else np.empty((0, dimension))
+
+
+def _parse_chunk(lines: list[str], dimension: int) -> np.ndarray | None:
+    """The (L, dimension) rows of ``lines`` in one pass, or None when a line is
+    blank, a header, of another width or not finite."""
+    if dimension > 1 and any(line.count(",") != dimension - 1 for line in lines):
+        return None
+    try:
+        vals = list(map(float, ",".join(lines).split(",") if dimension > 1 else lines))
+    except ValueError:
+        return None
+    rows = np.array(vals, dtype=float).reshape(-1, dimension)
+    return rows if np.isfinite(rows).all() else None
+
+
+def _parse_lines(path: str, lines: list[str], lineno: int, dimension: int, first: bool):
+    """(rows, first) of ``lines``, which start after file line ``lineno``, one
+    line at a time; ``first`` says that no non-blank line came before them, so
+    that the first one may be a header."""
     rows = []
-    header = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            if first:
+                first = False
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                if not rows and not header:  # the first non-blank line
-                    header = True
-                    continue
-                raise RuntimeError(f"{path}:{lineno}: malformed CSV row {line!r}")
-            if len(vals) != dimension:
-                raise RuntimeError(
-                    f"{path}:{lineno}: expected {dimension} columns, got {len(vals)}"
-                )
-            if not all(math.isfinite(v) for v in vals):
-                raise RuntimeError(f"{path}:{lineno}: non-finite value in row {line!r}")
-            rows.append(vals)
-    return np.array(rows, dtype=float).reshape(-1, dimension)
+            raise RuntimeError(f"{path}:{lineno}: malformed CSV row {line!r}")
+        first = False
+        if len(vals) != dimension:
+            raise RuntimeError(
+                f"{path}:{lineno}: expected {dimension} columns, got {len(vals)}"
+            )
+        if not all(math.isfinite(v) for v in vals):
+            raise RuntimeError(f"{path}:{lineno}: non-finite value in row {line!r}")
+        rows.append(vals)
+    return np.array(rows, dtype=float).reshape(-1, dimension), first
 
 
 def _data_line(path: str, rows: int, row: int) -> int:
     """File line of the ``row``-th (1-based) of the ``rows`` rows that
     ``load_csv_stream`` read from ``path``: blank lines are skipped, and a
     header can only be the first non-blank line."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [i for i, line in enumerate(fh, start=1) if line.strip()]
     return lines[len(lines) - rows + row - 1]
 
 
 def _write_trajectory(path: str, segments: list[np.ndarray]) -> None:
     # csv.writer's default dialect: "\r\n" line ends; no field here needs quoting
-    lines = (
-        f"{int(n)},{stat!r},{int(crossed)}\r\n"
-        for seg in segments
-        if seg is not None
-        for n, stat, crossed in seg.tolist()
+    segments = [seg for seg in segments if seg is not None and seg.size]
+    rows = np.concatenate(segments) if segments else np.empty((0, 3))
+    lines = map(
+        "{},{!r},{}\r\n".format,
+        rows[:, 0].astype(np.int64).tolist(),
+        rows[:, 1].tolist(),
+        rows[:, 2].astype(np.int64).tolist(),
     )
     with open(path, "w", newline="") as fh:
         fh.write("n,log_stat,crossed\r\n")

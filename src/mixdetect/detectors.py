@@ -14,7 +14,8 @@ brute-force oracles that evaluate those sums literally).  MSR is the MS
 recursion with pi_k = 1 and Pi(n) = 1, started from omega instead of q, so
 two kernels serve both: ``advance`` steps the per-atom numerators and
 ``log_statistic`` mixes them into log S_n or log R_n; ``recursion_tables``
-gives the start value and per-step tables for either kind.  Both keep atoms
+gives the start value and per-step tables for either kind, and
+``prior_window`` one block's slice of the MS tables.  Both keep atoms
 on the leading axis: a stream's state is a (K,) vector and a batch of B
 trials is (K, B), so the engine reduces over contiguous atom rows.  The
 one-row updates ``ms_update``/``msr_update`` call both kernels once.  The
@@ -35,7 +36,7 @@ at that row, in the middle of a block too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -56,21 +57,41 @@ def _log_or_ninf(value: float):
     return np.log(value) if value > 0.0 else -np.inf
 
 
+def _log_init(kind: str, prior: ChangePrior, omega: float) -> float:
+    """The per-atom log numerator at time 0: log q for MS, log omega for MSR."""
+    k = kind.lower()
+    if k == "ms":
+        return _log_or_ninf(prior.q)
+    if k == "msr":
+        if omega < 0.0:
+            raise ValueError("head-start omega must be >= 0")
+        return _log_or_ninf(omega)
+    raise ValueError(f"unknown detector kind {kind!r}; expected 'ms' or 'msr'")
+
+
 def recursion_tables(kind: str, prior: ChangePrior, omega: float, horizon: int):
     """(init, log_pi, log_tail) for ``advance`` and ``log_statistic``, n = 1 .. horizon.
 
     init is the per-atom log numerator at time 0; step n uses log_pi[n-1]
     and log_tail[n].  MSR's tables are all zero: pi_k = 1 and Pi(n) = 1.
     """
-    k = kind.lower()
-    if k == "ms":
-        return _log_or_ninf(prior.q), prior.log_pmf_array(horizon), prior.log_tail_array(horizon)
-    if k == "msr":
-        if omega < 0.0:
-            raise ValueError("head-start omega must be >= 0")
-        zeros = np.zeros(horizon + 1)
-        return _log_or_ninf(omega), zeros, zeros
-    raise ValueError(f"unknown detector kind {kind!r}; expected 'ms' or 'msr'")
+    init = _log_init(kind, prior, omega)
+    if kind.lower() == "ms":
+        return init, prior.log_pmf_array(horizon), prior.log_tail_array(horizon)
+    zeros = np.zeros(horizon + 1)
+    return init, zeros, zeros
+
+
+def prior_window(prior: ChangePrior, clock: int, size: int):
+    """(log_pi, log_tail) of MS steps clock + 1 .. clock + size.
+
+    These are ``log_pmf_array(h)[clock : clock + size]`` and
+    ``log_tail_array(h)[clock + 1 : clock + size + 1]``, bit for bit, since a
+    prior is evaluated elementwise; the alarm loop holds one window per
+    block instead of tables as long as its longest cycle.
+    """
+    k = np.arange(clock, clock + size + 1)
+    return prior.log_pmf(k[:-1]), prior.log_tail(k[1:])
 
 
 def advance(log_num, ell, log_pi_prev):
@@ -262,54 +283,63 @@ def _multicyclic_with_tail(
     censored tail reports the last statistic.
 
     Rows are read in blocks of at most BLOCK, and never past ``horizon``, so
-    a run may read up to BLOCK - 1 rows beyond the row it stops at.  One
-    ``model.stream_block`` call scores each block.  ``advance`` then steps
-    the per-atom numerators row by row, and one ``log_statistic`` call mixes
-    the rows, which gives the values of ``ms_update``/``msr_update`` bit for
-    bit.  An alarm inside a block restarts the statistic and its prior clock
-    (the index into the tables of ``recursion_tables``, grown by doubling)
-    at the next row, and the block's later rows, already scored, run again
-    from there.  The rows before the block's first row whose increments are
-    not finite (a finite but huge observation can overflow them) are
-    processed first, so an alarm among them still stands; then that row
-    raises ``NonFiniteIncrements`` with its 1-based ``row``.  A step past the
-    prior's support raises ``PriorSupportExhausted`` at its own row in the
-    same way.  NumPy's overflow and invalid-value warnings are silenced for
-    the loop.
+    a run may read up to BLOCK - 1 rows beyond the row it stops at; an
+    ``ndarray`` is sliced, any other iterable is read with ``islice``.  One
+    ``model.stream_block`` call scores each block.  ``advance``'s two
+    operations then step the per-atom numerators row by row into a (BLOCK, K)
+    buffer, and one ``log_statistic`` call mixes the rows, which gives the
+    values of ``ms_update``/``msr_update`` bit for bit.  MS reads its prior
+    through ``prior_window`` on the steps a block can take; MSR's pi_k and
+    Pi(n) are the scalars 1.  An alarm inside a block restarts the statistic
+    and its prior clock at the next row, and the block's later rows, already
+    scored, run again from there.  The rows before the block's first row
+    whose increments are not finite (a finite but huge observation can
+    overflow them) are processed first, so an alarm among them still stands;
+    then that row raises ``NonFiniteIncrements`` with its 1-based ``row``.  A
+    step past the prior's support raises ``PriorSupportExhausted`` at its own
+    row in the same way.  NumPy's overflow and invalid-value warnings are
+    silenced for the loop.
     """
     if not np.isfinite(log_threshold):
         raise ValueError("log_threshold must be finite")
     _check_grid(model, grid)
     model.reset()
-    init, log_pi, log_tail = recursion_tables(kind, prior, omega, BLOCK)
+    init = _log_init(kind, prior, omega)
+    ms = kind.lower() == "ms"
     log_w = grid.log_weights[:, None]
+    buf = np.empty((BLOCK, grid.size))  # the per-atom numerators of a block's rows
     state = np.full(grid.size, init)
     clock = 0  # steps since the last (re)start
     records: list[AlarmRecord] = []
     cycle: list[np.ndarray] = []  # trajectory rows since the last (re)start
     last_stat = None
     n = 0  # rows read before the current block
-    rows = iter(observations)
+    sliced = isinstance(observations, np.ndarray)
+    rows = None if sliced else iter(observations)
     with np.errstate(over="ignore", invalid="ignore"):
         while horizon is None or n < horizon:
-            block = list(islice(rows, BLOCK if horizon is None else min(BLOCK, horizon - n)))
-            if not block:
+            size = BLOCK if horizon is None else min(BLOCK, horizon - n)
+            block = observations[n : n + size] if sliced else list(islice(rows, size))
+            if not len(block):
                 break
             ell = model.stream_block(block)  # (L, K)
             finite = np.isfinite(ell).all(axis=1)
             good = len(block) if finite.all() else int(finite.argmin())
             i = 0  # the block's next row
             while i < good:
-                if clock + good - i >= log_tail.size:
-                    size = max(2 * log_tail.size, clock + good - i)
-                    _, log_pi, log_tail = recursion_tables(kind, prior, omega, size)
-                tails = log_tail[clock + 1 : clock + 1 + good - i]
-                supported = np.isfinite(tails)
-                m = tails.size if supported.all() else int(supported.argmin())
-                nums = np.empty((grid.size, m))
-                for j in range(m):
-                    nums[:, j] = state = advance(state, ell[i + j], log_pi[clock + j])
-                stats = log_statistic(nums, log_w, tails[:m])
+                if ms:
+                    log_pi, tails = prior_window(prior, clock, good - i)
+                    supported = np.isfinite(tails)
+                    m = tails.size if supported.all() else int(supported.argmin())
+                    log_pi, tails = log_pi.tolist(), tails[:m]
+                else:
+                    m, log_pi, tails = good - i, repeat(0.0), 0.0
+                nums = buf[:m]
+                for e, lp, row in zip(ell[i : i + m], log_pi, nums):
+                    np.logaddexp(state, lp, out=row)
+                    np.add(row, e, out=row)
+                    state = row
+                stats = log_statistic(nums.T, log_w, tails)
                 hit = np.flatnonzero(stats >= log_threshold)
                 steps = int(hit[0]) + 1 if hit.size else m
                 if steps:
@@ -330,7 +360,7 @@ def _multicyclic_with_tail(
                     if not restart:
                         return records, None
                     state, clock, cycle = np.full(grid.size, init), 0, []
-                elif m < tails.size:
+                elif i < good:
                     raise PriorSupportExhausted(
                         f"prior tail Pi({clock + 1}) = 0; the MS recursion cannot continue"
                     )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixdetect._engine import TrialSpec
@@ -1028,6 +1028,138 @@ class TestDetect:
         data.write_text("\nx\n0.0\n\n-1e308\n")
         assert main(["detect", path, str(data)]) == 3
         assert f"error: {data}:5: observation out of range" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, capsys):
+        """A UTF-8 byte order mark is dropped: a numeric first row is kept, a
+        text first row is still the header, and lines keep their numbers."""
+        data = tmp_path / "bom.csv"
+        data.write_bytes("\ufeff1.5\n2.5\n".encode())
+        np.testing.assert_array_equal(load_csv_stream(str(data), 1).ravel(), [1.5, 2.5])
+        data.write_bytes("\ufeffx\n1.5\n2.5\n".encode())
+        np.testing.assert_array_equal(load_csv_stream(str(data), 1).ravel(), [1.5, 2.5])
+        data.write_bytes("\ufeff0.5,1\n2,3\n".encode())
+        np.testing.assert_array_equal(load_csv_stream(str(data), 2), [[0.5, 1.0], [2.0, 3.0]])
+        doc = self.detect_doc(tmp_path, mixing={"kind": "atoms", "atoms": [[2.0]]})
+        path = write_config(tmp_path, doc)
+        data.write_bytes("\ufeff0.0\n\n-1e308\n".encode())
+        assert main(["detect", path, str(data)]) == 3
+        assert f"error: {data}:3: observation out of range" in capsys.readouterr().err
+        data.write_bytes("\ufeff3.0\n".encode())  # increment 4 > log A: the one row alarms
+        assert main(["detect", path, str(data)]) == 0
+        assert capsys.readouterr().out.strip() == "alarm at n = 1"
+
+
+# ---------------------------------------------------------------------------
+# The chunked CSV loader against the per-line loader it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _per_line_load_csv_stream(path: str, dimension: int) -> np.ndarray:
+    """The loader that parsed every line on its own, kept as the reference."""
+    rows = []
+    header = False
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError:
+                if not rows and not header:  # the first non-blank line
+                    header = True
+                    continue
+                raise RuntimeError(f"{path}:{lineno}: malformed CSV row {line!r}")
+            if len(vals) != dimension:
+                raise RuntimeError(
+                    f"{path}:{lineno}: expected {dimension} columns, got {len(vals)}"
+                )
+            if not all(math.isfinite(v) for v in vals):
+                raise RuntimeError(f"{path}:{lineno}: non-finite value in row {line!r}")
+            rows.append(vals)
+    return np.array(rows, dtype=float).reshape(-1, dimension)
+
+
+_CSV_PAD = st.sampled_from(["", "", " ", "\t", "  ", "\x0c"])
+_CSV_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1_0", "-0.0", "+3", ".5", "5.", "1E5", "1e-320", "infinity"]),
+)
+_CSV_BAD = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "x", "", "1__0", "0x10"])
+
+
+@st.composite
+def _csv_field(draw, bad: bool = False):
+    value = draw(_CSV_BAD if bad else _CSV_NUMBER)
+    return draw(_CSV_PAD) + value + draw(_CSV_PAD)
+
+
+@st.composite
+def _csv_line(draw, dimension: int):
+    """One line: mostly good rows, so that whole chunks take the fast pass."""
+    kind = draw(st.integers(0, 15))
+    if kind <= 8:
+        return ",".join(draw(_csv_field()) for _ in range(dimension))
+    if kind == 9:
+        return draw(st.sampled_from(["", " ", "\t \t", "\x0c"]))
+    if kind == 10:
+        return draw(st.sampled_from(["x", "value", "a,b,c", "x,1", "1,x"]))
+    if kind == 11:  # one bad field
+        fields = [draw(_csv_field()) for _ in range(dimension)]
+        fields[draw(st.integers(0, dimension - 1))] = draw(_csv_field(bad=True))
+        return ",".join(fields)
+    if kind == 12:  # a wrong width
+        width = draw(st.integers(1, 4).filter(lambda w: w != dimension))
+        return ",".join(draw(_csv_field()) for _ in range(width))
+    if kind == 13:  # a trailing comma
+        return ",".join(draw(_csv_field()) for _ in range(dimension)) + ","
+    return ",".join(draw(_csv_field()) for _ in range(dimension)) + draw(_CSV_PAD)
+
+
+@st.composite
+def _csv_text(draw):
+    dimension = draw(st.sampled_from([1, 3]))
+    lines = draw(st.lists(_csv_line(dimension), max_size=30))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last line
+    return dimension, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_text(), chunk=st.integers(1, 5))
+@example(case=(1, "x\n1\n\n2\n3\n4\n"), chunk=4)  # a header and a blank line in chunk 1
+@example(case=(1, "\n\n\n\nx\n1\n2\n"), chunk=4)  # the header opens chunk 2
+@example(case=(1, "1\n2\n3\n\n\n\n\n\n4\n"), chunk=4)  # a chunk of blank lines only
+@example(case=(1, "1\n2\n3\n4\ny\n"), chunk=4)  # errors after a chunk of the fast pass
+@example(case=(1, "1\n2\n3\n4\nnan\n"), chunk=4)
+@example(case=(3, "1,2,3\n4,5,6\n1,2\n"), chunk=2)
+def test_chunked_loader_matches_per_line_loader(case, chunk):
+    """Chunks of 1 to 5 lines put headers, blank lines and errors on chunk
+    edges; the loader returns the reference's bits or raises its message."""
+    import tempfile
+
+    import mixdetect.cli as cli
+
+    dimension, text = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_CHUNK", chunk)
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            want = _per_line_load_csv_stream(path, dimension)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as got:
+                load_csv_stream(path, dimension)
+            assert str(got.value) == str(exc)
+            return
+        got = load_csv_stream(path, dimension)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

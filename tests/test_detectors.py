@@ -23,6 +23,8 @@ from mixdetect.detectors import (
     msr_update,
     multicyclic_run,
     posterior_no_change,
+    prior_window,
+    recursion_tables,
     run_detector,
 )
 from mixdetect.measures import (
@@ -32,7 +34,13 @@ from mixdetect.measures import (
     heavy_tail_prior,
     point_mass_prior,
 )
-from mixdetect.models import gaussian_iid_model, sample_path
+from mixdetect.models import (
+    ArChannelSpec,
+    HarmonicSignal,
+    gaussian_iid_model,
+    multichannel_ar_model,
+    sample_path,
+)
 
 
 def gaussian_increments(grid, n, seed, shift=0.0):
@@ -585,3 +593,116 @@ def test_advance_atoms_first_matches_atoms_last(inputs):
         one_stat = log_statistic(one_num, log_w, log_tail_n)
         np.testing.assert_array_equal(_bits(one_num), _bits(new_num[:, b]))
         assert _bits(one_stat) == _bits(new_stat[b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_advance_inputs())
+def test_statistic_of_a_transposed_buffer(inputs):
+    """The alarm loop mixes its (rows, K) buffer through a transposed view;
+    the statistic has the bits of the same values held atoms first."""
+    log_num, _, log_w, _, log_tail_n = inputs
+    rows_first = np.ascontiguousarray(log_num.T)
+    np.testing.assert_array_equal(
+        _bits(log_statistic(rows_first.T, log_w[:, None], log_tail_n)),
+        _bits(log_statistic(log_num, log_w[:, None], log_tail_n)),
+    )
+
+
+_WINDOW_HORIZON = 100_000 + BLOCK
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        geometric_prior(0.01, q=0.3),
+        heavy_tail_prior(1.5),
+        heavy_tail_prior(3.0, q=0.2),
+        point_mass_prior(70),
+    ],
+    ids=["geometric", "heavy_tail_1.5", "heavy_tail_3", "point_mass"],
+)
+def test_prior_window_matches_tables(prior):
+    """Each window of prior_window holds the bits of the same slice of the
+    full tables, far out in the tail and across a support's end too."""
+    _, log_pi, log_tail = recursion_tables("ms", prior, 0.0, _WINDOW_HORIZON)
+    clocks = [0, 1, 5, 63, 64, 65, 66, 69, 70, 71, 1000, 99_999, 100_000]
+    for clock in clocks:
+        for size in (1, 7, BLOCK):
+            window_pi, window_tail = prior_window(prior, clock, size)
+            np.testing.assert_array_equal(_bits(window_pi), _bits(log_pi[clock : clock + size]))
+            np.testing.assert_array_equal(
+                _bits(window_tail), _bits(log_tail[clock + 1 : clock + size + 1])
+            )
+    if prior.name == "point_mass":  # the windows from clock 65 cross Pi(71) = 0
+        _, tail = prior_window(prior, 65, 7)
+        assert np.isfinite(tail).tolist() == [True] * 5 + [False] * 2
+
+
+def _same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.stop_time, a.censored) == (b.stop_time, b.censored)
+        assert (a.log_stat_at_stop is None) == (b.log_stat_at_stop is None)
+        if a.log_stat_at_stop is not None:
+            assert _bits(a.log_stat_at_stop) == _bits(b.log_stat_at_stop)
+        if a.trajectory is None or b.trajectory is None:
+            assert a.trajectory is b.trajectory is None
+        else:
+            assert a.trajectory.shape == b.trajectory.shape
+            np.testing.assert_array_equal(_bits(a.trajectory), _bits(b.trajectory))
+
+
+def _shifted_stream(model_name):
+    """(model, rows) with shifts that alarm at rows that are no block edge."""
+    rng = np.random.default_rng(11)
+    if model_name == "scalar":
+        model = gaussian_iid_model(grid_from_atoms([[0.5], [1.0], [2.0]]))
+        rows = rng.standard_normal(300)
+    else:
+        spec = ArChannelSpec(
+            ar_coeffs=((0.5, -0.2), (0.3,)),
+            signals=(HarmonicSignal(1.0, 0.3, 0.0), HarmonicSignal(0.8, 0.0, math.pi / 2)),
+        )
+        model = multichannel_ar_model(spec, grid_from_atoms([[0.5, 0.5], [1.0, 1.0]]))
+        rows = rng.standard_normal((300, 2))
+    for start in (20, 90, 150, 230):
+        rows[start : start + 15] += 3.0
+    return model, rows
+
+
+@pytest.mark.parametrize("horizon", [None, 100, 130, 250])
+@pytest.mark.parametrize("kind", ["ms", "msr"])
+@pytest.mark.parametrize("model_name", ["scalar", "channels"])
+def test_sliced_array_and_iterator_give_the_same_records(model_name, kind, horizon):
+    """An ndarray is sliced block by block and any other iterable is read
+    with islice; both give the same records, bit for bit."""
+    model, rows = _shifted_stream(model_name)
+    prior = geometric_prior(0.01, q=0.1)
+    args = (kind, model, prior, model.grid, 4.0)
+    omega = 0.5  # MSR's head start; MS has none
+
+    def both(run, **kw):
+        return run(*args, rows, omega=omega, **kw), run(*args, (r for r in rows), omega=omega, **kw)
+
+    cycles = both(multicyclic_run, record_trajectory=True)
+    _same_records(*cycles)
+    stops = [r.stop_time for r in cycles[0]]
+    assert len(stops) >= 4 and any(t % BLOCK for t in stops)  # a restart inside a block
+    _same_records(*both(multicyclic_run))
+    for flag in (False, True):
+        single = both(run_detector, horizon=horizon, record_trajectory=flag)
+        _same_records([single[0]], [single[1]])
+        records, tails = zip(
+            *(
+                _multicyclic_with_tail(*args, obs, omega, flag, horizon=horizon)
+                for obs in (rows, (r for r in rows))
+            )
+        )
+        _same_records(*records)
+        _same_records([tails[0]], [tails[1]])
+    censored = [
+        run_detector(*args[:4], 1e3, obs, horizon=horizon, record_trajectory=True, omega=omega)
+        for obs in (rows, (r for r in rows))
+    ]
+    assert censored[0].censored and censored[0].log_stat_at_stop is not None
+    _same_records(censored[:1], censored[1:])
