@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -749,21 +750,48 @@ def load_csv_stream(path: str, dimension: int) -> np.ndarray:
     holds ``dimension`` fields that ``float`` reads as finite values is
     converted in one pass; any other chunk (with a blank line, the header or
     an error in it) goes through ``_parse_lines``, which alone decides the
-    header and names the failing line.
+    header and names the failing line.  A file that is not UTF-8 fails at
+    the line of its first undecodable byte, unless an earlier line fails.
     """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return _load_lines(path, fh, dimension)
+    except UnicodeDecodeError:
+        raise _not_utf8(path, dimension) from None
+
+
+def _load_lines(path: str, fh, dimension: int) -> np.ndarray:
+    """The rows of the lines that the iterator ``fh`` yields, from file line 1."""
     chunks = []
     first = True  # no non-blank line read yet
     lineno = 0  # lines read before the chunk
-    with open(path, encoding="utf-8-sig") as fh:
-        while lines := list(islice(fh, CSV_CHUNK)):
-            rows = _parse_chunk(lines, dimension)
-            if rows is None:
-                rows, first = _parse_lines(path, lines, lineno, dimension, first)
-            else:
-                first = False
-            chunks.append(rows)
-            lineno += len(lines)
+    while lines := list(islice(fh, CSV_CHUNK)):
+        rows = _parse_chunk(lines, dimension)
+        if rows is None:
+            rows, first = _parse_lines(path, lines, lineno, dimension, first)
+        else:
+            first = False
+        chunks.append(rows)
+        lineno += len(lines)
     return np.concatenate(chunks) if chunks else np.empty((0, dimension))
+
+
+def _not_utf8(path: str, dimension: int) -> RuntimeError:
+    """The error of a file that is not UTF-8: that of a line before its first
+    undecodable byte, if one fails, or else one naming that byte's line.
+
+    The file is read again, as bytes, so that valid files cost nothing more.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+        return RuntimeError(f"{path}: not valid UTF-8 text")  # the file changed meanwhile
+    except UnicodeDecodeError as exc:
+        head = io.StringIO(raw[: exc.start].decode("utf-8-sig"), newline=None).readlines()
+    whole = [line for line in head if line.endswith("\n")]  # all but a cut last line
+    _load_lines(path, iter(whole), dimension)
+    return RuntimeError(f"{path}:{len(whole) + 1}: not valid UTF-8 text")
 
 
 def _parse_chunk(lines: list[str], dimension: int) -> np.ndarray | None:

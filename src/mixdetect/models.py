@@ -16,7 +16,8 @@ one caller-supplied generator per path so trials stay reproducible.
 Batch work runs through one block kernel per model.  ``sampler_state``
 starts a batch of paths at time 0 and ``sample_block`` advances any subset
 of them over the rows [n0, n1); ``increment_state`` and ``increment_block``
-do the same for the increments of given observations.  Model state (RNG
+do the same for the increments of given observations, and
+``simulate_block``, the Monte Carlo engine's call, does both.  Model state (RNG
 position, AR filter memory, HMM chain and forward filter) carries from one
 block to the next, so a path's values do not depend on how its time axis is
 cut into blocks or on which other paths share a call.  The whole-path
@@ -28,8 +29,10 @@ one-row case, so streaming and batch values agree bit for bit by
 construction.
 Sampling is vectorised across the listed paths, and each path still draws
 from its own generator only.  The HMM has one forward filter (``_predict``
-and ``_correct``), which both scores increments and drives the post-change
-hidden chain of sampled paths.
+and ``_correct``) in one loop, which both scores increments and drives the
+post-change hidden chain of sampled paths: a Monte Carlo block runs it once,
+over the parameter table, for sampling and scoring alike, and an off-grid
+post-change theta adds one row to that table.
 """
 
 from __future__ import annotations
@@ -118,6 +121,11 @@ class ObservationModel(ABC):
         sit at time n0.  The result has shape (B, L, n_atoms).
         """
 
+    def simulate_block(self, sampler: "SamplerState", scorer, rows, n0: int, n1: int):
+        """``increment_block`` of what ``sample_block`` draws, which a model may
+        run as one pass; a sampler advances by this call or by ``sample_block``."""
+        return self.increment_block(scorer, rows, self.sample_block(sampler, rows, n0, n1), n0)
+
     @abstractmethod
     def sample_paths(
         self,
@@ -148,7 +156,8 @@ class ObservationModel(ABC):
 class SamplerState:
     """A batch of paths being sampled: per-path inputs and carried model state.
 
-    ``carry`` holds the model's per-path arrays, leading axis = batch.
+    ``carry`` holds the model's per-path arrays, leading axis = batch, and
+    for the HMM its filter rows, (rows, batch).
     """
 
     nus: np.ndarray
@@ -569,10 +578,10 @@ class TwoStateHmmModel(ObservationModel):
     likelihoods, the quantity the mixture statistics are built on.
 
     The forward filter exists once, as ``_predict`` then ``_correct`` in the
-    log domain.  Scoring runs it over (parameters, paths); sampling runs it
-    over paths with each path's post-change means, vectorised across the
-    block's paths, and draws each post-change hidden state from its
-    prediction.
+    log domain, in one loop (``_filter_block``) over a (parameters, paths)
+    table that samples, scores, or for a Monte Carlo block does both at once:
+    a changed path draws its hidden state from its theta's row.  An off-grid
+    theta adds one row, of its own means, whose increments are not reported.
     """
 
     def __init__(self, spec: Hmm2Spec, grid: MixingGrid):
@@ -599,11 +608,55 @@ class TwoStateHmmModel(ObservationModel):
             return np.full(shape, np.log(1.0 - pi2)), np.full(shape, np.log(pi2))
 
     def _predict(self, log_f1, log_f2):
-        """One-step log prediction (log_g1, log_g2) from the log filter."""
+        """One-step log prediction (log_g1, log_g2) from the log filter; with
+        beta = gamma = 1/2 both would be the same logaddexp, so it runs once."""
         t = self._ltr
         log_g1 = np.logaddexp(log_f2 + t["to1"], log_f1 + t["stay1"])
-        log_g2 = np.logaddexp(log_f2 + t["stay2"], log_f1 + t["to2"])
-        return log_g1, log_g2
+        if self.spec.symmetric:
+            return log_g1, log_g1
+        return log_g1, np.logaddexp(log_f2 + t["stay2"], log_f1 + t["to2"])
+
+    def _filter_block(self, table, rows, n0, n1, x=None, sampler=None, score=True):
+        """Filter paths ``rows`` from time n0 to n1: the one loop that scores
+        and samples.  ``table`` is an increment state and x (L, B) the paths'
+        observations, time first, or None to draw them with a ``sampler``.
+        Returns x and, if ``score``, the increments (L, n_atoms, B)."""
+        log_f1, log_f2 = table[0][:, rows], table[1][:, rows]
+        p, length, batch = len(self._means), n1 - n0, log_f1.shape[1]
+        m1, m2 = self._means[:, :1], self._means[:, 1:]  # (P, 1): broadcast over paths
+        if sampler is not None:
+            spec, (b1, b2), carry = self.spec, self.spec.theta0, sampler.carry
+            u = np.ascontiguousarray(carry["u"][rows, n0 + 1 : n1 + 1].T)
+            x = np.empty((length, batch))  # the normals, then in place the observations
+            for r, i in enumerate(rows):
+                x[:, r] = sampler.rngs[i].standard_normal(length)
+            nus, (t1, t2) = sampler.nus[rows], sampler.thetas[rows].T
+            src, state2 = carry["src"][rows], carry["state2"][rows]
+            if (own := carry["own"]) is not None:  # the extra row: each path's own means
+                log_f1, m1 = np.vstack([log_f1, own[0][rows]]), np.vstack([m1.repeat(batch, 1), t1])
+                log_f2, m2 = np.vstack([log_f2, own[1][rows]]), np.vstack([m2.repeat(batch, 1), t2])
+        out = np.empty((length, p - 1, batch)) if score else None
+        for k in range(length):
+            log_g1, log_g2 = self._predict(log_f1, log_f2)
+            if sampler is not None:
+                # pre-change: the true chain under the no-change law; post-change:
+                # the post-change one-step predictive given the realized past
+                state2 = np.where(state2, u[k] < 1.0 - spec.gamma, u[k] < spec.beta)
+                mean = np.where(state2, b2, b1)
+                if (post := np.flatnonzero(n0 + k >= nus)).size:
+                    g1, g2 = log_g1[src[post], post], log_g2[src[post], post]
+                    state2[post] = s2 = u[k, post] < np.exp(g2 - np.logaddexp(g1, g2))
+                    mean[post] = np.where(s2, t2[post], t1[post])
+                np.add(mean, x[k], out=x[k])
+            log_c, log_f1, log_f2 = _correct(log_g1, log_g2, x[k], m1, m2)
+            if score:
+                np.subtract(log_c[1:p], log_c[0], out=out[k])
+        table[0][:, rows], table[1][:, rows] = log_f1[:p], log_f2[:p]
+        if sampler is not None:
+            carry["state2"][rows] = state2
+            if own is not None:
+                own[0][rows], own[1][rows] = log_f1[p], log_f2[p]
+        return x, out
 
     def step(self, x) -> np.ndarray:
         return self.stream_block([x])[0]
@@ -612,15 +665,8 @@ class TwoStateHmmModel(ObservationModel):
         return self._filter_start(self._means.shape[0], batch)  # (P, batch)
 
     def increment_block(self, state, rows, x, n0):
-        log_f1, log_f2 = state[0][:, rows], state[1][:, rows]
-        m1, m2 = self._means[:, :1], self._means[:, 1:]  # (P, 1): broadcast over paths
-        out = np.empty(x.shape[:2] + (self.grid.size,))
-        for n in range(x.shape[1]):
-            log_g1, log_g2 = self._predict(log_f1, log_f2)
-            log_c, log_f1, log_f2 = _correct(log_g1, log_g2, x[:, n, 0], m1, m2)
-            out[:, n, :] = (log_c[1:] - log_c[0]).T
-        state[0][:, rows], state[1][:, rows] = log_f1, log_f2
-        return out
+        x = np.ascontiguousarray(x[:, :, 0].T)
+        return self._filter_block(state, rows, n0, n0 + len(x), x)[1].transpose(2, 0, 1)
 
     def sampler_state(self, nus, thetas, horizon, rngs):
         # every uniform is drawn up front and the normals block by block,
@@ -628,37 +674,22 @@ class TwoStateHmmModel(ObservationModel):
         u = np.empty((len(rngs), horizon + 1))
         for i, rng in enumerate(rngs):
             u[i] = rng.random(horizon + 1)
-        lf1, lf2 = self._filter_start(len(rngs))
-        # pre-change: the true chain of the no-change model starts here
-        state2 = u[:, 0] < self.spec.pi2
-        return _sampler(nus, thetas, rngs, 2, u=u, state2=state2, lf1=lf1, lf2=lf2)
+        state = _sampler(nus, thetas, rngs, 2, u=u, state2=u[:, 0] < self.spec.pi2)
+        # changed paths draw from their theta's table row, or else the extra row
+        match = (state.thetas[:, None, :] == self._means).all(axis=2)
+        src = np.where(match.any(axis=1), match.argmax(axis=1), len(self._means))
+        extra = np.any(~match.any(axis=1) & (state.nus < horizon))
+        state.carry.update(src=src, own=self._filter_start(len(rngs)) if extra else None)
+        return state
 
     def sample_block(self, state, rows, n0, n1):
-        spec, carry = self.spec, state.carry
-        (b1, b2), m1, m2 = spec.theta0, state.thetas[rows, 0], state.thetas[rows, 1]
-        z = np.empty((len(rows), n1 - n0))
-        for r, i in enumerate(rows):
-            z[r] = state.rngs[i].standard_normal(n1 - n0)
-        u, nus = carry["u"][rows, n0 + 1 : n1 + 1], state.nus[rows]
-        state2, log_f1, log_f2 = carry["state2"][rows], carry["lf1"][rows], carry["lf2"][rows]
-        paths = np.empty((len(rows), n1 - n0, 1))
-        # post-change moves draw from the post-change model's one-step
-        # predictive given the whole realized past, so the detector's
-        # increments are exact conditional log-ratios; the filter therefore
-        # tracks every path, with its post-change means, from time 1
-        for k in range(n1 - n0):
-            log_g1, log_g2 = self._predict(log_f1, log_f2)
-            pre = n0 + k < nus
-            state2 = np.where(
-                pre,  # pre-change: advance the true chain under the no-change law
-                np.where(state2, u[:, k] < 1.0 - spec.gamma, u[:, k] < spec.beta),
-                u[:, k] < np.exp(log_g2 - np.logaddexp(log_g1, log_g2)),
-            )
-            x = np.where(state2, np.where(pre, b2, m2), np.where(pre, b1, m1)) + z[:, k]
-            paths[:, k, 0] = x
-            _, log_f1, log_f2 = _correct(log_g1, log_g2, x, m1, m2)
-        carry["state2"][rows], carry["lf1"][rows], carry["lf2"][rows] = state2, log_f1, log_f2
-        return paths
+        # sampling alone runs the filter on a table of its own
+        table = state.carry.setdefault("table", self.increment_state(len(state.rngs)))
+        x, _ = self._filter_block(table, rows, n0, n1, sampler=state, score=False)
+        return np.ascontiguousarray(x.T)[:, :, None]
+
+    def simulate_block(self, sampler, scorer, rows, n0, n1):
+        return self._filter_block(scorer, rows, n0, n1, sampler=sampler)[1].transpose(2, 0, 1)
 
     def sample_paths(self, nus, thetas, horizon, rngs):
         return _whole_paths(self, nus, thetas, horizon, rngs)

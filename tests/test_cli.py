@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mixdetect._engine import TrialSpec
 from mixdetect.calibration import msr_threshold
-from mixdetect.cli import ConfigError, load_csv_stream, load_experiment, main
+from mixdetect.cli import CSV_CHUNK, ConfigError, load_csv_stream, load_experiment, main
 from mixdetect.detectors import multicyclic_run, run_detector
 from mixdetect.measures import geometric_prior, grid_from_atoms
 from mixdetect.models import gaussian_iid_model
@@ -1047,6 +1047,35 @@ class TestDetect:
         data.write_bytes("\ufeff3.0\n".encode())  # increment 4 > log A: the one row alarms
         assert main(["detect", path, str(data)]) == 0
         assert capsys.readouterr().out.strip() == "alarm at n = 1"
+
+    @pytest.mark.parametrize("chunk", [1, 3, CSV_CHUNK])
+    @pytest.mark.parametrize(
+        "content,error",
+        [
+            (b"x\n1.0\n\xe9\n", "3: not valid UTF-8 text"),
+            (b"x\r1.0\r\n\r2.5\xe9\r", "4: not valid UTF-8 text"),
+            (b"\xef\xbb\xbf1.0\n\n\xff2.0\n", "3: not valid UTF-8 text"),
+            (b"1.0\n" * 9000 + b"2.0\xc3\n", "9001: not valid UTF-8 text"),
+            (b"x\n1.0\nzz\n\xe9\n", "3: malformed CSV row 'zz'"),
+            # the text reader decodes ahead, so the bad byte is met before line 12
+            (b"x\n" + b"1.0\n" * 10 + b"1e999\n" + b"1.0\n" * 5000 + b"\xe9\n",
+             "12: non-finite value in row '1e999'"),
+        ],
+    )
+    def test_not_utf8_names_line(self, tmp_path, capsys, monkeypatch, content, error, chunk):
+        """A byte that is not UTF-8 exits 3 naming its physical line, unless a
+        line before it fails first; neither depends on the chunk size."""
+        import mixdetect.cli as cli
+
+        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        path = write_config(tmp_path, self.detect_doc(tmp_path))
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(content)
+        for argv in (["detect", path, str(data)], ["detect", path, str(data), "--multicyclic"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: {data}:{error}\n"
+        assert not (tmp_path / "alarms.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,43 @@ def test_hmm_sample_paths_pinned(case):
     assert digest == HMM_SAMPLE_DIGESTS[case]
 
 
+@st.composite
+def _hmm_filter_states(draw):
+    """A transition spec and a (P, B) log filter, -inf entries included."""
+    beta, gamma = draw(
+        st.one_of(
+            st.just((0.5, 0.5)),
+            st.sampled_from([(0.2, 0.4), (0.0, 0.4), (0.3, 0.0), (0.5, 0.4), (1.0, 1.0)]),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda s: sum(s) > 0),
+        )
+    )
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 40)))
+    logs = st.one_of(st.floats(-800.0, 0.0), st.just(-np.inf))
+    return beta, gamma, [draw(hnp.arrays(float, shape, elements=logs)) for _ in range(2)]
+
+
+@given(_hmm_filter_states())
+@example((0.5, 0.5, [np.array([[-np.inf, -0.1, -3.0]]), np.array([[0.0, -2.4, -1e-300]])]))
+def test_hmm_predict_matches_the_two_call_form(case):
+    """A symmetric spec calls logaddexp once, for the same bits as both calls;
+    any other spec still makes the two calls."""
+    from unittest import mock
+
+    beta, gamma, (log_f1, log_f2) = case
+    model = hmm2_model(Hmm2Spec((0.0, 1.0), beta, gamma), grid_from_atoms([[0.5, 2.0]]))
+    t = model._ltr
+    with np.errstate(invalid="ignore"):
+        want = (
+            np.logaddexp(log_f2 + t["to1"], log_f1 + t["stay1"]),
+            np.logaddexp(log_f2 + t["stay2"], log_f1 + t["to2"]),
+        )
+        with mock.patch.object(np, "logaddexp", wraps=np.logaddexp) as spy:
+            got = model._predict(log_f1, log_f2)
+    assert spy.call_count == (1 if (beta, gamma) == (0.5, 0.5) else 2)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Cross-model contracts
 # ---------------------------------------------------------------------------

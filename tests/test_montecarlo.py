@@ -19,11 +19,18 @@ from mixdetect._engine import (
     _alarm_floor,
     _draw_trials,
     _seed_state,
+    run_chunk,
     trial_rng,
     trial_rngs,
 )
 from mixdetect.calibration import ms_threshold
-from mixdetect.detectors import PriorSupportExhausted, log_statistic, run_detector
+from mixdetect.detectors import (
+    PriorSupportExhausted,
+    advance,
+    log_statistic,
+    recursion_tables,
+    run_detector,
+)
 from mixdetect.measures import (
     geometric_prior,
     grid_from_atoms,
@@ -816,3 +823,73 @@ def test_threshold_tie_stops_like_streaming(detector):
             got, want = np.array([td.log_stat_at_stop[i], rec.log_stat_at_stop])
             assert got.view(np.uint64) == want.view(np.uint64)
     assert np.count_nonzero(td.stop_times) > 1
+
+
+# ---------------------------------------------------------------------------
+# The HMM's one-filter block kernel against whole-path sampling and scoring.
+# ---------------------------------------------------------------------------
+
+HMM_KERNEL_SPECS = {
+    "asymmetric": (0.2, 0.4),
+    "symmetric": (0.5, 0.5),
+    "beta0": (0.0, 0.4),
+    "gamma0": (0.3, 0.0),
+}
+HMM_KERNEL_MODES = {
+    "fixed_on_grid": TrialSpec(mode="fixed", nu=70, theta=(1.0, 2.5), stream_tag=31),
+    "fixed_off_grid": TrialSpec(mode="fixed", nu=70, theta=(1.3, -0.4), stream_tag=32),
+    "prior": TrialSpec(mode="prior", q_short_circuit=True, stream_tag=33),
+    "prior_off_grid_theta": TrialSpec(mode="prior", theta=(0.7, 1.8), stream_tag=34),
+    "no_change": TrialSpec(mode="no_change", stream_tag=35),
+}
+
+
+def _whole_path_statistics(model, prior, detector, omega, horizon, spec, seed, count):
+    """Every trial's statistic at n = 1 .. horizon, shape (horizon, count), from
+    whole paths: ``sample_paths``, ``path_increments``, then ``advance`` and
+    ``log_statistic`` at every step."""
+    grid = model.grid
+    rngs = trial_rngs(seed, spec.stream_tag, 0, count)
+    nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
+    ell = model.path_increments(model.sample_paths(nus, thetas, horizon, rngs))
+    init, log_pi, log_tail = recursion_tables(detector, prior, omega, horizon)
+    state = np.full((grid.size, count), init)
+    stats = np.empty((horizon, count))
+    for n in range(1, horizon + 1):
+        state = advance(state, ell[:, n - 1].T, log_pi[n - 1])
+        stats[n - 1] = log_statistic(state, grid.log_weights[:, None], log_tail[n])
+    return stats
+
+
+@pytest.mark.parametrize("detector", ["ms", "msr"])
+@pytest.mark.parametrize("mode", sorted(HMM_KERNEL_MODES))
+@pytest.mark.parametrize("transitions", sorted(HMM_KERNEL_SPECS))
+def test_hmm_block_kernel_matches_whole_paths(transitions, mode, detector):
+    """run_chunk, which samples and scores each block with one filter, gives
+    the bits of whole-path sampling and scoring: stop times, statistics at
+    the stop and final statistics, over four blocks with trials dropped
+    mid-block."""
+    beta, gamma = HMM_KERNEL_SPECS[transitions]
+    model = hmm2_model(
+        Hmm2Spec(theta0=(0.0, 1.0), beta=beta, gamma=gamma),
+        grid_from_atoms([[0.5, 2.0], [1.0, 2.5], [1.5, 1.0]]),
+    )
+    prior, spec = geometric_prior(0.02, q=0.1), HMM_KERNEL_MODES[mode]
+    omega, horizon, count, seed = 0.5, 200, 48, 909
+    args = (model, prior, model.grid, detector, omega)
+    stats = _whole_path_statistics(model, prior, detector, omega, horizon, spec, seed, count)
+
+    whole = run_chunk(*args, None, horizon, spec, seed, 0, count)
+    assert whole.final_log_stat.tobytes() == stats[-1].tobytes()
+
+    # a log A that nine in ten trials reach within two blocks, so that trials
+    # stop in several blocks and a few run on
+    log_a = float(np.quantile(stats[: 2 * BLOCK].max(axis=0), 0.1))
+    td = run_chunk(*args, log_a, horizon, spec, seed, 0, count)
+    crossed = stats >= log_a
+    want_stop = np.where(crossed.any(axis=0), crossed.argmax(axis=0) + 1, 0)
+    want_stat = np.where(want_stop > 0, stats[want_stop - 1, np.arange(count)], np.nan)
+    np.testing.assert_array_equal(td.stop_times, want_stop)
+    assert td.log_stat_at_stop.tobytes() == want_stat.tobytes()
+    assert any(compacted for *_, compacted in _compactions(td.stop_times, horizon))
+    assert np.any((td.stop_times == 0) | (td.stop_times > 2 * BLOCK)), "no third block"
