@@ -26,19 +26,16 @@ trial has alarmed.  Inside a block, after a step where trials alarm, the
 alarmed trials are dropped from the recursion once at most half of the
 block's current rows are live and the block has steps left; each drop at
 least halves the rows, so the copying is a constant factor.  The chunk's
-statistic is stored atoms first, (n_atoms, CHUNK), and each block's
-increments are transposed once to (steps, n_atoms, trials), a copy except
-for the HMM, whose kernel writes that layout, so the recursion reduces over
-contiguous atom rows.  The recursion runs on every
+statistic is stored atoms first, (n_atoms, CHUNK), and every model's block
+kernel writes its increments as (steps, n_atoms, trials), so the recursion
+reduces over contiguous atom rows.  The recursion runs on every
 live trial at every step, but the statistic's K-term log-sum-exp runs only
 on the trials whose largest weighted atom term leaves it within log K of the
 threshold; the others cannot alarm at that step.  A column's log-sum-exp
 does not depend on which other columns are present, so neither constant,
-the compaction nor this bound affects any value.  The block buffers take
-O(CHUNK * BLOCK * n_atoms) memory, not O(CHUNK * horizon * n_atoms), but a
-model's sampler state may grow with the horizon: the HMM sampler draws each
-path's horizon + 1 uniforms up front, O(CHUNK * horizon) (8 MB at horizon
-1000).
+the compaction nor this bound affects any value.  The block buffers and the
+model's sampler state take O(CHUNK * BLOCK * n_atoms) memory, not
+O(CHUNK * horizon * n_atoms).
 """
 
 from __future__ import annotations
@@ -274,9 +271,8 @@ def run_chunk(
         rows = np.flatnonzero(alive)  # the trials this block advances
         if rows.size == 0:
             break
-        ell = model.simulate_block(sampler, scorer, rows, n0, n1)
         # (L, K, B), so step n reads the contiguous (K, B) slice ell[n - 1 - off]
-        ell = np.ascontiguousarray(ell.transpose(1, 2, 0))
+        ell = model.simulate_block(sampler, scorer, rows, n0, n1)
         off = n0
         state = np.take(stat_state, rows, axis=1)  # contiguous (K, B)
         live = alive[rows]

@@ -20,8 +20,10 @@ do the same for the increments of given observations, and
 ``simulate_block``, the Monte Carlo engine's call, does both.  Model state (RNG
 position, AR filter memory, HMM chain and forward filter) carries from one
 block to the next, so a path's values do not depend on how its time axis is
-cut into blocks or on which other paths share a call.  The whole-path
-methods ``sample_paths`` / ``path_increments`` are the one-block case, and
+cut into blocks or on which other paths share a call.  Increments come back
+time first, a C-contiguous (steps, atoms, paths) block, the layout the
+engine's recursion reads.  The whole-path methods ``sample_paths`` /
+``path_increments`` (a (paths, steps, atoms) view) are the one-block case, and
 streaming is the one-path case: ``reset()`` starts a one-path increment
 state, ``stream_block(rows)`` is ``increment_block`` over the next rows of
 the stream (the alarm loop feeds it blocks of rows), and ``step(x)`` is its
@@ -32,7 +34,9 @@ from its own generator only.  The HMM has one forward filter (``_predict``
 and ``_correct``) in one loop, which both scores increments and drives the
 post-change hidden chain of sampled paths: a Monte Carlo block runs it once,
 over the parameter table, for sampling and scoring alike, and an off-grid
-post-change theta adds one row to that table.
+post-change theta adds one row to that table.  Its chain uniforms come block
+by block from a copy of each path's generator, so no sampler's memory grows
+with the horizon.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .measures import MixingGrid
 
@@ -74,7 +79,7 @@ class ObservationModel(ABC):
         x = np.asarray(rows, dtype=float).reshape(1, len(rows), self.dimension)
         ell = self.increment_block(self._stream, slice(None), x, self._t)
         self._t += len(rows)
-        return ell[0]
+        return ell[:, :, 0]
 
     @abstractmethod
     def step(self, x) -> np.ndarray:
@@ -118,12 +123,13 @@ class ObservationModel(ABC):
 
         ``rows`` indexes the batch (an index array, or a slice); x has shape
         (B, L, dimension) for the B listed paths, every one of which must
-        sit at time n0.  The result has shape (B, L, n_atoms).
+        sit at time n0.  The result is a C-contiguous (L, n_atoms, B) array,
+        time first, so each step's (n_atoms, B) slice is contiguous.
         """
 
     def simulate_block(self, sampler: "SamplerState", scorer, rows, n0: int, n1: int):
-        """``increment_block`` of what ``sample_block`` draws, which a model may
-        run as one pass; a sampler advances by this call or by ``sample_block``."""
+        """``increment_block`` of what ``sample_block`` draws, (L, n_atoms, B), which a
+        model may run as one pass; a sampler advances by this call or by ``sample_block``."""
         return self.increment_block(scorer, rows, self.sample_block(sampler, rows, n0, n1), n0)
 
     @abstractmethod
@@ -157,13 +163,21 @@ class SamplerState:
     """A batch of paths being sampled: per-path inputs and carried model state.
 
     ``carry`` holds the model's per-path arrays, leading axis = batch, and
-    for the HMM its filter rows, (rows, batch).
+    for the HMM its filter rows, (rows, batch), and the per-path generator
+    copies that draw the chain uniforms.
     """
 
     nus: np.ndarray
     thetas: np.ndarray
     rngs: list
     carry: dict
+
+
+class _NoSeed(ISeedSequence):
+    """Zero seed words, for a bit generator whose ``state`` is set right after."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
 
 
 def _sampler(nus, thetas, rngs, width: int, **carry) -> SamplerState:
@@ -187,26 +201,25 @@ def _whole_paths(model: ObservationModel, nus, thetas, horizon: int, rngs) -> np
 
 
 def _whole_increments(model: ObservationModel, paths: np.ndarray) -> np.ndarray:
-    b, t, _ = paths.shape
-    return model.increment_block(model.increment_state(b), np.arange(b), paths, 0)
+    state = model.increment_state(len(paths))
+    return model.increment_block(state, np.arange(len(paths)), paths, 0).transpose(2, 0, 1)
 
 
 def _as_nu_array(nus, horizon: int) -> np.ndarray:
-    """Clamp change points into [0, horizon]; None/inf mean no change."""
+    """Clamp change points into [0, horizon]; None/+inf mean no change."""
     out = np.empty(len(nus), dtype=np.int64)
     for i, nu in enumerate(nus):
-        if nu is None or (isinstance(nu, float) and math.isinf(nu)):
+        if nu is None or nu == math.inf:
             out[i] = horizon
+        elif (v := float(nu)) < 0 or not v.is_integer():
+            raise ValueError(f"change point must be an integer >= 0, got {nu!r}")
         else:
-            v = int(nu)
-            if v < 0:
-                raise ValueError(f"change point must be >= 0, got {v}")
-            out[i] = min(v, horizon)
+            out[i] = min(int(v), horizon)
     return out
 
 
 def sample_path(model: ObservationModel, nu, theta, horizon: int, rng) -> np.ndarray:
-    """One path of length ``horizon`` under change at ``nu`` (None or inf: never).
+    """One path of length ``horizon`` under change at ``nu`` (None or +inf: never).
 
     ``theta`` is an atom index into the model's grid, or an explicit
     parameter vector; it is ignored when the change never happens.
@@ -247,8 +260,8 @@ class GaussianIidModel(ObservationModel):
 
     def sample_block(self, state, rows, n0, n1):
         x = np.empty((len(rows), n1 - n0, 1))
-        for r, i in enumerate(rows):
-            x[r, :, 0] = state.rngs[i].standard_normal(n1 - n0)
+        for r, i in enumerate(rows.tolist()):
+            state.rngs[i].standard_normal(out=x[r, :, 0])
         post = np.arange(n0, n1)[None, :] >= state.nus[rows, None]  # column t is time t+1
         x[:, :, 0] += post * state.thetas[rows]
         return x
@@ -257,7 +270,10 @@ class GaussianIidModel(ObservationModel):
         return None  # memoryless
 
     def increment_block(self, state, rows, x, n0):
-        return x[:, :, 0, None] * self._theta[None, None, :] - self._half_theta_sq
+        ell = np.empty((x.shape[1], len(self._theta), len(x)))
+        np.multiply(x[:, :, 0].T[:, None, :], self._theta[:, None], out=ell)
+        ell -= self._half_theta_sq[:, None]
+        return ell
 
     def sample_paths(self, nus, thetas, horizon, rngs):
         return _whole_paths(self, nus, thetas, horizon, rngs)
@@ -438,18 +454,17 @@ class MultichannelArModel(ObservationModel):
         self.reset()
 
     def _ell(self, resid: np.ndarray, sres: np.ndarray) -> np.ndarray:
-        """Increments from whitened data/signals; accumulates channels in order.
-
-        resid and sres broadcast over leading axes with trailing axis =
-        channels; the result has resid's leading shape plus an atom axis.
-        """
-        out = None
+        """Increments (L, n_atoms, B) from whitened data resid (B, L, channels)
+        and whitened signals sres (L, channels); accumulates channels in order."""
+        b, length, _ = resid.shape
+        out = term = np.empty((length, self.grid.size, b))
         for c, (theta, theta_sq) in enumerate(self._atom_cols):
-            s = sres[..., c]
-            term = (s * resid[..., c])[..., None] * theta - (0.5 * s**2)[..., None] * theta_sq
-            if out is None:
-                out = term
-            else:
+            s = sres[:, c]
+            if c == 1:
+                term = np.empty_like(out)
+            np.multiply((s * resid[:, :, c]).T[:, None, :], theta[:, None], out=term)
+            term -= ((0.5 * s**2)[:, None] * theta_sq)[:, :, None]
+            if c:
                 out += term
         return out
 
@@ -465,8 +480,8 @@ class MultichannelArModel(ObservationModel):
 
     def sample_block(self, state, rows, n0, n1):
         noise = np.empty((len(rows), n1 - n0, self.dimension))
-        for r, i in enumerate(rows):
-            noise[r] = state.rngs[i].standard_normal((n1 - n0, self.dimension))
+        for r, i in enumerate(rows.tolist()):
+            state.rngs[i].standard_normal(out=noise[r])
         for c, zi in enumerate(state.carry["zi"]):
             if zi.shape[1]:
                 noise[:, :, c], zi[rows] = _ar_noise(noise[:, :, c], self.spec.fir(c), zi[rows])
@@ -626,10 +641,11 @@ class TwoStateHmmModel(ObservationModel):
         m1, m2 = self._means[:, :1], self._means[:, 1:]  # (P, 1): broadcast over paths
         if sampler is not None:
             spec, (b1, b2), carry = self.spec, self.spec.theta0, sampler.carry
-            u = np.ascontiguousarray(carry["u"][rows, n0 + 1 : n1 + 1].T)
-            x = np.empty((length, batch))  # the normals, then in place the observations
-            for r, i in enumerate(rows):
-                x[:, r] = sampler.rngs[i].standard_normal(length)
+            z, u = np.empty((batch, length)), np.empty((batch, length))
+            for r, i in enumerate(rows.tolist()):  # normals and uniforms: the two cursors
+                sampler.rngs[i].standard_normal(out=z[r])
+                carry["cursors"][i].random(out=u[r])
+            x, u = np.ascontiguousarray(z.T), np.ascontiguousarray(u.T)  # time first
             nus, (t1, t2) = sampler.nus[rows], sampler.thetas[rows].T
             src, state2 = carry["src"][rows], carry["state2"][rows]
             if (own := carry["own"]) is not None:  # the extra row: each path's own means
@@ -666,15 +682,20 @@ class TwoStateHmmModel(ObservationModel):
 
     def increment_block(self, state, rows, x, n0):
         x = np.ascontiguousarray(x[:, :, 0].T)
-        return self._filter_block(state, rows, n0, n0 + len(x), x)[1].transpose(2, 0, 1)
+        return self._filter_block(state, rows, n0, n0 + len(x), x)[1]
 
     def sampler_state(self, nus, thetas, horizon, rngs):
-        # every uniform is drawn up front and the normals block by block,
-        # which is the same stream as drawing u, then z, in one go
-        u = np.empty((len(rngs), horizon + 1))
-        for i, rng in enumerate(rngs):
-            u[i] = rng.random(horizon + 1)
-        state = _sampler(nus, thetas, rngs, 2, u=u, state2=u[:, 0] < self.spec.pi2)
+        """A path's stream is its chain uniforms u_0 .. u_horizon, then its normals,
+        read by two cursors: a copy of its generator draws u_0 here and each
+        block's uniforms later; the generator skips them, then draws the normals."""
+        cursors = []
+        for rng in rngs:
+            bits = type(rng.bit_generator)(_NoSeed())
+            bits.state = rng.bit_generator.state
+            cursors.append(np.random.Generator(bits))
+            rng.random(horizon + 1)
+        u0 = np.array([c.random() for c in cursors])
+        state = _sampler(nus, thetas, rngs, 2, cursors=cursors, state2=u0 < self.spec.pi2)
         # changed paths draw from their theta's table row, or else the extra row
         match = (state.thetas[:, None, :] == self._means).all(axis=2)
         src = np.where(match.any(axis=1), match.argmax(axis=1), len(self._means))
@@ -683,13 +704,13 @@ class TwoStateHmmModel(ObservationModel):
         return state
 
     def sample_block(self, state, rows, n0, n1):
-        # sampling alone runs the filter on a table of its own
-        table = state.carry.setdefault("table", self.increment_state(len(state.rngs)))
-        x, _ = self._filter_block(table, rows, n0, n1, sampler=state, score=False)
+        if "table" not in state.carry:  # sampling alone runs the filter on a table of its own
+            state.carry["table"] = self.increment_state(len(state.rngs))
+        x, _ = self._filter_block(state.carry["table"], rows, n0, n1, sampler=state, score=False)
         return np.ascontiguousarray(x.T)[:, :, None]
 
     def simulate_block(self, sampler, scorer, rows, n0, n1):
-        return self._filter_block(scorer, rows, n0, n1, sampler=sampler)[1].transpose(2, 0, 1)
+        return self._filter_block(scorer, rows, n0, n1, sampler=sampler)[1]
 
     def sample_paths(self, nus, thetas, horizon, rngs):
         return _whole_paths(self, nus, thetas, horizon, rngs)

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mixdetect.detectors import BLOCK
 from mixdetect.measures import grid_from_atoms, uniform_grid
 from mixdetect.models import (
     ArChannelSpec,
@@ -65,6 +66,23 @@ class TestGaussianIid:
         with pytest.raises(ValueError):
             sample_path(m, 0, theta, 10, np.random.default_rng(0))
         assert info_number(m, (2.0,)) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("nu", [-math.inf, 2.7, -1, -1.0, math.nan])
+    def test_sample_path_rejects_bad_change_point(self, nu):
+        m = gaussian_iid_model(grid_from_atoms([[1.0]]))
+        with pytest.raises(ValueError, match="change point"):
+            sample_path(m, nu, 0, 10, np.random.default_rng(0))
+
+    def test_sample_path_change_point_forms(self):
+        m = gaussian_iid_model(grid_from_atoms([[1.0]]))
+
+        def path(nu):
+            return sample_path(m, nu, 0, 10, np.random.default_rng(0))
+
+        np.testing.assert_array_equal(path(3.0), path(3))
+        np.testing.assert_array_equal(path(np.int64(3)), path(3))
+        for never in (None, math.inf, np.inf, 10.0, 25):
+            np.testing.assert_array_equal(path(never), path(10))
 
     def test_requires_scalar_atoms(self):
         with pytest.raises(ValueError):
@@ -496,6 +514,100 @@ class TestModelContract:
             mean = lr[:, j].mean()
             se = lr[:, j].std(ddof=1) / math.sqrt(b)
             assert abs(mean - 1.0) < 3 * se, f"atom {j}: {mean} +- {se}"
+
+
+# ---------------------------------------------------------------------------
+# Block kernels: time-first increments, the HMM's two RNG cursors, and
+# sampler memory that does not grow with the horizon.
+# ---------------------------------------------------------------------------
+
+
+def _layout_model(name):
+    if name == "gaussian":
+        return gaussian_iid_model(grid_from_atoms([[0.5], [1.0], [-0.7]]))
+    if name == "ar":
+        spec = ArChannelSpec(
+            ar_coeffs=((0.5, -0.2), (0.3, 0.1)),
+            signals=(HarmonicSignal(1.0, 0.4, 0.3), HarmonicSignal(0.8, 1.1, 0.0)),
+        )
+        return multichannel_ar_model(spec, grid_from_atoms([[0.7, 0.7], [1.0, 0.5], [0.3, 1.2]]))
+    spec = Hmm2Spec(theta0=(0.0, 1.0), beta=0.2, gamma=0.7)
+    return hmm2_model(spec, grid_from_atoms([[0.8, 1.6], [0.4, 1.9]]))
+
+
+@pytest.mark.parametrize("name", ["gaussian", "ar", "hmm"])
+def test_block_kernels_return_time_first_blocks(name):
+    """increment_block and simulate_block return C-contiguous (L, K, B) blocks,
+    bit-equal to the whole-path increments; stream_block returns (L, K)."""
+    model = _layout_model(name)
+    horizon, batch, k = 150, 5, model.grid.size
+    nus = np.array([0, 40, 100, 150, 149])
+    thetas = model.grid.atoms[np.arange(batch) % k]
+    paths = model.sample_paths(nus, thetas, horizon, spawn_rngs(9, batch))
+    whole = model.path_increments(paths)
+    assert whole.shape == (batch, horizon, k)
+    sampler = model.sampler_state(nus, thetas, horizon, spawn_rngs(9, batch))
+    scorer, scored = model.increment_state(batch), model.increment_state(batch)
+    rows = np.arange(batch)
+    model.reset()
+    for n0 in range(0, horizon, BLOCK):
+        n1 = min(n0 + BLOCK, horizon)
+        want = whole[:, n0:n1].transpose(1, 2, 0).tobytes()
+        simulated = model.simulate_block(sampler, scorer, rows, n0, n1)
+        scored_block = model.increment_block(scored, rows, paths[:, n0:n1], n0)
+        for ell in (simulated, scored_block):
+            assert ell.shape == (n1 - n0, k, batch) and ell.flags.c_contiguous
+            assert ell.tobytes() == want
+        streamed = model.stream_block(paths[0, n0:n1])
+        assert streamed.shape == (n1 - n0, k)
+        assert streamed.tobytes() == whole[0, n0:n1].tobytes()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64])
+def test_hmm_two_cursors_keep_the_stream(bit_generator):
+    """Paths sampled in one block equal paths sampled in BLOCK-step pieces, and
+    each generator ends where drawing all uniforms, then all normals, ends."""
+    model = _layout_model("hmm")
+    horizon, batch = 150, 6
+    nus = np.array([0, 75, 150, 200, 30, 100])
+    thetas = np.array([[0.8, 1.6], [0.4, 1.9], [1.3, -0.4]] * 2)  # one off the grid
+
+    def rngs():
+        return [np.random.Generator(bit_generator(seed)) for seed in range(batch)]
+
+    whole_rngs, piece_rngs, clones = rngs(), rngs(), rngs()
+    whole = model.sample_paths(nus, thetas, horizon, whole_rngs)
+    state = model.sampler_state(nus, thetas, horizon, piece_rngs)
+    pieces = [
+        model.sample_block(state, np.arange(batch), n0, min(n0 + BLOCK, horizon))
+        for n0 in range(0, horizon, BLOCK)
+    ]
+    assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
+    for a, b, clone in zip(whole_rngs, piece_rngs, clones):
+        clone.random(horizon + 1)
+        clone.standard_normal(horizon)
+        want = clone.random()
+        assert a.random() == want and b.random() == want
+
+
+def test_hmm_sampler_memory_does_not_grow_with_the_horizon():
+    """sampler_state plus one block for 64 paths at horizon 10^5 peaks under
+    2 MB; a table of every path's chain uniforms alone would be 51 MB."""
+    import tracemalloc
+
+    model = _layout_model("hmm")
+    horizon, batch = 100_000, 64
+    rngs = spawn_rngs(7, batch)
+    nus = np.array([0, 10, 50, horizon] * (batch // 4))
+    thetas = np.array([[0.8, 1.6], [0.4, 1.9], [1.3, -0.4], [0.8, 1.6]] * (batch // 4))
+    tracemalloc.start()
+    try:
+        sampler = model.sampler_state(nus, thetas, horizon, rngs)
+        model.simulate_block(sampler, model.increment_state(batch), np.arange(batch), 0, BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize(
