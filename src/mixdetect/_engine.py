@@ -4,9 +4,10 @@ Trials are independent units of work.  Each trial owns an RNG stream derived
 from (master_seed, stream_tag, trial_index), and its path is sampled from
 that stream alone, so per-trial results do not depend on batching or worker
 count.  Increments and the detector recursion are deterministic functions
-of the paths, computed by the same block kernels and the same
-``detectors.advance`` and ``detectors.log_statistic`` as the streaming
-detectors, so lockstep and streaming runs agree bit for bit.
+of the paths, computed by the same block kernels, the same
+``detectors.prior_window`` schedule and the same ``detectors.advance`` and
+``detectors.log_statistic`` as the streaming detectors, so lockstep and
+streaming runs agree bit for bit.
 
 A chunk derives all of its trials' streams in one pass: ``trial_rngs``
 hashes every ``SeedSequence([master_seed, stream_tag, i])`` with NumPy's
@@ -20,12 +21,13 @@ once, so every drawn value is unchanged.
 A chunk of CHUNK trials advances in time blocks of BLOCK steps.  Each block
 samples and scores the trials that have not yet alarmed in one
 ``model.simulate_block`` call (the HMM runs one forward filter for both,
-with one extra table row for an off-grid theta), recurses them, and carries
-model and statistic state to the next block; the chunk stops once every
-trial has alarmed.  Inside a block, after a step where trials alarm, the
-alarmed trials are dropped from the recursion once at most half of the
-block's current rows are live and the block has steps left; each drop at
-least halves the rows, so the copying is a constant factor.  The chunk's
+with one extra table row for an off-grid theta), recurses them with the
+block's ``prior_window``, and carries model and statistic state to the next
+block; the chunk stops once every trial has alarmed.  Inside a block, after
+a step where trials alarm, the alarmed trials are dropped from the recursion
+once at most half of the block's current rows are live and the block has
+steps left; each drop at least halves the rows, so the copying is a
+constant factor.  The chunk's
 statistic is stored atoms first, (n_atoms, CHUNK), and every model's block
 kernel writes its increments as (steps, n_atoms, trials), so the recursion
 reduces over contiguous atom rows.  The recursion runs on every
@@ -33,9 +35,9 @@ live trial at every step, but the statistic's K-term log-sum-exp runs only
 on the trials whose largest weighted atom term leaves it within log K of the
 threshold; the others cannot alarm at that step.  A column's log-sum-exp
 does not depend on which other columns are present, so neither constant,
-the compaction nor this bound affects any value.  The block buffers and the
-model's sampler state take O(CHUNK * BLOCK * n_atoms) memory, not
-O(CHUNK * horizon * n_atoms).
+the compaction nor this bound affects any value.  The block buffers, the
+prior's window and the model's sampler state take O(CHUNK * BLOCK * n_atoms)
+memory, not O(CHUNK * horizon * n_atoms).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .detectors import BLOCK, PriorSupportExhausted, advance, log_statistic, recursion_tables
+from .detectors import BLOCK, PriorSupportExhausted, _log_init, advance, log_statistic, prior_window
 from .measures import ChangePrior, MixingGrid
 from .models import ObservationModel
 
@@ -254,11 +256,7 @@ def run_chunk(
     rngs = trial_rngs(master_seed, spec.stream_tag, start, count)
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
     logw = grid.log_weights[:, None]
-    init, log_pi, log_tail = recursion_tables(detector, prior, omega, horizon)
-    exhausted = ~np.isfinite(log_tail)  # never, for MSR
-
-    if log_threshold is not None:
-        floor = _alarm_floor(log_threshold, log_tail, grid.size)
+    init = _log_init(detector, prior, omega)
     sampler = model.sampler_state(nus, thetas, horizon, rngs)
     scorer = model.increment_state(count)
     stat_state = np.full((grid.size, count), init)  # atoms first
@@ -268,6 +266,10 @@ def run_chunk(
 
     for n0 in range(0, horizon, BLOCK):
         n1 = min(n0 + BLOCK, horizon)
+        log_pi, log_tail = prior_window(detector, prior, n0, n1 - n0)
+        exhausted = ~np.isfinite(log_tail)  # never, for MSR
+        if log_threshold is not None:
+            floor = _alarm_floor(log_threshold, log_tail, grid.size)
         rows = np.flatnonzero(alive)  # the trials this block advances
         if rows.size == 0:
             break
@@ -277,19 +279,18 @@ def run_chunk(
         state = np.take(stat_state, rows, axis=1)  # contiguous (K, B)
         live = alive[rows]
         for n in range(n0 + 1, n1 + 1):
-            if exhausted[n] and live.any():
-                raise PriorSupportExhausted(
-                    f"prior tail Pi({n}) = 0; the MS recursion cannot continue"
-                )
-            state = advance(state, ell[n - 1 - off], log_pi[n - 1])
+            j = n - 1 - n0
+            if exhausted[j] and live.any():
+                raise PriorSupportExhausted(n)
+            state = advance(state, ell[n - 1 - off], log_pi[j])
             if log_threshold is None:
                 continue
             # the exact statistic only where the bound allows an alarm; a NaN
             # max fails the < test, so its column takes the exact path too
-            near = np.flatnonzero(live & ~((state + logw).max(axis=0) < floor[n]))
+            near = np.flatnonzero(live & ~((state + logw).max(axis=0) < floor[j]))
             if near.size == 0:
                 continue
-            log_stat = log_statistic(np.take(state, near, axis=1), logw, log_tail[n])
+            log_stat = log_statistic(np.take(state, near, axis=1), logw, log_tail[j])
             crossed = log_stat >= log_threshold
             if not crossed.any():
                 continue
@@ -315,6 +316,7 @@ def run_chunk(
         log_stat_at_stop=stat_at_stop,
         nus=nus,
         final_log_stat=(
-            log_statistic(stat_state, logw, log_tail[horizon]) if log_threshold is None else None
+            # no trial stops, so the last window ends at Pi(horizon)
+            log_statistic(stat_state, logw, log_tail[-1]) if log_threshold is None else None
         ),
     )

@@ -39,8 +39,9 @@ from .calibration import (
     ms_threshold,
     msr_threshold,
 )
+from .detectors import NonFiniteIncrements, PriorSupportExhausted, _multicyclic_with_tail
 # run_detector is unused here, but perfbench/tracer.py wraps ``cli.run_detector`` by name
-from .detectors import NonFiniteIncrements, _multicyclic_with_tail, run_detector  # noqa: F401
+from .detectors import run_detector  # noqa: F401
 from .measures import (
     ChangePrior,
     MixingGrid,
@@ -883,11 +884,11 @@ def cmd_detect(
             trajectory,
             restart=multicyclic,
         )
-    except NonFiniteIncrements as exc:
+    except (NonFiniteIncrements, PriorSupportExhausted) as exc:
         line = _data_line(data_path, len(data), exc.row)
-        raise RuntimeError(
-            f"{data_path}:{line}: observation out of range, its LLR increments overflow"
-        ) from None
+        overflow = isinstance(exc, NonFiniteIncrements)
+        reason = "observation out of range, its LLR increments overflow" if overflow else exc
+        raise RuntimeError(f"{data_path}:{line}: {reason}") from None
     alarms = [r.stop_time for r in records]
     # a single-shot run has a tail only when it is censored
     censored = not multicyclic and tail is not None

@@ -13,16 +13,17 @@ which are plain algebra on the defining double sums (cross-checked here by
 brute-force oracles that evaluate those sums literally).  MSR is the MS
 recursion with pi_k = 1 and Pi(n) = 1, started from omega instead of q, so
 two kernels serve both: ``advance`` steps the per-atom numerators and
-``log_statistic`` mixes them into log S_n or log R_n; ``recursion_tables``
-gives the start value and per-step tables for either kind, and
-``prior_window`` one block's slice of the MS tables.  Both keep atoms
-on the leading axis: a stream's state is a (K,) vector and a batch of B
-trials is (K, B), so the engine reduces over contiguous atom rows.  The
-one-row updates ``ms_update``/``msr_update`` call both kernels once.  The
-streaming alarm loop scores a block of BLOCK rows at a time, runs
+``log_statistic`` mixes them into log S_n or log R_n.  Both keep atoms on
+the leading axis: a stream's state is a (K,) vector and a batch of B trials
+is (K, B), so the engine reduces over contiguous atom rows.  ``_log_init``
+gives either kind's start value, and ``prior_window`` is the only code that
+knows the schedule: one block's (log pi, log Pi) for MS, zeros for MSR.
+The one-row updates ``ms_update``/``msr_update`` call both kernels once.
+The streaming alarm loop and the Monte Carlo engine read one window per
+block; the alarm loop scores a block of BLOCK rows at a time, runs
 ``advance`` over its rows and mixes them in one ``log_statistic`` call,
-with the same values; the Monte Carlo engine calls ``log_statistic`` only
-where the statistic can meet the threshold.
+with the same values, and the engine calls ``log_statistic`` only where
+the statistic can meet the threshold.
 All accumulation is log-domain with log-sum-exp; the statistics reach
 exp(+-hundreds) and are never exponentiated except inside the guarded
 posterior computation.
@@ -36,7 +37,7 @@ at that row, in the middle of a block too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -50,58 +51,62 @@ BLOCK = 64
 
 
 class PriorSupportExhausted(RuntimeError):
-    """The prior tail Pi(n) hit zero: the MS statistic is undefined past here."""
+    """The prior tail Pi(n) hit zero: the MS statistic is undefined from step n on.
+
+    ``n`` counts steps on the prior's clock, which restarts with the
+    statistic.  ``row`` is the 1-based index of the step's row in the stream
+    when the alarm loop raised it, and None otherwise.
+    """
+
+    def __init__(self, n: int, row: int | None = None):
+        super().__init__(f"prior tail Pi({n}) = 0; the MS recursion cannot continue")
+        self.n = n
+        self.row = row
+
+    def __reduce__(self):  # worker processes send it back pickled
+        return type(self), (self.n, self.row)
 
 
-def _log_or_ninf(value: float):
-    return np.log(value) if value > 0.0 else -np.inf
-
-
-def _log_init(kind: str, prior: ChangePrior, omega: float) -> float:
+def _log_init(kind: str, prior: ChangePrior | None, omega: float) -> float:
     """The per-atom log numerator at time 0: log q for MS, log omega for MSR."""
     k = kind.lower()
     if k == "ms":
-        return _log_or_ninf(prior.q)
-    if k == "msr":
+        value = prior.q
+    elif k == "msr":
         if omega < 0.0:
             raise ValueError("head-start omega must be >= 0")
-        return _log_or_ninf(omega)
-    raise ValueError(f"unknown detector kind {kind!r}; expected 'ms' or 'msr'")
+        value = omega
+    else:
+        raise ValueError(f"unknown detector kind {kind!r}; expected 'ms' or 'msr'")
+    return np.log(value) if value > 0.0 else -np.inf
 
 
-def recursion_tables(kind: str, prior: ChangePrior, omega: float, horizon: int):
-    """(init, log_pi, log_tail) for ``advance`` and ``log_statistic``, n = 1 .. horizon.
+def prior_window(kind: str, prior: ChangePrior | None, clock: int, size: int):
+    """(log_pi, log_tail) of steps clock + 1 .. clock + size of either kind.
 
-    init is the per-atom log numerator at time 0; step n uses log_pi[n-1]
-    and log_tail[n].  MSR's tables are all zero: pi_k = 1 and Pi(n) = 1.
-    """
-    init = _log_init(kind, prior, omega)
-    if kind.lower() == "ms":
-        return init, prior.log_pmf_array(horizon), prior.log_tail_array(horizon)
-    zeros = np.zeros(horizon + 1)
-    return init, zeros, zeros
-
-
-def prior_window(prior: ChangePrior, clock: int, size: int):
-    """(log_pi, log_tail) of MS steps clock + 1 .. clock + size.
-
-    These are ``log_pmf_array(h)[clock : clock + size]`` and
+    Step clock + j reads log_pi[j - 1] and log_tail[j - 1].  For MS these
+    are ``log_pmf_array(h)[clock : clock + size]`` and
     ``log_tail_array(h)[clock + 1 : clock + size + 1]``, bit for bit, since a
-    prior is evaluated elementwise; the alarm loop holds one window per
-    block instead of tables as long as its longest cycle.
+    prior is evaluated elementwise; MSR's are zeros, as pi_k = 1 and
+    Pi(n) = 1.  Both loops hold one window per block instead of tables as
+    long as the horizon or the longest cycle.
     """
-    k = np.arange(clock, clock + size + 1)
-    return prior.log_pmf(k[:-1]), prior.log_tail(k[1:])
+    if kind.lower() == "ms":
+        k = np.arange(clock, clock + size + 1)
+        return prior.log_pmf(k[:-1]), prior.log_tail(k[1:])
+    zeros = np.zeros(size)
+    return zeros, zeros
 
 
-def advance(log_num, ell, log_pi_prev):
+def advance(log_num, ell, log_pi_prev, out=None):
     """One step of the MS/MSR recursion on the per-atom log numerators.
 
     ``log_num`` and ``ell`` are (K,) for one stream or (K, B) for B trials;
-    returns log N_n(theta_i) of the same shape.  With log_pi_prev = 0 this
-    is the MSR step.
+    returns log N_n(theta_i) of the same shape, written to ``out`` if given.
+    With log_pi_prev = 0 this is the MSR step.
     """
-    return np.logaddexp(log_num, log_pi_prev) + ell
+    # ``out`` by position: a ufunc parses it faster than a keyword, once per row
+    return np.add(np.logaddexp(log_num, log_pi_prev, out), ell, out)
 
 
 def log_statistic(log_num, log_w, log_tail_n):
@@ -128,7 +133,7 @@ class MsState:
 
     def __post_init__(self):
         if self.log_num is None:
-            log_q = _log_or_ninf(self.prior.q)
+            log_q = _log_init("ms", self.prior, 0.0)
             self.log_num = np.full(self.grid.size, log_q)
             self.log_stat = log_q - np.log1p(-self.prior.q)
 
@@ -144,10 +149,8 @@ class MsrState:
     log_stat: float = field(default=None)
 
     def __post_init__(self):
-        if self.omega < 0.0:
-            raise ValueError("head-start omega must be >= 0")
+        log_w = _log_init("msr", None, self.omega)
         if self.log_r is None:
-            log_w = _log_or_ninf(self.omega)
             self.log_r = np.full(self.grid.size, log_w)
             self.log_stat = log_w
 
@@ -174,15 +177,12 @@ def _finite(increments) -> np.ndarray:
 def ms_update(state: MsState, increments: np.ndarray) -> MsState:
     """Advance the MS statistic by one observation's per-atom increments."""
     inc = _finite(increments)
-    n = state.n
-    log_tail_next = float(state.prior.log_tail(n + 1))
-    if not np.isfinite(log_tail_next):
-        raise PriorSupportExhausted(
-            f"prior tail Pi({n + 1}) = 0; the MS recursion cannot continue"
-        )
-    state.log_num = advance(state.log_num, inc, float(state.prior.log_pmf(n)))
-    state.log_stat = float(log_statistic(state.log_num, state.grid.log_weights, log_tail_next))
-    state.n = n + 1
+    log_pi, log_tail = prior_window("ms", state.prior, state.n, 1)
+    if not np.isfinite(log_tail[0]):
+        raise PriorSupportExhausted(state.n + 1)
+    state.log_num = advance(state.log_num, inc, log_pi[0])
+    state.log_stat = float(log_statistic(state.log_num, state.grid.log_weights, log_tail[0]))
+    state.n += 1
     return state
 
 
@@ -285,27 +285,26 @@ def _multicyclic_with_tail(
     Rows are read in blocks of at most BLOCK, and never past ``horizon``, so
     a run may read up to BLOCK - 1 rows beyond the row it stops at; an
     ``ndarray`` is sliced, any other iterable is read with ``islice``.  One
-    ``model.stream_block`` call scores each block.  ``advance``'s two
-    operations then step the per-atom numerators row by row into a (BLOCK, K)
-    buffer, and one ``log_statistic`` call mixes the rows, which gives the
-    values of ``ms_update``/``msr_update`` bit for bit.  MS reads its prior
-    through ``prior_window`` on the steps a block can take; MSR's pi_k and
-    Pi(n) are the scalars 1.  An alarm inside a block restarts the statistic
-    and its prior clock at the next row, and the block's later rows, already
-    scored, run again from there.  The rows before the block's first row
-    whose increments are not finite (a finite but huge observation can
-    overflow them) are processed first, so an alarm among them still stands;
-    then that row raises ``NonFiniteIncrements`` with its 1-based ``row``.  A
-    step past the prior's support raises ``PriorSupportExhausted`` at its own
-    row in the same way.  NumPy's overflow and invalid-value warnings are
-    silenced for the loop.
+    ``model.stream_block`` call scores each block.  ``advance`` then steps
+    the per-atom numerators row by row into a (BLOCK, K) buffer, and one
+    ``log_statistic`` call mixes the rows, which gives the values of
+    ``ms_update``/``msr_update`` bit for bit.  Either kind reads its
+    schedule through ``prior_window`` on the steps a block can take, up to
+    the first step whose Pi(n) is 0.  An alarm inside a block restarts the
+    statistic and its prior clock at the next row, and the block's later
+    rows, already scored, run again from there.  The rows before the block's
+    first row whose increments are not finite (a finite but huge observation
+    can overflow them) are processed first, so an alarm among them still
+    stands; then that row raises ``NonFiniteIncrements`` with its 1-based
+    ``row``.  A step past the prior's support raises
+    ``PriorSupportExhausted`` with its own ``row`` in the same way.  NumPy's
+    overflow and invalid-value warnings are silenced for the loop.
     """
     if not np.isfinite(log_threshold):
         raise ValueError("log_threshold must be finite")
     _check_grid(model, grid)
     model.reset()
     init = _log_init(kind, prior, omega)
-    ms = kind.lower() == "ms"
     log_w = grid.log_weights[:, None]
     buf = np.empty((BLOCK, grid.size))  # the per-atom numerators of a block's rows
     state = np.full(grid.size, init)
@@ -327,19 +326,13 @@ def _multicyclic_with_tail(
             good = len(block) if finite.all() else int(finite.argmin())
             i = 0  # the block's next row
             while i < good:
-                if ms:
-                    log_pi, tails = prior_window(prior, clock, good - i)
-                    supported = np.isfinite(tails)
-                    m = tails.size if supported.all() else int(supported.argmin())
-                    log_pi, tails = log_pi.tolist(), tails[:m]
-                else:
-                    m, log_pi, tails = good - i, repeat(0.0), 0.0
+                log_pi, log_tail = prior_window(kind, prior, clock, good - i)
+                supported = np.isfinite(log_tail)
+                m = log_tail.size if supported.all() else int(supported.argmin())
                 nums = buf[:m]
-                for e, lp, row in zip(ell[i : i + m], log_pi, nums):
-                    np.logaddexp(state, lp, out=row)
-                    np.add(row, e, out=row)
-                    state = row
-                stats = log_statistic(nums.T, log_w, tails)
+                for e, lp, row in zip(ell[i : i + m], log_pi.tolist(), nums):
+                    state = advance(state, e, lp, row)
+                stats = log_statistic(nums.T, log_w, log_tail[:m])
                 hit = np.flatnonzero(stats >= log_threshold)
                 steps = int(hit[0]) + 1 if hit.size else m
                 if steps:
@@ -361,9 +354,7 @@ def _multicyclic_with_tail(
                         return records, None
                     state, clock, cycle = np.full(grid.size, init), 0, []
                 elif i < good:
-                    raise PriorSupportExhausted(
-                        f"prior tail Pi({clock + 1}) = 0; the MS recursion cannot continue"
-                    )
+                    raise PriorSupportExhausted(clock + 1, row=n + i + 1)
             if good < len(block):
                 row = n + good + 1
                 raise NonFiniteIncrements(f"row {row}: increments must be finite", row=row)
@@ -424,7 +415,7 @@ def brute_force_ms(increments: np.ndarray, prior: ChangePrior, grid: MixingGrid)
         raise ValueError(f"brute force refused for n = {n} > {_BRUTE_FORCE_MAX_N}")
     log_tail_n = float(prior.log_tail(n))
     if not np.isfinite(log_tail_n):
-        raise PriorSupportExhausted(f"prior tail Pi({n}) = 0")
+        raise PriorSupportExhausted(n)
     log_lambda = _log_mixture_lr_terms(inc, grid.log_weights)
     log_pi = prior.log_pmf(np.arange(n))
     with np.errstate(divide="ignore"):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixdetect import cli
 from mixdetect._engine import TrialSpec
 from mixdetect.calibration import msr_threshold
 from mixdetect.cli import CSV_CHUNK, ConfigError, load_csv_stream, load_experiment, main
 from mixdetect.detectors import multicyclic_run, run_detector
-from mixdetect.measures import geometric_prior, grid_from_atoms
+from mixdetect.measures import geometric_prior, grid_from_atoms, point_mass_prior
 from mixdetect.models import gaussian_iid_model
 from mixdetect.montecarlo import ExperimentConfig, run_trials
 
@@ -157,6 +159,20 @@ def test_ar_commands_run_without_signal_or_stats(tmp_path):
     assert _loaded_lines(_fresh_python(code, cwd=tmp_path)) == ["loaded []"] * 3
     assert (tmp_path / "report.json").exists() and (tmp_path / "trajectory.csv").exists()
 
+
+
+def test_benchmark_tracer_install_exits_cleanly():
+    """perfbench/tracer.py's own install, run in a fresh interpreter, finds
+    every module global and class attribute it wraps: a deleted or renamed
+    hook raises there before any command runs."""
+    code = (
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracer import Tracer, install\n"
+        "import mixdetect.cli as cli\n"
+        "install(Tracer(), cli)\n"
+    )
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmark_tracer_installs_and_counts(tmp_path):
@@ -942,6 +958,44 @@ class TestDetect:
         assert (tmp_path / "alarms.csv").read_text().split() == ["alarm_time", "1"]
         assert main(["detect", path, str(data), "--multicyclic"]) == 3
         assert f"error: {data}:5: observation out of range" in capsys.readouterr().err
+
+    def _exhausted(self, tmp_path, capsys, text, log_a, multicyclic):
+        """Run MS detect under a point mass at k0 = 5; it must exit 3 and write
+        no output file.  Returns the error after its file name."""
+        doc = self.detect_doc(
+            tmp_path,
+            detector={"kind": "ms"},
+            prior={"kind": "point_mass", "k0": 5},
+            mixing={"kind": "atoms", "atoms": [[2.0]]},
+            calibration={"kind": "fixed", "log_threshold": log_a},
+        )
+        path = write_config(tmp_path, doc)
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        argv = ["detect", path, str(data), "--trajectory"]
+        assert main(argv + (["--multicyclic"] if multicyclic else [])) == 3
+        assert not (tmp_path / "alarms.csv").exists()
+        assert not (tmp_path / "traj.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:")
+        return err.removeprefix(f"error: {data}:")
+
+    def test_prior_support_end_names_line(self, tmp_path, capsys):
+        """Pi(6) = 0 under a point mass at 5: detect names the line of row 6,
+        after a header and a blank line."""
+        err = self._exhausted(tmp_path, capsys, "x\n\n" + "0.0\n" * 8, 50.0, False)
+        assert err == "8: prior tail Pi(6) = 0; the MS recursion cannot continue\n"
+
+    def test_prior_support_end_after_restart_names_line(self, tmp_path, capsys, monkeypatch):
+        """An alarm at row 1 restarts the prior's clock, so Pi(6) = 0 falls on
+        row 7, line 9."""
+        # mass q = 1/2 before time 0 lets the statistic alarm before Pi(6) = 0:
+        # log S_1 = log(1/2) + 4 > 3 at x = 3
+        monkeypatch.setattr(
+            cli, "point_mass_prior", lambda k0: replace(point_mass_prior(k0), q=0.5)
+        )
+        err = self._exhausted(tmp_path, capsys, "x\n\n3.0\n" + "0.0\n" * 8, 3.0, True)
+        assert err == "9: prior tail Pi(6) = 0; the MS recursion cannot continue\n"
 
     def test_matches_in_process_run(self, tmp_path):
         doc = base_config(

@@ -1,6 +1,7 @@
 """Detector recursions vs brute-force sums, stopping rules, multi-cyclic mode."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from mixdetect.detectors import (
     multicyclic_run,
     posterior_no_change,
     prior_window,
-    recursion_tables,
     run_detector,
 )
 from mixdetect.measures import (
@@ -521,6 +521,23 @@ def test_prior_exhaustion_row(prior, restarts, row):
             run_detector(*args, data)
 
 
+@pytest.mark.parametrize("k0", [50, 53, 60])
+def test_prior_exhaustion_names_its_row(k0):
+    """The alarm loop's PriorSupportExhausted carries the step n on the
+    prior's clock and the stream's row, which differ after a restart."""
+    model = gaussian_iid_model(grid_from_atoms([[1.0]]))
+    data = np.zeros(140)
+    data[:10] = 3.0  # alarms at rows 5 and 10 under the second threshold
+    prior = _half_point_mass(k0)
+    ms = MsState(prior=prior, grid=model.grid)
+    for x in data[:5]:
+        ms_update(ms, model.increments_for([x])[0])
+    for log_a, restarts in ((1e6, 0), (ms.log_stat, 2)):
+        with pytest.raises(PriorSupportExhausted) as info:
+            multicyclic_run("ms", model, prior, model.grid, log_a, data)
+        assert (info.value.n, info.value.row) == (k0 + 1, k0 + 1 + 5 * restarts)
+
+
 @settings(max_examples=30, deadline=None)
 @given(scale=st.floats(0.1, 10.0), seed=st.integers(0, 1000))
 def test_weight_scale_invariance(scale, seed):
@@ -622,20 +639,33 @@ _WINDOW_HORIZON = 100_000 + BLOCK
     ids=["geometric", "heavy_tail_1.5", "heavy_tail_3", "point_mass"],
 )
 def test_prior_window_matches_tables(prior):
-    """Each window of prior_window holds the bits of the same slice of the
-    full tables, far out in the tail and across a support's end too."""
-    _, log_pi, log_tail = recursion_tables("ms", prior, 0.0, _WINDOW_HORIZON)
+    """Each MS window of prior_window holds the bits of the same slice of the
+    full tables, far out in the tail and across a support's end too; every
+    MSR window is zeros, pi_k = 1 and Pi(n) = 1."""
+    log_pi = prior.log_pmf_array(_WINDOW_HORIZON)
+    log_tail = prior.log_tail_array(_WINDOW_HORIZON)
     clocks = [0, 1, 5, 63, 64, 65, 66, 69, 70, 71, 1000, 99_999, 100_000]
     for clock in clocks:
         for size in (1, 7, BLOCK):
-            window_pi, window_tail = prior_window(prior, clock, size)
+            window_pi, window_tail = prior_window("ms", prior, clock, size)
             np.testing.assert_array_equal(_bits(window_pi), _bits(log_pi[clock : clock + size]))
             np.testing.assert_array_equal(
                 _bits(window_tail), _bits(log_tail[clock + 1 : clock + size + 1])
             )
+            for window in prior_window("msr", prior, clock, size):
+                np.testing.assert_array_equal(_bits(window), _bits(np.zeros(size)))
     if prior.name == "point_mass":  # the windows from clock 65 cross Pi(71) = 0
-        _, tail = prior_window(prior, 65, 7)
+        _, tail = prior_window("ms", prior, 65, 7)
         assert np.isfinite(tail).tolist() == [True] * 5 + [False] * 2
+
+
+def test_prior_support_exhausted_message_and_pickle():
+    """The exception builds its one message from n, and a worker process
+    sends it back with its n and row."""
+    exc = PriorSupportExhausted(71, row=200)
+    assert str(exc) == "prior tail Pi(71) = 0; the MS recursion cannot continue"
+    back = pickle.loads(pickle.dumps(exc))
+    assert (str(back), back.n, back.row) == (str(exc), 71, 200)
 
 
 def _same_records(got, want):

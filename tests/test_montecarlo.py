@@ -26,9 +26,9 @@ from mixdetect._engine import (
 from mixdetect.calibration import ms_threshold
 from mixdetect.detectors import (
     PriorSupportExhausted,
+    _log_init,
     advance,
     log_statistic,
-    recursion_tables,
     run_detector,
 )
 from mixdetect.measures import (
@@ -841,19 +841,24 @@ HMM_KERNEL_MODES = {
     "prior": TrialSpec(mode="prior", q_short_circuit=True, stream_tag=33),
     "prior_off_grid_theta": TrialSpec(mode="prior", theta=(0.7, 1.8), stream_tag=34),
     "no_change": TrialSpec(mode="no_change", stream_tag=35),
+    # under a heavy-tailed prior log pi_k and log Pi(n) are not linear in k
+    "prior_heavy_tail": TrialSpec(mode="prior", q_short_circuit=True, stream_tag=36),
 }
 
 
 def _whole_path_statistics(model, prior, detector, omega, horizon, spec, seed, count):
     """Every trial's statistic at n = 1 .. horizon, shape (horizon, count), from
     whole paths: ``sample_paths``, ``path_increments``, then ``advance`` and
-    ``log_statistic`` at every step."""
+    ``log_statistic`` at every step, with the prior's whole-horizon tables."""
     grid = model.grid
     rngs = trial_rngs(seed, spec.stream_tag, 0, count)
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
     ell = model.path_increments(model.sample_paths(nus, thetas, horizon, rngs))
-    init, log_pi, log_tail = recursion_tables(detector, prior, omega, horizon)
-    state = np.full((grid.size, count), init)
+    if detector == "ms":
+        log_pi, log_tail = prior.log_pmf_array(horizon), prior.log_tail_array(horizon)
+    else:  # pi_k = 1 and Pi(n) = 1
+        log_pi, log_tail = np.zeros(horizon), np.zeros(horizon + 1)
+    state = np.full((grid.size, count), _log_init(detector, prior, omega))
     stats = np.empty((horizon, count))
     for n in range(1, horizon + 1):
         state = advance(state, ell[:, n - 1].T, log_pi[n - 1])
@@ -874,11 +879,17 @@ def test_hmm_block_kernel_matches_whole_paths(transitions, mode, detector):
         Hmm2Spec(theta0=(0.0, 1.0), beta=beta, gamma=gamma),
         grid_from_atoms([[0.5, 2.0], [1.0, 2.5], [1.5, 1.0]]),
     )
-    prior, spec = geometric_prior(0.02, q=0.1), HMM_KERNEL_MODES[mode]
+    spec = HMM_KERNEL_MODES[mode]
+    if mode == "prior_heavy_tail":
+        prior = heavy_tail_prior(1.5, q=0.1)
+    else:
+        prior = geometric_prior(0.02, q=0.1)
     omega, horizon, count, seed = 0.5, 200, 48, 909
     args = (model, prior, model.grid, detector, omega)
     stats = _whole_path_statistics(model, prior, detector, omega, horizon, spec, seed, count)
 
+    # every trial is live in all four blocks, and the final statistic reads
+    # Pi(horizon) from the last block's prior window
     whole = run_chunk(*args, None, horizon, spec, seed, 0, count)
     assert whole.final_log_stat.tobytes() == stats[-1].tobytes()
 
