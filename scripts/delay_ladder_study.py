@@ -30,7 +30,6 @@ def run_ladder(model, prior, detector, log_thresholds, trials, seed, tag):
         cfg = ExperimentConfig(
             model=model,
             prior=prior,
-            grid=model.grid,
             detector=detector,
             omega=0.0,
             log_threshold=float(log_a),
@@ -50,8 +49,7 @@ def main():
     ap.add_argument("--csv-prefix", default=None, help="write <prefix>_<case>.csv ladders")
     args = ap.parse_args()
 
-    grid = uniform_grid([0.5], [1.5], [3])
-    model = gaussian_iid_model(grid)
+    model = gaussian_iid_model(uniform_grid([0.5], [1.5], [3]))
     i_theta = info_number(model, (1.0,))
     ladder = list(range(5, 13))
 

@@ -34,14 +34,12 @@ def main():
     args = ap.parse_args()
 
     prior = geometric_prior(0.1)
-    grid = uniform_grid([0.5], [1.5], [3])
-    model = gaussian_iid_model(grid)
+    model = gaussian_iid_model(uniform_grid([0.5], [1.5], [3]))
 
     def config(detector, log_threshold):
         return ExperimentConfig(
             model=model,
             prior=prior,
-            grid=grid,
             detector=detector,
             omega=0.0,
             log_threshold=log_threshold,

@@ -36,8 +36,11 @@ on the trials whose largest weighted atom term leaves it within log K of the
 threshold; the others cannot alarm at that step.  A column's log-sum-exp
 does not depend on which other columns are present, so neither constant,
 the compaction nor this bound affects any value.  The block buffers, the
-prior's window and the model's sampler state take O(CHUNK * BLOCK * n_atoms)
-memory, not O(CHUNK * horizon * n_atoms).
+prior's window and the per-trial sampler state take O(CHUNK * BLOCK * n_atoms)
+memory, not O(CHUNK * horizon * n_atoms).  The AR model also holds two
+tables shared by all trials that grow with time: the raw signal for the
+whole horizon in its sampler state and the whitened signal in its scorer
+state, which doubles as the steps outgrow it; both are (steps, channels).
 """
 
 from __future__ import annotations

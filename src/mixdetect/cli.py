@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -308,7 +307,6 @@ class Experiment:
         return ExperimentConfig(
             model=self.model,
             prior=self.prior,
-            grid=self.grid,
             detector=self.detector,
             omega=self.omega,
             log_threshold=(
@@ -563,14 +561,15 @@ def _delay_rate(exp: Experiment, i_theta: float | None) -> float | None:
 def _delay_prediction(
     exp: Experiment, sc: Scenario, i_theta: float | None, m: float, log_a: float
 ) -> Prediction | None:
-    if _delay_rate(exp, i_theta) is None:
+    """None where there is no delay rate, or where log A <= 0, which the
+    first-order delay (log A / rate)^m does not cover."""
+    if _delay_rate(exp, i_theta) is None or log_a <= 0.0:
         return None
-    a = math.exp(log_a)
     if exp.detector == "ms":
-        value = ms_delay_prediction(a, i_theta, exp.prior.mu, m)
+        value = ms_delay_prediction(log_a, i_theta, exp.prior.mu, m)
         name, inputs = "ms_delay", {"log_A": log_a, "I": i_theta, "mu": exp.prior.mu, "m": m}
     else:
-        value = msr_delay_prediction(a, i_theta, m)
+        value = msr_delay_prediction(log_a, i_theta, m)
         name, inputs = "msr_delay", {"log_A": log_a, "I": i_theta, "m": m}
     note = FIRST_ORDER_NOTE
     if not sc.on_grid:
@@ -751,48 +750,23 @@ def load_csv_stream(path: str, dimension: int) -> np.ndarray:
     holds ``dimension`` fields that ``float`` reads as finite values is
     converted in one pass; any other chunk (with a blank line, the header or
     an error in it) goes through ``_parse_lines``, which alone decides the
-    header and names the failing line.  A file that is not UTF-8 fails at
-    the line of its first undecodable byte, unless an earlier line fails.
+    header and names the failing line.  Bytes that are not UTF-8 decode to
+    lone surrogates, which ``float`` rejects, so a file that is not UTF-8
+    fails at the line of its first such byte, unless an earlier line fails.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return _load_lines(path, fh, dimension)
-    except UnicodeDecodeError:
-        raise _not_utf8(path, dimension) from None
-
-
-def _load_lines(path: str, fh, dimension: int) -> np.ndarray:
-    """The rows of the lines that the iterator ``fh`` yields, from file line 1."""
     chunks = []
     first = True  # no non-blank line read yet
     lineno = 0  # lines read before the chunk
-    while lines := list(islice(fh, CSV_CHUNK)):
-        rows = _parse_chunk(lines, dimension)
-        if rows is None:
-            rows, first = _parse_lines(path, lines, lineno, dimension, first)
-        else:
-            first = False
-        chunks.append(rows)
-        lineno += len(lines)
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        while lines := list(islice(fh, CSV_CHUNK)):
+            rows = _parse_chunk(lines, dimension)
+            if rows is None:
+                rows, first = _parse_lines(path, lines, lineno, dimension, first)
+            else:
+                first = False
+            chunks.append(rows)
+            lineno += len(lines)
     return np.concatenate(chunks) if chunks else np.empty((0, dimension))
-
-
-def _not_utf8(path: str, dimension: int) -> RuntimeError:
-    """The error of a file that is not UTF-8: that of a line before its first
-    undecodable byte, if one fails, or else one naming that byte's line.
-
-    The file is read again, as bytes, so that valid files cost nothing more.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        raw.decode("utf-8")
-        return RuntimeError(f"{path}: not valid UTF-8 text")  # the file changed meanwhile
-    except UnicodeDecodeError as exc:
-        head = io.StringIO(raw[: exc.start].decode("utf-8-sig"), newline=None).readlines()
-    whole = [line for line in head if line.endswith("\n")]  # all but a cut last line
-    _load_lines(path, iter(whole), dimension)
-    return RuntimeError(f"{path}:{len(whole) + 1}: not valid UTF-8 text")
 
 
 def _parse_chunk(lines: list[str], dimension: int) -> np.ndarray | None:
@@ -814,6 +788,10 @@ def _parse_lines(path: str, lines: list[str], lineno: int, dimension: int, first
     that the first one may be a header."""
     rows = []
     for lineno, line in enumerate(lines, start=lineno + 1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # a byte that is not UTF-8, as a lone surrogate
+            raise RuntimeError(f"{path}:{lineno}: not valid UTF-8 text") from None
         line = line.strip()
         if not line:
             continue
@@ -877,7 +855,6 @@ def cmd_detect(
             exp.detector,
             exp.model,
             exp.prior,
-            exp.grid,
             log_a,
             data,
             exp.omega,

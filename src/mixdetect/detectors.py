@@ -212,19 +212,10 @@ class AlarmRecord:
     trajectory: np.ndarray | None = None
 
 
-def _check_grid(model: ObservationModel, grid: MixingGrid) -> None:
-    if grid is not model.grid and not (
-        np.array_equal(grid.atoms, model.grid.atoms)
-        and np.array_equal(grid.log_weights, model.grid.log_weights)
-    ):
-        raise ValueError("detector grid does not match the model's grid")
-
-
 def run_detector(
     kind: str,
     model: ObservationModel,
     prior: ChangePrior,
-    grid: MixingGrid,
     log_threshold: float,
     observations,
     horizon: int | None = None,
@@ -242,7 +233,7 @@ def run_detector(
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
     records, tail = _multicyclic_with_tail(
-        kind, model, prior, grid, log_threshold, observations, omega, record_trajectory,
+        kind, model, prior, log_threshold, observations, omega, record_trajectory,
         restart=False, horizon=horizon,
     )
     return records[0] if records else tail
@@ -252,7 +243,6 @@ def multicyclic_run(
     kind: str,
     model: ObservationModel,
     prior: ChangePrior,
-    grid: MixingGrid,
     log_threshold: float,
     observations,
     omega: float = 0.0,
@@ -266,13 +256,13 @@ def multicyclic_run(
     whitening and filtering describe the data stream, not the alarm cycle.
     """
     records, _ = _multicyclic_with_tail(
-        kind, model, prior, grid, log_threshold, observations, omega, record_trajectory
+        kind, model, prior, log_threshold, observations, omega, record_trajectory
     )
     return records
 
 
 def _multicyclic_with_tail(
-    kind, model, prior, grid, log_threshold, observations, omega, record_trajectory,
+    kind, model, prior, log_threshold, observations, omega, record_trajectory,
     restart: bool = True, horizon: int | None = None,
 ):
     """The one alarm loop: (alarm records, censored tail or None).
@@ -302,9 +292,9 @@ def _multicyclic_with_tail(
     """
     if not np.isfinite(log_threshold):
         raise ValueError("log_threshold must be finite")
-    _check_grid(model, grid)
     model.reset()
     init = _log_init(kind, prior, omega)
+    grid = model.grid
     log_w = grid.log_weights[:, None]
     buf = np.empty((BLOCK, grid.size))  # the per-atom numerators of a block's rows
     state = np.full(grid.size, init)
@@ -426,6 +416,8 @@ def brute_force_ms(increments: np.ndarray, prior: ChangePrior, grid: MixingGrid)
 
 def brute_force_msr(increments: np.ndarray, grid: MixingGrid, omega: float = 0.0) -> float:
     """log R_n by literal evaluation of the head-started mixture-LR sum."""
+    if omega < 0.0:
+        raise ValueError("head-start omega must be >= 0")
     inc = np.asarray(increments, dtype=float)
     n = inc.shape[0]
     if n < 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._engine import CHUNK, TrialData, TrialSpec, run_chunk
-from .measures import ChangePrior, MixingGrid
+from .measures import ChangePrior
 from .models import ObservationModel
 
 
@@ -73,11 +73,11 @@ def _mean_estimate(values: np.ndarray, tag: str, censored: int, extras: dict) ->
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a scenario run needs: model, prior, grid, rule, budget, seed."""
+    """Everything a scenario run needs: model (with its mixing grid), prior,
+    rule, budget, seed."""
 
     model: ObservationModel
     prior: ChangePrior
-    grid: MixingGrid
     detector: str  # "ms" | "msr"
     omega: float
     log_threshold: float
@@ -102,7 +102,7 @@ def _chunk_payloads(config: ExperimentConfig, spec: TrialSpec, no_stopping: bool
         yield (
             config.model,
             config.prior,
-            config.grid,
+            config.model.grid,
             config.detector,
             config.omega,
             log_threshold,
@@ -235,7 +235,7 @@ def estimate_delay_moments(
     """
     if not 0 <= k < config.horizon:
         raise ValueError(f"change point k must be in [0, horizon = {config.horizon}), got {k}")
-    theta_vec = config.grid.theta_vector(theta)
+    theta_vec = config.model.grid.theta_vector(theta)
     td = run_trials(
         config,
         TrialSpec(mode="fixed", nu=k, theta=tuple(theta_vec), stream_tag=stream_tag),
@@ -270,7 +270,7 @@ def estimate_average_delay_risk(
     excluded (counted in extras).  Censored trials with nu inside the
     horizon count as (horizon-nu)^r, flagged as a downward bias.
     """
-    theta_vec = config.grid.theta_vector(theta)
+    theta_vec = config.model.grid.theta_vector(theta)
     td = run_trials(
         config,
         TrialSpec(mode="prior", theta=tuple(theta_vec), stream_tag=stream_tag),

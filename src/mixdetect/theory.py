@@ -44,35 +44,36 @@ def _check_common(i: float, m: float) -> None:
         raise ValueError("moment order m must be >= 1")
 
 
-def ms_delay_prediction(a: float, i: float, mu: float = 0.0, m: float = 1.0) -> float:
+def ms_delay_prediction(log_a: float, i: float, mu: float = 0.0, m: float = 1.0) -> float:
     """(log A / (I + mu))^m: m-th delay moment of the MS rule, to first order.
 
-    I = 0 is allowed when mu > 0: the prior's tail alone then drives the
-    statistic to the threshold.
+    Takes log A, so a threshold far beyond the float range still has a
+    prediction.  I = 0 is allowed when mu > 0: the prior's tail alone then
+    drives the statistic to the threshold.
     """
     if i < 0.0:
         raise ValueError("information number must be >= 0")
     if m < 1.0:
         raise ValueError("moment order m must be >= 1")
-    if a <= 1.0:
+    if log_a <= 0.0:
         raise ValueError("threshold A must exceed 1")
     if mu < 0.0:
         raise ValueError("tail exponent mu must be >= 0")
     if i + mu <= 0.0:
         raise ValueError("I + mu must be positive")
-    return (math.log(a) / (i + mu)) ** m
+    return (log_a / (i + mu)) ** m
 
 
-def msr_delay_prediction(a: float, i: float, m: float = 1.0) -> float:
+def msr_delay_prediction(log_a: float, i: float, m: float = 1.0) -> float:
     """(log A / I)^m: m-th delay moment of the MSR rule, to first order.
 
     No mu in the denominator: the head-started sum drifts at rate I only,
     whatever the prior tail does.
     """
     _check_common(i, m)
-    if a <= 1.0:
+    if log_a <= 0.0:
         raise ValueError("threshold A must exceed 1")
-    return (math.log(a) / i) ** m
+    return (log_a / i) ** m
 
 
 def integrated_risk_prediction(c: float, r: float, d: float) -> float:

@@ -61,7 +61,6 @@ def _config(**kw) -> ExperimentConfig:
     defaults = dict(
         model=gaussian_iid_model(grid),
         prior=kw.pop("prior", GEOM01),
-        grid=grid,
         detector="ms",
         omega=0.0,
         log_threshold=math.log(19.0),

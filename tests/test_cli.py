@@ -778,6 +778,31 @@ class TestSimulate:
         for rung in ladder["ladder"]:
             assert rung["prediction"] == pytest.approx(rung["log_A"] / mu, rel=1e-12)
 
+    @pytest.mark.parametrize("log_a", [-0.5, 720.0])
+    def test_delay_prediction_at_extreme_thresholds(self, tmp_path, log_a):
+        # log A <= 0 has no first-order prediction; log A = 720 has one,
+        # though A = e^720 overflows a float
+        doc = base_config(
+            detector={"kind": "msr"},
+            calibration={"kind": "fixed", "log_threshold": log_a},
+            montecarlo={
+                "trials": 20,
+                "horizon": 50,
+                "seed": 1,
+                "scenarios": [{"quantity": "delay", "theta": 1, "moments": [1, 2]}],
+            },
+            output={"report": str(tmp_path / "r.json")},
+        )
+        assert main(["simulate", write_config(tmp_path, doc)]) == 0
+        (delay,) = json.loads((tmp_path / "r.json").read_text())["scenarios"]
+        for m in (1, 2):
+            pred = delay["moments"][str(m)]["prediction"]
+            if log_a < 0.0:
+                assert pred is None
+            else:
+                assert pred["inputs"] == {"log_A": 720.0, "I": 0.5, "m": float(m)}
+                assert pred["value"] == pytest.approx((720.0 / 0.5) ** m, rel=1e-12)
+
     def test_ladder_csv_written(self, tmp_path):
         doc = base_config(
             montecarlo={
@@ -1015,7 +1040,7 @@ class TestDetect:
 
         exp = load_experiment(path)
         rec = run_detector(
-            "ms", exp.model, exp.prior, exp.grid, 2.0, stream.reshape(-1, 1)
+            "ms", exp.model, exp.prior, 2.0, stream.reshape(-1, 1)
         )
         assert cli_alarm == rec.stop_time
 
@@ -1023,7 +1048,7 @@ class TestDetect:
         lines = (tmp_path / "alarms.csv").read_text().strip().splitlines()
         cli_alarms = [int(v) for v in lines[1:]]
         records = multicyclic_run(
-            "ms", exp.model, exp.prior, exp.grid, 2.0, stream.reshape(-1, 1)
+            "ms", exp.model, exp.prior, 2.0, stream.reshape(-1, 1)
         )
         assert cli_alarms == [r.stop_time for r in records]
 
@@ -1111,6 +1136,8 @@ class TestDetect:
             (b"\xef\xbb\xbf1.0\n\n\xff2.0\n", "3: not valid UTF-8 text"),
             (b"1.0\n" * 9000 + b"2.0\xc3\n", "9001: not valid UTF-8 text"),
             (b"x\n1.0\nzz\n\xe9\n", "3: malformed CSV row 'zz'"),
+            (b"x\n1.0\nz\xe9\n", "3: not valid UTF-8 text"),
+            (b"\xe9x\n1.0\n", "1: not valid UTF-8 text"),
             # the text reader decodes ahead, so the bad byte is met before line 12
             (b"x\n" + b"1.0\n" * 10 + b"1e999\n" + b"1.0\n" * 5000 + b"\xe9\n",
              "12: non-finite value in row '1e999'"),
@@ -1347,7 +1374,7 @@ def _check_block_agreement(tmp, model_name, detector, data, log_a):
         w.writerows((n, repr(s), c) for n, s, c in traj)
     assert (tmp / "traj.csv").read_bytes() == want.read_bytes()
 
-    args = (exp.detector, exp.model, exp.prior, exp.grid, log_a)
+    args = (exp.detector, exp.model, exp.prior, log_a)
     records = multicyclic_run(*args, data, omega=exp.omega, record_trajectory=True)
     assert [r.stop_time for r in records] == alarms
     np.testing.assert_array_equal(
@@ -1414,17 +1441,15 @@ class TestShiftScenario:
 
     def setup_experiment(self):
         prior = geometric_prior(0.002)  # mean 499
-        grid = grid_from_atoms([[0.5], [1.0], [1.5]])
-        model = gaussian_iid_model(grid)
+        model = gaussian_iid_model(grid_from_atoms([[0.5], [1.0], [1.5]]))
         threshold = msr_threshold(0.01, 0.0, prior)
-        return prior, grid, model, threshold
+        return prior, model, threshold
 
     def test_alarm_after_shift_in_99_percent_of_seeds(self):
-        prior, grid, model, threshold = self.setup_experiment()
+        prior, model, threshold = self.setup_experiment()
         cfg = ExperimentConfig(
             model=model,
             prior=prior,
-            grid=grid,
             detector="msr",
             omega=0.0,
             log_threshold=threshold.log_threshold,
@@ -1438,7 +1463,7 @@ class TestShiftScenario:
         assert frac_after >= 0.99
 
     def test_cli_run_on_one_seed(self, tmp_path):
-        prior, grid, model, threshold = self.setup_experiment()
+        prior, model, threshold = self.setup_experiment()
         doc = base_config(
             prior={"kind": "geometric", "rho": 0.002, "q": 0.0},
             detector={"kind": "msr", "omega": 0.0},

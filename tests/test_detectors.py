@@ -130,7 +130,9 @@ class TestMsrRecursion:
             MsrState(grid=grid_from_atoms([[1.0]]), omega=-1.0)
         model = gaussian_iid_model(grid_from_atoms([[1.0]]))
         with pytest.raises(ValueError, match="omega must be >= 0"):
-            run_detector("msr", model, geometric_prior(0.1), model.grid, 1.0, [0.0], omega=-1.0)
+            run_detector("msr", model, geometric_prior(0.1), 1.0, [0.0], omega=-1.0)
+        with pytest.raises(ValueError, match="omega must be >= 0"):
+            brute_force_msr(np.array([[0.5], [0.2]]), grid_from_atoms([[1.0]]), omega=-1.0)
 
 
 class TestSingleAtomCollapse:
@@ -250,7 +252,7 @@ class TestRunDetector:
         model = gaussian_iid_model(grid_from_atoms([[1.0]]))
         prior = geometric_prior(0.1)
         rec = run_detector(
-            "ms", model, prior, model.grid, -50.0, np.zeros(10), horizon=10
+            "ms", model, prior, -50.0, np.zeros(10), horizon=10
         )
         assert rec.stop_time == 1 and not rec.censored
 
@@ -260,7 +262,7 @@ class TestRunDetector:
         model = gaussian_iid_model(grid_from_atoms([[2.0]]))
         rows = np.array([0.0, 0.0, -1e308, 0.0])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteIncrements) as info:
-            run_detector(kind, model, geometric_prior(0.1), model.grid, 50.0, rows)
+            run_detector(kind, model, geometric_prior(0.1), 50.0, rows)
         assert info.value.row == 3 and str(info.value).startswith("row 3: ")
 
     def test_drift_crossing_time(self):
@@ -269,7 +271,6 @@ class TestRunDetector:
             "msr",
             model,
             geometric_prior(0.1),
-            model.grid,
             math.log(10.5),
             np.zeros(33),
             omega=0.0,
@@ -282,7 +283,6 @@ class TestRunDetector:
             "ms",
             model,
             geometric_prior(0.1),
-            model.grid,
             1e6,
             np.random.default_rng(0).standard_normal(200),
             horizon=200,
@@ -295,7 +295,6 @@ class TestRunDetector:
             "msr",
             model,
             geometric_prior(0.1),
-            model.grid,
             math.log(5.5),
             np.zeros(20),
             record_trajectory=True,
@@ -305,30 +304,24 @@ class TestRunDetector:
         np.testing.assert_array_equal(rec.trajectory[:, 0], np.arange(1, 7))
         assert rec.trajectory[-1, 2] == 1.0 and np.all(rec.trajectory[:-1, 2] == 0.0)
 
-    def test_grid_mismatch_rejected(self):
-        model = gaussian_iid_model(grid_from_atoms([[1.0]]))
-        other = grid_from_atoms([[2.0]])
-        with pytest.raises(ValueError):
-            run_detector("ms", model, geometric_prior(0.1), other, 1.0, np.zeros(5))
-
     def test_censored_run_reports_last_statistic(self):
         grid = grid_from_atoms([[0.5], [1.0]])
         model = gaussian_iid_model(grid)
         prior = geometric_prior(0.1)
         x = np.random.default_rng(5).standard_normal(30)
-        rec = run_detector("ms", model, prior, grid, 1e6, x, record_trajectory=True)
+        rec = run_detector("ms", model, prior, 1e6, x, record_trajectory=True)
         assert rec.censored and rec.stop_time is None
         state = MsState(prior=prior, grid=grid)
         for row in gaussian_increments(grid, 30, seed=5):
             ms_update(state, row)
         assert rec.log_stat_at_stop == state.log_stat == rec.trajectory[-1, 1]
-        assert run_detector("ms", model, prior, grid, 1e6, []).log_stat_at_stop is None
+        assert run_detector("ms", model, prior, 1e6, []).log_stat_at_stop is None
 
     @pytest.mark.parametrize("h", [1, 4, 9])
     def test_horizon_leaves_later_rows_unread(self, h):
         model = self.drift_model()
         rows = iter(np.arange(10.0))
-        rec = run_detector("msr", model, geometric_prior(0.1), model.grid, 1e6, rows, horizon=h)
+        rec = run_detector("msr", model, geometric_prior(0.1), 1e6, rows, horizon=h)
         assert rec.censored and rec.log_stat_at_stop == pytest.approx(math.log(h))
         assert next(rows) == float(h)  # row h + 1
 
@@ -339,7 +332,7 @@ class TestRunDetector:
         path = sample_path(model, 5, 1, 400, np.random.default_rng(77))
         stops = []
         for log_a in (0.5, 1.0, 2.0, 3.0, 4.0):
-            rec = run_detector("ms", model, prior, grid, log_a, path, horizon=400)
+            rec = run_detector("ms", model, prior, log_a, path, horizon=400)
             stops.append(rec.stop_time if rec.stop_time else 10**9)
         assert all(a <= b for a, b in zip(stops, stops[1:]))
 
@@ -351,21 +344,21 @@ class TestMulticyclic:
     def test_short_stream_no_alarms(self):
         model = self.drift_model()
         records = multicyclic_run(
-            "msr", model, geometric_prior(0.1), model.grid, math.log(10.5), np.zeros(8)
+            "msr", model, geometric_prior(0.1), math.log(10.5), np.zeros(8)
         )
         assert records == []
 
     def test_drift_restart_pattern(self):
         model = self.drift_model()
         records = multicyclic_run(
-            "msr", model, geometric_prior(0.1), model.grid, math.log(10.5), np.zeros(33)
+            "msr", model, geometric_prior(0.1), math.log(10.5), np.zeros(33)
         )
         assert [r.stop_time for r in records] == [11, 22, 33]
 
     def test_tail_has_no_statistic(self):
         model = self.drift_model()
         records, tail = _multicyclic_with_tail(
-            "msr", model, geometric_prior(0.1), model.grid, math.log(10.5), np.zeros(40),
+            "msr", model, geometric_prior(0.1), math.log(10.5), np.zeros(40),
             0.0, True,
         )
         assert [r.stop_time for r in records] == [11, 22, 33]
@@ -380,17 +373,17 @@ class TestMulticyclic:
         stream = rng.standard_normal(600) + 0.6
         full = [
             r.stop_time
-            for r in multicyclic_run("msr", model, prior, grid, 3.0, stream)
+            for r in multicyclic_run("msr", model, prior, 3.0, stream)
         ]
         assert len(full) >= 2
         cut = full[0]  # split exactly at an alarm boundary
         first = [
             r.stop_time
-            for r in multicyclic_run("msr", model, prior, grid, 3.0, stream[:cut])
+            for r in multicyclic_run("msr", model, prior, 3.0, stream[:cut])
         ]
         second = [
             r.stop_time + cut
-            for r in multicyclic_run("msr", model, prior, grid, 3.0, stream[cut:])
+            for r in multicyclic_run("msr", model, prior, 3.0, stream[cut:])
         ]
         assert first + second == full
 
@@ -421,7 +414,7 @@ def test_each_row_read_is_scored_once(rows, monkeypatch):
     calls = _recording_increments(model, monkeypatch)
     # x = 3 with theta = 2 gives increments of exactly 4 = log A: every row alarms
     x = np.full(rows, 3.0)
-    records = multicyclic_run("msr", model, geometric_prior(0.1), model.grid, 4.0, x)
+    records = multicyclic_run("msr", model, geometric_prior(0.1), 4.0, x)
     assert [r.stop_time for r in records] == list(range(1, rows + 1))
     assert calls == [(n0, min(BLOCK, rows - n0)) for n0 in range(0, rows, BLOCK)]
     assert len(calls) == math.ceil(rows / BLOCK)
@@ -436,7 +429,7 @@ def test_rows_read_stop_at_block_or_horizon(horizon, monkeypatch):
     x = np.zeros(200)
     x[69] = 3.0  # the one alarm, at row 70
     rows = iter(x)
-    rec = run_detector("msr", model, geometric_prior(0.1), model.grid, 4.0, rows, horizon=horizon)
+    rec = run_detector("msr", model, geometric_prior(0.1), 4.0, rows, horizon=horizon)
     read = 200 - len(list(rows))
     assert read == (2 * BLOCK if horizon is None else horizon)
     assert sum(length for _, length in calls) == read
@@ -449,7 +442,7 @@ def test_rows_of_the_wrong_width_are_refused():
     model = gaussian_iid_model(grid_from_atoms([[1.0]]))
     rows = [[0.0, 1.0], [2.0, 3.0]]
     with pytest.raises(ValueError):
-        run_detector("msr", model, geometric_prior(0.1), model.grid, 1e6, rows)
+        run_detector("msr", model, geometric_prior(0.1), 1e6, rows)
     model.reset()
     with pytest.raises(ValueError):
         model.step(rows[0])
@@ -510,7 +503,7 @@ def test_prior_exhaustion_row(prior, restarts, row):
             ms_update(ms, model.increments_for([x])[0])
         log_a = ms.log_stat  # the statistic five rows into a cycle
     assert _per_row_exhausted_at(model, prior, log_a, data) == row
-    args = ("ms", model, prior, model.grid, log_a)
+    args = ("ms", model, prior, log_a)
     records = multicyclic_run(*args, data[: row - 1])
     assert [r.stop_time for r in records] == ([5, 10] if restarts else [])
     with pytest.raises(PriorSupportExhausted, match=rf"Pi\({row - 10 * restarts}\) = 0"):
@@ -534,7 +527,7 @@ def test_prior_exhaustion_names_its_row(k0):
         ms_update(ms, model.increments_for([x])[0])
     for log_a, restarts in ((1e6, 0), (ms.log_stat, 2)):
         with pytest.raises(PriorSupportExhausted) as info:
-            multicyclic_run("ms", model, prior, model.grid, log_a, data)
+            multicyclic_run("ms", model, prior, log_a, data)
         assert (info.value.n, info.value.row) == (k0 + 1, k0 + 1 + 5 * restarts)
 
 
@@ -708,7 +701,7 @@ def test_sliced_array_and_iterator_give_the_same_records(model_name, kind, horiz
     with islice; both give the same records, bit for bit."""
     model, rows = _shifted_stream(model_name)
     prior = geometric_prior(0.01, q=0.1)
-    args = (kind, model, prior, model.grid, 4.0)
+    args = (kind, model, prior, 4.0)
     omega = 0.5  # MSR's head start; MS has none
 
     def both(run, **kw):
@@ -731,7 +724,7 @@ def test_sliced_array_and_iterator_give_the_same_records(model_name, kind, horiz
         _same_records(*records)
         _same_records([tails[0]], [tails[1]])
     censored = [
-        run_detector(*args[:4], 1e3, obs, horizon=horizon, record_trajectory=True, omega=omega)
+        run_detector(*args[:3], 1e3, obs, horizon=horizon, record_trajectory=True, omega=omega)
         for obs in (rows, (r for r in rows))
     ]
     assert censored[0].censored and censored[0].log_stat_at_stop is not None

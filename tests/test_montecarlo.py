@@ -70,7 +70,6 @@ def make_config(**kw):
     defaults = dict(
         model=gaussian_iid_model(grid),
         prior=kw.pop("prior", PRIOR),
-        grid=grid,
         detector="ms",
         omega=0.0,
         log_threshold=math.log(19.0),
@@ -298,7 +297,7 @@ class TestEngineMatchesStreamingDetector:
                 np.array([4]), np.array([[1.0]]), cfg.horizon, [rng]
             )[0]
             rec = run_detector(
-                "ms", model, cfg.prior, cfg.grid, cfg.log_threshold, path, horizon=120
+                "ms", model, cfg.prior, cfg.log_threshold, path, horizon=120
             )
             if rec.censored:
                 assert td.stop_times[i] == 0
@@ -340,7 +339,7 @@ BLOCK_SPECS = {
 def _trial_path(cfg, spec, i):
     """Trial i's path, drawn from its own stream exactly as the engine draws it."""
     rng = trial_rng(cfg.master_seed, spec.stream_tag, i)
-    nus, thetas = _draw_trials(spec, cfg.prior, cfg.grid, cfg.horizon, [rng])
+    nus, thetas = _draw_trials(spec, cfg.prior, cfg.model.grid, cfg.horizon, [rng])
     return cfg.model.sample_paths(nus, thetas, cfg.horizon, [rng])[0]
 
 
@@ -349,7 +348,6 @@ def _streaming(cfg, path, log_threshold):
         cfg.detector,
         cfg.model,
         cfg.prior,
-        cfg.grid,
         log_threshold,
         path,
         horizon=cfg.horizon,
@@ -366,7 +364,6 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
     cfg = ExperimentConfig(
         model=model,
         prior=geometric_prior(0.02, q=0.1),
-        grid=model.grid,
         detector=detector,
         omega=0.5,
         log_threshold=0.0,
@@ -388,7 +385,7 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
     early_max = []
     for p in paths:
         rec = run_detector(
-            detector, model, cfg.prior, cfg.grid, never, p[:pivot],
+            detector, model, cfg.prior, never, p[:pivot],
             record_trajectory=True, omega=cfg.omega,
         )
         early_max.append(rec.trajectory[:, 1].max())
@@ -430,7 +427,6 @@ def test_short_high_order_ar_paths_match_streaming(order):
             cfg = ExperimentConfig(
                 model=model,
                 prior=geometric_prior(0.02, q=0.1),
-                grid=model.grid,
                 detector=detector,
                 omega=0.5,
                 log_threshold=0.0,
@@ -521,7 +517,6 @@ def _pinned_config(model, detector):
     return ExperimentConfig(
         model=model,
         prior=geometric_prior(0.02, q=0.1),
-        grid=model.grid,
         detector=detector,
         omega=0.5,
         log_threshold=math.log(40.0 if detector == "ms" else 150.0),
@@ -805,7 +800,7 @@ def test_threshold_tie_stops_like_streaming(detector):
     paths = [_trial_path(cfg, spec, i) for i in range(cfg.trials)]
     # trial 0's largest statistic over the second block, first reached at `tie`
     traj = run_detector(
-        detector, cfg.model, cfg.prior, grid, 1e300, paths[0],
+        detector, cfg.model, cfg.prior, 1e300, paths[0],
         record_trajectory=True, omega=cfg.omega,
     ).trajectory
     tie = BLOCK + int(np.argmax(traj[BLOCK : 2 * BLOCK, 1]))

@@ -16,35 +16,35 @@ from mixdetect.theory import (
 
 class TestMsDelay:
     def test_substitution(self):
-        assert ms_delay_prediction(math.exp(10), 0.5, 0.0, 1.0) == pytest.approx(20.0)
+        assert ms_delay_prediction(10.0, 0.5, 0.0, 1.0) == pytest.approx(20.0)
 
     def test_mu_equal_info_halves(self):
         i = 0.8
-        full = ms_delay_prediction(math.e**6, i, 0.0, 1.0)
-        half = ms_delay_prediction(math.e**6, i, i, 1.0)
+        full = ms_delay_prediction(6.0, i, 0.0, 1.0)
+        half = ms_delay_prediction(6.0, i, i, 1.0)
         assert half == pytest.approx(full / 2.0, rel=1e-12)
 
     def test_unit_case(self):
-        assert ms_delay_prediction(math.e, 0.4, 0.6, 2.0) == pytest.approx(1.0)
+        assert ms_delay_prediction(1.0, 0.4, 0.6, 2.0) == pytest.approx(1.0)
 
     def test_zero_information_uses_mu_alone(self):
-        assert ms_delay_prediction(math.exp(3.0), 0.0, 0.5, 2.0) == pytest.approx(36.0)
+        assert ms_delay_prediction(3.0, 0.0, 0.5, 2.0) == pytest.approx(36.0)
         with pytest.raises(ValueError):
-            ms_delay_prediction(math.exp(3.0), 0.0, 0.0)
+            ms_delay_prediction(3.0, 0.0, 0.0)
 
 
 class TestMsrDelay:
     def test_substitution(self):
-        assert msr_delay_prediction(math.exp(10), 0.5, 1.0) == pytest.approx(20.0)
+        assert msr_delay_prediction(10.0, 0.5, 1.0) == pytest.approx(20.0)
 
     def test_equals_ms_at_zero_mu(self):
-        a, i, m = 123.0, 0.7, 2.0
-        assert msr_delay_prediction(a, i, m) == ms_delay_prediction(a, i, 0.0, m)
+        log_a, i, m = math.log(123.0), 0.7, 2.0
+        assert msr_delay_prediction(log_a, i, m) == ms_delay_prediction(log_a, i, 0.0, m)
 
     def test_second_moment_is_square(self):
-        a, i = 55.0, 0.3
-        assert msr_delay_prediction(a, i, 2.0) == pytest.approx(
-            msr_delay_prediction(a, i, 1.0) ** 2, rel=1e-14
+        log_a, i = math.log(55.0), 0.3
+        assert msr_delay_prediction(log_a, i, 2.0) == pytest.approx(
+            msr_delay_prediction(log_a, i, 1.0) ** 2, rel=1e-14
         )
 
 
@@ -73,7 +73,7 @@ class TestFlatPrior:
         alpha, i = 1e-4, 0.6
         # A = 1/alpha differs from (1-alpha)/alpha by log(1-alpha) = O(alpha)
         lhs = flat_prior_prediction(alpha, i, 1.0)
-        rhs = ms_delay_prediction((1 - alpha) / alpha, i, 0.0, 1.0)
+        rhs = ms_delay_prediction(math.log((1 - alpha) / alpha), i, 0.0, 1.0)
         assert lhs == pytest.approx(rhs, rel=2 * alpha)
 
     def test_cube(self):
@@ -91,9 +91,8 @@ class TestFlatPrior:
     m=st.sampled_from([1.0, 2.0, 3.0]),
 )
 def test_homogeneity_exact(log_a, i, mu, m):
-    a = math.exp(log_a)
-    assert ms_delay_prediction(a, i, mu, m) == ms_delay_prediction(a, i, mu, 1.0) ** m
-    assert msr_delay_prediction(a, i, m) == msr_delay_prediction(a, i, 1.0) ** m
+    assert ms_delay_prediction(log_a, i, mu, m) == ms_delay_prediction(log_a, i, mu, 1.0) ** m
+    assert msr_delay_prediction(log_a, i, m) == msr_delay_prediction(log_a, i, 1.0) ** m
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,19 +102,19 @@ def test_homogeneity_exact(log_a, i, mu, m):
     mu=st.floats(0.0, 3.0),
 )
 def test_monotonicity(log_a, i, mu):
-    a = math.exp(log_a)
-    assert ms_delay_prediction(a * 2.0, i, mu) > ms_delay_prediction(a, i, mu)
-    assert ms_delay_prediction(a, i * 1.5, mu) < ms_delay_prediction(a, i, mu)
-    assert ms_delay_prediction(a, i, mu + 0.5) < ms_delay_prediction(a, i, mu)
+    doubled = log_a + math.log(2.0)
+    assert ms_delay_prediction(doubled, i, mu) > ms_delay_prediction(log_a, i, mu)
+    assert ms_delay_prediction(log_a, i * 1.5, mu) < ms_delay_prediction(log_a, i, mu)
+    assert ms_delay_prediction(log_a, i, mu + 0.5) < ms_delay_prediction(log_a, i, mu)
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        ms_delay_prediction(0.5, 1.0)
+        ms_delay_prediction(math.log(0.5), 1.0)
     with pytest.raises(ValueError):
-        ms_delay_prediction(10.0, -1.0)
+        ms_delay_prediction(math.log(10.0), -1.0)
     with pytest.raises(ValueError):
-        msr_delay_prediction(10.0, 1.0, 0.5)
+        msr_delay_prediction(math.log(10.0), 1.0, 0.5)
     with pytest.raises(ValueError):
         integrated_risk_prediction(1.5, 1.0, 1.0)
     with pytest.raises(ValueError):
