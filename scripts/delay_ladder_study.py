@@ -10,7 +10,6 @@ writing the ladder CSVs.
 
 import argparse
 import csv
-import math
 
 from mixdetect import (
     ExperimentConfig,

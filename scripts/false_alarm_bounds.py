@@ -9,9 +9,6 @@ configuration.
 """
 
 import argparse
-import math
-
-import numpy as np
 
 from mixdetect import (
     ExperimentConfig,

@@ -277,7 +277,7 @@ def run_chunk(
         if rows.size == 0:
             break
         # (L, K, B), so step n reads the contiguous (K, B) slice ell[n - 1 - off]
-        ell = model.simulate_block(sampler, scorer, rows, n0, n1)
+        ell = model.simulate_block(sampler, scorer, rows, n0, n1)[1]
         off = n0
         state = np.take(stat_state, rows, axis=1)  # contiguous (K, B)
         live = alive[rows]

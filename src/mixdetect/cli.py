@@ -97,7 +97,8 @@ def _check_keys(obj: dict, where: str, allowed: set[str], required: set[str] = f
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A JSON number other than NaN and +-Infinity, which ``json`` reads (1e400 too)."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) < math.inf
 
 
 def _number(obj: dict, where: str, key: str, default=None):
@@ -291,7 +292,6 @@ class Experiment:
 
     doc: dict
     prior: ChangePrior
-    grid: MixingGrid
     model: ObservationModel
     detector: str
     omega: float
@@ -302,6 +302,10 @@ class Experiment:
     workers: int = 1
     scenarios: list[Scenario] = field(default_factory=list)
     output: dict = field(default_factory=dict)
+
+    @property
+    def grid(self) -> MixingGrid:
+        return self.model.grid
 
     def mc_config(self, log_threshold: float | None = None) -> ExperimentConfig:
         return ExperimentConfig(
@@ -341,9 +345,12 @@ def _scenario_theta(grid: MixingGrid, sc: dict, where: str) -> np.ndarray:
     if not isinstance(theta, (int, list)):
         raise ConfigError(f"{where}.theta: expected an atom index or a vector")
     try:
-        return grid.theta_vector(theta)
+        vec = grid.theta_vector(theta)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.theta: {exc}") from exc
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"{where}.theta: expected finite components")
+    return vec
 
 
 def _scenario(exp: Experiment, index: int, sc) -> Scenario:
@@ -369,6 +376,12 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
     if not isinstance(moments, list) or not all(_is_number(m) for m in moments):
         raise ConfigError(f"{where}.moments: expected a list of numbers")
     moment = float(_number(sc, where, "moment", 1))
+    # m >= 1 is the domain of the delay predictions in ``theory``
+    for j, m in enumerate(moments):
+        if m < 1:
+            raise ConfigError(f"{where}.moments[{j}]: must be >= 1")
+    if moment < 1:
+        raise ConfigError(f"{where}.moment: must be >= 1")
     log_thresholds = [exp.threshold.log_threshold]
     if q == "delay_ladder":
         log_thresholds = sc.get("log_thresholds")
@@ -444,7 +457,6 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
     exp = Experiment(
         doc=doc,
         prior=prior,
-        grid=grid,
         model=model,
         detector=kind,
         omega=omega,

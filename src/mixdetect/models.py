@@ -13,29 +13,30 @@ Partial sums of increments over j in (k, n] give the cumulative LLR of
 of the observed path; all randomness lives in path sampling, which consumes
 one caller-supplied generator per path so trials stay reproducible.
 
-Batch work runs through one block kernel per model.  ``sampler_state``
-starts a batch of paths at time 0 and ``sample_block`` advances any subset
-of them over the rows [n0, n1); ``increment_state`` and ``increment_block``
-do the same for the increments of given observations, and
-``simulate_block``, the Monte Carlo engine's call, does both.  Model state (RNG
+Batch work runs through one block kernel per model.  ``sampler_state`` and
+``increment_state`` start a batch of paths and their increments at time 0.
+``simulate_block``, the one call that advances a sampler, draws any subset
+of the paths over the rows [n0, n1) and returns the observations with their
+increments; ``increment_block`` scores given observations.  Model state (RNG
 position, AR filter memory, HMM chain and forward filter) carries from one
 block to the next, so a path's values do not depend on how its time axis is
 cut into blocks or on which other paths share a call.  Increments come back
 time first, a C-contiguous (steps, atoms, paths) block, the layout the
-engine's recursion reads.  The whole-path methods ``sample_paths`` /
-``path_increments`` (a (paths, steps, atoms) view) are the one-block case, and
-streaming is the one-path case: ``reset()`` starts a one-path increment
-state, ``stream_block(rows)`` is ``increment_block`` over the next rows of
-the stream (the alarm loop feeds it blocks of rows), and ``step(x)`` is its
-one-row case, so streaming and batch values agree bit for bit by
-construction.
+engine's recursion reads.  The whole-path methods ``sample_paths`` (one
+``simulate_block`` from time 0) and ``path_increments`` (a (paths, steps,
+atoms) view) are the one-block case, and streaming is the one-path case:
+``reset()`` starts a one-path increment state, ``stream_block(rows)`` is
+``increment_block`` over the next rows of the stream (the alarm loop feeds
+it blocks of rows), and ``step(x)`` is its one-row case, so streaming and
+batch values agree bit for bit.
 Sampling is vectorised across the listed paths, and each path still draws
-from its own generator only.  The HMM has one forward filter (``_predict``
-and ``_correct``) in one loop, which both scores increments and drives the
-post-change hidden chain of sampled paths: a Monte Carlo block runs it once,
-over the parameter table, for sampling and scoring alike, and an off-grid
-post-change theta adds one row to that table.  Its chain uniforms come block
-by block from a copy of each path's generator, so no sampler's memory grows
+from its own generator only; the Gaussian and AR models draw with their
+``sample_block``, which the base ``simulate_block`` scores.  The HMM has one
+forward filter (``_predict`` and ``_correct``) in one loop, which both
+scores increments and drives the post-change hidden chain: a block runs it
+once over the parameter table of the batch's increment state, and an
+off-grid post-change theta adds one row.  Its chain uniforms come block by
+block from a copy of each path's generator, so no sampler's memory grows
 with the horizon.
 """
 
@@ -102,16 +103,6 @@ class ObservationModel(ABC):
         """
 
     @abstractmethod
-    def sample_block(
-        self, state: "SamplerState", rows: np.ndarray, n0: int, n1: int
-    ) -> np.ndarray:
-        """Advance paths ``rows`` (indices into the batch) from time n0 to n1.
-
-        Every listed path must sit at time n0.  Returns the observations at
-        times n0+1 .. n1, shape (len(rows), n1 - n0, dimension).
-        """
-
-    @abstractmethod
     def increment_state(self, batch: int):
         """Start the increments of ``batch`` paths at time 0 with empty history."""
 
@@ -128,9 +119,11 @@ class ObservationModel(ABC):
         """
 
     def simulate_block(self, sampler: "SamplerState", scorer, rows, n0: int, n1: int):
-        """``increment_block`` of what ``sample_block`` draws, (L, n_atoms, B), which a
-        model may run as one pass; a sampler advances by this call or by ``sample_block``."""
-        return self.increment_block(scorer, rows, self.sample_block(sampler, rows, n0, n1), n0)
+        """Advance paths ``rows`` of ``sampler`` and of the increment state ``scorer``
+        from n0 to n1, the one call that advances a sampler.  Returns (x, ell): the
+        observations (B, n1 - n0, dimension) and their increments, as ``increment_block``."""
+        x = self.sample_block(sampler, rows, n0, n1)
+        return x, self.increment_block(scorer, rows, x, n0)
 
     @abstractmethod
     def sample_paths(
@@ -162,9 +155,9 @@ class ObservationModel(ABC):
 class SamplerState:
     """A batch of paths being sampled: per-path inputs and carried model state.
 
-    ``carry`` holds the model's per-path arrays, leading axis = batch, and
-    for the HMM its filter rows, (rows, batch), and the per-path generator
-    copies that draw the chain uniforms.
+    ``carry`` holds the model's per-path arrays, leading axis = batch, and for
+    the HMM the generator copies that draw the chain uniforms; its grid filter
+    rows live in the increment state that ``simulate_block`` advances with it.
     """
 
     nus: np.ndarray
@@ -196,8 +189,8 @@ def _sampler(nus, thetas, rngs, width: int, **carry) -> SamplerState:
 
 
 def _whole_paths(model: ObservationModel, nus, thetas, horizon: int, rngs) -> np.ndarray:
-    state = model.sampler_state(nus, thetas, horizon, rngs)
-    return model.sample_block(state, np.arange(len(rngs)), 0, horizon)
+    state, rows = model.sampler_state(nus, thetas, horizon, rngs), np.arange(len(rngs))
+    return model.simulate_block(state, model.increment_state(len(rows)), rows, 0, horizon)[0]
 
 
 def _whole_increments(model: ObservationModel, paths: np.ndarray) -> np.ndarray:
@@ -594,9 +587,10 @@ class TwoStateHmmModel(ObservationModel):
 
     The forward filter exists once, as ``_predict`` then ``_correct`` in the
     log domain, in one loop (``_filter_block``) over a (parameters, paths)
-    table that samples, scores, or for a Monte Carlo block does both at once:
-    a changed path draws its hidden state from its theta's row.  An off-grid
-    theta adds one row, of its own means, whose increments are not reported.
+    table that scores given observations or, in ``simulate_block``, samples
+    and scores at once: a changed path draws its hidden state from its theta's
+    row.  An off-grid theta adds one row, of its own means, whose increments
+    are not reported.
     """
 
     def __init__(self, spec: Hmm2Spec, grid: MixingGrid):
@@ -631,11 +625,11 @@ class TwoStateHmmModel(ObservationModel):
             return log_g1, log_g1
         return log_g1, np.logaddexp(log_f2 + t["stay2"], log_f1 + t["to2"])
 
-    def _filter_block(self, table, rows, n0, n1, x=None, sampler=None, score=True):
+    def _filter_block(self, table, rows, n0, n1, x=None, sampler=None):
         """Filter paths ``rows`` from time n0 to n1: the one loop that scores
         and samples.  ``table`` is an increment state and x (L, B) the paths'
         observations, time first, or None to draw them with a ``sampler``.
-        Returns x and, if ``score``, the increments (L, n_atoms, B)."""
+        Returns x as (B, L, 1), a view, and the increments (L, n_atoms, B)."""
         log_f1, log_f2 = table[0][:, rows], table[1][:, rows]
         p, length, batch = len(self._means), n1 - n0, log_f1.shape[1]
         m1, m2 = self._means[:, :1], self._means[:, 1:]  # (P, 1): broadcast over paths
@@ -651,7 +645,7 @@ class TwoStateHmmModel(ObservationModel):
             if (own := carry["own"]) is not None:  # the extra row: each path's own means
                 log_f1, m1 = np.vstack([log_f1, own[0][rows]]), np.vstack([m1.repeat(batch, 1), t1])
                 log_f2, m2 = np.vstack([log_f2, own[1][rows]]), np.vstack([m2.repeat(batch, 1), t2])
-        out = np.empty((length, p - 1, batch)) if score else None
+        out = np.empty((length, p - 1, batch))
         for k in range(length):
             log_g1, log_g2 = self._predict(log_f1, log_f2)
             if sampler is not None:
@@ -665,14 +659,13 @@ class TwoStateHmmModel(ObservationModel):
                     mean[post] = np.where(s2, t2[post], t1[post])
                 np.add(mean, x[k], out=x[k])
             log_c, log_f1, log_f2 = _correct(log_g1, log_g2, x[k], m1, m2)
-            if score:
-                np.subtract(log_c[1:p], log_c[0], out=out[k])
+            np.subtract(log_c[1:p], log_c[0], out=out[k])
         table[0][:, rows], table[1][:, rows] = log_f1[:p], log_f2[:p]
         if sampler is not None:
             carry["state2"][rows] = state2
             if own is not None:
                 own[0][rows], own[1][rows] = log_f1[p], log_f2[p]
-        return x, out
+        return x.T[:, :, None], out
 
     def step(self, x) -> np.ndarray:
         return self.stream_block([x])[0]
@@ -703,14 +696,8 @@ class TwoStateHmmModel(ObservationModel):
         state.carry.update(src=src, own=self._filter_start(len(rngs)) if extra else None)
         return state
 
-    def sample_block(self, state, rows, n0, n1):
-        if "table" not in state.carry:  # sampling alone runs the filter on a table of its own
-            state.carry["table"] = self.increment_state(len(state.rngs))
-        x, _ = self._filter_block(state.carry["table"], rows, n0, n1, sampler=state, score=False)
-        return np.ascontiguousarray(x.T)[:, :, None]
-
     def simulate_block(self, sampler, scorer, rows, n0, n1):
-        return self._filter_block(scorer, rows, n0, n1, sampler=sampler)[1]
+        return self._filter_block(scorer, rows, n0, n1, sampler=sampler)
 
     def sample_paths(self, nus, thetas, horizon, rngs):
         return _whole_paths(self, nus, thetas, horizon, rngs)

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from mixdetect._engine import TrialSpec
 from mixdetect.calibration import bayes_threshold, d_constant, ms_threshold, msr_threshold
@@ -41,7 +40,6 @@ from mixdetect.montecarlo import (
     estimate_delay_moments,
     estimate_integrated_risk,
     estimate_pfa_tail,
-    run_trials,
     slope_regression,
     statistic_at_horizon,
 )

@@ -628,6 +628,83 @@ class TestSimulate:
         assert "scenarios[2].change_point" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    # field -> (config overrides with the placeholder X, the field the error names)
+    NON_FINITE_FIELDS = {
+        "omega": (
+            {
+                "detector": {"kind": "msr", "omega": "X"},
+                "calibration": {"kind": "msr-pfa", "alpha": 0.01},
+            },
+            "detector.omega",
+        ),
+        "alpha": ({"calibration": {"kind": "ms-pfa", "alpha": "X"}}, "calibration.alpha"),
+        "rho": ({"prior": {"kind": "geometric", "rho": "X"}}, "prior.rho"),
+        "atoms": ({"mixing": {"kind": "atoms", "atoms": [["X"], [1.0]]}}, "mixing.atoms"),
+        "weights": (
+            {"mixing": {"kind": "atoms", "atoms": [[0.5], [1.0]], "weights": ["X", 1.0]}},
+            "mixing.weights",
+        ),
+        "theta": ({"scenario": {"quantity": "delay", "theta": ["X"]}}, "scenarios[2].theta"),
+        "theta0": (
+            {
+                "model": {"kind": "hmm2", "theta0": ["X", 1.0], "beta": 0.5, "gamma": 0.5},
+                "mixing": {"kind": "atoms", "atoms": [[0.8, 1.8], [0.3, 1.4]]},
+            },
+            "model.theta0",
+        ),
+        "log_thresholds": (
+            {
+                "scenario": {
+                    "quantity": "delay_ladder", "theta": 0, "log_thresholds": [3, "X", 5, 6]
+                }
+            },
+            "scenarios[2].log_thresholds[1]",
+        ),
+        "moments": (
+            {"scenario": {"quantity": "delay", "theta": 0, "moments": ["X"]}},
+            "scenarios[2].moments",
+        ),
+    }
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+    def test_non_finite_number_rejected(self, tmp_path, monkeypatch, capsys, field, literal):
+        """json reads NaN, +-Infinity and an overflowing 1e400 as floats; every
+        numeric field refuses them at load, naming the field, with exit 2."""
+        monkeypatch.chdir(tmp_path)  # a ladder that ran would write its CSV here
+        overrides, named = self.NON_FINITE_FIELDS[field]
+        doc = self.small_doc(tmp_path)
+        for key, val in overrides.items():
+            if key == "scenario":
+                doc["montecarlo"]["scenarios"].append(val)
+            else:
+                doc[key] = val
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace('"X"', literal))
+        assert main(["simulate", str(path)]) == 2
+        assert f"{named}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [0.5, 0, -1])
+    @pytest.mark.parametrize(
+        "scenario,named",
+        [
+            ({"quantity": "delay", "theta": 0, "moments": [1, "M"]}, "moments[1]"),
+            ({"quantity": "average_delay", "theta": 0, "moment": "M"}, "moment"),
+        ],
+        ids=["delay", "average_delay"],
+    )
+    def test_moment_below_one_rejected(self, tmp_path, capsys, scenario, named, value):
+        """Delay moments m < 1 have no prediction (theory needs m >= 1), so they
+        are refused at load, before any trial runs, not after every trial."""
+        doc = self.small_doc(tmp_path)
+        scenario = json.loads(json.dumps(scenario).replace('"M"', json.dumps(value)))
+        doc["montecarlo"]["scenarios"].append(scenario)
+        assert main(["simulate", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"montecarlo.scenarios[2].{named}: must be >= 1" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize(
         "section,key,value",
         [

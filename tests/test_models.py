@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mixdetect.detectors import BLOCK
-from mixdetect.measures import grid_from_atoms, uniform_grid
+from mixdetect.measures import grid_from_atoms
 from mixdetect.models import (
     ArChannelSpec,
     HarmonicSignal,
@@ -538,7 +538,8 @@ def _layout_model(name):
 @pytest.mark.parametrize("name", ["gaussian", "ar", "hmm"])
 def test_block_kernels_return_time_first_blocks(name):
     """increment_block and simulate_block return C-contiguous (L, K, B) blocks,
-    bit-equal to the whole-path increments; stream_block returns (L, K)."""
+    bit-equal to the whole-path increments; simulate_block's observations are
+    the whole paths' bits; stream_block returns (L, K)."""
     model = _layout_model(name)
     horizon, batch, k = 150, 5, model.grid.size
     nus = np.array([0, 40, 100, 150, 149])
@@ -553,7 +554,8 @@ def test_block_kernels_return_time_first_blocks(name):
     for n0 in range(0, horizon, BLOCK):
         n1 = min(n0 + BLOCK, horizon)
         want = whole[:, n0:n1].transpose(1, 2, 0).tobytes()
-        simulated = model.simulate_block(sampler, scorer, rows, n0, n1)
+        x, simulated = model.simulate_block(sampler, scorer, rows, n0, n1)
+        assert x.shape == paths[:, n0:n1].shape and x.tobytes() == paths[:, n0:n1].tobytes()
         scored_block = model.increment_block(scored, rows, paths[:, n0:n1], n0)
         for ell in (simulated, scored_block):
             assert ell.shape == (n1 - n0, k, batch) and ell.flags.c_contiguous
@@ -578,8 +580,9 @@ def test_hmm_two_cursors_keep_the_stream(bit_generator):
     whole_rngs, piece_rngs, clones = rngs(), rngs(), rngs()
     whole = model.sample_paths(nus, thetas, horizon, whole_rngs)
     state = model.sampler_state(nus, thetas, horizon, piece_rngs)
+    scorer = model.increment_state(batch)
     pieces = [
-        model.sample_block(state, np.arange(batch), n0, min(n0 + BLOCK, horizon))
+        model.simulate_block(state, scorer, np.arange(batch), n0, min(n0 + BLOCK, horizon))[0]
         for n0 in range(0, horizon, BLOCK)
     ]
     assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()

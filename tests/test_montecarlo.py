@@ -23,7 +23,6 @@ from mixdetect._engine import (
     trial_rng,
     trial_rngs,
 )
-from mixdetect.calibration import ms_threshold
 from mixdetect.detectors import (
     PriorSupportExhausted,
     _log_init,
