@@ -97,8 +97,10 @@ def _check_keys(obj: dict, where: str, allowed: set[str], required: set[str] = f
 
 
 def _is_number(val) -> bool:
-    """A JSON number other than NaN and +-Infinity, which ``json`` reads (1e400 too)."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) < math.inf
+    """A JSON number that is a finite float: not NaN or +-Infinity, which ``json``
+    reads (1e400 too), nor an integer beyond the float range."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    return number and abs(val) <= sys.float_info.max
 
 
 def _number(obj: dict, where: str, key: str, default=None):
@@ -112,19 +114,24 @@ def _number(obj: dict, where: str, key: str, default=None):
     return val
 
 
-def _integer(obj: dict, where: str, key: str, default=None, nonnegative: bool = False) -> int:
+def _integer(
+    obj: dict, where: str, key: str, default=None, nonnegative: bool = False, int64: bool = True
+) -> int:
     """A whole number: integral floats such as 3.0 pass, 2.5 and booleans do not.
 
-    Keys without a default must be required by the section's ``_check_keys``.
+    With ``int64`` a value must also be below 2**63, as numpy counts steps
+    and indexes arrays in int64; a seed takes any size.  Keys without a
+    default must be required by the section's ``_check_keys``.
     """
     val = obj.get(key, default)
     if not (
-        _is_number(val)
-        and (isinstance(val, int) or val.is_integer())
+        (type(val) is int or _is_number(val) and val.is_integer())  # an int is whole at any size
         and (val >= 0 or not nonnegative)
     ):
         expected = "a non-negative integer" if nonnegative else "an integer"
         raise ConfigError(f"{where}.{key}: expected {expected}")
+    if int64 and val >= 2**63:
+        raise ConfigError(f"{where}.{key}: must be < 2**63")
     return int(val)
 
 
@@ -364,7 +371,8 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         vec = _scenario_theta(exp.grid, sc, where)
         theta = tuple(map(float, vec))
         on_grid = any(np.array_equal(vec, atom) for atom in exp.grid.atoms)
-    change_point = _integer(sc, where, "change_point", 0, nonnegative=True)
+    # the horizon bounds it, with its own message
+    change_point = _integer(sc, where, "change_point", 0, nonnegative=True, int64=False)
     if change_point >= exp.horizon:
         raise ConfigError(f"{where}.change_point: must be below montecarlo.horizon = {exp.horizon}")
     name = sc.get("name", f"{q}_{index}")
@@ -480,7 +488,7 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
         )
         exp.trials = _integer(mc, "montecarlo", "trials")
         exp.horizon = _integer(mc, "montecarlo", "horizon")
-        exp.seed = _integer(mc, "montecarlo", "seed", nonnegative=True)
+        exp.seed = _integer(mc, "montecarlo", "seed", nonnegative=True, int64=False)
         exp.workers = _integer(mc, "montecarlo", "workers", 1)
         env_workers = os.environ.get(WORKERS_ENV)
         if env_workers:

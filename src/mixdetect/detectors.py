@@ -42,12 +42,7 @@ from itertools import islice
 import numpy as np
 
 from .measures import ChangePrior, MixingGrid
-from .models import ObservationModel
-
-
-# rows per block in the alarm loop, and steps per block in the Monte Carlo
-# engine; no value depends on it
-BLOCK = 64
+from .models import BLOCK, ObservationModel
 
 
 class PriorSupportExhausted(RuntimeError):
@@ -252,7 +247,7 @@ def multicyclic_run(
 
     Returns one record per alarm, with absolute stop times; a trailing
     segment that never crosses is dropped.  Only the detector state (and its
-    prior clock) restarts; the observation model keeps its history, since
+    prior clock) restarts; the stream's scorer keeps its history, since
     whitening and filtering describe the data stream, not the alarm cycle.
     """
     records, _ = _multicyclic_with_tail(
@@ -275,7 +270,8 @@ def _multicyclic_with_tail(
     Rows are read in blocks of at most BLOCK, and never past ``horizon``, so
     a run may read up to BLOCK - 1 rows beyond the row it stops at; an
     ``ndarray`` is sliced, any other iterable is read with ``islice``.  One
-    ``model.stream_block`` call scores each block.  ``advance`` then steps
+    ``increment_block`` call on the loop's own ``increment_state(1)`` scores
+    each block, so the model is only read.  ``advance`` then steps
     the per-atom numerators row by row into a (BLOCK, K) buffer, and one
     ``log_statistic`` call mixes the rows, which gives the values of
     ``ms_update``/``msr_update`` bit for bit.  Either kind reads its
@@ -292,7 +288,7 @@ def _multicyclic_with_tail(
     """
     if not np.isfinite(log_threshold):
         raise ValueError("log_threshold must be finite")
-    model.reset()
+    scorer = model.increment_state(1)
     init = _log_init(kind, prior, omega)
     grid = model.grid
     log_w = grid.log_weights[:, None]
@@ -311,7 +307,8 @@ def _multicyclic_with_tail(
             block = observations[n : n + size] if sliced else list(islice(rows, size))
             if not len(block):
                 break
-            ell = model.stream_block(block)  # (L, K)
+            x = np.asarray(block, dtype=float).reshape(1, len(block), model.dimension)
+            ell = model.increment_block(scorer, slice(None), x, n)[:, :, 0]  # (L, K)
             finite = np.isfinite(ell).all(axis=1)
             good = len(block) if finite.all() else int(finite.argmin())
             i = 0  # the block's next row

@@ -1,9 +1,7 @@
 """Observation models: path sampling and per-step log-likelihood-ratio increments.
 
-Every model exposes the same contract.  After ``reset()`` the model sits at
-time 0 with empty history; each ``step(x)`` consumes one observation and
-returns the vector of LLR increments ``l_n(theta_i)``, one per mixing-grid
-atom, where
+Every model exposes the same contract.  A model scores observations into the
+vector of LLR increments ``l_n(theta_i)``, one per mixing-grid atom, where
 
     l_n(theta) = log f_theta(x_n | history) - log g(x_n | history)
 
@@ -13,22 +11,24 @@ Partial sums of increments over j in (k, n] give the cumulative LLR of
 of the observed path; all randomness lives in path sampling, which consumes
 one caller-supplied generator per path so trials stay reproducible.
 
-Batch work runs through one block kernel per model.  ``sampler_state`` and
-``increment_state`` start a batch of paths and their increments at time 0.
-``simulate_block``, the one call that advances a sampler, draws any subset
-of the paths over the rows [n0, n1) and returns the observations with their
-increments; ``increment_block`` scores given observations.  Model state (RNG
-position, AR filter memory, HMM chain and forward filter) carries from one
+A model holds no state of its own after construction: a path's history
+(RNG position, AR filter memory, HMM chain and forward filter) lives in the
+state objects its caller keeps, so one model serves several streams and the
+Monte Carlo engine at once.  ``sampler_state`` and ``increment_state`` start
+a batch of paths and their increments at time 0.  ``simulate_block``, the
+one call that advances a sampler, draws any subset of the paths over the
+rows [n0, n1) and returns the observations with their increments;
+``increment_block`` scores given observations.  The states carry from one
 block to the next, so a path's values do not depend on how its time axis is
 cut into blocks or on which other paths share a call.  Increments come back
 time first, a C-contiguous (steps, atoms, paths) block, the layout the
-engine's recursion reads.  The whole-path methods ``sample_paths`` (one
-``simulate_block`` from time 0) and ``path_increments`` (a (paths, steps,
-atoms) view) are the one-block case, and streaming is the one-path case:
-``reset()`` starts a one-path increment state, ``stream_block(rows)`` is
-``increment_block`` over the next rows of the stream (the alarm loop feeds
-it blocks of rows), and ``step(x)`` is its one-row case, so streaming and
-batch values agree bit for bit.
+engine's recursion reads.  The whole-path methods ``sample_paths``
+(``simulate_block`` from time 0, BLOCK rows at a time) and
+``path_increments`` (one block, viewed as (paths, steps, atoms)) are batch
+cases, and streaming is the one-path case: the alarm loop scores each block
+of stream rows with ``increment_block`` on its own ``increment_state(1)``,
+and ``step(state, x, n)`` is the one-row case, so streaming and batch values
+agree bit for bit.
 Sampling is vectorised across the listed paths, and each path still draws
 from its own generator only; the Gaussian and AR models draw with their
 ``sample_block``, which the base ``simulate_block`` scores.  The HMM has one
@@ -54,37 +54,20 @@ from .measures import MixingGrid
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# rows per block in the alarm loop, the engine and sample_paths; no value depends on it
+BLOCK = 64
+
 
 class ObservationModel(ABC):
-    """Stateful LLR-increment machine over a mixing grid.
+    """LLR-increment machine over a mixing grid.
 
-    Mutable single-owner state; use one instance per concurrent worker.
-    The grid and the model spec objects are shared immutably.
+    Stateless: methods write only the sampler or increment state passed to
+    them, so one instance serves any number of streams at once.  The grid
+    and the model spec objects are shared immutably.
     """
 
     grid: MixingGrid
     dimension: int
-
-    def reset(self) -> None:
-        """Return to time 0 with empty history: a one-path increment state."""
-        self._t = 0
-        self._stream = self.increment_state(1)
-
-    def stream_block(self, rows) -> np.ndarray:
-        """Increments (L, n_atoms) of the next L stream rows; advances the stream by L.
-
-        ``rows`` holds L observations (scalars for 1-d models, or rows of
-        ``dimension`` values), scored on the one-path state that ``reset()``
-        started.
-        """
-        x = np.asarray(rows, dtype=float).reshape(1, len(rows), self.dimension)
-        ell = self.increment_block(self._stream, slice(None), x, self._t)
-        self._t += len(rows)
-        return ell[:, :, 0]
-
-    @abstractmethod
-    def step(self, x) -> np.ndarray:
-        """Consume one observation, return per-atom increments, shape (n_atoms,)."""
 
     @abstractmethod
     def sampler_state(
@@ -182,15 +165,28 @@ def _sampler(nus, thetas, rngs, width: int, **carry) -> SamplerState:
     )
 
 
-# The concrete classes define ``step`` (around ``stream_block``), ``sample_paths``
-# and ``path_increments`` (around these) as thin wrappers, each in its own class
-# body, so that per-class instrumentation (perfbench/tracer.py) finds them in
-# the class __dict__.
+# The concrete classes define ``step``, ``sample_paths`` and ``path_increments``
+# (around these) as thin wrappers, each in its own class body, so that
+# per-class instrumentation (perfbench/tracer.py) finds them in the class
+# __dict__.
+
+
+def _one_row(model: ObservationModel, state, x, n: int) -> np.ndarray:
+    """``step``: one row's increments (n_atoms,) at time n + 1 on a one-path state."""
+    x = np.asarray(x, dtype=float).reshape(1, 1, model.dimension)
+    return model.increment_block(state, slice(None), x, n)[0, :, 0]
 
 
 def _whole_paths(model: ObservationModel, nus, thetas, horizon: int, rngs) -> np.ndarray:
-    state, rows = model.sampler_state(nus, thetas, horizon, rngs), np.arange(len(rngs))
-    return model.simulate_block(state, model.increment_state(len(rows)), rows, 0, horizon)[0]
+    """Whole paths, simulated BLOCK rows at a time; each block's increments are dropped."""
+    rows = np.arange(len(rngs))
+    sampler = model.sampler_state(nus, thetas, horizon, rngs)
+    scorer = model.increment_state(len(rows))
+    paths = np.empty((len(rows), horizon, model.dimension))
+    for n0 in range(0, horizon, BLOCK):
+        n1 = min(n0 + BLOCK, horizon)
+        paths[:, n0:n1] = model.simulate_block(sampler, scorer, rows, n0, n1)[0]
+    return paths
 
 
 def _whole_increments(model: ObservationModel, paths: np.ndarray) -> np.ndarray:
@@ -243,10 +239,9 @@ class GaussianIidModel(ObservationModel):
         self.dimension = 1
         self._theta = grid.atoms[:, 0]
         self._half_theta_sq = 0.5 * self._theta**2
-        self.reset()
 
-    def step(self, x) -> np.ndarray:
-        return self.stream_block([x])[0]
+    def step(self, state, x, n: int) -> np.ndarray:
+        return _one_row(self, state, x, n)
 
     def sampler_state(self, nus, thetas, horizon, rngs):
         return _sampler(nus, thetas, rngs, 1)
@@ -444,7 +439,6 @@ class MultichannelArModel(ObservationModel):
         self._order = max((len(c) for c in spec.ar_coeffs), default=0)
         atoms = np.ascontiguousarray(grid.atoms.T)  # row c: every atom's channel c
         self._atom_cols = list(zip(atoms, atoms**2))
-        self.reset()
 
     def _ell(self, resid: np.ndarray, sres: np.ndarray) -> np.ndarray:
         """Increments (L, n_atoms, B) from whitened data resid (B, L, channels)
@@ -461,8 +455,8 @@ class MultichannelArModel(ObservationModel):
                 out += term
         return out
 
-    def step(self, x) -> np.ndarray:
-        return self.stream_block([x])[0]
+    def step(self, state, x, n: int) -> np.ndarray:
+        return _one_row(self, state, x, n)
 
     def sampler_state(self, nus, thetas, horizon, rngs):
         # zi: each channel's noise-filter state (see _ar_noise), carried between blocks
@@ -608,7 +602,6 @@ class TwoStateHmmModel(ObservationModel):
                 "to1": np.log(spec.gamma),
                 "stay2": np.log(1.0 - spec.gamma),
             }
-        self.reset()
 
     def _filter_start(self, *shape):
         """Normalized log filter (log_f1, log_f2) at time 0, each of the given shape."""
@@ -667,8 +660,8 @@ class TwoStateHmmModel(ObservationModel):
                 own[0][rows], own[1][rows] = log_f1[p], log_f2[p]
         return x.T[:, :, None], out
 
-    def step(self, x) -> np.ndarray:
-        return self.stream_block([x])[0]
+    def step(self, state, x, n: int) -> np.ndarray:
+        return _one_row(self, state, x, n)
 
     def increment_state(self, batch):
         return self._filter_start(self._means.shape[0], batch)  # (P, batch)

@@ -685,6 +685,64 @@ class TestSimulate:
         assert f"{named}: expected" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    # field -> (config overrides with the placeholder X, the value put there, the message)
+    BIG = 10**400  # a JSON integer that fits no float
+    OVERSIZED_FIELDS = {
+        "omega": (
+            {
+                "detector": {"kind": "msr", "omega": "X"},
+                "calibration": {"kind": "msr-pfa", "alpha": 0.01},
+            },
+            BIG,
+            "detector.omega: expected a number",
+        ),
+        "atoms": (
+            {"mixing": {"kind": "atoms", "atoms": [["X"], [1.0]]}},
+            BIG,
+            "mixing.atoms: expected a list of lists of numbers",
+        ),
+        "counts": (
+            {"mixing": {"kind": "uniform_grid", "lower": [0.5], "upper": [1.5], "counts": ["X"]}},
+            BIG,
+            "mixing.counts: expected a list of numbers",
+        ),
+        "log_threshold": (
+            {"calibration": {"kind": "fixed", "log_threshold": "X"}},
+            BIG,
+            "calibration.log_threshold: expected a number",
+        ),
+        "horizon": (
+            {"montecarlo": {"horizon": "X"}}, 10**30, "montecarlo.horizon: must be < 2**63"
+        ),
+        "k0": ({"prior": {"kind": "point_mass", "k0": "X"}}, BIG, "prior.k0: must be < 2**63"),
+    }
+
+    @pytest.mark.parametrize("field", sorted(OVERSIZED_FIELDS))
+    def test_oversized_number_rejected(self, tmp_path, capsys, field):
+        """An integer literal that fits no float, or an integer field's value that
+        fits no int64, is refused at load with exit 2 naming its field, not a
+        traceback."""
+        overrides, value, message = self.OVERSIZED_FIELDS[field]
+        doc = self.small_doc(tmp_path)
+        for key, val in overrides.items():
+            doc[key] = {**doc[key], **val} if key == "montecarlo" else val
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace('"X"', str(value)))
+        commands = ["simulate"] if "montecarlo" in overrides else ["calibrate", "simulate"]
+        for command in commands:
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_seed_of_any_size_accepted(self, tmp_path):
+        """SeedSequence takes any non-negative integer, so the seed has no bound."""
+        doc = self.small_doc(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace('"seed": 7', f'"seed": {self.BIG}'))
+        assert load_experiment(str(path), need_montecarlo=True).seed == self.BIG
+        assert main(["simulate", str(path)]) == 0
+        assert (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("value", [0.5, 0, -1])
     @pytest.mark.parametrize(
         "scenario,named",
@@ -1416,10 +1474,10 @@ def _per_row_reference(exp, data, log_a):
         return MsrState(grid=exp.grid, omega=exp.omega)
 
     update = ms_update if exp.detector == "ms" else msr_update
-    exp.model.reset()
+    scorer = exp.model.increment_state(1)
     state, alarms, stats, traj = fresh(), [], [], []
     for n, row in enumerate(data, start=1):
-        update(state, exp.model.step(row))
+        update(state, exp.model.step(scorer, row, n - 1))
         crossed = state.log_stat >= log_a
         traj.append((n, state.log_stat, int(crossed)))
         if crossed:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mixdetect.cli import load_experiment
 from mixdetect.detectors import (
     BLOCK,
     MsrState,
@@ -41,6 +43,8 @@ from mixdetect.models import (
     multichannel_ar_model,
     sample_path,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def gaussian_increments(grid, n, seed, shift=0.0):
@@ -443,9 +447,8 @@ def test_rows_of_the_wrong_width_are_refused():
     rows = [[0.0, 1.0], [2.0, 3.0]]
     with pytest.raises(ValueError):
         run_detector("msr", model, geometric_prior(0.1), 1e6, rows)
-    model.reset()
     with pytest.raises(ValueError):
-        model.step(rows[0])
+        model.step(model.increment_state(1), rows[0], 0)
 
 
 def _half_point_mass(k0: int) -> ChangePrior:
@@ -464,11 +467,11 @@ def _half_point_mass(k0: int) -> ChangePrior:
 
 def _per_row_exhausted_at(model, prior, log_a, data) -> int:
     """The row where one ms_update per row, restarted after every alarm, finds Pi = 0."""
-    model.reset()
+    scorer = model.increment_state(1)
     state = MsState(prior=prior, grid=model.grid)
     for n, row in enumerate(data, start=1):
         try:
-            ms_update(state, model.step(row))
+            ms_update(state, model.step(scorer, row, n - 1))
         except PriorSupportExhausted:
             return n
         if state.log_stat >= log_a:
@@ -729,3 +732,46 @@ def test_sliced_array_and_iterator_give_the_same_records(model_name, kind, horiz
     ]
     assert censored[0].censored and censored[0].log_stat_at_stop is not None
     _same_records(censored[:1], censored[1:])
+
+
+# ---------------------------------------------------------------------------
+# Stateless models: a stream's history lives in its alarm loop, not in the
+# model, so a run leaves the model as it found it and another run on the
+# same model, even in the middle of the first, changes nothing.
+# ---------------------------------------------------------------------------
+
+
+def _ar_stream_experiment():
+    """The shipped ``detect`` experiment and a 3000-row stream from its model,
+    with a change at row 1000 to the first atom."""
+    exp = load_experiment(str(ROOT / "configs" / "detect_ar_stream.json"))
+    data = sample_path(exp.model, 1000, 0, 3000, np.random.default_rng(17))
+    return exp, data
+
+
+def test_a_run_leaves_the_model_unchanged():
+    """A model pickles to the same bytes before and after a multicyclic run:
+    nothing of the stream is kept in it, so no worker payload grows with it."""
+    exp, data = _ar_stream_experiment()
+    before = pickle.dumps(exp.model)
+    records = multicyclic_run(exp.detector, exp.model, exp.prior, exp.threshold.log_threshold, data)
+    assert records, "the stream should alarm"
+    assert pickle.dumps(exp.model) == before
+
+
+def test_a_run_nested_in_a_stream_changes_nothing():
+    """A multicyclic run whose observation iterator runs ``run_detector`` on the
+    same model at row 1000 equals a solo run bit for bit, trajectory included."""
+    exp, data = _ar_stream_experiment()
+    args = (exp.detector, exp.model, exp.prior, exp.threshold.log_threshold)
+
+    def rows():
+        for n, row in enumerate(data, start=1):
+            if n == 1000:
+                assert not run_detector(*args, data).censored
+            yield row
+
+    nested = multicyclic_run(*args, rows(), record_trajectory=True)
+    solo = multicyclic_run(*args, iter(data), record_trajectory=True)
+    assert len(solo) >= 2
+    _same_records(nested, solo)

@@ -29,6 +29,12 @@ def spawn_rngs(seed, n):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _steps(model, path):
+    """Increments (T, n_atoms) of ``path`` by one ``step`` per row on a fresh one-path state."""
+    state = model.increment_state(1)
+    return np.array([model.step(state, row, n) for n, row in enumerate(path)])
+
+
 def log_phi(x, mu=0.0):
     return -0.5 * (x - mu) ** 2 - 0.5 * math.log(2 * math.pi)
 
@@ -41,14 +47,13 @@ def log_phi(x, mu=0.0):
 class TestGaussianIid:
     def test_increment_formula(self):
         m = gaussian_iid_model(grid_from_atoms([[1.0]]))
-        m.reset()
-        assert m.step(0.0)[0] == pytest.approx(-0.5, abs=1e-15)
+        assert m.step(m.increment_state(1), 0.0, 0)[0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_zero_atom_gives_zero_increment(self):
         m = gaussian_iid_model(grid_from_atoms([[0.0], [1.0]]))
-        m.reset()
-        for x in (-3.0, 0.0, 7.5):
-            assert m.step(x)[0] == 0.0
+        state = m.increment_state(1)
+        for n, x in enumerate((-3.0, 0.0, 7.5)):
+            assert m.step(state, x, n)[0] == 0.0
 
     def test_info_number(self):
         m = gaussian_iid_model(grid_from_atoms([[1.0], [2.0]]))
@@ -121,8 +126,7 @@ class TestMultichannelAr:
     def test_no_ar_constant_signal_increment(self):
         spec = ArChannelSpec(ar_coeffs=((),), signals=(constant_signal(1.0),))
         m = multichannel_ar_model(spec, grid_from_atoms([[1.0]]))
-        m.reset()
-        assert m.step([1.0])[0] == pytest.approx(0.5, abs=1e-12)
+        assert m.step(m.increment_state(1), [1.0], 0)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_streaming_step_across_table_growth(self):
         # streaming starts a 1024-row whitened-signal table and doubles it;
@@ -134,13 +138,11 @@ class TestMultichannelAr:
         model = multichannel_ar_model(spec, grid_from_atoms([[0.7, 0.7], [1.0, 0.5]]))
         path = sample_path(model, 700, 1, 2100, np.random.default_rng(8))
         batch = model.path_increments(path[None, :, :])[0]
-        model.reset()
-        np.testing.assert_array_equal(np.array([model.step(row) for row in path]), batch)
-        model.reset()
-        for row in path[:1500]:  # past the first growth, then restart mid-stream
-            model.step(row)
-        model.reset()
-        np.testing.assert_array_equal(np.array([model.step(row) for row in path]), batch)
+        np.testing.assert_array_equal(_steps(model, path), batch)
+        state = model.increment_state(1)
+        for n, row in enumerate(path[:1500]):  # another stream past the first growth first
+            model.step(state, row, n)
+        np.testing.assert_array_equal(_steps(model, path), batch)
 
     def test_residual_definition(self):
         spec = ArChannelSpec(ar_coeffs=((0.5,),), signals=(constant_signal(1.0),))
@@ -479,17 +481,11 @@ class TestModelContract:
     def test_streaming_matches_batch_bitwise(self, name, model):
         path = sample_path(model, 7, 0, 60, np.random.default_rng(21))
         batch = model.path_increments(path[None, :, :])[0]
-        model.reset()
-        stream = np.array([model.step(row) for row in path])
-        np.testing.assert_array_equal(stream, batch)
+        np.testing.assert_array_equal(_steps(model, path), batch)
 
     def test_reset_determinism(self, name, model):
         path = sample_path(model, 5, 0, 40, np.random.default_rng(22))
-        model.reset()
-        first = np.array([model.step(row) for row in path])
-        model.reset()
-        second = np.array([model.step(row) for row in path])
-        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(_steps(model, path), _steps(model, path))
 
     def test_same_seed_same_path(self, name, model):
         a = sample_path(model, 9, 0, 50, np.random.default_rng(33))
@@ -539,7 +535,7 @@ def _layout_model(name):
 def test_block_kernels_return_time_first_blocks(name):
     """increment_block and simulate_block return C-contiguous (L, K, B) blocks,
     bit-equal to the whole-path increments; simulate_block's observations are
-    the whole paths' bits; stream_block returns (L, K)."""
+    the whole paths' bits; a one-path stream state gives (L, K)."""
     model = _layout_model(name)
     horizon, batch, k = 150, 5, model.grid.size
     nus = np.array([0, 40, 100, 150, 149])
@@ -549,8 +545,7 @@ def test_block_kernels_return_time_first_blocks(name):
     assert whole.shape == (batch, horizon, k)
     sampler = model.sampler_state(nus, thetas, horizon, spawn_rngs(9, batch))
     scorer, scored = model.increment_state(batch), model.increment_state(batch)
-    rows = np.arange(batch)
-    model.reset()
+    rows, stream = np.arange(batch), model.increment_state(1)
     for n0 in range(0, horizon, BLOCK):
         n1 = min(n0 + BLOCK, horizon)
         want = whole[:, n0:n1].transpose(1, 2, 0).tobytes()
@@ -560,7 +555,7 @@ def test_block_kernels_return_time_first_blocks(name):
         for ell in (simulated, scored_block):
             assert ell.shape == (n1 - n0, k, batch) and ell.flags.c_contiguous
             assert ell.tobytes() == want
-        streamed = model.stream_block(paths[0, n0:n1])
+        streamed = model.increment_block(stream, slice(None), paths[:1, n0:n1], n0)[:, :, 0]
         assert streamed.shape == (n1 - n0, k)
         assert streamed.tobytes() == whole[0, n0:n1].tobytes()
 
@@ -611,6 +606,28 @@ def test_hmm_sampler_memory_does_not_grow_with_the_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("name", ["gaussian", "ar"])
+def test_sample_paths_memory_is_the_paths(name):
+    """sample_paths keeps only the observations: it simulates BLOCK rows at a
+    time and drops each block's increments, so 100 paths x 10^4 steps on a
+    3-atom grid peak within 10% of the paths' size, not at 4x it or more."""
+    import tracemalloc
+
+    model = _layout_model(name)
+    horizon, batch = 10_000, 100
+    rngs = spawn_rngs(3, batch)
+    nus = np.full(batch, horizon // 2)
+    thetas = np.tile(model.grid.atoms[0], (batch, 1))
+    tracemalloc.start()
+    try:
+        paths = model.sample_paths(nus, thetas, horizon, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths.shape == (batch, horizon, model.dimension)
+    assert peak < 1.1 * paths.nbytes
 
 
 @pytest.mark.parametrize(

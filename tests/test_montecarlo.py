@@ -437,8 +437,8 @@ def test_short_high_order_ar_paths_match_streaming(order):
             stream = [_streaming(cfg, p, 1e300).log_stat_at_stop for p in paths]
             assert statistic_at_horizon(cfg, spec).tobytes() == np.array(stream).tobytes()
         for x in paths:
-            model.reset()
-            steps = np.array([model.step(row) for row in x])
+            scorer = model.increment_state(1)
+            steps = np.array([model.step(scorer, row, n) for n, row in enumerate(x)])
             assert model.increments_for(x).tobytes() == steps.tobytes()
 
 
