@@ -18,27 +18,33 @@ then draws its (nu, theta) uniforms from its own stream in the same order
 as before, and the prior and the mixing grid are inverted for all trials at
 once, so every drawn value is unchanged.
 
-A chunk of CHUNK trials advances in time blocks of BLOCK steps.  Each block
-samples and scores the trials that have not yet alarmed in one
-``model.simulate_block`` call (the HMM runs one forward filter for both,
-with one extra table row for an off-grid theta), recurses them with the
-block's ``prior_window``, and carries model and statistic state to the next
-block; the chunk stops once every trial has alarmed.  Inside a block, after
-a step where trials alarm, the alarmed trials are dropped from the recursion
-once at most half of the block's current rows are live and the block has
-steps left; each drop at least halves the rows, so the copying is a
-constant factor.  The chunk's
-statistic is stored atoms first, (n_atoms, CHUNK), and every model's block
+A chunk of at most CHUNK trials advances in time blocks.  Block 0 spans
+every trial of the chunk and runs min(BLOCK, BLOCK * GROUP // count) steps,
+so most alarms, which come early, share one per-step loop; each later block
+runs BLOCK steps over the trials still live, GROUP of them at a time, so
+stragglers of a 4096-trial chunk also share one loop per block.  Either way
+one ``model.simulate_block`` call covers at most BLOCK * GROUP trial-steps.
+Each group of trials is sampled and scored in that one call (the HMM runs
+one forward filter for both, with one extra table row for an off-grid
+theta), recursed with the block's ``prior_window``, and carries model and
+statistic state to the next block; the chunk stops once every trial has
+alarmed.  Inside a group, after a step where trials alarm, the alarmed
+trials are dropped from the recursion once at most half of the group's
+current rows are live and the block has steps left; each drop at least
+halves the rows, so the copying is a constant factor.  The chunk's
+statistic is stored atoms first, (n_atoms, count), and every model's block
 kernel writes its increments as (steps, n_atoms, trials), so the recursion
 reduces over contiguous atom rows.  The recursion runs on every
 live trial at every step, but the statistic's K-term log-sum-exp runs only
 on the trials whose largest weighted atom term leaves it within log K of the
 threshold; the others cannot alarm at that step.  A column's log-sum-exp
-does not depend on which other columns are present, so neither constant,
-the compaction nor this bound affects any value.  The block buffers, the
-prior's window and the per-trial sampler state take O(CHUNK * BLOCK * n_atoms)
-memory, not O(CHUNK * horizon * n_atoms).  The AR model also holds two
-tables shared by all trials that grow with time: the raw signal for the
+does not depend on which other columns are present, and each trial's
+values do not depend on where blocks end or which trials share a group, so
+neither constant, the schedule, the compaction nor this bound affects any
+value.  The block buffers take O(BLOCK * GROUP * n_atoms) memory, the
+statistic and the per-trial sampler state O(CHUNK * n_atoms) and the
+prior's window O(BLOCK), not O(CHUNK * horizon * n_atoms).  The AR model
+also holds two tables shared by all trials that grow with time: the raw signal for the
 whole horizon in its sampler state and the whitened signal in its scorer
 state, which doubles as the steps outgrow it; both are (steps, channels).
 """
@@ -54,7 +60,8 @@ from .detectors import BLOCK, PriorSupportExhausted, _log_init, advance, log_sta
 from .measures import ChangePrior, MixingGrid
 from .models import ObservationModel
 
-CHUNK = 1024  # fixed: chunking never affects per-trial values
+CHUNK = 4096  # trials per chunk, the unit of worker payloads and of open trial streams
+GROUP = 1024  # trials per simulate_block call after block 0; never affects values
 
 
 def trial_rng(master_seed: int, stream_tag: int, trial_index: int) -> np.random.Generator:
@@ -114,7 +121,11 @@ def _seed_state(entropy: list) -> np.ndarray:
 
 
 class _SeedWords(ISeedSequence):
-    """A seed sequence whose state is already computed (see ``_seed_state``)."""
+    """A seed sequence whose state is already computed (see ``_seed_state``).
+
+    PCG64 reads the words once, as it is made, so one instance seeds a whole
+    chunk's generators in turn, its words set before each.
+    """
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -134,8 +145,12 @@ def trial_rngs(master_seed: int, stream_tag: int, start: int, count: int) -> lis
     ends = (master_seed, stream_tag, start, start + count - 1)
     if not all(isinstance(w, (int, np.integer)) and 0 <= w <= _MASK32 for w in ends):
         return [trial_rng(master_seed, stream_tag, i) for i in range(start, start + count)]
-    words = _seed_state([master_seed, stream_tag, np.arange(start, start + count)])
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+    seeder = _SeedWords(None)
+    rngs = []
+    for words in _seed_state([master_seed, stream_tag, np.arange(start, start + count)]):
+        seeder.words = words
+        rngs.append(np.random.Generator(np.random.PCG64(seeder)))
+    return rngs
 
 
 @dataclass(frozen=True)
@@ -228,8 +243,9 @@ def _alarm_floor(log_threshold: float, log_tail: np.ndarray, n_atoms: int) -> np
     rounding: each of the K - 1 logaddexp steps of the statistic's fold errs
     by a few ulps of its running value, which near the threshold is at most
     |log A| + |log Pi(n)| + log K in size, so the fold errs by less than
-    1e-9 * (1 + |log A| + |log Pi(n)|) for K < 10^5 atoms (a block of
-    increments for that many atoms would take 50 GB).
+    1e-9 * (1 + |log A| + |log Pi(n)|) for K < 10^5 atoms, which
+    ``measures.MAX_ATOMS`` enforces on every grid (a block of increments for
+    that many atoms would take 50 GB).
     """
     tol = 1e-9 * (1.0 + abs(log_threshold) + np.abs(log_tail))
     return log_threshold + log_tail - np.log(n_atoms) - tol
@@ -250,9 +266,10 @@ def run_chunk(
 ) -> TrialData:
     """Run trials [start, start+count) of one scenario in lockstep.
 
-    Time advances in blocks of BLOCK steps.  Trials that have alarmed are
+    Time advances in blocks: block 0 over every trial, later blocks of BLOCK
+    steps over the live trials GROUP at a time.  Trials that have alarmed are
     neither sampled nor scored again, they leave the recursion mid-block once
-    at most half of the block's rows are live, and the chunk ends once none
+    at most half of their group's rows are live, and the chunk ends once none
     is left.  With ``log_threshold`` None no trial stops: every trial runs to
     ``horizon``, and the result carries its final statistic.
     """
@@ -267,52 +284,59 @@ def run_chunk(
     stat_at_stop = np.full(count, np.nan)
     alive = np.ones(count, dtype=bool)
 
-    for n0 in range(0, horizon, BLOCK):
-        n1 = min(n0 + BLOCK, horizon)
+    # block 0 spans every trial and later blocks GROUP trials at a time, so a
+    # simulate_block call covers at most BLOCK * GROUP trial-steps
+    first = min(BLOCK, BLOCK * GROUP // count)
+    n1 = 0
+    while n1 < horizon:
+        n0, n1 = n1, min(n1 + (BLOCK if n1 else first), horizon)
         log_pi, log_tail = prior_window(detector, prior, n0, n1 - n0)
         exhausted = ~np.isfinite(log_tail)  # never, for MSR
         if log_threshold is not None:
             floor = _alarm_floor(log_threshold, log_tail, grid.size)
-        rows = np.flatnonzero(alive)  # the trials this block advances
-        if rows.size == 0:
+        block_rows = np.flatnonzero(alive)  # the trials this block advances
+        if block_rows.size == 0:
             break
-        # (L, K, B), so step n reads the contiguous (K, B) slice ell[n - 1 - off]
-        ell = model.simulate_block(sampler, scorer, rows, n0, n1)[1]
-        off = n0
-        state = np.take(stat_state, rows, axis=1)  # contiguous (K, B)
-        live = alive[rows]
-        for n in range(n0 + 1, n1 + 1):
-            j = n - 1 - n0
-            if exhausted[j] and live.any():
-                raise PriorSupportExhausted(n)
-            state = advance(state, ell[n - 1 - off], log_pi[j])
-            if log_threshold is None:
-                continue
-            # the exact statistic only where the bound allows an alarm; a NaN
-            # max fails the < test, so its column takes the exact path too
-            near = np.flatnonzero(live & ~((state + logw).max(axis=0) < floor[j]))
-            if near.size == 0:
-                continue
-            log_stat = log_statistic(np.take(state, near, axis=1), logw, log_tail[j])
-            crossed = log_stat >= log_threshold
-            if not crossed.any():
-                continue
-            newly = near[crossed]
-            stop[rows[newly]] = n
-            stat_at_stop[rows[newly]] = log_stat[crossed]
-            live[newly] = False
-            if not live.any():
-                break
-            if n < n1 and 2 * np.count_nonzero(live) <= live.size:
-                # drop alarmed trials mid-block; halving bounds the copying
-                alive[rows[~live]] = False
-                # np.compress keeps the arrays contiguous; state[:, live] would not
-                state = np.compress(live, state, axis=1)
-                ell = np.compress(live, ell[n - off:], axis=2)
-                rows, live, off = rows[live], live[live], n
-        stat_state[:, rows] = state
-        alive[rows] = live
-        del ell  # freed before the next block's increments are made
+        width = GROUP if n0 else count
+        for g0 in range(0, block_rows.size, width):
+            rows = block_rows[g0 : g0 + width]
+            # (L, K, B), so step n reads the contiguous (K, B) slice ell[n - 1 - off]
+            ell = model.simulate_block(sampler, scorer, rows, n0, n1)[1]
+            off = n0
+            state = np.take(stat_state, rows, axis=1)  # contiguous (K, B)
+            live = alive[rows]
+            for n in range(n0 + 1, n1 + 1):
+                j = n - 1 - n0
+                if exhausted[j] and live.any():
+                    raise PriorSupportExhausted(n)
+                state = advance(state, ell[n - 1 - off], log_pi[j])
+                if log_threshold is None:
+                    continue
+                # the exact statistic only where the bound allows an alarm; a NaN
+                # max fails the < test, so its column takes the exact path too
+                near = np.flatnonzero(live & ~((state + logw).max(axis=0) < floor[j]))
+                if near.size == 0:
+                    continue
+                log_stat = log_statistic(np.take(state, near, axis=1), logw, log_tail[j])
+                crossed = log_stat >= log_threshold
+                if not crossed.any():
+                    continue
+                newly = near[crossed]
+                stop[rows[newly]] = n
+                stat_at_stop[rows[newly]] = log_stat[crossed]
+                live[newly] = False
+                if not live.any():
+                    break
+                if n < n1 and 2 * np.count_nonzero(live) <= live.size:
+                    # drop alarmed trials mid-block; halving bounds the copying
+                    alive[rows[~live]] = False
+                    # np.compress keeps the arrays contiguous; state[:, live] would not
+                    state = np.compress(live, state, axis=1)
+                    ell = np.compress(live, ell[n - off:], axis=2)
+                    rows, live, off = rows[live], live[live], n
+            stat_state[:, rows] = state
+            alive[rows] = live
+            del ell  # freed before the next group's increments are made
 
     return TrialData(
         stop_times=stop,

@@ -43,6 +43,7 @@ from .detectors import NonFiniteIncrements, PriorSupportExhausted, _multicyclic_
 from .detectors import run_detector  # noqa: F401
 from .measures import (
     ChangePrior,
+    GridTooLarge,
     MixingGrid,
     geometric_prior,
     grid_from_atoms,
@@ -169,6 +170,8 @@ def _section(doc: dict, where: str, *args):
         return _entry(obj, where, _KINDS[where])(obj, *args)
     except ConfigError:
         raise
+    except GridTooLarge as exc:
+        raise ConfigError(f"{where}.{exc.field}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"{where}.{exc.args[0]}: missing required key") from exc
     except (ValueError, TypeError, NotImplementedError) as exc:

@@ -268,6 +268,19 @@ def check_cp2_partial(prior: ChangePrior, r: float, horizon: int) -> Cp2Report:
     )
 
 
+MAX_ATOMS = 100_000  # a grid has fewer atoms: the engine's alarm bound is proven for those
+
+
+class GridTooLarge(ValueError):
+    """A grid of MAX_ATOMS atoms or more; ``field`` names the argument at fault."""
+
+    def __init__(self, field: str, n_atoms: float):
+        super().__init__(
+            f"the grid would have {n_atoms:.6g} atoms; at most {MAX_ATOMS - 1} are allowed"
+        )
+        self.field = field
+
+
 @dataclass(frozen=True)
 class MixingGrid:
     """Discrete mixing measure: parameter atoms with positive weights.
@@ -294,6 +307,8 @@ class MixingGrid:
         seen = {tuple(row) for row in atoms}
         if len(seen) != atoms.shape[0]:
             raise ValueError("mixing atoms must be pairwise distinct")
+        if atoms.shape[0] >= MAX_ATOMS:
+            raise GridTooLarge("atoms", atoms.shape[0])
         atoms.setflags(write=False)
         logw.setflags(write=False)
 
@@ -359,7 +374,8 @@ def uniform_grid(lower, upper, counts) -> MixingGrid:
 
     Each axis i carries ``counts[i]`` equally spaced points from lower[i] to
     upper[i] inclusive; a count of 1 collapses the axis to lower[i] (and then
-    lower[i] == upper[i] is allowed).
+    lower[i] == upper[i] is allowed).  The counts' product must be below
+    MAX_ATOMS.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -368,7 +384,6 @@ def uniform_grid(lower, upper, counts) -> MixingGrid:
         raise ValueError("lower, upper, counts must have the same dimension")
     if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
         raise ValueError("counts must be whole numbers")
-    counts = counts.astype(int)
     if np.any(counts < 1):
         raise ValueError("counts must be >= 1")
     for lo, hi, c in zip(lower, upper, counts):
@@ -376,6 +391,8 @@ def uniform_grid(lower, upper, counts) -> MixingGrid:
             raise ValueError("lower must be < upper on axes with count > 1")
         if c == 1 and lo > hi:
             raise ValueError("lower must be <= upper")
-    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(lower, upper, counts)]
+    if np.prod(counts) >= MAX_ATOMS:  # before a count could overflow an int
+        raise GridTooLarge("counts", np.prod(counts))
+    axes = [np.linspace(lo, hi, int(c)) for lo, hi, c in zip(lower, upper, counts)]
     atoms = np.array(list(itertools.product(*axes)), dtype=float)
     return grid_from_atoms(atoms)

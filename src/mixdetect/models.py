@@ -156,6 +156,26 @@ class _NoSeed(ISeedSequence):
         return np.zeros(n_words, dtype)
 
 
+_SKIP_PIECE = 1 << 16  # uniforms drawn at a time by a skip that cannot jump
+
+
+def _skip_uniforms(rng: np.random.Generator, count: int, state: dict) -> None:
+    """Leave ``rng`` as ``rng.random(count)`` would, without a count-sized draw.
+
+    ``state`` is ``rng.bit_generator.state``.  Each double takes one 64-bit
+    output, so a PCG64 or PCG64DXSM generator jumps ahead by ``count`` steps
+    in O(log count); the jump also empties the buffered 32-bit half, which a
+    draw keeps, so a generator holding one draws instead, as every other bit
+    generator does, at most _SKIP_PIECE uniforms at a time.
+    """
+    bits = rng.bit_generator
+    if type(bits) in (np.random.PCG64, np.random.PCG64DXSM) and not state["has_uint32"]:
+        bits.advance(count)
+        return
+    for size in range(count, 0, -_SKIP_PIECE):
+        rng.random(min(size, _SKIP_PIECE))
+
+
 def _sampler(nus, thetas, rngs, width: int, **carry) -> SamplerState:
     return SamplerState(
         nus=np.asarray(nus, dtype=np.int64),
@@ -677,9 +697,9 @@ class TwoStateHmmModel(ObservationModel):
         cursors = []
         for rng in rngs:
             bits = type(rng.bit_generator)(_NoSeed())
-            bits.state = rng.bit_generator.state
+            bits.state = words = rng.bit_generator.state
             cursors.append(np.random.Generator(bits))
-            rng.random(horizon + 1)
+            _skip_uniforms(rng, horizon + 1, words)
         u0 = np.array([c.random() for c in cursors])
         state = _sampler(nus, thetas, rngs, 2, cursors=cursors, state2=u0 < self.spec.pi2)
         # changed paths draw from their theta's table row, or else the extra row

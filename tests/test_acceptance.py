@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from mixdetect._engine import TrialSpec
+from mixdetect._engine import CHUNK, TrialSpec
 from mixdetect.calibration import bayes_threshold, d_constant, ms_threshold, msr_threshold
 from mixdetect.cli import main
 from mixdetect.detectors import (
@@ -392,7 +392,7 @@ def test_criterion_12_ar_llr_rate():
     )
 
 
-def test_criterion_13_reproducibility(tmp_path, monkeypatch):
+def test_criterion_13_reproducibility(tmp_path, monkeypatch, payload_counts):
     """Same seed, 1 vs 4 workers: byte-identical simulate reports."""
     doc = {
         "model": {"kind": "gaussian_iid"},
@@ -401,7 +401,7 @@ def test_criterion_13_reproducibility(tmp_path, monkeypatch):
         "detector": {"kind": "ms"},
         "calibration": {"kind": "ms-pfa", "alpha": 0.05},
         "montecarlo": {
-            "trials": 3000,
+            "trials": CHUNK + 905,  # more than one chunk, so 4 workers open a pool
             "horizon": 300,
             "seed": 42,
             "workers": 1,
@@ -426,6 +426,7 @@ def test_criterion_13_reproducibility(tmp_path, monkeypatch):
     monkeypatch.setenv("MIXDETECT_WORKERS", "4")
     assert main(["simulate", str(cfg_path)]) == 0
     second = (tmp_path / "report.json").read_bytes()
+    assert payload_counts and min(payload_counts) > 1
     ok = first == second
     _report(
         "criterion-13 reproducibility",

@@ -421,6 +421,16 @@ class TestConfigValidation:
                 {"kind": "uniform_grid", "lower": [0.5], "upper": [1.5], "counts": [True]},
                 "mixing.counts: expected a list of numbers",
             ),
+            # refused before the atom bound is checked, so no count is cast first
+            *(
+                (
+                    "mixing",
+                    {"kind": "uniform_grid", "lower": [0.5] * len(c), "upper": [1.5] * len(c),
+                     "counts": c},
+                    "mixing: counts must be >= 1",
+                )
+                for c in ([0], [-1e30], [1e30, 0])
+            ),
             (
                 "montecarlo",
                 {
@@ -457,6 +467,9 @@ class TestConfigValidation:
             "mixing_lower",
             "mixing_upper",
             "mixing_counts",
+            "mixing_counts_zero",
+            "mixing_counts_huge_negative",
+            "mixing_counts_huge_and_zero",
             "montecarlo_seed_negative",
         ],
     )
@@ -733,6 +746,39 @@ class TestSimulate:
             assert main([command, str(path)]) == 2
             assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "report.json").exists()
+
+    def _refused_at_load(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        for command in ("calibrate", "simulate"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "counts,shown",
+        [([1e30], "1e+30"), ([10**12], "1e+12"), ([1e19], "1e+19"), ([100000], "100000"),
+         ([400, 250], "100000")],
+    )
+    def test_grid_of_too_many_atoms_rejected(self, tmp_path, capsys, counts, shown):
+        """A uniform grid of 10**5 atoms or more, for which the engine's alarm
+        bound is unproven, is refused at load with exit 2 naming the field,
+        before a count can overflow or an atom array is made."""
+        doc = self.small_doc(tmp_path)
+        dim = len(counts)
+        doc["mixing"] = {
+            "kind": "uniform_grid", "lower": [0.5] * dim, "upper": [1.5] * dim, "counts": counts
+        }
+        if dim == 2:  # a model that takes 2-d atoms
+            doc["model"] = {"kind": "hmm2", "theta0": [0.0, 1.0], "beta": 0.2, "gamma": 0.4}
+        message = f"mixing.counts: the grid would have {shown} atoms; at most 99999 are allowed"
+        self._refused_at_load(tmp_path, capsys, doc, message)
+
+    def test_atoms_list_of_too_many_atoms_rejected(self, tmp_path, capsys):
+        doc = self.small_doc(tmp_path)
+        doc["mixing"] = {"kind": "atoms", "atoms": [[1.0 + i / 2**20] for i in range(100000)]}
+        message = "mixing.atoms: the grid would have 100000 atoms; at most 99999 are allowed"
+        self._refused_at_load(tmp_path, capsys, doc, message)
 
     def test_seed_of_any_size_accepted(self, tmp_path):
         """SeedSequence takes any non-negative integer, so the seed has no bound."""

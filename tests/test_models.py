@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mixdetect._engine import trial_rngs
 from mixdetect.detectors import BLOCK
 from mixdetect.measures import grid_from_atoms
 from mixdetect.models import (
@@ -416,6 +417,45 @@ def test_hmm_sample_paths_pinned(case):
     paths = model.sample_paths(nus, thetas, horizon, spawn_rngs(2718, batch))
     digest = hashlib.sha256(np.ascontiguousarray(paths).tobytes()).hexdigest()
     assert digest == HMM_SAMPLE_DIGESTS[case]
+
+
+def _same_state(a, b):
+    """Bit-generator state dicts equal, arrays (MT19937's key) compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 999, 2 * 2**16 + 3, 10**5])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: trial_rngs(1234, 5, 0, 3),
+        lambda: [np.random.Generator(np.random.PCG64DXSM(s)) for s in range(3)],
+        lambda: [np.random.Generator(np.random.MT19937(s)) for s in range(3)],
+        lambda: [np.random.Generator(np.random.SFC64(s)) for s in range(3)],
+        # a PCG64 holding the spare 32-bit half of an earlier draw, which a jump drops
+        lambda: [_with_spare_half(np.random.default_rng(s)) for s in range(3)],
+    ],
+    ids=["trial_rngs", "pcg64dxsm", "mt19937", "sfc64", "pcg64_spare_half"],
+)
+def test_hmm_skip_leaves_the_state_of_drawing(make, horizon):
+    """sampler_state skips each path's horizon + 1 chain uniforms: the
+    generator's state afterwards is the one drawing them would leave."""
+    model = hmm2_model(Hmm2Spec((0.0, 1.0), 0.2, 0.7), grid_from_atoms([[0.5, 2.0]]))
+    rngs, drawn = make(), make()
+    nus, thetas = np.zeros(3, dtype=np.int64), np.array([[0.5, 2.0]] * 3)
+    model.sampler_state(nus, thetas, horizon, rngs)
+    for rng, ref in zip(rngs, drawn):
+        ref.random(horizon + 1)
+        assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+        np.testing.assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
+
+
+def _with_spare_half(rng):
+    rng.integers(0, 2**32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Monte Carlo estimators: exact degenerate cases, consistency, reproducibility."""
 
+import functools
 import hashlib
 import inspect
 import math
@@ -11,10 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mixdetect import montecarlo
+from mixdetect import _engine, montecarlo
 from mixdetect._engine import (
     BLOCK,
     CHUNK,
+    GROUP,
     TrialSpec,
     _alarm_floor,
     _draw_trials,
@@ -273,10 +275,11 @@ class TestEstimatorContracts:
         for (m1, s1), (m2, s2) in zip(means, means[1:]):
             assert m2 <= m1 + 3.0 * math.hypot(s1, s2)
 
-    def test_worker_count_invariance(self):
-        est1 = estimate_pfa_tail(make_config(trials=3000, workers=1))
-        est2 = estimate_pfa_tail(make_config(trials=3000, workers=3))
+    def test_worker_count_invariance(self, payload_counts):
+        est1 = estimate_pfa_tail(make_config(trials=CHUNK + 905, workers=1))
+        est2 = estimate_pfa_tail(make_config(trials=CHUNK + 905, workers=3))
         assert est1 == est2
+        assert payload_counts == [2, 2]  # so the second run opened a pool
 
     def test_same_seed_identical(self):
         a = estimate_delay_moments(make_config(), 0, (1.0,), r_list=[1.0])[1.0]
@@ -354,11 +357,11 @@ def _streaming(cfg, path, log_threshold):
     )
 
 
-@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130])
-@pytest.mark.parametrize("mode", sorted(BLOCK_SPECS))
-@pytest.mark.parametrize("detector", ["ms", "msr"])
-@pytest.mark.parametrize("model_name", sorted(BLOCK_MODELS))
-def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
+@functools.cache
+def _block_reference(model_name, detector, mode, horizon):
+    """The streaming values that test_block_boundaries_match_streaming checks
+    the engine against: they do not depend on GROUP, so each case computes
+    them once for all of its GROUP values."""
     model = BLOCK_MODELS[model_name]()
     cfg = ExperimentConfig(
         model=model,
@@ -376,7 +379,6 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
     # the streaming statistic over the whole horizon, per trial
     never = 1e300
     final = np.array([_streaming(cfg, p, never).log_stat_at_stop for p in paths])
-    np.testing.assert_array_equal(statistic_at_horizon(cfg, spec), final)
 
     # a threshold that about half the trials reach within the first block
     # (or the horizon, if shorter), so stops fall on both sides of it
@@ -389,9 +391,31 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
         )
         early_max.append(rec.trajectory[:, 1].max())
     log_a = float(np.median(early_max))
+    return cfg, spec, final, log_a, [_streaming(cfg, path, log_a) for path in paths]
+
+
+# GROUP 1024, 8 and 1 give the 24 trials a first block of 64, 21 and 2 steps
+# and later blocks of one group, 3 groups of 8 and 24 groups of 1; the
+# engine's own GROUP keeps the ids the test had before GROUP existed
+@pytest.mark.parametrize(
+    "horizon,group",
+    [
+        pytest.param(h, g, id=f"{h}" if g == GROUP else f"{h}-group{g}")
+        for g in (GROUP, 8, 1)
+        for h in (1, 63, 64, 65, 130)
+    ],
+)
+@pytest.mark.parametrize("mode", sorted(BLOCK_SPECS))
+@pytest.mark.parametrize("detector", ["ms", "msr"])
+@pytest.mark.parametrize("model_name", sorted(BLOCK_MODELS))
+def test_block_boundaries_match_streaming(model_name, detector, mode, horizon, group, monkeypatch):
+    monkeypatch.setattr(_engine, "GROUP", group)
+    cfg, spec, final, log_a, recs = _block_reference(model_name, detector, mode, horizon)
+    np.testing.assert_array_equal(statistic_at_horizon(cfg, spec), final)
+
+    pivot = min(horizon, BLOCK)
     td = run_trials(replace(cfg, log_threshold=log_a), spec)
-    for i, path in enumerate(paths):
-        rec = _streaming(cfg, path, log_a)
+    for i, rec in enumerate(recs):
         if rec.censored:
             assert td.stop_times[i] == 0
             assert np.isnan(td.log_stat_at_stop[i])
@@ -402,6 +426,45 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon):
     assert np.any((stops >= 1) & (stops <= pivot))
     if horizon >= 2 * BLOCK:
         assert np.any(stops > BLOCK), "no stop past the first block"
+
+
+# the block-boundary models with AR(2) in both channels
+BOUND_MODELS = {
+    **BLOCK_MODELS,
+    "ar": lambda: multichannel_ar_model(
+        ArChannelSpec(
+            ar_coeffs=((0.5, -0.2), (0.3, 0.1)),
+            signals=(HarmonicSignal(1.0, 0.3, 0.0), HarmonicSignal(0.8, 0.0, math.pi / 2)),
+        ),
+        grid_from_atoms([[0.5, 0.5], [1.0, 0.5], [0.5, 1.0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(BOUND_MODELS))
+def test_simulate_block_calls_stay_within_block_memory(model_name, monkeypatch):
+    """Every ``simulate_block`` call covers at most BLOCK * GROUP trial-steps:
+    block 0 of a full chunk is short, and later blocks are split into groups."""
+    model = BOUND_MODELS[model_name]()
+    calls = []
+    real = type(model).simulate_block
+
+    def recording(self, sampler, scorer, rows, n0, n1):
+        calls.append((n0, len(rows) * (n1 - n0)))
+        return real(self, sampler, scorer, rows, n0, n1)
+
+    monkeypatch.setattr(type(model), "simulate_block", recording)
+    # a threshold few trials reach, so most are live after block 0
+    cfg = make_config(
+        model=model, detector="msr", log_threshold=math.log(1e4), trials=CHUNK + 5, horizon=40
+    )
+    spec = TrialSpec(mode="no_change", stream_tag=11)
+    for no_stopping in (False, True):
+        calls.clear()
+        run_trials(cfg, spec, no_stopping=no_stopping)
+        assert max(cells for _, cells in calls) <= BLOCK * GROUP
+        # the chunk's later blocks formed full groups
+        assert sum(n0 > 0 and cells == GROUP * (40 - n0) for n0, cells in calls) >= 2
 
 
 @pytest.mark.parametrize("order", [3, 4, 5])
