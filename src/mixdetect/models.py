@@ -149,11 +149,19 @@ class SamplerState:
     carry: dict
 
 
-class _NoSeed(ISeedSequence):
-    """Zero seed words, for a bit generator whose ``state`` is set right after."""
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose words are already computed, or zeros without any.
+
+    A bit generator reads the words once, as it is made, so one instance can
+    seed many generators in turn, its ``words`` set before each; zero words
+    serve a generator whose ``state`` is set right after it is made.
+    """
+
+    def __init__(self, words: np.ndarray | None = None):
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype)
+        return np.zeros(n_words, dtype) if self.words is None else self.words
 
 
 _SKIP_PIECE = 1 << 16  # uniforms drawn at a time by a skip that cannot jump
@@ -316,8 +324,9 @@ class HarmonicSignal:
     omega: float = 0.0
     phase: float = 0.0
 
-    def values(self, horizon: int) -> np.ndarray:
-        n = np.arange(1, horizon + 1, dtype=float)
+    def values(self, horizon: int, start: int = 0) -> np.ndarray:
+        """S_n for n = start+1 .. horizon: rows [start, horizon) of the whole table."""
+        n = np.arange(start + 1, horizon + 1, dtype=float)
         return self.amplitude * np.sin(self.omega * n + self.phase)
 
 
@@ -357,9 +366,9 @@ class ArChannelSpec:
         """Whitening FIR [1, -beta_1, ..., -beta_p] for one channel."""
         return np.array([1.0] + [-b for b in self.ar_coeffs[channel]])
 
-    def signal_matrix(self, horizon: int) -> np.ndarray:
-        """Raw signals S_n, shape (horizon, n_channels), n = 1..horizon."""
-        return np.column_stack([s.values(horizon) for s in self.signals])
+    def signal_matrix(self, horizon: int, start: int = 0) -> np.ndarray:
+        """Raw signals S_n, shape (horizon - start, n_channels), n = start+1..horizon."""
+        return np.column_stack([s.values(horizon, start) for s in self.signals])
 
     def residual_signal(self, channel: int, horizon: int) -> np.ndarray:
         """One channel's whitened signal S~_n = S_n - sum_j beta_j S_{n-j}, n = 1..horizon.
@@ -481,9 +490,7 @@ class MultichannelArModel(ObservationModel):
     def sampler_state(self, nus, thetas, horizon, rngs):
         # zi: each channel's noise-filter state (see _ar_noise), carried between blocks
         zi = [np.zeros((len(rngs), len(ch))) for ch in self.spec.ar_coeffs]
-        return _sampler(
-            nus, thetas, rngs, self.dimension, zi=zi, sig=self.spec.signal_matrix(horizon)
-        )
+        return _sampler(nus, thetas, rngs, self.dimension, zi=zi)
 
     def sample_block(self, state, rows, n0, n1):
         noise = np.empty((len(rows), n1 - n0, self.dimension))
@@ -492,7 +499,7 @@ class MultichannelArModel(ObservationModel):
         for c, zi in enumerate(state.carry["zi"]):
             if zi.shape[1]:
                 noise[:, :, c], zi[rows] = _ar_noise(noise[:, :, c], self.spec.fir(c), zi[rows])
-        sig = state.carry["sig"][n0:n1]  # (L, N)
+        sig = self.spec.signal_matrix(n1, n0)  # (L, N), the block's rows
         post = (np.arange(n0, n1)[None, :] >= state.nus[rows, None]).astype(float)
         noise += post[:, :, None] * sig[None, :, :] * state.thetas[rows, None, :]
         return noise
@@ -696,7 +703,7 @@ class TwoStateHmmModel(ObservationModel):
         block's uniforms later; the generator skips them, then draws the normals."""
         cursors = []
         for rng in rngs:
-            bits = type(rng.bit_generator)(_NoSeed())
+            bits = type(rng.bit_generator)(_SeedWords())
             bits.state = words = rng.bit_generator.state
             cursors.append(np.random.Generator(bits))
             _skip_uniforms(rng, horizon + 1, words)

@@ -285,6 +285,30 @@ def test_residual_signal_matrix_matches_lfilter(horizon):
         np.testing.assert_array_equal(_bits(spec.residual_signal(c, horizon)), _bits(expected))
 
 
+SIGNAL_SPEC = ArChannelSpec(
+    ar_coeffs=((0.5,), (0.3,), ()),
+    signals=(
+        HarmonicSignal(1.0, 0.37, 0.2),
+        HarmonicSignal(0.8, 0.0, math.pi / 2),
+        HarmonicSignal(2.5, 2.9, -1.0),
+    ),
+)
+SIGNAL_ROWS = SIGNAL_SPEC.signal_matrix(5000)
+
+
+@given(st.integers(0, 5000), st.integers(0, 5000))
+@example(0, 5000)
+@example(4999, 5000)
+@example(64, 128)
+def test_signal_rows_match_the_whole_table(a, b):
+    """A block's signal rows [n0, n1) are the same bits as that slice of the
+    whole table, so a sampler needs no table of the horizon."""
+    n0, n1 = min(a, b), max(a, b)
+    got = SIGNAL_SPEC.signal_matrix(n1, n0)
+    assert got.shape == (n1 - n0, 3)
+    np.testing.assert_array_equal(_bits(got), _bits(SIGNAL_ROWS[n0:n1]))
+
+
 # ---------------------------------------------------------------------------
 # Two-state HMM
 # ---------------------------------------------------------------------------

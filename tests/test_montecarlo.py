@@ -428,6 +428,27 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon, g
         assert np.any(stops > BLOCK), "no stop past the first block"
 
 
+def test_chunk_wider_than_block_times_group_moves(monkeypatch):
+    """With more than BLOCK * GROUP trials in a chunk, block 0 still runs one
+    step, so the chunk ends and gives the values of the engine's own GROUP."""
+    cfg = make_config(detector="msr", log_threshold=math.log(1e3), trials=100, horizon=150)
+    spec = TrialSpec(mode="fixed", nu=50, theta=(1.0,), stream_tag=5)
+    want = run_trials(cfg, spec)
+    real = GaussianIidModel.simulate_block
+
+    def moving(self, sampler, scorer, rows, n0, n1):
+        assert n1 > n0, f"an empty block at step {n0}"
+        return real(self, sampler, scorer, rows, n0, n1)
+
+    monkeypatch.setattr(GaussianIidModel, "simulate_block", moving)
+    monkeypatch.setattr(_engine, "GROUP", 1)
+    got = run_trials(cfg, spec)
+    assert got.stop_times.tobytes() == want.stop_times.tobytes()
+    assert got.log_stat_at_stop.tobytes() == want.log_stat_at_stop.tobytes()
+    # stops on both sides of the block ends at 64 (GROUP 1024) and 65 (GROUP 1)
+    assert np.any(want.stop_times <= BLOCK) and np.any(want.stop_times > BLOCK + 1)
+
+
 # the block-boundary models with AR(2) in both channels
 BOUND_MODELS = {
     **BLOCK_MODELS,
