@@ -75,7 +75,6 @@ from .montecarlo import (
 )
 from .theory import (
     Prediction,
-    flat_prior_prediction,
     integrated_risk_prediction,
     ms_delay_prediction,
     msr_delay_prediction,

@@ -44,9 +44,8 @@ values do not depend on where blocks end or which trials share a group, so
 neither constant, the schedule, the compaction nor this bound affects any
 value.  The block buffers take O(BLOCK * GROUP * n_atoms) memory, the
 statistic and the per-trial sampler state O(CHUNK * n_atoms) and the
-prior's window O(BLOCK), not O(CHUNK * horizon * n_atoms).  One table
-grows with time: the AR scorer's whitened signal, (steps, channels), shared
-by all trials, which doubles as the steps outgrow it.
+prior's window O(BLOCK), not O(CHUNK * horizon * n_atoms); no model state
+grows with time.
 """
 
 from __future__ import annotations

@@ -31,13 +31,16 @@ and ``step(state, x, n)`` is the one-row case, so streaming and batch values
 agree bit for bit.
 Sampling is vectorised across the listed paths, and each path still draws
 from its own generator only; the Gaussian and AR models draw with their
-``sample_block``, which the base ``simulate_block`` scores.  The HMM has one
+``sample_block``, which the base ``simulate_block`` scores.  The AR model
+evaluates each block's raw and whitened signal rows from their closed forms,
+the bits of a table of the whole horizon, so its states hold only each
+path's filter memory.  The HMM has one
 forward filter (``_predict`` and ``_correct``) in one loop, which both
 scores increments and drives the post-change hidden chain: a block runs it
 once over the parameter table of the batch's increment state, and an
 off-grid post-change theta adds one row.  Its chain uniforms come block by
-block from a copy of each path's generator, so no sampler's memory grows
-with the horizon.
+block from a copy of each path's generator, so no sampler's or scorer's
+memory grows with the horizon or the stream.
 """
 
 from __future__ import annotations
@@ -370,18 +373,25 @@ class ArChannelSpec:
         """Raw signals S_n, shape (horizon - start, n_channels), n = start+1..horizon."""
         return np.column_stack([s.values(horizon, start) for s in self.signals])
 
-    def residual_signal(self, channel: int, horizon: int) -> np.ndarray:
-        """One channel's whitened signal S~_n = S_n - sum_j beta_j S_{n-j}, n = 1..horizon.
+    def residual_signal(self, channel: int, horizon: int, start: int = 0) -> np.ndarray:
+        """One channel's whitened signal S~_n = S_n - sum_j beta_j S_{n-j}, n = start+1..horizon.
 
-        Signal values before time 1 are zero.  The full convolution cut to
-        ``horizon`` is what ``lfilter(fir, [1.0], S)`` computes for an FIR
-        filter, in the same argument order, so the values are the same bits.
+        Signal values before time 1 are zero.  The rows are whitened from the
+        signal rows max(start - p, 0) on, so each has its full history.  From
+        time 0, the full convolution cut to ``horizon`` is what
+        ``lfilter(fir, [1.0], S)`` computes for an FIR filter, in the same
+        argument order, so the values are the same bits; a window whose
+        signal rows outnumber the FIR's taps gives the bits of that table.
         """
-        return np.convolve(self.fir(channel), self.signals[channel].values(horizon))[:horizon]
+        lo = max(start - len(self.ar_coeffs[channel]), 0)
+        whitened = np.convolve(self.fir(channel), self.signals[channel].values(horizon, lo))
+        return whitened[start - lo : horizon - lo]
 
-    def residual_signal_matrix(self, horizon: int) -> np.ndarray:
-        """Whitened signals of every channel, shape (horizon, n_channels)."""
-        return np.column_stack([self.residual_signal(c, horizon) for c in range(self.n_channels)])
+    def residual_signal_matrix(self, horizon: int, start: int = 0) -> np.ndarray:
+        """Whitened signals of every channel, shape (horizon - start, n_channels)."""
+        return np.column_stack(
+            [self.residual_signal(c, horizon, start) for c in range(self.n_channels)]
+        )
 
 
 @dataclass(frozen=True)
@@ -505,11 +515,8 @@ class MultichannelArModel(ObservationModel):
         return noise
 
     def increment_state(self, batch):
-        return {
-            # the last p raw observations of each path, oldest first; zero before time 1
-            "lags": np.zeros((batch, self._order, self.dimension)),
-            "sres": np.empty((0, self.dimension)),  # whitened signals; grown on demand
-        }
+        # the last p raw observations of each path, oldest first; zero before time 1
+        return {"lags": np.zeros((batch, self._order, self.dimension))}
 
     def increment_block(self, state, rows, x, n0):
         p, length = self._order, x.shape[1]
@@ -522,13 +529,10 @@ class MultichannelArModel(ObservationModel):
                 if s < length:
                     resid[:, s:, c] -= beta * past[:, p - j + s : p - j + length, c]
         state["lags"][rows] = past[:, length:, :]
-        sres = state["sres"]
-        if n0 + length > sres.shape[0]:
-            # np.convolve sums in another order when the signal is not longer
-            # than the FIR, so a table always has at least p + 2 rows
-            size = max(2 * sres.shape[0], n0 + length, p + 2)
-            sres = state["sres"] = self.spec.residual_signal_matrix(size)
-        return self._ell(resid, sres[n0 : n0 + length])
+        # np.convolve sums in another order when the signal is not longer than
+        # the FIR, so the rows asked for run p + 2 or more past max(n0 - p, 0)
+        horizon = max(n0 + length, max(n0 - p, 0) + p + 2)
+        return self._ell(resid, self.spec.residual_signal_matrix(horizon, n0)[:length])
 
     def sample_paths(self, nus, thetas, horizon, rngs):
         return _whole_paths(self, nus, thetas, horizon, rngs)
@@ -536,8 +540,8 @@ class MultichannelArModel(ObservationModel):
     def path_increments(self, paths):
         return _whole_increments(self, paths)
 
-    def info_number(self, theta_vec: np.ndarray, q_horizon: int = 10_000) -> float:
-        qs = [q_limit(self.spec, c, q_horizon).value for c in range(self.dimension)]
+    def info_number(self, theta_vec: np.ndarray) -> float:
+        qs = [q_limit(self.spec, c).value for c in range(self.dimension)]
         return 0.5 * float(np.sum(np.asarray(theta_vec) ** 2 * np.asarray(qs)))
 
 

@@ -37,13 +37,6 @@ class Prediction:
         }
 
 
-def _check_common(i: float, m: float) -> None:
-    if i <= 0.0:
-        raise ValueError("information number must be positive")
-    if m < 1.0:
-        raise ValueError("moment order m must be >= 1")
-
-
 def ms_delay_prediction(log_a: float, i: float, mu: float = 0.0, m: float = 1.0) -> float:
     """(log A / (I + mu))^m: m-th delay moment of the MS rule, to first order.
 
@@ -68,12 +61,9 @@ def msr_delay_prediction(log_a: float, i: float, m: float = 1.0) -> float:
     """(log A / I)^m: m-th delay moment of the MSR rule, to first order.
 
     No mu in the denominator: the head-started sum drifts at rate I only,
-    whatever the prior tail does.
+    whatever the prior tail does, so this is the MS formula at mu = 0.
     """
-    _check_common(i, m)
-    if log_a <= 0.0:
-        raise ValueError("threshold A must exceed 1")
-    return (log_a / i) ** m
+    return ms_delay_prediction(log_a, i, 0.0, m)
 
 
 def integrated_risk_prediction(c: float, r: float, d: float) -> float:
@@ -86,14 +76,3 @@ def integrated_risk_prediction(c: float, r: float, d: float) -> float:
         raise ValueError("D must be positive")
     return d * c * abs(math.log(c)) ** r
 
-
-def flat_prior_prediction(alpha: float, i: float, m: float = 1.0) -> float:
-    """(|log alpha| / I)^m: the mu = 0 delay formula at PFA level alpha.
-
-    This is the limit shared by both rules when the prior flattens (its
-    tail exponent vanishing with alpha); no separate machinery is needed.
-    """
-    _check_common(i, m)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    return (abs(math.log(alpha)) / i) ** m

@@ -130,8 +130,8 @@ class TestMultichannelAr:
         assert m.step(m.increment_state(1), [1.0], 0)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_streaming_step_across_table_growth(self):
-        # streaming starts a 1024-row whitened-signal table and doubles it;
-        # 2100 rows cross the growth points at 1024 and 2048
+        # 2100 rows, one step at a time, against one block; a stream stepped
+        # 1500 rows first on another state changes nothing
         spec = ArChannelSpec(
             ar_coeffs=((0.5, -0.2), (0.3, 0.2)),
             signals=(HarmonicSignal(1.0, 0.37, 0.2), HarmonicSignal(0.8, 1.1, 0.0)),
@@ -141,7 +141,7 @@ class TestMultichannelAr:
         batch = model.path_increments(path[None, :, :])[0]
         np.testing.assert_array_equal(_steps(model, path), batch)
         state = model.increment_state(1)
-        for n, row in enumerate(path[:1500]):  # another stream past the first growth first
+        for n, row in enumerate(path[:1500]):  # another stream first
             model.step(state, row, n)
         np.testing.assert_array_equal(_steps(model, path), batch)
 
@@ -307,6 +307,43 @@ def test_signal_rows_match_the_whole_table(a, b):
     got = SIGNAL_SPEC.signal_matrix(n1, n0)
     assert got.shape == (n1 - n0, 3)
     np.testing.assert_array_equal(_bits(got), _bits(SIGNAL_ROWS[n0:n1]))
+
+
+def _whitening_spec(p: int, q: int, seed: int) -> ArChannelSpec:
+    """Two channels of AR orders p and q; coefficient sums below 0.9 in
+    modulus keep both polynomials stable."""
+    rng = np.random.default_rng(seed)
+    return ArChannelSpec(
+        ar_coeffs=tuple(tuple(rng.uniform(-0.9, 0.9, k) / max(k, 1)) for k in (p, q)),
+        signals=(HarmonicSignal(1.0, 0.37, 0.2), HarmonicSignal(0.8, 1.1, -1.0)),
+    )
+
+
+@given(
+    st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1),
+    st.integers(0, 2000), st.integers(1, 300),
+)
+@example(6, 0, 1, 0, 1)
+@example(6, 6, 2, 7, 1)
+@example(6, 1, 3, 5, 300)
+def test_whitened_rows_of_a_window_match_the_whole_table(p, q, seed, n0, length):
+    """Whitened rows [n0, n1) are the bits of the whole table's rows wherever a
+    channel's signal rows, from max(n0 - order, 0) to n1, outnumber its FIR
+    taps; and scoring a stream one ``step`` at a time gives the bits of one
+    whole-stream score at n <= max(p, q) + 1, where the windows are shortest."""
+    spec, n1 = _whitening_spec(p, q, seed), n0 + length
+    whole = spec.residual_signal_matrix(2400)  # longer than every FIR and window
+    got = spec.residual_signal_matrix(n1, n0)
+    assert got.shape == (length, 2)
+    for c, order in enumerate((p, q)):
+        if n1 - max(n0 - order, 0) > order + 1:
+            np.testing.assert_array_equal(_bits(got[:, c]), _bits(whole[n0:n1, c]))
+    model = multichannel_ar_model(spec, grid_from_atoms([[0.5, 1.0], [1.0, 0.5]]))
+    head = max(p, q) + 2
+    path = np.random.default_rng(seed).standard_normal((head + length, 2))
+    np.testing.assert_array_equal(
+        _bits(_steps(model, path[:head])), _bits(model.increments_for(path)[:head])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixdetect.theory import (
-    flat_prior_prediction,
     integrated_risk_prediction,
     ms_delay_prediction,
     msr_delay_prediction,
@@ -66,20 +65,24 @@ class TestIntegratedRisk:
 
 
 class TestFlatPrior:
+    """The mu = 0 delay formula at PFA level alpha, (|log alpha| / I)^m: the
+    limit shared by both rules when the prior flattens, which is the MSR
+    formula at log A = |log alpha|."""
+
     def test_substitution(self):
-        assert flat_prior_prediction(math.exp(-10), 1.0, 1.0) == pytest.approx(10.0)
+        assert msr_delay_prediction(abs(math.log(math.exp(-10))), 1.0, 1.0) == pytest.approx(10.0)
 
     def test_matches_ms_with_inverse_alpha_threshold(self):
         alpha, i = 1e-4, 0.6
         # A = 1/alpha differs from (1-alpha)/alpha by log(1-alpha) = O(alpha)
-        lhs = flat_prior_prediction(alpha, i, 1.0)
+        lhs = msr_delay_prediction(abs(math.log(alpha)), i, 1.0)
         rhs = ms_delay_prediction(math.log((1 - alpha) / alpha), i, 0.0, 1.0)
         assert lhs == pytest.approx(rhs, rel=2 * alpha)
 
     def test_cube(self):
         alpha, i = 1e-3, 0.9
-        assert flat_prior_prediction(alpha, i, 3.0) == pytest.approx(
-            flat_prior_prediction(alpha, i, 1.0) ** 3, rel=1e-14
+        assert msr_delay_prediction(abs(math.log(alpha)), i, 3.0) == pytest.approx(
+            msr_delay_prediction(abs(math.log(alpha)), i, 1.0) ** 3, rel=1e-14
         )
 
 
@@ -118,4 +121,6 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         integrated_risk_prediction(1.5, 1.0, 1.0)
     with pytest.raises(ValueError):
-        flat_prior_prediction(0.0, 1.0)
+        msr_delay_prediction(abs(math.log(1.0)), 1.0)  # alpha = 1: log A = 0
+    with pytest.raises(ValueError):
+        msr_delay_prediction(math.log(10.0), 0.0)
