@@ -122,8 +122,9 @@ def integrated_cost_proxy(a: float, c: float, r: float, d: float) -> float:
 def bayes_threshold(c: float, r: float, d: float, rhs_numerator: float = 1.0) -> ThresholdSpec:
     """Solve r*D*A*(log A)^(r-1) = rhs_numerator/c for A by bisection on log A.
 
-    ``rhs_numerator`` is 1 for the MS rule; the MSR variant rescales the
-    right-hand side by omega*b + mean_nu.  The bracket [1, 100] in log-space
+    ``rhs_numerator`` is 1 for the MS rule, the only rule a ``bayes-cost``
+    config calibrates; an MSR variant would rescale the right-hand side by
+    omega*b + mean_nu.  The bracket [1, 100] in log-space
     (A up to e^100) is far beyond any usable threshold; calibration runs
     once, so robustness beats speed.  Requires the root to satisfy A > e.
     """

@@ -276,6 +276,15 @@ _KINDS = {
     },
 }
 
+# the rules whose threshold each calibration kind derives: the posterior-odds
+# bound and the Bayes cost are the ms rule's, the martingale bound the msr rule's
+_CALIBRATED_RULES = {
+    "ms-pfa": ("ms",),
+    "msr-pfa": ("msr",),
+    "bayes-cost": ("ms",),
+    "fixed": ("ms", "msr"),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -464,6 +473,14 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
     if kind == "ms" and omega != 0.0:
         raise ConfigError("detector.omega: the head-start applies to the msr rule only")
 
+    # refused before the threshold is solved for: the other rule's equation may not apply
+    cal = doc["calibration"]
+    cal_kind = cal.get("kind") if isinstance(cal, dict) else None
+    rules = _CALIBRATED_RULES.get(cal_kind) if isinstance(cal_kind, str) else None
+    if rules and kind not in rules:
+        raise ConfigError(
+            f"calibration.kind: {cal_kind!r} calibrates the {rules[0]} rule, not {kind}"
+        )
     threshold = _section(doc, "calibration", prior, model, omega)
     exp = Experiment(
         doc=doc,

@@ -33,7 +33,7 @@ class ChangePrior:
     """Distribution of the change point, immutable after construction.
 
     ``log_pmf`` and ``log_tail`` are vectorized callables over nonnegative
-    integer arrays; ``pmf``/``tail`` are scalar conveniences.  ``mu`` is the
+    integer arrays; ``tail`` is a scalar convenience.  ``mu`` is the
     exponential tail rate lim (1/n)|log Pi(n)| (0 for heavy tails, +inf for
     finite support), ``mean`` is sum k*pi_k (may be +inf) and ``b`` is
     sum_{k>=1} pi_k = Pi(1).
@@ -53,9 +53,6 @@ class ChangePrior:
 
     def log_tail(self, n) -> np.ndarray:
         return self.log_tail_fn(np.asarray(n, dtype=np.int64))
-
-    def pmf(self, k) -> np.ndarray:
-        return np.exp(self.log_pmf(k))
 
     def tail(self, n) -> np.ndarray:
         return np.exp(self.log_tail(n))
@@ -319,9 +316,6 @@ class MixingGrid:
     @property
     def dimension(self) -> int:
         return self.atoms.shape[1]
-
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
 
     def theta_vector(self, theta) -> np.ndarray:
         """The parameter vector for an atom index or an explicit vector.

@@ -22,13 +22,14 @@ rows [n0, n1) and returns the observations with their increments;
 block to the next, so a path's values do not depend on how its time axis is
 cut into blocks or on which other paths share a call.  Increments come back
 time first, a C-contiguous (steps, atoms, paths) block, the layout the
-engine's recursion reads.  The whole-path methods ``sample_paths``
-(``simulate_block`` from time 0, BLOCK rows at a time) and
+engine's recursion reads.  A model is these block kernels; the base class
+builds the rest from them, once for every model: the whole-path methods
+``sample_paths`` (``simulate_block`` from time 0, BLOCK rows at a time) and
 ``path_increments`` (one block, viewed as (paths, steps, atoms)) are batch
-cases, and streaming is the one-path case: the alarm loop scores each block
-of stream rows with ``increment_block`` on its own ``increment_state(1)``,
-and ``step(state, x, n)`` is the one-row case, so streaming and batch values
-agree bit for bit.
+cases, and ``step(state, x, n)`` is the one-row case.  Streaming is the
+one-path case: the alarm loop scores each block of stream rows with
+``increment_block`` on its own ``increment_state(1)``, so streaming and
+batch values agree bit for bit.
 Sampling is vectorised across the listed paths, and each path still draws
 from its own generator only; the Gaussian and AR models draw with their
 ``sample_block``, which the base ``simulate_block`` scores.  The AR model
@@ -111,7 +112,11 @@ class ObservationModel(ABC):
         x = self.sample_block(sampler, rows, n0, n1)
         return x, self.increment_block(scorer, rows, x, n0)
 
-    @abstractmethod
+    def step(self, state, x, n: int) -> np.ndarray:
+        """One row's increments (n_atoms,) at time n + 1 on a one-path increment state."""
+        x = np.asarray(x, dtype=float).reshape(1, 1, self.dimension)
+        return self.increment_block(state, slice(None), x, n)[0, :, 0]
+
     def sample_paths(
         self,
         nus: np.ndarray,
@@ -119,15 +124,25 @@ class ObservationModel(ABC):
         horizon: int,
         rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
-        """Whole paths, shape (len(rngs), horizon, dimension): one block from time 0."""
+        """Whole paths, shape (len(rngs), horizon, dimension), simulated BLOCK rows
+        at a time from time 0; each block's increments are dropped."""
+        rows = np.arange(len(rngs))
+        sampler = self.sampler_state(nus, thetas, horizon, rngs)
+        scorer = self.increment_state(len(rows))
+        paths = np.empty((len(rows), horizon, self.dimension))
+        for n0 in range(0, horizon, BLOCK):
+            n1 = min(n0 + BLOCK, horizon)
+            paths[:, n0:n1] = self.simulate_block(sampler, scorer, rows, n0, n1)[0]
+        return paths
 
-    @abstractmethod
     def path_increments(self, paths: np.ndarray) -> np.ndarray:
         """Per-atom increments for a batch of whole paths: one block from time 0.
 
         paths has shape (B, T, dimension); the result has shape
         (B, T, n_atoms) with entry [i, n-1, j] = l_n(theta_j) on path i.
         """
+        state = self.increment_state(len(paths))
+        return self.increment_block(state, np.arange(len(paths)), paths, 0).transpose(2, 0, 1)
 
     def increments_for(self, observations: np.ndarray) -> np.ndarray:
         """Increments (T, n_atoms) for one observation sequence, from time 0."""
@@ -196,48 +211,6 @@ def _sampler(nus, thetas, rngs, width: int, **carry) -> SamplerState:
     )
 
 
-# The concrete classes define ``step``, ``sample_paths`` and ``path_increments``
-# (around these) as thin wrappers, each in its own class body, so that
-# per-class instrumentation (perfbench/tracer.py) finds them in the class
-# __dict__.
-
-
-def _one_row(model: ObservationModel, state, x, n: int) -> np.ndarray:
-    """``step``: one row's increments (n_atoms,) at time n + 1 on a one-path state."""
-    x = np.asarray(x, dtype=float).reshape(1, 1, model.dimension)
-    return model.increment_block(state, slice(None), x, n)[0, :, 0]
-
-
-def _whole_paths(model: ObservationModel, nus, thetas, horizon: int, rngs) -> np.ndarray:
-    """Whole paths, simulated BLOCK rows at a time; each block's increments are dropped."""
-    rows = np.arange(len(rngs))
-    sampler = model.sampler_state(nus, thetas, horizon, rngs)
-    scorer = model.increment_state(len(rows))
-    paths = np.empty((len(rows), horizon, model.dimension))
-    for n0 in range(0, horizon, BLOCK):
-        n1 = min(n0 + BLOCK, horizon)
-        paths[:, n0:n1] = model.simulate_block(sampler, scorer, rows, n0, n1)[0]
-    return paths
-
-
-def _whole_increments(model: ObservationModel, paths: np.ndarray) -> np.ndarray:
-    state = model.increment_state(len(paths))
-    return model.increment_block(state, np.arange(len(paths)), paths, 0).transpose(2, 0, 1)
-
-
-def _as_nu_array(nus, horizon: int) -> np.ndarray:
-    """Clamp change points into [0, horizon]; None/+inf mean no change."""
-    out = np.empty(len(nus), dtype=np.int64)
-    for i, nu in enumerate(nus):
-        if nu is None or nu == math.inf:
-            out[i] = horizon
-        elif (v := float(nu)) < 0 or not v.is_integer():
-            raise ValueError(f"change point must be an integer >= 0, got {nu!r}")
-        else:
-            out[i] = min(int(v), horizon)
-    return out
-
-
 def sample_path(model: ObservationModel, nu, theta, horizon: int, rng) -> np.ndarray:
     """One path of length ``horizon`` under change at ``nu`` (None or +inf: never).
 
@@ -246,13 +219,14 @@ def sample_path(model: ObservationModel, nu, theta, horizon: int, rng) -> np.nda
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    nus = _as_nu_array([nu], horizon)
-    if theta is None:
-        vec = np.zeros(model.grid.dimension)
+    if nu is None or nu == math.inf:
+        nu = horizon
+    elif (v := float(nu)) < 0 or not v.is_integer():
+        raise ValueError(f"change point must be an integer >= 0, got {nu!r}")
     else:
-        vec = model.grid.theta_vector(theta)
-    paths = model.sample_paths(nus, vec[None, :], horizon, [rng])
-    return paths[0]
+        nu = min(int(v), horizon)
+    vec = np.zeros(model.grid.dimension) if theta is None else model.grid.theta_vector(theta)
+    return model.sample_paths([nu], vec[None, :], horizon, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +244,6 @@ class GaussianIidModel(ObservationModel):
         self.dimension = 1
         self._theta = grid.atoms[:, 0]
         self._half_theta_sq = 0.5 * self._theta**2
-
-    def step(self, state, x, n: int) -> np.ndarray:
-        return _one_row(self, state, x, n)
 
     def sampler_state(self, nus, thetas, horizon, rngs):
         return _sampler(nus, thetas, rngs, 1)
@@ -294,11 +265,11 @@ class GaussianIidModel(ObservationModel):
         ell -= self._half_theta_sq[:, None]
         return ell
 
-    def sample_paths(self, nus, thetas, horizon, rngs):
-        return _whole_paths(self, nus, thetas, horizon, rngs)
-
-    def path_increments(self, paths):
-        return _whole_increments(self, paths)
+    # copies of the base methods in the class body, which per-class
+    # instrumentation (perfbench/tracer.py) reads from the class __dict__
+    step = ObservationModel.step
+    sample_paths = ObservationModel.sample_paths
+    path_increments = ObservationModel.path_increments
 
     def info_number(self, theta_vec: np.ndarray) -> float:
         return 0.5 * float(theta_vec[0]) ** 2
@@ -376,13 +347,16 @@ class ArChannelSpec:
     def residual_signal(self, channel: int, horizon: int, start: int = 0) -> np.ndarray:
         """One channel's whitened signal S~_n = S_n - sum_j beta_j S_{n-j}, n = start+1..horizon.
 
-        Signal values before time 1 are zero.  The rows are whitened from the
-        signal rows max(start - p, 0) on, so each has its full history.  From
+        Signal values before time 1 are zero, and a window with start >=
+        horizon has no rows.  The rows are whitened from the signal rows
+        max(start - p, 0) on, so each has its full history.  From
         time 0, the full convolution cut to ``horizon`` is what
         ``lfilter(fir, [1.0], S)`` computes for an FIR filter, in the same
         argument order, so the values are the same bits; a window whose
         signal rows outnumber the FIR's taps gives the bits of that table.
         """
+        if start >= horizon:
+            return np.zeros(0)
         lo = max(start - len(self.ar_coeffs[channel]), 0)
         whitened = np.convolve(self.fir(channel), self.signals[channel].values(horizon, lo))
         return whitened[start - lo : horizon - lo]
@@ -494,9 +468,6 @@ class MultichannelArModel(ObservationModel):
                 out += term
         return out
 
-    def step(self, state, x, n: int) -> np.ndarray:
-        return _one_row(self, state, x, n)
-
     def sampler_state(self, nus, thetas, horizon, rngs):
         # zi: each channel's noise-filter state (see _ar_noise), carried between blocks
         zi = [np.zeros((len(rngs), len(ch))) for ch in self.spec.ar_coeffs]
@@ -534,11 +505,11 @@ class MultichannelArModel(ObservationModel):
         horizon = max(n0 + length, max(n0 - p, 0) + p + 2)
         return self._ell(resid, self.spec.residual_signal_matrix(horizon, n0)[:length])
 
-    def sample_paths(self, nus, thetas, horizon, rngs):
-        return _whole_paths(self, nus, thetas, horizon, rngs)
-
-    def path_increments(self, paths):
-        return _whole_increments(self, paths)
+    # copies of the base methods in the class body, which per-class
+    # instrumentation (perfbench/tracer.py) reads from the class __dict__
+    step = ObservationModel.step
+    sample_paths = ObservationModel.sample_paths
+    path_increments = ObservationModel.path_increments
 
     def info_number(self, theta_vec: np.ndarray) -> float:
         qs = [q_limit(self.spec, c).value for c in range(self.dimension)]
@@ -691,9 +662,6 @@ class TwoStateHmmModel(ObservationModel):
                 own[0][rows], own[1][rows] = log_f1[p], log_f2[p]
         return x.T[:, :, None], out
 
-    def step(self, state, x, n: int) -> np.ndarray:
-        return _one_row(self, state, x, n)
-
     def increment_state(self, batch):
         return self._filter_start(self._means.shape[0], batch)  # (P, batch)
 
@@ -723,11 +691,11 @@ class TwoStateHmmModel(ObservationModel):
     def simulate_block(self, sampler, scorer, rows, n0, n1):
         return self._filter_block(scorer, rows, n0, n1, sampler=sampler)
 
-    def sample_paths(self, nus, thetas, horizon, rngs):
-        return _whole_paths(self, nus, thetas, horizon, rngs)
-
-    def path_increments(self, paths):
-        return _whole_increments(self, paths)
+    # copies of the base methods in the class body, which per-class
+    # instrumentation (perfbench/tracer.py) reads from the class __dict__
+    step = ObservationModel.step
+    sample_paths = ObservationModel.sample_paths
+    path_increments = ObservationModel.path_increments
 
     def info_number(self, theta_vec: np.ndarray) -> float:
         """Long-run LLR rate, by quadrature; symmetric transitions only.

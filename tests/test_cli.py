@@ -282,6 +282,37 @@ class TestConfigValidation:
         )
         assert main(["calibrate", write_config(tmp_path, doc)]) == 2
 
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    @pytest.mark.parametrize(
+        "calibration, rule",
+        [
+            ({"kind": "ms-pfa", "alpha": 0.05}, "msr"),
+            ({"kind": "msr-pfa", "alpha": 0.05}, "ms"),
+            ({"kind": "bayes-cost", "c": 0.01}, "msr"),
+        ],
+        ids=["ms-pfa-msr", "msr-pfa-ms", "bayes-cost-msr"],
+    )
+    def test_calibration_of_the_other_rule_rejected(
+        self, tmp_path, capsys, command, calibration, rule
+    ):
+        # each calibration kind solves for one rule's threshold; only fixed serves both
+        report = tmp_path / "report.json"
+        doc = base_config(
+            detector={"kind": rule},
+            calibration=calibration,
+            montecarlo={
+                "trials": 50,
+                "horizon": 100,
+                "seed": 1,
+                "scenarios": [{"quantity": "delay", "theta": 1}],
+            },
+            output={"report": str(report)},
+        )
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"calibration.kind: {calibration['kind']!r} calibrates the" in err
+        assert not report.exists()
+
     def test_grid_model_dimension_cross_check(self, tmp_path, capsys):
         doc = base_config(
             mixing={"kind": "atoms", "atoms": [[1.0, 1.0]]},

@@ -26,7 +26,7 @@ class TestGeometricPrior:
     def test_pmf_at_zero(self):
         p = geometric_prior(0.1, q=0.0)
         assert p.tail(0) == pytest.approx(1.0, abs=1e-15)
-        assert p.pmf(0) == pytest.approx(0.1, abs=1e-15)
+        assert np.exp(p.log_pmf(0)) == pytest.approx(0.1, abs=1e-15)
 
     def test_tail_exponent(self):
         # analytic: mu = -log(1 - rho)
@@ -44,7 +44,7 @@ class TestGeometricPrior:
         for q in (0.0, 0.25):
             p = geometric_prior(0.07, q=q)
             n = 2000
-            total = q + p.pmf(np.arange(n)).sum() + float(p.tail(n))
+            total = q + np.exp(p.log_pmf(np.arange(n))).sum() + float(p.tail(n))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_empirical_tail_exponent_converges(self):
@@ -82,13 +82,13 @@ class TestHeavyTailPrior:
     def test_pmf_ratio(self):
         # unnormalized masses (k+2)^-c: pi_0/pi_1 = (3/2)^c
         p = heavy_tail_prior(2.0)
-        assert p.pmf(0) / p.pmf(1) == pytest.approx(2.25, rel=1e-12)
+        assert np.exp(p.log_pmf(0)) / np.exp(p.log_pmf(1)) == pytest.approx(2.25, rel=1e-12)
 
     def test_mean_finite_only_above_two(self):
         assert math.isinf(heavy_tail_prior(2.0).mean)
         p = heavy_tail_prior(3.0)
         k = np.arange(200_000)
-        direct = float((k * p.pmf(k)).sum())
+        direct = float((k * np.exp(p.log_pmf(k))).sum())
         assert p.mean == pytest.approx(direct, rel=1e-4)
 
     def test_validation(self):
@@ -133,7 +133,7 @@ def test_heavy_tail_prior_unpickles_without_scipy_loaded():
 class TestPriorConsistency:
     def test_tail_mass_identity(self, prior):
         n = np.arange(0, 500)
-        pi = prior.pmf(n)
+        pi = np.exp(prior.log_pmf(n))
         tails = prior.tail(np.arange(0, 501))
         np.testing.assert_allclose(tails[:-1] - tails[1:], pi, atol=1e-14)
 
@@ -148,7 +148,7 @@ class TestPriorConsistency:
         # Pi(n) = sum_{k=n}^{n+10^6} pi_k + Pi(n+10^6+1), all closed form
         for n in (0, 3, 57):
             k = np.arange(n, n + 1_000_001)
-            partial = float(prior.pmf(k).sum())
+            partial = float(np.exp(prior.log_pmf(k)).sum())
             remainder = float(prior.tail(n + 1_000_001))
             assert float(prior.tail(n)) == pytest.approx(partial + remainder, abs=1e-10)
 
@@ -159,7 +159,7 @@ class TestPriorConsistency:
         rng = np.random.default_rng(202)
         draws = np.array([prior.sample(rng) for _ in range(4000)])
         # restricted to k >= 0, the pmf renormalizes by 1 - q
-        p0 = float(prior.pmf(0)) / (1.0 - prior.q)
+        p0 = float(np.exp(prior.log_pmf(0))) / (1.0 - prior.q)
         frac0 = (draws == 0).mean()
         assert abs(frac0 - p0) < 4 * math.sqrt(p0 * (1 - p0) / 4000)
 
@@ -191,12 +191,12 @@ class TestUniformGrid:
     def test_one_dim_five_points(self):
         g = uniform_grid([1], [5], [5])
         np.testing.assert_array_equal(g.atoms.ravel(), [1, 2, 3, 4, 5])
-        np.testing.assert_allclose(g.weights(), 0.2)
+        np.testing.assert_allclose(np.exp(g.log_weights), 0.2)
 
     def test_two_dim_product(self):
         g = uniform_grid([0.5, 0.5], [1.5, 1.5], [2, 2])
         assert g.size == 4
-        np.testing.assert_allclose(g.weights(), 0.25)
+        np.testing.assert_allclose(np.exp(g.log_weights), 0.25)
 
     def test_degenerate_point(self):
         g = uniform_grid([1], [1], [1])
@@ -231,7 +231,7 @@ class TestGridFromAtoms:
 
     def test_equal_weights_default(self):
         g = grid_from_atoms([[0.5], [1.0], [1.5]])
-        np.testing.assert_allclose(g.weights(), 1 / 3)
+        np.testing.assert_allclose(np.exp(g.log_weights), 1 / 3)
         assert g.dimension == 1
 
 
@@ -274,7 +274,7 @@ class TestThetaVector:
 def test_geometric_tail_identity_property(rho, q, n):
     p = geometric_prior(rho, q=q)
     lhs = float(p.tail(n)) - float(p.tail(n + 1))
-    assert lhs == pytest.approx(float(p.pmf(n)), abs=1e-13)
+    assert lhs == pytest.approx(float(np.exp(p.log_pmf(n))), abs=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,7 +282,7 @@ def test_geometric_tail_identity_property(rho, q, n):
 def test_heavy_tail_identity_property(c, n):
     p = heavy_tail_prior(c)
     lhs = float(p.tail(n)) - float(p.tail(n + 1))
-    assert lhs == pytest.approx(float(p.pmf(n)), abs=1e-12)
+    assert lhs == pytest.approx(float(np.exp(p.log_pmf(n))), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def test_sample_is_the_one_element_inverse_cdf(name):
 def test_grid_inverse_cdf_matches_sample_index():
     grid = grid_from_atoms([[0.5], [1.0], [1.5], [2.0]], weights=[0.1, 0.2, 0.3, 0.4])
     u = np.concatenate([np.random.default_rng(3).random(2000), [0.0, 0.1, 0.3, 1.0 - 2.0**-53]])
-    csum = np.cumsum(grid.weights())
+    csum = np.cumsum(np.exp(grid.log_weights))
     want = [min(int(np.searchsorted(csum, x, side="right")), grid.size - 1) for x in u]
     np.testing.assert_array_equal(grid.inverse_cdf(u), want)
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)

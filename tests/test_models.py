@@ -14,8 +14,13 @@ from mixdetect.detectors import BLOCK
 from mixdetect.measures import grid_from_atoms
 from mixdetect.models import (
     ArChannelSpec,
+    GaussianIidModel,
     HarmonicSignal,
     Hmm2Spec,
+    MultichannelArModel,
+    ObservationModel,
+    SamplerState,
+    TwoStateHmmModel,
     _ar_noise,
     gaussian_iid_model,
     hmm2_model,
@@ -346,6 +351,17 @@ def test_whitened_rows_of_a_window_match_the_whole_table(p, q, seed, n0, length)
     )
 
 
+@pytest.mark.parametrize("start, horizon", [(0, 0), (7, 7), (9, 4)])
+def test_an_empty_whitening_window_has_no_rows(start, horizon):
+    """A window with start >= horizon whitens no rows, for a channel without
+    AR coefficients as for one with them, as ``signal_matrix`` has none."""
+    spec = _whitening_spec(0, 2, 5)
+    for c in range(2):
+        assert spec.residual_signal(c, horizon, start).shape == (0,)
+    assert spec.residual_signal_matrix(horizon, start).shape == (0, 2)
+    assert spec.signal_matrix(horizon, start).shape == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # Two-state HMM
 # ---------------------------------------------------------------------------
@@ -611,6 +627,60 @@ class TestModelContract:
             mean = lr[:, j].mean()
             se = lr[:, j].std(ddof=1) / math.sqrt(b)
             assert abs(mean - 1.0) < 3 * se, f"atom {j}: {mean} +- {se}"
+
+
+class _KernelsOnly(ObservationModel):
+    """A model that implements only its block kernels: x_n ~ N(theta, 1) after
+    the change, scored with one lag, l_n(theta) = theta (x_n + x_{n-1}) / 2 - theta^2 / 2."""
+
+    def __init__(self, grid):
+        self.grid, self.dimension = grid, 1
+        self._theta = grid.atoms[:, 0]
+
+    def sampler_state(self, nus, thetas, horizon, rngs):
+        thetas = np.asarray(thetas, dtype=float).reshape(len(rngs), 1)
+        return SamplerState(np.asarray(nus, dtype=np.int64), thetas, list(rngs), {})
+
+    def sample_block(self, state, rows, n0, n1):
+        x = np.stack([state.rngs[i].standard_normal(n1 - n0) for i in rows.tolist()])
+        post = np.arange(n0, n1)[None, :] >= state.nus[rows, None]
+        return (x + post * state.thetas[rows])[:, :, None]
+
+    def increment_state(self, batch):
+        return np.zeros(batch)  # each path's last observation; zero before time 1
+
+    def increment_block(self, state, rows, x, n0):
+        x = x[:, :, 0]
+        lagged = np.concatenate([state[rows][:, None], x[:, :-1]], axis=1)
+        state[rows] = x[:, -1]
+        u = (0.5 * (x + lagged)).T[:, None, :]
+        return np.ascontiguousarray(u * self._theta[:, None] - 0.5 * self._theta[:, None] ** 2)
+
+
+def test_a_model_needs_only_its_block_kernels():
+    """``step``, ``sample_paths`` and ``path_increments`` come from the base
+    class: a model with only the block kernels gets all three, row-wise,
+    whole-path and block-wise scoring give the same bits, and each shipped
+    model's class body holds the base functions themselves."""
+    model = _KernelsOnly(grid_from_atoms([[0.5], [1.0], [-0.7]]))
+    horizon, nus = 3 * BLOCK + 5, np.array([0, 70, 500])
+    paths = model.sample_paths(nus, np.array([[1.0], [0.5], [2.0]]), horizon, spawn_rngs(8, 3))
+    assert paths.shape == (3, horizon, 1)
+    for i, rng in enumerate(spawn_rngs(8, 3)):  # one draw per row, the shift after nu
+        shift = (np.arange(horizon) >= nus[i]) * [1.0, 0.5, 2.0][i]
+        expected = rng.standard_normal(horizon) + shift
+        np.testing.assert_array_equal(_bits(paths[i, :, 0]), _bits(expected))
+    whole = model.path_increments(paths)
+    assert whole.shape == (3, horizon, 3)
+    state, blocks = model.increment_state(3), []
+    for n0 in range(0, horizon, BLOCK):
+        blocks.append(model.increment_block(state, np.arange(3), paths[:, n0 : n0 + BLOCK], n0))
+    np.testing.assert_array_equal(_bits(np.concatenate(blocks).transpose(2, 0, 1)), _bits(whole))
+    for i in range(3):
+        np.testing.assert_array_equal(_bits(_steps(model, paths[i])), _bits(whole[i]))
+    for cls in (GaussianIidModel, MultichannelArModel, TwoStateHmmModel):
+        for name in ("step", "sample_paths", "path_increments"):
+            assert cls.__dict__[name] is ObservationModel.__dict__[name], f"{cls.__name__}.{name}"
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ class TestIntegratedRisk:
         c = 0.125
         est = estimate_integrated_risk(cfg, c, 1.0)
         # T = 1 surely: false alarm iff nu >= 1, delay 1 iff nu = 0
-        expected = float(PRIOR.tail(1)) + c * float(PRIOR.pmf(0))
+        expected = float(PRIOR.tail(1)) + c * float(np.exp(PRIOR.log_pmf(0)))
         assert est.point == pytest.approx(expected, abs=3.5 * est.stderr + 1e-12)
 
 

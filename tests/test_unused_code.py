@@ -3,8 +3,8 @@
 This walks the syntax trees of src/ and scripts/: a function or method
 defined under src/ must be named somewhere there, as a name or as an
 attribute, other than by an import.  Dunder methods are called by Python
-itself.  A name that perfbench/tracer.py wraps, or that README mentions, is
-allowed, and so are the few below, each with its reason.
+itself.  A name that perfbench/tracer.py wraps, or that a README code span
+mentions, is allowed, and so are the few below, each with its reason.
 """
 
 from __future__ import annotations
@@ -58,19 +58,40 @@ def _unused_functions(root: Path = ROOT) -> list[str]:
     ]
 
 
-def test_no_unused_functions():
+def _unexplained(root: Path = ROOT) -> list[str]:
+    """The entries of ``_unused_functions`` that no tracer wrap, ALLOWED entry
+    or README code span accounts for: a plain README word names nothing."""
     wrapped = {
         attr if isinstance(owner, types.ModuleType) else f"{owner.__name__}.{attr}"
         for owner, attr in _tracer_patches()
     }
-    in_readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    found = [
+    spans = re.findall(r"`+([^`]+)`+", (root / "README.md").read_text())
+    in_readme = {word for span in spans for word in re.findall(r"\w+", span)}
+    return [
         entry
-        for entry in _unused_functions()
+        for entry in _unused_functions(root)
         if (qualname := entry.split(": ", 1)[1]) not in wrapped | ALLOWED.keys()
         and qualname.rsplit(".", 1)[-1] not in in_readme
     ]
+
+
+def test_no_unused_functions():
+    found = _unexplained()
     assert found == [], "functions that nothing under src/ or scripts/ names:\n" + "\n".join(found)
+
+
+def test_only_a_readme_code_span_accounts_for_a_function(tmp_path):
+    """A name inside backticks or a fenced block is documented; the same word
+    in running text is not."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "src" / "pkg" / "m.py").write_text(
+        "def spanned():\n    pass\ndef fenced():\n    pass\ndef mentioned():\n    pass\n"
+    )
+    (tmp_path / "README.md").write_text(
+        "Call `pkg.spanned()`; a word such as mentioned is prose.\n\n```\nfenced()\n```\n"
+    )
+    assert _unexplained(tmp_path) == ["src/pkg/m.py:5: mentioned"]
 
 
 def test_the_guard_names_an_unused_function(tmp_path):
