@@ -863,19 +863,29 @@ def _data_line(path: str, rows: int, row: int) -> int:
     return lines[len(lines) - rows + row - 1]
 
 
+# trajectory rows formatted at a time by _write_trajectory; no byte depends on it
+TRAJECTORY_CHUNK = 4096
+
+
 def _write_trajectory(path: str, segments: list[np.ndarray]) -> None:
-    # csv.writer's default dialect: "\r\n" line ends; no field here needs quoting
+    """Write the rows (n, log_stat, crossed) as ``csv.writer`` would, with
+    ``repr`` floats, so a value reads back to the same bits.
+
+    One %-format builds the text of TRAJECTORY_CHUNK rows: ``%d,%r,%d`` and
+    a CRLF per row (csv.writer's default line end; no field here needs
+    quoting) over the chunk's fields in row order.
+    """
     segments = [seg for seg in segments if seg is not None and seg.size]
     rows = np.concatenate(segments) if segments else np.empty((0, 3))
-    lines = map(
-        "{},{!r},{}\r\n".format,
-        rows[:, 0].astype(np.int64).tolist(),
-        rows[:, 1].tolist(),
-        rows[:, 2].astype(np.int64).tolist(),
-    )
     with open(path, "w", newline="") as fh:
         fh.write("n,log_stat,crossed\r\n")
-        fh.writelines(lines)
+        for start in range(0, len(rows), TRAJECTORY_CHUNK):
+            part = rows[start : start + TRAJECTORY_CHUNK]
+            fields = [None] * part.size
+            fields[0::3] = part[:, 0].astype(np.int64).tolist()
+            fields[1::3] = part[:, 1].tolist()
+            fields[2::3] = part[:, 2].astype(np.int64).tolist()
+            fh.write("%d,%r,%d\r\n" * len(part) % tuple(fields))
 
 
 def cmd_detect(

@@ -19,11 +19,13 @@ is (K, B), so the engine reduces over contiguous atom rows.  ``_log_init``
 gives either kind's start value, and ``prior_window`` is the only code that
 knows the schedule: one block's (log pi, log Pi) for MS, zeros for MSR.
 The one-row updates ``ms_update``/``msr_update`` call both kernels once.
-The streaming alarm loop and the Monte Carlo engine read one window per
-block; the alarm loop scores a block of BLOCK rows at a time, runs
-``advance`` over its rows and mixes them in one ``log_statistic`` call,
-with the same values, and the engine calls ``log_statistic`` only where
-the statistic can meet the threshold.
+The streaming alarm loop and the Monte Carlo engine read one prior window
+per block.  The alarm loop scores an ndarray stream a window of up to
+WINDOW rows at a time (at most WINDOW_CELLS increments, never fewer than
+BLOCK rows) and an iterator BLOCK rows at a time; it runs ``advance`` over
+segments of at most BLOCK rows and mixes each segment in one
+``log_statistic`` call, with the same values.  The engine calls
+``log_statistic`` only where the statistic can meet the threshold.
 All accumulation is log-domain with log-sum-exp; the statistics reach
 exp(+-hundreds) and are never exponentiated except inside the guarded
 posterior computation.
@@ -43,6 +45,17 @@ import numpy as np
 
 from .measures import ChangePrior, MixingGrid
 from .models import BLOCK, ObservationModel
+
+# rows per scoring call on an ndarray stream, and the cap on its rows x atoms
+# (2 MB of increments); neither changes any value
+WINDOW = 4096
+WINDOW_CELLS = 1 << 18
+
+
+def _window_rows(atoms: int) -> int:
+    """Rows per ``increment_block`` call when the alarm loop slices an ndarray:
+    WINDOW, or fewer so that rows x atoms <= WINDOW_CELLS, but never below BLOCK."""
+    return max(BLOCK, min(WINDOW, WINDOW_CELLS // atoms))
 
 
 class PriorSupportExhausted(RuntimeError):
@@ -219,11 +232,12 @@ def run_detector(
 ) -> AlarmRecord:
     """Run one detector over an observation stream until alarm or exhaustion.
 
-    ``observations`` is any iterable of rows (scalars for 1-d models).  Rows
-    are read BLOCK at a time, so up to BLOCK - 1 rows after the alarm may be
-    read from an iterator; ``horizon`` caps the number of steps, and no row
-    past it is read.  The comparison is on log values, with >= so that exact
-    ties stop.  A censored record carries the last statistic.
+    ``observations`` is any iterable of rows (scalars for 1-d models).  An
+    iterator is read BLOCK rows at a time, so up to BLOCK - 1 rows after the
+    alarm may be read from it, and an ndarray is scored a window at a time;
+    ``horizon`` caps the number of steps, and no row past it is read.  The
+    comparison is on log values, with >= so that exact ties stop.  A
+    censored record carries the last statistic.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -267,23 +281,29 @@ def _multicyclic_with_tail(
     ``detect``) the loop returns at the first alarm with tail None, and a
     censored tail reports the last statistic.
 
-    Rows are read in blocks of at most BLOCK, and never past ``horizon``, so
-    a run may read up to BLOCK - 1 rows beyond the row it stops at; an
-    ``ndarray`` is sliced, any other iterable is read with ``islice``.  One
-    ``increment_block`` call on the loop's own ``increment_state(1)`` scores
-    each block, so the model is only read.  ``advance`` then steps
-    the per-atom numerators row by row into a (BLOCK, K) buffer, and one
-    ``log_statistic`` call mixes the rows, which gives the values of
-    ``ms_update``/``msr_update`` bit for bit.  Either kind reads its
-    schedule through ``prior_window`` on the steps a block can take, up to
-    the first step whose Pi(n) is 0.  An alarm inside a block restarts the
-    statistic and its prior clock at the next row, and the block's later
-    rows, already scored, run again from there.  The rows before the block's
-    first row whose increments are not finite (a finite but huge observation
-    can overflow them) are processed first, so an alarm among them still
-    stands; then that row raises ``NonFiniteIncrements`` with its 1-based
-    ``row``.  A step past the prior's support raises
-    ``PriorSupportExhausted`` with its own ``row`` in the same way.  NumPy's
+    An ``ndarray`` is sliced into windows of ``_window_rows(K)`` rows for K
+    atoms: WINDOW, or fewer so that a window holds at most WINDOW_CELLS
+    increments (2 MB), but never fewer than BLOCK.  Any other iterable is
+    read with ``islice`` BLOCK rows at a time, so a run may read up to
+    BLOCK - 1 rows beyond the row it stops at.  Neither reads a row past
+    ``horizon``.  One ``increment_block`` call on the loop's own
+    ``increment_state(1)`` scores each window, so the model is only read.
+    The recursion runs over the window in segments of at most BLOCK rows:
+    ``advance`` steps the per-atom numerators row by row into a (BLOCK, K)
+    buffer, with the prior's log pi as a row of K equal values, and
+    one ``log_statistic`` call mixes the segment's rows, which gives the
+    values of ``ms_update``/``msr_update`` bit for bit.  Either kind reads
+    its schedule through ``prior_window`` on the steps a segment can take,
+    up to the first step whose Pi(n) is 0.  An alarm restarts the statistic
+    and its prior clock at the next row, and the window's later rows,
+    already scored, run again from there, so a restart re-steps at most
+    BLOCK - 1 rows.  The rows before the window's first row whose
+    increments are not finite (a finite but huge observation can overflow
+    them) are processed first, so an alarm among them still stands; then
+    that row raises ``NonFiniteIncrements`` with its 1-based ``row``.  A
+    step past the prior's support raises ``PriorSupportExhausted`` with its
+    own ``row`` in the same way.  No value depends on the window: the model
+    kernels give the same bits for any cut of the time axis.  NumPy's
     overflow and invalid-value warnings are silenced for the loop.
     """
     if not np.isfinite(log_threshold):
@@ -292,18 +312,19 @@ def _multicyclic_with_tail(
     init = _log_init(kind, prior, omega)
     grid = model.grid
     log_w = grid.log_weights[:, None]
-    buf = np.empty((BLOCK, grid.size))  # the per-atom numerators of a block's rows
+    buf = np.empty((BLOCK, grid.size))  # the per-atom numerators of a segment's rows
     state = np.full(grid.size, init)
     clock = 0  # steps since the last (re)start
     records: list[AlarmRecord] = []
     cycle: list[np.ndarray] = []  # trajectory rows since the last (re)start
     last_stat = None
-    n = 0  # rows read before the current block
+    n = 0  # rows read before the current window
     sliced = isinstance(observations, np.ndarray)
     rows = None if sliced else iter(observations)
+    width = _window_rows(grid.size) if sliced else BLOCK
     with np.errstate(over="ignore", invalid="ignore"):
         while horizon is None or n < horizon:
-            size = BLOCK if horizon is None else min(BLOCK, horizon - n)
+            size = width if horizon is None else min(width, horizon - n)
             block = observations[n : n + size] if sliced else list(islice(rows, size))
             if not len(block):
                 break
@@ -311,16 +332,18 @@ def _multicyclic_with_tail(
             ell = model.increment_block(scorer, slice(None), x, n)[:, :, 0]  # (L, K)
             finite = np.isfinite(ell).all(axis=1)
             good = len(block) if finite.all() else int(finite.argmin())
-            i = 0  # the block's next row
+            i = 0  # the window's next row
             while i < good:
-                log_pi, log_tail = prior_window(kind, prior, clock, good - i)
+                log_pi, log_tail = prior_window(kind, prior, clock, min(BLOCK, good - i))
                 supported = np.isfinite(log_tail)
                 m = log_tail.size if supported.all() else int(supported.argmin())
                 nums = buf[:m]
-                for e, lp, row in zip(ell[i : i + m], log_pi.tolist(), nums):
+                # log pi as a row per step, so that no step converts a scalar
+                prior_rows = log_pi[:m, None].repeat(grid.size, axis=1)
+                for e, lp, row in zip(ell[i : i + m], prior_rows, nums):
                     state = advance(state, e, lp, row)
                 stats = log_statistic(nums.T, log_w, log_tail[:m])
-                hit = np.flatnonzero(stats >= log_threshold)
+                hit = (stats >= log_threshold).nonzero()[0]
                 steps = int(hit[0]) + 1 if hit.size else m
                 if steps:
                     last_stat = float(stats[steps - 1])
@@ -340,7 +363,7 @@ def _multicyclic_with_tail(
                     if not restart:
                         return records, None
                     state, clock, cycle = np.full(grid.size, init), 0, []
-                elif i < good:
+                elif m < log_tail.size:  # the prior's support ended inside the segment
                     raise PriorSupportExhausted(clock + 1, row=n + i + 1)
             if good < len(block):
                 row = n + good + 1

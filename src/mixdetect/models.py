@@ -27,7 +27,7 @@ builds the rest from them, once for every model: the whole-path methods
 ``sample_paths`` (``simulate_block`` from time 0, BLOCK rows at a time) and
 ``path_increments`` (one block, viewed as (paths, steps, atoms)) are batch
 cases, and ``step(state, x, n)`` is the one-row case.  Streaming is the
-one-path case: the alarm loop scores each block of stream rows with
+one-path case: the alarm loop scores each window of stream rows with
 ``increment_block`` on its own ``increment_state(1)``, so streaming and
 batch values agree bit for bit.
 Sampling is vectorised across the listed paths, and each path still draws
@@ -58,7 +58,8 @@ from .measures import MixingGrid
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# rows per block in the alarm loop, the engine and sample_paths; no value depends on it
+# rows per block in the engine and sample_paths, and per segment (and iterator read)
+# in the alarm loop; no value depends on it
 BLOCK = 64
 
 
@@ -559,14 +560,16 @@ def _log_normal_pdf(x, mean):
     return -0.5 * (x - mean) ** 2 - _LOG_SQRT_2PI
 
 
-def _correct(log_g1, log_g2, x, m1, m2):
-    """Fold observation x into the log prediction of a chain with state means m1, m2.
+def _correct(log_g1, log_g2, log_e1, log_e2):
+    """Fold an observation into the log prediction of a chain, given its log
+    emission densities log_e1, log_e2 under the two state means.
 
     Arguments broadcast.  Returns (log_c, log_f1, log_f2): the log one-step
-    predictive density of x given the history, and the normalized log filter.
+    predictive density of the observation given the history, and the
+    normalized log filter.
     """
-    log_j1 = log_g1 + _log_normal_pdf(x, m1)
-    log_j2 = log_g2 + _log_normal_pdf(x, m2)
+    log_j1 = log_g1 + log_e1
+    log_j2 = log_g2 + log_e2
     log_c = np.logaddexp(log_j1, log_j2)
     return log_c, log_j1 - log_c, log_j2 - log_c
 
@@ -624,7 +627,9 @@ class TwoStateHmmModel(ObservationModel):
         """Filter paths ``rows`` from time n0 to n1: the one loop that scores
         and samples.  ``table`` is an increment state and x (L, B) the paths'
         observations, time first, or None to draw them with a ``sampler``.
-        Returns x as (B, L, 1), a view, and the increments (L, n_atoms, B)."""
+        Returns x as (B, L, 1), a view, and the increments (L, n_atoms, B).
+        Given observations have their emission densities evaluated BLOCK
+        rows at a time; drawn ones, row by row as drawn."""
         log_f1, log_f2 = table[0][:, rows], table[1][:, rows]
         p, length, batch = len(self._means), n1 - n0, log_f1.shape[1]
         m1, m2 = self._means[:, :1], self._means[:, 1:]  # (P, 1): broadcast over paths
@@ -643,7 +648,11 @@ class TwoStateHmmModel(ObservationModel):
         out = np.empty((length, p - 1, batch))
         for k in range(length):
             log_g1, log_g2 = self._predict(log_f1, log_f2)
-            if sampler is not None:
+            if sampler is None:
+                if not k % BLOCK:  # the next BLOCK given rows' emissions at once, (BLOCK, P, B)
+                    e1, e2 = (_log_normal_pdf(x[k : k + BLOCK, None, :], m) for m in (m1, m2))
+                row1, row2 = e1[k % BLOCK], e2[k % BLOCK]
+            else:
                 # pre-change: the true chain under the no-change law; post-change:
                 # the post-change one-step predictive given the realized past
                 state2 = np.where(state2, u[k] < 1.0 - spec.gamma, u[k] < spec.beta)
@@ -653,7 +662,8 @@ class TwoStateHmmModel(ObservationModel):
                     state2[post] = s2 = u[k, post] < np.exp(g2 - np.logaddexp(g1, g2))
                     mean[post] = np.where(s2, t2[post], t1[post])
                 np.add(mean, x[k], out=x[k])
-            log_c, log_f1, log_f2 = _correct(log_g1, log_g2, x[k], m1, m2)
+                row1, row2 = _log_normal_pdf(x[k], m1), _log_normal_pdf(x[k], m2)
+            log_c, log_f1, log_f2 = _correct(log_g1, log_g2, row1, row2)
             np.subtract(log_c[1:p], log_c[0], out=out[k])
         table[0][:, rows], table[1][:, rows] = log_f1[:p], log_f2[:p]
         if sampler is not None:

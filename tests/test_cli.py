@@ -1044,6 +1044,20 @@ class TestSimulate:
         assert "slope" in report["scenarios"][0]
 
 
+def _csv_writer_bytes(tmp_path, segments) -> bytes:
+    """The bytes csv.writer writes for trajectory segments, with repr floats:
+    the reference for ``cli._write_trajectory``."""
+    import csv
+
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "log_stat", "crossed"])
+        for seg in segments:
+            for n, stat, crossed in seg if seg is not None else []:
+                w.writerow([int(n), repr(float(stat)), int(crossed)])
+    return want.read_bytes()
+
 class TestDetect:
     def detect_doc(self, tmp_path, **overrides):
         doc = base_config(
@@ -1279,8 +1293,6 @@ class TestDetect:
     def test_trajectory_bytes_match_csv_writer(self, tmp_path):
         """_write_trajectory writes what csv.writer writes for the same rows,
         kept here as the reference, with non-finite and empty segments."""
-        import csv
-
         from mixdetect.cli import _write_trajectory
 
         segments = [
@@ -1289,15 +1301,32 @@ class TestDetect:
             np.array([]),
             np.array([[4, np.nan, 0], [5, -2.5e-310, 0], [6, 7.0, 1]], dtype=float),
         ]
-        want = tmp_path / "want.csv"
-        with open(want, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "log_stat", "crossed"])
-            for seg in segments:
-                for n, stat, crossed in seg if seg is not None else []:
-                    w.writerow([int(n), repr(float(stat)), int(crossed)])
         _write_trajectory(str(tmp_path / "got.csv"), segments)
-        assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(tmp_path, segments)
+
+    @pytest.mark.parametrize("case", ["values", "empty", "chunks"])
+    def test_trajectory_bytes_of_edge_values(self, tmp_path, case):
+        """Floats whose repr switches notation or sign, the smallest subnormal,
+        a crossing row, an empty trajectory, and rows across the writer's
+        chunk edges give csv.writer's bytes."""
+        from mixdetect.cli import TRAJECTORY_CHUNK, _write_trajectory
+
+        values = [1e-05, 1e16, -0.0, 5e-324, 2.0, 0.1, -1e-05, 123456789.0]
+        if case == "values":
+            rows = np.array([[n, v, 0] for n, v in enumerate(values, start=1)], dtype=float)
+            rows[-1, 2] = 1  # the crossing row
+            segments = [rows[:3], rows[3:]]
+        elif case == "empty":
+            segments = [np.array([]), None]
+        else:
+            count = 2 * TRAJECTORY_CHUNK + 3
+            rows = np.zeros((count, 3))
+            rows[:, 0] = np.arange(1, count + 1)
+            rows[:, 1] = np.resize(values, count) * np.arange(count)
+            rows[TRAJECTORY_CHUNK - 1 :: TRAJECTORY_CHUNK, 2] = 1
+            segments = [rows[: TRAJECTORY_CHUNK + 1], rows[TRAJECTORY_CHUNK + 1 :]]
+        _write_trajectory(str(tmp_path / "got.csv"), segments)
+        assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(tmp_path, segments)
 
     def test_header_detection(self, tmp_path):
         data = tmp_path / "h.csv"
@@ -1781,10 +1810,13 @@ def test_simulate_outputs_pinned(tmp_path, monkeypatch, capsys, name):
     assert got == PINNED_SIMULATE_DIGESTS[name]
 
 
-@pytest.mark.parametrize("workload", ["gauss_pfa", "ar_no_change", "hmm_late_change"])
+@pytest.mark.parametrize(
+    "workload", ["gauss_pfa", "ar_no_change", "hmm_late_change", "ar_stream_detect"]
+)
 def test_benchmark_reference_digests(tmp_path, monkeypatch, workload):
-    """The benchmark's simulate workloads at seed 1, full size, write the bytes
-    whose SHA-256 perfbench/reference.json records."""
+    """The benchmark's workloads at seed 1, full size, write the bytes whose
+    SHA-256 perfbench/reference.json records: the simulate reports, and the
+    alarms and trajectory of the 100 000-row streaming ``detect``."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     monkeypatch.delenv("MIXDETECT_WORKERS", raising=False)
     monkeypatch.chdir(tmp_path)

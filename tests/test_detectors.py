@@ -10,9 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mixdetect import detectors
 from mixdetect.cli import load_experiment
 from mixdetect.detectors import (
     BLOCK,
+    WINDOW,
+    WINDOW_CELLS,
     MsrState,
     MsState,
     NonFiniteIncrements,
@@ -39,7 +42,9 @@ from mixdetect.measures import (
 from mixdetect.models import (
     ArChannelSpec,
     HarmonicSignal,
+    Hmm2Spec,
     gaussian_iid_model,
+    hmm2_model,
     multichannel_ar_model,
     sample_path,
 )
@@ -410,18 +415,48 @@ def _recording_increments(model, monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130, 200])
-def test_each_row_read_is_scored_once(rows, monkeypatch):
-    """One increment_block call per block of BLOCK rows, each row scored once,
-    in order; the restart after every row's alarm scores nothing again."""
+def _each_row_scored_once(rows, observations, width, monkeypatch):
+    """Every row of an all-alarm stream of ``rows`` rows alarms, and the rows
+    are scored in order in calls of ``width`` rows, each row once: the
+    restart after every row's alarm scores nothing again."""
     model = gaussian_iid_model(grid_from_atoms([[2.0]]))
     calls = _recording_increments(model, monkeypatch)
     # x = 3 with theta = 2 gives increments of exactly 4 = log A: every row alarms
-    x = np.full(rows, 3.0)
-    records = multicyclic_run("msr", model, geometric_prior(0.1), 4.0, x)
+    records = multicyclic_run("msr", model, geometric_prior(0.1), 4.0, observations)
     assert [r.stop_time for r in records] == list(range(1, rows + 1))
-    assert calls == [(n0, min(BLOCK, rows - n0)) for n0 in range(0, rows, BLOCK)]
-    assert len(calls) == math.ceil(rows / BLOCK)
+    assert calls == [(n0, min(width, rows - n0)) for n0 in range(0, rows, width)]
+    assert len(calls) == math.ceil(rows / width)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130, 200, WINDOW + 1, 2 * WINDOW + 70])
+def test_each_row_read_is_scored_once(rows, monkeypatch):
+    """An ndarray is scored in one increment_block call per window, WINDOW
+    rows for one atom."""
+    _each_row_scored_once(rows, np.full(rows, 3.0), WINDOW, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130, 200])
+def test_each_row_from_an_iterator_is_scored_once(rows, monkeypatch):
+    """Rows read from an iterator are scored in one increment_block call per
+    block of BLOCK rows."""
+    _each_row_scored_once(rows, iter(np.full(rows, 3.0)), BLOCK, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "atoms,width", [(1, WINDOW), (64, WINDOW), (65, 4032), (2000, 131), (20_000, BLOCK)]
+)
+def test_a_window_holds_at_most_its_cells(atoms, width, monkeypatch):
+    """A wide grid shortens the window to WINDOW_CELLS // atoms rows, never
+    below BLOCK: each call holds at most WINDOW_CELLS increments unless the
+    grid is wider than WINDOW_CELLS // BLOCK atoms, and then BLOCK rows, as
+    an iterator's blocks do."""
+    model = gaussian_iid_model(grid_from_atoms(np.linspace(0.1, 1.0, atoms)[:, None]))
+    calls = _recording_increments(model, monkeypatch)
+    rows = 2 * width + 5
+    rec = run_detector("msr", model, geometric_prior(0.1), 1e6, np.zeros(rows))
+    assert rec.censored
+    assert calls == [(0, width), (width, width), (2 * width, 5)]
+    assert width * atoms <= WINDOW_CELLS or width == BLOCK
 
 
 @pytest.mark.parametrize("horizon", [None, 1, 64, 65, 100])
@@ -732,6 +767,147 @@ def test_sliced_array_and_iterator_give_the_same_records(model_name, kind, horiz
     ]
     assert censored[0].censored and censored[0].log_stat_at_stop is not None
     _same_records(censored[:1], censored[1:])
+
+
+# ---------------------------------------------------------------------------
+# Window invariance: an ndarray is scored a window at a time and an iterator
+# BLOCK rows at a time; neither the width nor the way a stream is fed
+# changes a stop, a statistic, a trajectory or an error's row.
+# ---------------------------------------------------------------------------
+
+_EDGE_ROWS = WINDOW + 300  # no multiple of the window or of BLOCK
+_HUGE = 1.7e308  # a finite observation whose increments overflow in every model below
+
+
+def _edge_stream(model_name):
+    """(model, rows): shifts across the first segment edges, the edges of a
+    100-row window and the first window edge, so that a low threshold alarms
+    on both sides of each."""
+    rng = np.random.default_rng(23)
+    if model_name == "gaussian":
+        model = gaussian_iid_model(grid_from_atoms([[0.5], [1.0], [2.0]]))
+        rows, shift = rng.standard_normal((_EDGE_ROWS, 1)), 2.0
+    elif model_name == "ar2x2":
+        spec = ArChannelSpec(
+            ar_coeffs=((0.5, -0.2), (0.3, 0.1)),
+            signals=(HarmonicSignal(1.0, 0.02, 0.3), HarmonicSignal(0.8, 0.01, 1.0)),
+        )
+        model = multichannel_ar_model(spec, grid_from_atoms([[0.5, 0.5], [2.0, 3.0]]))
+        rows, shift = rng.standard_normal((_EDGE_ROWS, 2)), 2.0
+    else:
+        spec = Hmm2Spec(theta0=(0.0, 1.0), beta=0.3, gamma=0.6)
+        model = hmm2_model(spec, grid_from_atoms([[1.0, 2.0], [0.5, 2.5]]))
+        rows = rng.standard_normal((_EDGE_ROWS, 1)) + (rng.random((_EDGE_ROWS, 1)) < 0.4)
+        shift = 1.5
+    for start in (50, 115, 180, 1000, WINDOW - 26):
+        rows[start : start + 40] += shift
+    return model, rows
+
+
+def _loop(kind, model, prior, log_a, restart=True, horizon=None):
+    """run(observations): the alarm loop's records and then its tail, if any,
+    with trajectories, and MSR's head start 0.5."""
+
+    def run(observations):
+        records, tail = _multicyclic_with_tail(
+            kind, model, prior, log_a, observations, 0.5, True, restart=restart, horizon=horizon
+        )
+        return records + ([tail] if tail else [])
+
+    return run
+
+
+def _every_feed(monkeypatch, run, rows):
+    """Outcomes of ``run`` on ``rows`` as an ndarray in its own windows, from
+    an iterator (BLOCK-row reads), and as an ndarray in windows of 100 rows,
+    of BLOCK rows and of one row.  An outcome is the records, or the type,
+    row and prior step of the error raised."""
+
+    def outcome(observations):
+        try:
+            return run(observations)
+        except (NonFiniteIncrements, PriorSupportExhausted) as exc:
+            return type(exc), exc.row, getattr(exc, "n", None)
+
+    outcomes = [outcome(rows), outcome(iter(rows))]
+    for width in (100, BLOCK, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(detectors, "_window_rows", lambda atoms: width)
+            outcomes.append(outcome(rows))
+    want = outcomes[0]
+    for got in outcomes[1:]:
+        if isinstance(want, list) and isinstance(got, list):
+            _same_records(got, want)
+        else:
+            assert got == want
+    return want
+
+
+_MODELS = ["gaussian", "ar2x2", "hmm_asymmetric"]
+
+
+@pytest.mark.parametrize("kind", ["ms", "msr"])
+@pytest.mark.parametrize("model_name", _MODELS)
+def test_window_invariance_multicyclic(model_name, kind, monkeypatch):
+    """Multicyclic runs give the same alarms, statistics, trajectories and
+    censored tail however the stream is fed; the MSR runs alarm on both
+    sides of the first window edge and of segment and 100-row window edges."""
+    model, rows = _edge_stream(model_name)
+    run = _loop(kind, model, geometric_prior(0.01, q=0.1), 3.0)
+    records = _every_feed(monkeypatch, run, rows)
+    assert records[-1].censored and records[-1].trajectory.shape[1] == 3
+    stops = [r.stop_time for r in records[:-1]]
+    assert len(stops) >= 10
+    if kind == "msr":
+        assert any(WINDOW - BLOCK < t <= WINDOW for t in stops)
+        assert any(WINDOW < t <= WINDOW + BLOCK for t in stops)
+        for width in (BLOCK, 100):  # on a window's last row, and just after one
+            assert 0 in {t % width for t in stops}
+            assert {1, 2, 3} & {t % width for t in stops}
+
+
+@pytest.mark.parametrize("horizon", [None, 150, WINDOW + 4])
+@pytest.mark.parametrize("kind", ["ms", "msr"])
+@pytest.mark.parametrize("model_name", _MODELS)
+def test_window_invariance_single_shot(model_name, kind, horizon, monkeypatch):
+    """A single-shot run stops at the same row with the same statistic and
+    trajectory, or censors at the horizon or the stream's end with the same
+    last statistic, however the stream is fed."""
+    model, rows = _edge_stream(model_name)
+    prior = geometric_prior(0.01, q=0.1)
+    alarmed = _every_feed(monkeypatch, _loop(kind, model, prior, 3.0, False, horizon), rows)
+    assert len(alarmed) == 1 and not alarmed[0].censored
+    censored = _every_feed(monkeypatch, _loop(kind, model, prior, 1e3, False, horizon), rows)
+    assert len(censored) == 1 and censored[0].censored
+    assert len(censored[0].trajectory) == (horizon or _EDGE_ROWS)
+
+
+@pytest.mark.parametrize("model_name", _MODELS)
+def test_window_invariance_errors(model_name, monkeypatch):
+    """An MS prior whose support ends inside a window and an overflowing row
+    inside a window raise with the same row however the stream is fed, and a
+    single-shot alarm before an overflowing row of its window stands."""
+    model, rows = _edge_stream(model_name)
+    # Pi(n) = 0 past a point mass in the second window, and past a half point
+    # mass whose cycle the high threshold never restarts
+    for prior, log_a, row in [
+        (point_mass_prior(WINDOW + 37), 3.0, WINDOW + 38),
+        (_half_point_mass(100), 1e3, 101),
+    ]:
+        got = _every_feed(monkeypatch, _loop("ms", model, prior, log_a), rows)
+        assert got == (PriorSupportExhausted, row, row)
+    overflow = rows.copy()
+    overflow[2000] = _HUGE
+    for kind in ("ms", "msr"):
+        for restart in (True, False):
+            run = _loop(kind, model, geometric_prior(0.01, q=0.1), 1e3, restart)
+            assert _every_feed(monkeypatch, run, overflow) == (NonFiniteIncrements, 2001, None)
+        run = _loop(kind, model, geometric_prior(0.01, q=0.1), 3.0, restart=False)
+        (alarm,) = _every_feed(monkeypatch, run, rows)
+        for gap in (1, 3, BLOCK + 5):
+            after = rows.copy()
+            after[alarm.stop_time - 1 + gap] = _HUGE
+            _same_records(_every_feed(monkeypatch, run, after), [alarm])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -462,6 +462,42 @@ class TestTwoStateHmm:
     def test_initial_distribution(self):
         spec = Hmm2Spec(theta0=(0.0, 1.0), beta=0.2, gamma=0.6)
         assert spec.pi2 == pytest.approx(0.75)
+
+
+@settings(max_examples=40)
+@given(
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 200), min_size=1, max_size=4),
+)
+@example(True, 0, [200, 1, 200])
+@example(False, 1, [1, 1, 64, 65])
+def test_hmm_block_scoring_matches_rows_and_whole_paths(symmetric, seed, lengths):
+    """Scoring given observations in blocks of any length, whose emissions are
+    evaluated for the whole block at once, gives the bits of one ``step`` per
+    row, of one ``path_increments`` block, and of the increments that
+    ``simulate_block`` scored row by row as it drew the paths, one of which
+    changes halfway."""
+    beta, gamma = (0.5, 0.5) if symmetric else (0.3, 0.6)
+    model = hmm2_model(Hmm2Spec(theta0=(0.0, 1.0), beta=beta, gamma=gamma), hmm_grid())
+    horizon, rows = sum(lengths), np.arange(2)
+    nus, rngs = [horizon // 2, horizon], spawn_rngs(seed, 2)
+    sampler = model.sampler_state(nus, hmm_grid().atoms, horizon, rngs)
+    drawn, given = model.increment_state(2), model.increment_state(2)
+    paths, sampled, blocks, n0 = [], [], [], 0
+    for length in lengths:
+        x, ell = model.simulate_block(sampler, drawn, rows, n0, n0 + length)
+        paths.append(x.copy())
+        sampled.append(ell)
+        blocks.append(model.increment_block(given, slice(None), x, n0))
+        n0 += length
+    paths = np.concatenate(paths, axis=1)
+    blockwise = np.concatenate(blocks)
+    np.testing.assert_array_equal(_bits(blockwise), _bits(np.concatenate(sampled)))
+    blockwise = blockwise.transpose(2, 0, 1)  # (paths, steps, atoms)
+    np.testing.assert_array_equal(_bits(blockwise), _bits(model.path_increments(paths)))
+    for path, got in zip(paths, blockwise):
+        np.testing.assert_array_equal(_bits(got), _bits(_steps(model, path)))
 
 
 # SHA-256 of HMM sample_paths, recorded while sampling still ran a scalar
