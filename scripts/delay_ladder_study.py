@@ -13,6 +13,7 @@ import csv
 
 from mixdetect import (
     ExperimentConfig,
+    delay_rate,
     estimate_delay_moments,
     gaussian_iid_model,
     geometric_prior,
@@ -61,8 +62,7 @@ def main():
     for tag, (name, prior, det) in enumerate(cases):
         rows = run_ladder(model, prior, det, ladder, args.trials, args.seed, 100 * (tag + 1))
         fit = slope_regression(rows)
-        mu = prior.mu if det == "ms" else 0.0
-        predicted = 1.0 / (i_theta + mu)
+        predicted = 1.0 / delay_rate(det, i_theta, prior.mu)
         print(f"{name:<16} {fit.slope:>8.4f} {fit.slope_stderr:>8.4f} {predicted:>10.4f}")
         if args.csv_prefix:
             path = f"{args.csv_prefix}_{name}.csv"

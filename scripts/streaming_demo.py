@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Multi-cyclic surveillance demo on a synthetic traffic-rate stream.
 
-Generates a packet-rate-like series (AR(1) noise around a baseline) with a
-small persistent rate increase injected partway through, writes the stream
-and a matching detector config, then runs the CLI in multi-cyclic mode with
-a trajectory dump.  Threshold exceedances before the injection are false
-alarms; the detector restarts after every alarm, so the trajectory shows the
-classic saw-tooth of repeated surveillance.
+Writes a detector config for a packet-rate-like series (AR(1) noise around
+a baseline), draws the series from that config's model with a small
+persistent rate increase injected partway through, writes the stream, then
+runs the CLI in multi-cyclic mode with a trajectory dump.  Threshold
+exceedances before the injection are false alarms; the detector restarts
+after every alarm, so the trajectory shows the classic saw-tooth of
+repeated surveillance.
 """
 
 import argparse
@@ -16,6 +17,9 @@ import subprocess
 import sys
 
 import numpy as np
+
+from mixdetect import sample_path
+from mixdetect.cli import load_experiment
 
 
 def main():
@@ -28,23 +32,11 @@ def main():
     args = ap.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    beta = 0.5
-    noise = np.zeros(args.length)
-    w = rng.standard_normal(args.length)
-    for n in range(args.length):
-        noise[n] = (beta * noise[n - 1] if n else 0.0) + w[n]
-    rate = noise.copy()
-    rate[args.change_at :] += args.shift
-
-    data_path = os.path.join(args.outdir, "rate.csv")
-    np.savetxt(data_path, rate, delimiter=",", header="rate", comments="")
-
     # prior timescale matched to the stream length; amplitude grid 1..5
     config = {
         "model": {
             "kind": "multichannel_ar",
-            "ar_coeffs": [[beta]],
+            "ar_coeffs": [[0.5]],
             "signals": [{"amplitude": 1.0, "omega": 0.0, "phase": 1.5707963267948966}],
         },
         "prior": {"kind": "geometric", "rho": 1.0 / args.change_at, "q": 0.0},
@@ -59,6 +51,13 @@ def main():
     cfg_path = os.path.join(args.outdir, "detect.json")
     with open(cfg_path, "w") as fh:
         json.dump(config, fh, indent=2)
+
+    # the model's unit signal makes the shift a constant rate increase
+    model = load_experiment(cfg_path).model
+    rng = np.random.default_rng(args.seed)
+    rate = sample_path(model, args.change_at, [args.shift], args.length, rng)
+    data_path = os.path.join(args.outdir, "rate.csv")
+    np.savetxt(data_path, rate, delimiter=",", header="rate", comments="")
 
     cmd = [
         sys.executable,

@@ -75,6 +75,7 @@ from .montecarlo import (
 )
 from .theory import (
     Prediction,
+    delay_rate,
     integrated_risk_prediction,
     ms_delay_prediction,
     msr_delay_prediction,

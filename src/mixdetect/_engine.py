@@ -50,7 +50,7 @@ grows with time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -167,16 +167,9 @@ class TrialData:
 
     @staticmethod
     def concatenate(parts: list["TrialData"]) -> "TrialData":
-        return TrialData(
-            stop_times=np.concatenate([p.stop_times for p in parts]),
-            log_stat_at_stop=np.concatenate([p.log_stat_at_stop for p in parts]),
-            nus=np.concatenate([p.nus for p in parts]),
-            final_log_stat=(
-                np.concatenate([p.final_log_stat for p in parts])
-                if parts and parts[0].final_log_stat is not None
-                else None
-            ),
-        )
+        """Each field of the parts joined in order; a field that is None stays None."""
+        columns = ([getattr(p, f.name) for p in parts] for f in fields(TrialData))
+        return TrialData(*(None if col[0] is None else np.concatenate(col) for col in columns))
 
 
 def _draw_trials(

@@ -44,15 +44,6 @@ class ThresholdSpec:
         except OverflowError:
             return math.inf
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "threshold": self.threshold,
-            "log_threshold": self.log_threshold,
-            "inputs": dict(self.inputs),
-            "note": self.note,
-        }
-
 
 def fixed_threshold(log_threshold: float) -> ThresholdSpec:
     if not np.isfinite(log_threshold):

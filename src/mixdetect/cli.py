@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -74,6 +74,7 @@ from .montecarlo import (
 from .theory import (
     FIRST_ORDER_NOTE,
     Prediction,
+    delay_rate,
     integrated_risk_prediction,
     ms_delay_prediction,
     msr_delay_prediction,
@@ -307,7 +308,11 @@ class Scenario:
 
 @dataclass
 class Experiment:
-    """A fully validated experiment: objects plus the raw document echo."""
+    """A fully validated experiment: objects plus the raw document echo.
+
+    ``run`` is the ``montecarlo`` section's run at the calibrated threshold,
+    None when the section is not loaded (``calibrate`` and ``detect``).
+    """
 
     doc: dict
     prior: ChangePrior
@@ -315,31 +320,13 @@ class Experiment:
     detector: str
     omega: float
     threshold: ThresholdSpec
-    trials: int = 0
-    horizon: int = 0
-    seed: int = 0
-    workers: int = 1
+    run: ExperimentConfig | None = None
     scenarios: list[Scenario] = field(default_factory=list)
     output: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> MixingGrid:
         return self.model.grid
-
-    def mc_config(self, log_threshold: float | None = None) -> ExperimentConfig:
-        return ExperimentConfig(
-            model=self.model,
-            prior=self.prior,
-            detector=self.detector,
-            omega=self.omega,
-            log_threshold=(
-                self.threshold.log_threshold if log_threshold is None else log_threshold
-            ),
-            trials=self.trials,
-            horizon=self.horizon,
-            master_seed=self.seed,
-            workers=self.workers,
-        )
 
 
 def _implied_alpha(exp: Experiment) -> float:
@@ -383,10 +370,11 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         vec = _scenario_theta(exp.grid, sc, where)
         theta = tuple(map(float, vec))
         on_grid = any(np.array_equal(vec, atom) for atom in exp.grid.atoms)
+    horizon = exp.run.horizon
     # the horizon bounds it, with its own message
     change_point = _integer(sc, where, "change_point", 0, nonnegative=True, int64=False)
-    if change_point >= exp.horizon:
-        raise ConfigError(f"{where}.change_point: must be below montecarlo.horizon = {exp.horizon}")
+    if change_point >= horizon:
+        raise ConfigError(f"{where}.change_point: must be below montecarlo.horizon = {horizon}")
     name = sc.get("name", f"{q}_{index}")
     if not (isinstance(name, str) and name):
         raise ConfigError(f"{where}.name: expected a non-empty string")
@@ -413,16 +401,16 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         moments = [1]  # the ladder fits the mean delay
     if q in ("pfa_tail", "pfa_posterior"):
         alpha = _implied_alpha(exp)
-        tail = float(exp.prior.tail(exp.horizon))
+        tail = float(exp.prior.tail(horizon))
         if not tail < 0.01 * alpha:
             raise ConfigError(
-                f"montecarlo.horizon: prior tail Pi({exp.horizon}) = {tail:.3e} "
+                f"montecarlo.horizon: prior tail Pi({horizon}) = {tail:.3e} "
                 f"is not below 0.01 * alpha = {0.01 * alpha:.3e}; raise the horizon"
             )
     if q == "pfa_posterior" and exp.detector != "ms":
         raise ConfigError(f"{where}: pfa_posterior applies to the ms rule only")
     if q == "average_delay" and not (
-        math.isfinite(exp.prior.mean) or float(exp.prior.tail(exp.horizon)) < 1e-4
+        math.isfinite(exp.prior.mean) or float(exp.prior.tail(horizon)) < 1e-4
     ):
         raise ConfigError(
             f"{where}: horizon must cover 99.99% of the prior mass "
@@ -506,23 +494,28 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
             mc, "montecarlo", {"trials", "horizon", "seed", "workers", "scenarios"},
             {"trials", "horizon", "seed", "scenarios"},
         )
-        exp.trials = _integer(mc, "montecarlo", "trials")
-        exp.horizon = _integer(mc, "montecarlo", "horizon")
-        exp.seed = _integer(mc, "montecarlo", "seed", nonnegative=True, int64=False)
-        exp.workers = _integer(mc, "montecarlo", "workers", 1)
+        trials = _integer(mc, "montecarlo", "trials")
+        horizon = _integer(mc, "montecarlo", "horizon")
+        seed = _integer(mc, "montecarlo", "seed", nonnegative=True, int64=False)
+        workers = _integer(mc, "montecarlo", "workers", 1)
         env_workers = os.environ.get(WORKERS_ENV)
         if env_workers:
             try:
-                exp.workers = int(env_workers)
+                workers = int(env_workers)
             except ValueError as exc:
                 raise ConfigError(f"{WORKERS_ENV}: expected an integer") from exc
-        if exp.trials < 1:
+        if trials < 1:
             raise ConfigError("montecarlo.trials: must be >= 1")
-        if exp.horizon < 1:
+        if horizon < 1:
             raise ConfigError("montecarlo.horizon: must be >= 1")
-        if exp.workers < 1:
+        if workers < 1:
             where = WORKERS_ENV if env_workers else "montecarlo.workers"
             raise ConfigError(f"{where}: must be >= 1")
+        exp.run = ExperimentConfig(
+            model=model, prior=prior, detector=kind, omega=omega,
+            log_threshold=threshold.log_threshold,
+            trials=trials, horizon=horizon, master_seed=seed, workers=workers,
+        )
         if not isinstance(mc["scenarios"], list) or not mc["scenarios"]:
             raise ConfigError("montecarlo.scenarios: need a non-empty list")
         exp.scenarios = [_scenario(exp, i, sc) for i, sc in enumerate(mc["scenarios"])]
@@ -534,7 +527,7 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
     # grid/model compatibility was enforced by the model constructor; priors
     # with zero tail inside the horizon break the MS recursion, catch it now
     if need_montecarlo and kind == "ms":
-        if not np.isfinite(float(prior.log_tail(exp.horizon))):
+        if not np.isfinite(float(prior.log_tail(exp.run.horizon))):
             raise ConfigError(
                 "montecarlo.horizon: the prior's support ends inside the horizon; "
                 "the ms statistic is undefined there (use msr or shorten the horizon)"
@@ -545,6 +538,12 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
+
+
+def _threshold_record(spec: ThresholdSpec) -> dict:
+    """The threshold as reports and ``threshold_json`` write it: the spec's
+    fields and the threshold A it implies."""
+    return {**asdict(spec), "threshold": spec.threshold}
 
 
 def cmd_calibrate(config_path: str) -> int:
@@ -558,7 +557,7 @@ def cmd_calibrate(config_path: str) -> int:
     out = exp.output.get("threshold_json")
     if out:
         with open(out, "w") as fh:
-            json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(_threshold_record(spec), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {out}")
     return 0
@@ -572,8 +571,8 @@ def cmd_calibrate(config_path: str) -> int:
 def _compare(est, pred: Prediction | None) -> dict:
     """An estimate beside its first-order prediction, where there is one."""
     return {
-        "estimate": est.to_dict(),
-        "prediction": pred.to_dict() if pred else None,
+        "estimate": asdict(est),
+        "prediction": asdict(pred) if pred else None,
         "ratio": est.point / pred.value if pred else None,
     }
 
@@ -586,24 +585,12 @@ def _info(exp: Experiment, sc: Scenario) -> float | None:
         return None
 
 
-def _delay_rate(exp: Experiment, i_theta: float | None) -> float | None:
-    """First-order delay rate: I for msr, I + mu for ms; None unless positive and finite.
-
-    None covers a model with no information number, zero information under
-    msr, and a point-mass prior's infinite mu under ms.
-    """
-    if i_theta is None:
-        return None
-    rate = i_theta + exp.prior.mu if exp.detector == "ms" else i_theta
-    return rate if 0.0 < rate < math.inf else None
-
-
 def _delay_prediction(
     exp: Experiment, sc: Scenario, i_theta: float | None, m: float, log_a: float
 ) -> Prediction | None:
     """None where there is no delay rate, or where log A <= 0, which the
     first-order delay (log A / rate)^m does not cover."""
-    if _delay_rate(exp, i_theta) is None or log_a <= 0.0:
+    if delay_rate(exp.detector, i_theta, exp.prior.mu) is None or log_a <= 0.0:
         return None
     if exp.detector == "ms":
         value = ms_delay_prediction(log_a, i_theta, exp.prior.mu, m)
@@ -621,7 +608,7 @@ def _delay_rungs(exp: Experiment, sc: Scenario) -> tuple[list[dict], float | Non
     """{moment: (estimate, prediction)} per threshold in ``sc.log_thresholds``, and I_theta."""
     runs = [
         estimate_delay_moments(
-            exp.mc_config(log_threshold=log_a),
+            replace(exp.run, log_threshold=log_a),
             sc.change_point,
             sc.theta,
             r_list=sc.moments,
@@ -638,9 +625,9 @@ def _delay_rungs(exp: Experiment, sc: Scenario) -> tuple[list[dict], float | Non
 
 
 def _run_pfa(exp: Experiment, sc: Scenario, estimate) -> dict:
-    est = estimate(exp.mc_config(), stream_tag=sc.tag_base)
+    est = estimate(exp.run, stream_tag=sc.tag_base)
     bound = _implied_alpha(exp)
-    return {"estimate": est.to_dict(), "bound": bound, "ratio": est.point / bound}
+    return {"estimate": asdict(est), "bound": bound, "ratio": est.point / bound}
 
 
 def _run_delay(exp: Experiment, sc: Scenario) -> dict:
@@ -655,20 +642,18 @@ def _run_delay_ladder(exp: Experiment, sc: Scenario) -> dict:
         est, pred = rung[1.0]
         points.append((log_a, est.point, est.stderr, pred.value if pred else math.nan))
     fit = slope_regression([p[:3] for p in points])
-    rate = _delay_rate(exp, i_theta)
+    rate = delay_rate(exp.detector, i_theta, exp.prior.mu)
     pred_slope = 1.0 / rate if rate else None
     return {
         "ladder": [dict(zip(LADDER_COLUMNS, p)) for p in points],
-        "slope": fit.slope,
-        "slope_stderr": fit.slope_stderr,
-        "intercept": fit.intercept,
+        **asdict(fit),
         "prediction_slope": pred_slope,
         "slope_ratio": fit.slope / pred_slope if pred_slope else None,
     }
 
 
 def _run_average_delay(exp: Experiment, sc: Scenario) -> dict:
-    est = estimate_average_delay_risk(exp.mc_config(), sc.theta, sc.moment, stream_tag=sc.tag_base)
+    est = estimate_average_delay_risk(exp.run, sc.theta, sc.moment, stream_tag=sc.tag_base)
     log_a = exp.threshold.log_threshold
     return _compare(est, _delay_prediction(exp, sc, _info(exp, sc), sc.moment, log_a))
 
@@ -676,7 +661,7 @@ def _run_average_delay(exp: Experiment, sc: Scenario) -> dict:
 def _run_integrated_risk(exp: Experiment, sc: Scenario) -> dict:
     inputs = exp.threshold.inputs
     c, r, d = float(inputs["c"]), float(inputs["r"]), float(inputs["D"])
-    est = estimate_integrated_risk(exp.mc_config(), c, r, stream_tag=sc.tag_base)
+    est = estimate_integrated_risk(exp.run, c, r, stream_tag=sc.tag_base)
     pred = Prediction(
         quantity="integrated_risk",
         value=integrated_risk_prediction(c, r, d),
@@ -729,7 +714,7 @@ def cmd_simulate(config_path: str) -> int:
             raise RuntimeError(f"scenario {sc.name}: {exc}") from exc
     report = {
         "config": exp.doc,
-        "threshold": exp.threshold.to_dict(),
+        "threshold": _threshold_record(exp.threshold),
         "scenarios": rows,
     }
     out_path = exp.output.get("report")

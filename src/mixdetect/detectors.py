@@ -389,7 +389,7 @@ def _trajectory_rows(first: int, stats: np.ndarray, crossed: bool) -> np.ndarray
 
 
 def _trajectory(cycle: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(cycle) if cycle else np.array([])
+    return np.concatenate(cycle) if cycle else np.empty((0, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class ChangePrior:
     b: float
     log_pmf_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     log_tail_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    params: dict = field(default_factory=dict)
 
     def log_pmf(self, k) -> np.ndarray:
         return self.log_pmf_fn(np.asarray(k, dtype=np.int64))
@@ -144,7 +143,6 @@ def geometric_prior(rho: float, q: float = 0.0) -> ChangePrior:
         b=(1.0 - q) * (1.0 - rho),
         log_pmf_fn=partial(_geom_log_pmf, log_1mq=log_1mq, log_rho=log_rho, log_1mrho=log_1mrho),
         log_tail_fn=partial(_geom_log_tail, log_1mq=log_1mq, log_1mrho=log_1mrho),
-        params={"rho": rho, "q": q},
     )
 
 
@@ -192,7 +190,6 @@ def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
         b=(1.0 - q) * float(zeta(c, 3.0)) / norm,
         log_pmf_fn=partial(_poly_log_pmf, c=c, log_1mq=log_1mq, log_norm=log_norm),
         log_tail_fn=partial(_poly_log_tail, c=c, log_1mq=log_1mq, log_norm=log_norm),
-        params={"c_exponent": c, "q": q},
     )
 
 
@@ -220,7 +217,6 @@ def point_mass_prior(k0: int = 0) -> ChangePrior:
         b=1.0 if k0 >= 1 else 0.0,
         log_pmf_fn=partial(_point_log_pmf, k0=k0),
         log_tail_fn=partial(_point_log_tail, k0=k0),
-        params={"k0": k0},
     )
 
 

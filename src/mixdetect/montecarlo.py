@@ -42,17 +42,6 @@ class Estimate:
     tag: str
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "stderr": self.stderr,
-            "trials": self.trials,
-            "censored": self.censored,
-            "ci95": list(self.ci95),
-            "tag": self.tag,
-            "extras": dict(self.extras),
-        }
-
 
 def _mean_estimate(values: np.ndarray, tag: str, censored: int, extras: dict) -> Estimate:
     n = values.size

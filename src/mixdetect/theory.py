@@ -28,13 +28,17 @@ class Prediction:
     inputs: dict = field(default_factory=dict)
     note: str = FIRST_ORDER_NOTE
 
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "value": self.value,
-            "inputs": dict(self.inputs),
-            "note": self.note,
-        }
+
+def delay_rate(detector: str, i: float | None, mu: float) -> float | None:
+    """First-order delay rate: I + mu for ms, I for msr; None unless positive and finite.
+
+    None covers a model with no information number (``i`` None), zero
+    information under msr, and a point-mass prior's infinite mu under ms.
+    """
+    if i is None:
+        return None
+    rate = i + mu if detector == "ms" else i
+    return rate if 0.0 < rate < math.inf else None
 
 
 def ms_delay_prediction(log_a: float, i: float, mu: float = 0.0, m: float = 1.0) -> float:

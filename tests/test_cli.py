@@ -233,6 +233,24 @@ def test_benchmark_tracer_installs_and_counts(tmp_path):
     assert counts["detectors.alarms"] == 1 + len(cycles)
 
 
+# one config per calibration kind, with the threshold record's pinned digest
+THRESHOLD_JSON_CONFIGS = {
+    "ms-pfa": base_config(prior={"kind": "geometric", "rho": 0.1, "q": 0.2}),
+    "msr-pfa": base_config(
+        detector={"kind": "msr", "omega": 2.5},
+        calibration={"kind": "msr-pfa", "alpha": 0.01},
+    ),
+    "bayes-cost": base_config(calibration={"kind": "bayes-cost", "c": 0.01, "r": 2}),
+    "fixed": base_config(calibration={"kind": "fixed", "log_threshold": 750.0}),
+}
+THRESHOLD_JSON_DIGESTS = {
+    "ms-pfa": "a1b980a5f89bd3939a448c06c20487ae879737944942a232d06bee00bb1019c3",
+    "msr-pfa": "a36bc5e3112a3fb78630d2ac00aaa6a084f68db662485b239cdd6ba31360334e",
+    "bayes-cost": "cfda6a106335da75c9af52a9737c073cc0bc19dd4485983db8bc684b2e764e1a",
+    "fixed": "90c1ac1c826fb38a2af39522bd096212301d40a1a40ae4a0981625fc2139f191",
+}
+
+
 class TestCalibrate:
     def test_ms_threshold_output(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
@@ -266,6 +284,17 @@ class TestCalibrate:
         assert main(["calibrate", write_config(tmp_path, doc)]) == 0
         spec = json.loads((tmp_path / "th.json").read_text())
         assert spec["threshold"] == pytest.approx(19.0)
+
+    @pytest.mark.parametrize("kind", sorted(THRESHOLD_JSON_CONFIGS))
+    def test_threshold_json_pinned(self, tmp_path, kind):
+        """SHA-256 of the threshold record ``calibrate`` writes, for each kind;
+        the ``fixed`` case has A = e^750, which overflows to Infinity."""
+        import hashlib
+
+        out = tmp_path / "t.json"
+        doc = dict(THRESHOLD_JSON_CONFIGS[kind], output={"threshold_json": str(out)})
+        assert main(["calibrate", write_config(tmp_path, doc)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == THRESHOLD_JSON_DIGESTS[kind]
 
 
 class TestConfigValidation:
@@ -816,7 +845,7 @@ class TestSimulate:
         doc = self.small_doc(tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc).replace('"seed": 7', f'"seed": {self.BIG}'))
-        assert load_experiment(str(path), need_montecarlo=True).seed == self.BIG
+        assert load_experiment(str(path), need_montecarlo=True).run.master_seed == self.BIG
         assert main(["simulate", str(path)]) == 0
         assert (tmp_path / "report.json").exists()
 
@@ -1808,6 +1837,38 @@ def test_simulate_outputs_pinned(tmp_path, monkeypatch, capsys, name):
                 path.read_bytes()
             ).hexdigest()
     assert got == PINNED_SIMULATE_DIGESTS[name]
+
+
+def test_report_records_are_their_dataclass_fields(tmp_path, monkeypatch):
+    """Each record of a pinned report has its dataclass's field names as keys:
+    estimates, predictions, the threshold (plus the A it implies) and the
+    ladder's line fit."""
+    from dataclasses import fields
+
+    from mixdetect.calibration import ThresholdSpec
+    from mixdetect.montecarlo import Estimate, SlopeFit
+    from mixdetect.theory import Prediction
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, PINNED_SIMULATE["gaussian-ms-bayes"], name="config.json")
+    assert main(["simulate", config]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report["threshold"]) == names(ThresholdSpec) | {"threshold"}
+    rows = report["scenarios"]
+    cells = [row for row in rows if "estimate" in row]
+    cells += [cell for row in rows for cell in row.get("moments", {}).values()]
+    assert len(cells) == 6  # pfa, pfa_posterior, two delay moments, average, risk
+    for cell in cells:
+        assert set(cell["estimate"]) == names(Estimate)
+        if cell.get("prediction") is not None:
+            assert set(cell["prediction"]) == names(Prediction)
+    assert sum(cell.get("prediction") is not None for cell in cells) == 4
+    (ladder,) = [row for row in rows if "ladder" in row]
+    derived = {"name", "quantity", "ladder", "prediction_slope", "slope_ratio"}
+    assert set(ladder) == derived | names(SlopeFit)
 
 
 @pytest.mark.parametrize(

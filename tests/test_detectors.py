@@ -374,6 +374,21 @@ class TestMulticyclic:
         assert tail.censored and tail.stop_time is None and tail.log_stat_at_stop is None
         np.testing.assert_array_equal(tail.trajectory[:, 0], np.arange(34, 41))
 
+    def test_empty_trajectory_has_three_columns(self):
+        """A cycle with no rows has a (0, 3) trajectory like any other: for an
+        empty stream, and for the tail after an alarm on the last row, so that
+        the records' and the tail's trajectories concatenate."""
+        model = self.drift_model()
+        prior = geometric_prior(0.1)
+        empty = run_detector("msr", model, prior, 1.0, np.empty(0), record_trajectory=True)
+        assert empty.censored and empty.trajectory.shape == (0, 3)
+        # at theta = 0 every increment is 0, so R_n = 1 on each restart's first row
+        records, tail = _multicyclic_with_tail("msr", model, prior, 0.0, np.zeros(5), 0.0, True)
+        assert [r.stop_time for r in records] == [1, 2, 3, 4, 5]
+        assert tail.trajectory.shape == (0, 3)
+        rows = np.concatenate([r.trajectory for r in records] + [tail.trajectory])
+        np.testing.assert_array_equal(rows, [[n, 0.0, 1.0] for n in range(1, 6)])
+
     def test_concatenation_property(self):
         grid = grid_from_atoms([[0.5], [1.0]])
         model = gaussian_iid_model(grid)

@@ -686,6 +686,32 @@ def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
         assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes()
 
 
+@pytest.mark.parametrize("no_stopping", [False, True])
+def test_run_trials_joins_its_chunks_field_by_field(no_stopping):
+    """run_trials over CHUNK + 5 trials is its two run_chunk parts, every
+    field joined in trial order; final_log_stat is None unless no_stopping."""
+    from dataclasses import fields
+
+    cfg = make_config(trials=CHUNK + 5, horizon=40)
+    spec = TrialSpec(mode="prior", stream_tag=7)
+    whole = run_trials(cfg, spec, no_stopping=no_stopping)
+    args = (cfg.model, cfg.prior, cfg.model.grid, cfg.detector, cfg.omega)
+    log_a = None if no_stopping else cfg.log_threshold
+    parts = [
+        run_chunk(*args, log_a, cfg.horizon, spec, cfg.master_seed, start, count)
+        for start, count in ((0, CHUNK), (CHUNK, 5))
+    ]
+    assert (whole.final_log_stat is None) is (not no_stopping)
+    for f in fields(whole):
+        got = getattr(whole, f.name)
+        if got is None:
+            assert all(getattr(p, f.name) is None for p in parts)
+            continue
+        want = np.concatenate([getattr(p, f.name) for p in parts])
+        assert got.dtype == want.dtype and got.shape == (CHUNK + 5,)
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Batched seeding: each trial's stream is the one its own SeedSequence gives.
 # ---------------------------------------------------------------------------

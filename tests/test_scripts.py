@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +56,12 @@ def test_streaming_demo(tmp_path):
     assert "stream of 300 rows, rate shift at row 200" in proc.stdout.splitlines()
     trajectory = (outdir / "trajectory.csv").read_text().splitlines()
     assert len(trajectory) == 1 + 300  # header plus one row per CSV row
+    # the stream the demo drew with its own AR(1) recursion, for the default
+    # seed 7 and shift 1.0: the library's sampler gives the same bits
+    w = np.random.default_rng(7).standard_normal(300)
+    rate = np.zeros(300)
+    for n in range(300):
+        rate[n] = (0.5 * rate[n - 1] if n else 0.0) + w[n]
+    rate[200:] += 1.0
+    np.savetxt(tmp_path / "reference.csv", rate, delimiter=",", header="rate", comments="")
+    assert (outdir / "rate.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

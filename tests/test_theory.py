@@ -7,10 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixdetect.theory import (
+    delay_rate,
     integrated_risk_prediction,
     ms_delay_prediction,
     msr_delay_prediction,
 )
+
+
+@pytest.mark.parametrize(
+    "detector,i,mu,rate",
+    [
+        ("ms", 0.5, 0.25, 0.75),
+        ("msr", 0.5, 0.25, 0.5),  # the msr rule collects no tail credit
+        ("ms", 0.0, 0.25, 0.25),  # the prior's tail alone drives ms
+        ("msr", 0.0, 0.25, None),
+        ("ms", 0.5, math.inf, None),  # a point mass's mu
+        ("msr", 0.5, math.inf, 0.5),
+        ("ms", None, 0.25, None),  # no information number
+        ("msr", None, 0.0, None),
+    ],
+)
+def test_delay_rate(detector, i, mu, rate):
+    assert delay_rate(detector, i, mu) == rate
 
 
 class TestMsDelay:
