@@ -383,6 +383,8 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
     moments = sc.get("moments", [1])
     if not isinstance(moments, list) or not all(_is_number(m) for m in moments):
         raise ConfigError(f"{where}.moments: expected a list of numbers")
+    if not moments:
+        raise ConfigError(f"{where}.moments: need a non-empty list")
     moment = float(_number(sc, where, "moment", 1))
     # m >= 1 is the domain of the delay predictions in ``theory``
     for j, m in enumerate(moments):
@@ -398,6 +400,8 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         for j, la in enumerate(log_thresholds):
             if not _is_number(la):
                 raise ConfigError(f"{where}.log_thresholds[{j}]: expected a number")
+        if len(set(map(float, log_thresholds))) < 2:  # the slope fit needs a spread
+            raise ConfigError(f"{where}.log_thresholds: need at least two distinct values")
         moments = [1]  # the ladder fits the mean delay
     if q in ("pfa_tail", "pfa_posterior"):
         alpha = _implied_alpha(exp)
@@ -416,8 +420,23 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
             f"{where}: horizon must cover 99.99% of the prior mass "
             "when the prior mean is infinite"
         )
-    if q == "integrated_risk" and exp.threshold.kind != "bayes-cost":
-        raise ConfigError(f"{where}: integrated_risk requires bayes-cost calibration")
+    if q == "integrated_risk":
+        if exp.threshold.kind != "bayes-cost":
+            raise ConfigError(f"{where}: integrated_risk requires bayes-cost calibration")
+        # nu at or beyond the horizon contributes zero to the risk estimate
+        inputs = exp.threshold.inputs
+        try:
+            risk = integrated_risk_prediction(
+                float(inputs["c"]), float(inputs["r"]), float(inputs["D"])
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        tail = float(exp.prior.tail(horizon))
+        if not tail < 0.01 * risk:
+            raise ConfigError(
+                f"montecarlo.horizon: prior tail Pi({horizon}) = {tail:.3e} "
+                f"is not below 0.01 * D c |log c|^r = {0.01 * risk:.3e}; raise the horizon"
+            )
     return Scenario(
         quantity=q,
         name=name,

@@ -382,6 +382,57 @@ class TestConfigValidation:
         assert main(["simulate", write_config(tmp_path, doc)]) == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "prior,tail",
+        [
+            # Pi(100) = 0.999^100; the first-order risk D c |log c| is 0.166
+            ({"kind": "geometric", "rho": 0.001}, "9.048e-01"),
+            # its quantiles overflow int64 when the trials draw nu
+            ({"kind": "heavy_tail", "c_exponent": 1.01}, "9.589e-01"),
+        ],
+        ids=["geometric", "heavy_tail"],
+    )
+    def test_integrated_risk_horizon_tail_check(self, tmp_path, capsys, prior, tail):
+        """nu past the horizon adds nothing to the risk estimate, so the prior
+        mass there must be below 1% of the risk it is compared with."""
+        doc = base_config(
+            prior=prior,
+            calibration={"kind": "bayes-cost", "c": 0.01, "r": 1},
+            montecarlo={
+                "trials": 100,
+                "horizon": 100,
+                "seed": 1,
+                "scenarios": [{"quantity": "integrated_risk"}],
+            },
+            output={"report": str(tmp_path / "report.json")},
+        )
+        assert main(["simulate", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: montecarlo.horizon: prior tail Pi(100) = {tail} "
+            "is not below 0.01 * D c |log c|^r = "
+        )
+        assert err.endswith("; raise the horizon\n")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integrated_risk_cost_outside_prediction_domain(self, tmp_path, capsys):
+        """A cost c >= 1 can pass the Bayes calibration (here I = 50), but the
+        first-order risk it is compared with needs c < 1."""
+        doc = base_config(
+            mixing={"kind": "atoms", "atoms": [[10.0]]},
+            calibration={"kind": "bayes-cost", "c": 2, "r": 1},
+            montecarlo={
+                "trials": 30,
+                "horizon": 200,
+                "seed": 1,
+                "scenarios": [{"quantity": "integrated_risk"}],
+            },
+        )
+        assert main(["simulate", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: montecarlo.scenarios[0]: cost c must be in (0, 1)\n"
+        )
+
     def test_hmm_theta0_needs_two_means(self, tmp_path):
         doc = base_config(
             model={"kind": "hmm2", "theta0": [0.0, 1.0, 7.0], "beta": 0.5, "gamma": 0.5},
@@ -660,6 +711,23 @@ class TestSimulate:
                 {"name": "a/b", "quantity": "pfa_tail"},
                 r"scenarios\[2\]\.name: must not contain a path separator$",
             ),
+            (
+                {"quantity": "delay_ladder", "theta": 0, "log_thresholds": [5, 5, 5.0, 5]},
+                r"scenarios\[2\]\.log_thresholds: need at least two distinct values$",
+            ),
+            (
+                {"quantity": "delay", "theta": 0, "moments": []},
+                r"scenarios\[2\]\.moments: need a non-empty list$",
+            ),
+            (
+                {
+                    "quantity": "delay_ladder",
+                    "theta": 0,
+                    "moments": [],
+                    "log_thresholds": [3, 4, 5, 6],
+                },
+                r"scenarios\[2\]\.moments: need a non-empty list$",
+            ),
         ],
         ids=[
             "theta_index",
@@ -683,6 +751,9 @@ class TestSimulate:
             "name_not_a_string",
             "name_empty",
             "name_path_separator",
+            "ladder_thresholds_all_equal",
+            "moments_empty",
+            "ladder_moments_empty",
         ],
     )
     def test_bad_scenario_rejected_at_load(self, tmp_path, scenario, message):

@@ -480,9 +480,9 @@ def test_simulate_block_calls_stay_within_block_memory(model_name, monkeypatch):
         model=model, detector="msr", log_threshold=math.log(1e4), trials=CHUNK + 5, horizon=40
     )
     spec = TrialSpec(mode="no_change", stream_tag=11)
-    for no_stopping in (False, True):
+    for log_a in (cfg.log_threshold, None):
         calls.clear()
-        run_trials(cfg, spec, no_stopping=no_stopping)
+        run_trials(replace(cfg, log_threshold=log_a), spec)
         assert max(cells for _, cells in calls) <= BLOCK * GROUP
         # the chunk's later blocks formed full groups
         assert sum(n0 > 0 and cells == GROUP * (40 - n0) for n0, cells in calls) >= 2
@@ -540,14 +540,17 @@ def test_short_high_order_ar_paths_match_streaming(order):
 )
 def test_prior_support_exhausted_unchanged(k0, horizon, log_threshold, no_stopping, raises):
     cfg = make_config(
-        prior=point_mass_prior(k0), log_threshold=log_threshold, trials=40, horizon=horizon
+        prior=point_mass_prior(k0),
+        log_threshold=None if no_stopping else log_threshold,
+        trials=40,
+        horizon=horizon,
     )
     spec = TrialSpec(mode="no_change", stream_tag=9)
     if raises:
         with pytest.raises(PriorSupportExhausted, match=rf"Pi\({k0 + 1}\)"):
-            run_trials(cfg, spec, no_stopping=no_stopping)
+            run_trials(cfg, spec)
     else:
-        td = run_trials(cfg, spec, no_stopping=no_stopping)
+        td = run_trials(cfg, spec)
         expected = 1 if log_threshold == -np.inf else 0
         assert np.all(td.stop_times == expected)
 
@@ -620,7 +623,9 @@ def test_pinned_per_trial_values(model_name, detector):
     stopped = run_trials(
         cfg, TrialSpec(mode="prior", q_short_circuit=detector == "ms", stream_tag=7)
     )
-    whole = run_trials(cfg, TrialSpec(mode="prior", stream_tag=8), no_stopping=True)
+    whole = run_trials(
+        replace(cfg, log_threshold=None), TrialSpec(mode="prior", stream_tag=8)
+    )
     got = {
         "stop_times": _sha256(stopped.stop_times),
         "log_stat_at_stop": _sha256(stopped.log_stat_at_stop),
@@ -689,16 +694,18 @@ def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
 @pytest.mark.parametrize("no_stopping", [False, True])
 def test_run_trials_joins_its_chunks_field_by_field(no_stopping):
     """run_trials over CHUNK + 5 trials is its two run_chunk parts, every
-    field joined in trial order; final_log_stat is None unless no_stopping."""
+    field joined in trial order; final_log_stat is None unless the run has
+    no threshold."""
     from dataclasses import fields
 
     cfg = make_config(trials=CHUNK + 5, horizon=40)
+    if no_stopping:
+        cfg = replace(cfg, log_threshold=None)
     spec = TrialSpec(mode="prior", stream_tag=7)
-    whole = run_trials(cfg, spec, no_stopping=no_stopping)
+    whole = run_trials(cfg, spec)
     args = (cfg.model, cfg.prior, cfg.model.grid, cfg.detector, cfg.omega)
-    log_a = None if no_stopping else cfg.log_threshold
     parts = [
-        run_chunk(*args, log_a, cfg.horizon, spec, cfg.master_seed, start, count)
+        run_chunk(*args, cfg.log_threshold, cfg.horizon, spec, cfg.master_seed, start, count)
         for start, count in ((0, CHUNK), (CHUNK, 5))
     ]
     assert (whole.final_log_stat is None) is (not no_stopping)

@@ -30,13 +30,8 @@ def _run(script, *args, cwd):
             ["--trials", "64", "--horizon", "200"],
             "rule     alpha          A     tail est     post est  est/alpha",
         ),
-        (
-            "delay_ladder_study.py",
-            ["--trials", "32"],
-            "case                slope   stderr  predicted",
-        ),
     ],
-    ids=["false_alarm_bounds", "delay_ladder_study"],
+    ids=["false_alarm_bounds"],
 )
 def test_script_prints_table(script, args, header, tmp_path):
     proc = _run(script, *args, cwd=tmp_path)
