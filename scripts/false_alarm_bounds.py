@@ -9,13 +9,15 @@ configs/pfa_bounds.json, whose montecarlo section gives the defaults.
 """
 
 import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 from mixdetect import estimate_pfa_posterior, estimate_pfa_tail, ms_threshold, msr_threshold
-from mixdetect.cli import load_experiment
+from mixdetect.cli import ConfigError, check_tail, load_experiment
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "pfa_bounds.json"
+ALPHAS = (0.10, 0.05, 0.01)
 
 
 def main():
@@ -29,9 +31,14 @@ def main():
     run = replace(
         run, trials=args.trials, horizon=args.horizon, master_seed=args.seed, workers=args.workers
     )
+    try:  # simulate's horizon check for its PFA scenarios; the smallest alpha binds
+        check_tail(run.prior, run.horizon, min(ALPHAS), "alpha")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
     print(f"{'rule':<5} {'alpha':>8} {'A':>10} {'tail est':>12} {'post est':>12} {'est/alpha':>10}")
-    for i, alpha in enumerate((0.10, 0.05, 0.01)):
+    for i, alpha in enumerate(ALPHAS):
         spec = ms_threshold(alpha, run.prior.q)
         cfg = replace(run, detector="ms", log_threshold=spec.log_threshold)
         tail = estimate_pfa_tail(cfg, stream_tag=10 + i)
@@ -41,7 +48,7 @@ def main():
             f"{tail.point:>10.5f}+-{tail.stderr:.0e} "
             f"{post.point:>10.5f}+-{post.stderr:.0e} {tail.point / alpha:>10.3f}"
         )
-    for i, alpha in enumerate((0.10, 0.05, 0.01)):
+    for i, alpha in enumerate(ALPHAS):
         spec = msr_threshold(alpha, 0.0, run.prior)
         cfg = replace(run, detector="msr", log_threshold=spec.log_threshold)
         tail = estimate_pfa_tail(cfg, stream_tag=30 + i)

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Multi-cyclic surveillance demo on a synthetic traffic-rate stream.
 
-Writes a detector config for a packet-rate-like series (AR(1) noise around
-a baseline), draws the series from that config's model with a small
-persistent rate increase injected partway through, writes the stream, then
-runs the CLI in multi-cyclic mode with a trajectory dump.  Threshold
-exceedances before the injection are false alarms; the detector restarts
-after every alarm, so the trajectory shows the classic saw-tooth of
-repeated surveillance.
+Writes the detector config of configs/detect_ar_stream.json (AR(1) noise
+around a packet-rate-like baseline), its prior timescale set to the change
+point, draws the series from that config's model with a small persistent rate
+increase injected partway through, writes the stream, then runs the CLI in
+multi-cyclic mode with a trajectory dump.  Threshold exceedances before the
+injection are false alarms; the detector restarts after every alarm, so the
+trajectory shows the classic saw-tooth of repeated surveillance.
 """
 
 import argparse
@@ -15,11 +15,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from mixdetect import sample_path
 from mixdetect.cli import load_experiment
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "detect_ar_stream.json"
 
 
 def main():
@@ -32,21 +35,11 @@ def main():
     args = ap.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
-    # prior timescale matched to the stream length; amplitude grid 1..5
-    config = {
-        "model": {
-            "kind": "multichannel_ar",
-            "ar_coeffs": [[0.5]],
-            "signals": [{"amplitude": 1.0, "omega": 0.0, "phase": 1.5707963267948966}],
-        },
-        "prior": {"kind": "geometric", "rho": 1.0 / args.change_at, "q": 0.0},
-        "mixing": {"kind": "uniform_grid", "lower": [1.0], "upper": [5.0], "counts": [5]},
-        "detector": {"kind": "msr", "omega": 0.0},
-        "calibration": {"kind": "msr-pfa", "alpha": 0.05},
-        "output": {
-            "alarms": os.path.join(args.outdir, "alarms.csv"),
-            "trajectory": os.path.join(args.outdir, "trajectory.csv"),
-        },
+    with open(CONFIG) as fh:
+        config = json.load(fh)
+    config["prior"]["rho"] = 1.0 / args.change_at
+    config["output"] = {
+        name: os.path.join(args.outdir, f"{name}.csv") for name in ("alarms", "trajectory")
     }
     cfg_path = os.path.join(args.outdir, "detect.json")
     with open(cfg_path, "w") as fh:

@@ -302,8 +302,7 @@ class Scenario:
     theta: tuple[float, ...] | None  # None where the quantity takes no theta
     on_grid: bool
     change_point: int
-    moments: tuple[float, ...]
-    moment: float
+    moments: tuple[float, ...]  # an average_delay's one ``moment``
 
 
 @dataclass
@@ -342,6 +341,17 @@ def _implied_alpha(exp: Experiment) -> float:
             "under an infinite-mean prior; use a finite-mean prior for PFA scenarios"
         )
     return (exp.omega * exp.prior.b + exp.prior.mean) / a
+
+
+def check_tail(prior: ChangePrior, horizon: int, scale: float, name: str) -> None:
+    """Refuse a horizon whose prior tail Pi(horizon) is not below 0.01 * ``scale``
+    (the estimate's size, called ``name``): trials see no change beyond it."""
+    tail = float(prior.tail(horizon))
+    if not tail < 0.01 * scale:
+        raise ConfigError(
+            f"montecarlo.horizon: prior tail Pi({horizon}) = {tail:.3e} "
+            f"is not below 0.01 * {name} = {0.01 * scale:.3e}; raise the horizon"
+        )
 
 
 def _scenario_theta(grid: MixingGrid, sc: dict, where: str) -> np.ndarray:
@@ -385,13 +395,14 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         raise ConfigError(f"{where}.moments: expected a list of numbers")
     if not moments:
         raise ConfigError(f"{where}.moments: need a non-empty list")
-    moment = float(_number(sc, where, "moment", 1))
     # m >= 1 is the domain of the delay predictions in ``theory``
     for j, m in enumerate(moments):
         if m < 1:
             raise ConfigError(f"{where}.moments[{j}]: must be >= 1")
-    if moment < 1:
-        raise ConfigError(f"{where}.moment: must be >= 1")
+    if q == "average_delay":
+        moments = [_number(sc, where, "moment", 1)]
+        if moments[0] < 1:
+            raise ConfigError(f"{where}.moment: must be >= 1")
     log_thresholds = [exp.threshold.log_threshold]
     if q == "delay_ladder":
         log_thresholds = sc.get("log_thresholds")
@@ -404,13 +415,7 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
             raise ConfigError(f"{where}.log_thresholds: need at least two distinct values")
         moments = [1]  # the ladder fits the mean delay
     if q in ("pfa_tail", "pfa_posterior"):
-        alpha = _implied_alpha(exp)
-        tail = float(exp.prior.tail(horizon))
-        if not tail < 0.01 * alpha:
-            raise ConfigError(
-                f"montecarlo.horizon: prior tail Pi({horizon}) = {tail:.3e} "
-                f"is not below 0.01 * alpha = {0.01 * alpha:.3e}; raise the horizon"
-            )
+        check_tail(exp.prior, horizon, _implied_alpha(exp), "alpha")
     if q == "pfa_posterior" and exp.detector != "ms":
         raise ConfigError(f"{where}: pfa_posterior applies to the ms rule only")
     if q == "average_delay" and not (
@@ -431,12 +436,7 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
             )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        tail = float(exp.prior.tail(horizon))
-        if not tail < 0.01 * risk:
-            raise ConfigError(
-                f"montecarlo.horizon: prior tail Pi({horizon}) = {tail:.3e} "
-                f"is not below 0.01 * D c |log c|^r = {0.01 * risk:.3e}; raise the horizon"
-            )
+        check_tail(exp.prior, horizon, risk, "D c |log c|^r")
     return Scenario(
         quantity=q,
         name=name,
@@ -446,7 +446,6 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         on_grid=on_grid,
         change_point=change_point,
         moments=tuple(map(float, moments)),
-        moment=moment,
     )
 
 
@@ -596,20 +595,21 @@ def _compare(est, pred: Prediction | None) -> dict:
     }
 
 
-def _info(exp: Experiment, sc: Scenario) -> float | None:
-    """I_theta at the scenario's theta, or None where the model has none."""
+def _rate(exp: Experiment, sc: Scenario) -> tuple[float | None, float | None]:
+    """(I_theta, ``delay_rate``) at the scenario's theta; I_theta None where the model has none."""
     try:
-        return info_number(exp.model, sc.theta)
+        i_theta = info_number(exp.model, sc.theta)
     except NotImplementedError:
-        return None
+        i_theta = None
+    return i_theta, delay_rate(exp.detector, i_theta, exp.prior.mu)
 
 
 def _delay_prediction(
-    exp: Experiment, sc: Scenario, i_theta: float | None, m: float, log_a: float
+    exp: Experiment, sc: Scenario, i_theta, rate, m: float, log_a: float
 ) -> Prediction | None:
     """None where there is no delay rate, or where log A <= 0, which the
-    first-order delay (log A / rate)^m does not cover."""
-    if delay_rate(exp.detector, i_theta, exp.prior.mu) is None or log_a <= 0.0:
+    first-order delay (log A / rate)^m does not cover; (i_theta, rate) are ``_rate``'s."""
+    if rate is None or log_a <= 0.0:
         return None
     if exp.detector == "ms":
         value = ms_delay_prediction(log_a, i_theta, exp.prior.mu, m)
@@ -623,8 +623,8 @@ def _delay_prediction(
     return Prediction(quantity=name, value=value, inputs=inputs, note=note)
 
 
-def _delay_rungs(exp: Experiment, sc: Scenario) -> tuple[list[dict], float | None]:
-    """{moment: (estimate, prediction)} per threshold in ``sc.log_thresholds``, and I_theta."""
+def _delay_rungs(exp: Experiment, sc: Scenario) -> tuple[list[dict], tuple]:
+    """{moment: (estimate, prediction)} per threshold in ``sc.log_thresholds``, and ``_rate``."""
     runs = [
         estimate_delay_moments(
             replace(exp.run, log_threshold=log_a),
@@ -635,12 +635,12 @@ def _delay_rungs(exp: Experiment, sc: Scenario) -> tuple[list[dict], float | Non
         )
         for j, log_a in enumerate(sc.log_thresholds)
     ]
-    i_theta = _info(exp, sc)
+    rate = _rate(exp, sc)
     rungs = [
-        {m: (est, _delay_prediction(exp, sc, i_theta, m, log_a)) for m, est in ests.items()}
+        {m: (est, _delay_prediction(exp, sc, *rate, m, log_a)) for m, est in ests.items()}
         for log_a, ests in zip(sc.log_thresholds, runs)
     ]
-    return rungs, i_theta
+    return rungs, rate
 
 
 def _run_pfa(exp: Experiment, sc: Scenario, estimate) -> dict:
@@ -655,13 +655,12 @@ def _run_delay(exp: Experiment, sc: Scenario) -> dict:
 
 
 def _run_delay_ladder(exp: Experiment, sc: Scenario) -> dict:
-    rungs, i_theta = _delay_rungs(exp, sc)
+    rungs, (_, rate) = _delay_rungs(exp, sc)
     points = []  # one (log_A, mean_delay, stderr, prediction) per threshold
     for log_a, rung in zip(sc.log_thresholds, rungs):
         est, pred = rung[1.0]
         points.append((log_a, est.point, est.stderr, pred.value if pred else math.nan))
     fit = slope_regression([p[:3] for p in points])
-    rate = delay_rate(exp.detector, i_theta, exp.prior.mu)
     pred_slope = 1.0 / rate if rate else None
     return {
         "ladder": [dict(zip(LADDER_COLUMNS, p)) for p in points],
@@ -672,9 +671,10 @@ def _run_delay_ladder(exp: Experiment, sc: Scenario) -> dict:
 
 
 def _run_average_delay(exp: Experiment, sc: Scenario) -> dict:
-    est = estimate_average_delay_risk(exp.run, sc.theta, sc.moment, stream_tag=sc.tag_base)
+    (m,) = sc.moments
+    est = estimate_average_delay_risk(exp.run, sc.theta, m, stream_tag=sc.tag_base)
     log_a = exp.threshold.log_threshold
-    return _compare(est, _delay_prediction(exp, sc, _info(exp, sc), sc.moment, log_a))
+    return _compare(est, _delay_prediction(exp, sc, *_rate(exp, sc), m, log_a))
 
 
 def _run_integrated_risk(exp: Experiment, sc: Scenario) -> dict:

@@ -172,9 +172,8 @@ def estimate_pfa_posterior(config: ExperimentConfig, stream_tag: int = 1) -> Est
         TrialSpec(mode="prior", q_short_circuit=True, stream_tag=stream_tag),
     )
     stopped = td.stop_times > 0
-    contrib = np.where(
-        stopped, np.exp(-np.logaddexp(0.0, td.log_stat_at_stop)), 0.0
-    )
+    with np.errstate(invalid="ignore"):  # censored trials carry NaN
+        contrib = np.where(stopped, np.exp(-np.logaddexp(0.0, td.log_stat_at_stop)), 0.0)
     censored = int((~stopped).sum())
     extras = {
         "estimator": "posterior-identity",
@@ -185,26 +184,31 @@ def estimate_pfa_posterior(config: ExperimentConfig, stream_tag: int = 1) -> Est
     return _mean_estimate(contrib, "pfa_posterior", censored, extras)
 
 
-def _delays(td: TrialData, horizon: int) -> tuple[np.ndarray, int, int, int]:
-    """Delays of the trials that satisfy T > nu, for the delay estimators.
-
-    The detections' T - nu come first, then the censored trials'
-    horizon - nu.  Returns the delays and the counts of censored trials,
-    of rejected trials (T <= nu) and of trials whose nu is at or beyond the
-    horizon, which cannot resolve the conditioning event.
-    """
+def _outcomes(td: TrialData, horizon: int):
+    """Each trial's delay T - nu (T = H, the horizon, if unstopped) and its masks, in order:
+    detections (stopped, T > nu), false alarms (stopped, T <= nu), censored (unstopped, nu < H)."""
     stopped = td.stop_times > 0
-    in_range = td.nus < horizon
-    detected = stopped & (td.stop_times > td.nus) & in_range
-    censored = ~stopped & in_range
-    delays = np.concatenate(
-        [
-            (td.stop_times[detected] - td.nus[detected]).astype(float),
-            (horizon - td.nus[censored]).astype(float),
-        ]
-    )
-    rejected = int((stopped & (td.stop_times <= td.nus)).sum())
-    return delays, int(censored.sum()), rejected, int((~in_range).sum())
+    delays = np.where(stopped, td.stop_times, horizon) - td.nus
+    detected = stopped & (delays > 0)
+    return delays, detected, stopped & ~detected, ~stopped & (td.nus < horizon)
+
+
+def _delay_estimates(td: TrialData, horizon: int, moments, tag: str, event: str, **extras):
+    """{r: E[(T-nu)^r | T > nu]} from run trials: the detections' delays, then the censored
+    trials' horizon - nu, in that order; ``extras`` join each estimate's extras."""
+    delays, detected, false_alarm, censored = _outcomes(td, horizon)
+    kept = np.concatenate([delays[detected], delays[censored]]).astype(float)
+    if kept.size == 0:
+        raise EstimationError(f"no trials survived the conditioning event {event}")
+    n_censored = int(censored.sum())
+    rate = n_censored / kept.size
+    extras.update(rejected=int(false_alarm.sum()), censor_rate=rate, reliable=rate < 1e-3)
+    return {
+        float(r): _mean_estimate(
+            kept ** float(r), f"{tag}_r{r:g}", n_censored, {**extras, "moment": float(r)}
+        )
+        for r in moments
+    }
 
 
 def estimate_delay_moments(
@@ -230,24 +234,10 @@ def estimate_delay_moments(
         config,
         TrialSpec(mode="fixed", nu=k, theta=tuple(theta_vec), stream_tag=stream_tag),
     )
-    delays, censored, rejected, _ = _delays(td, config.horizon)
-    if delays.size == 0:
-        raise EstimationError("no trials survived the conditioning event T > k")
-    censor_rate = censored / delays.size
-    out: dict[float, Estimate] = {}
-    for r in r_list:
-        extras = {
-            "change_point": k,
-            "theta": list(map(float, theta_vec)),
-            "moment": float(r),
-            "rejected": rejected,
-            "censor_rate": censor_rate,
-            "reliable": censor_rate < 1e-3,
-        }
-        out[float(r)] = _mean_estimate(
-            delays ** float(r), f"delay_moment_r{r:g}", censored, extras
-        )
-    return out
+    return _delay_estimates(
+        td, config.horizon, r_list, "delay_moment", "T > k",
+        change_point=k, theta=list(map(float, theta_vec)),
+    )
 
 
 def estimate_average_delay_risk(
@@ -265,18 +255,11 @@ def estimate_average_delay_risk(
         config,
         TrialSpec(mode="prior", theta=tuple(theta_vec), stream_tag=stream_tag),
     )
-    delays, censored, rejected, out_of_range = _delays(td, config.horizon)
-    if delays.size == 0:
-        raise EstimationError("no trials survived the conditioning event T > nu")
-    extras = {
-        "theta": list(map(float, theta_vec)),
-        "moment": float(r),
-        "rejected": rejected,
-        "nu_beyond_horizon": out_of_range,
-        "censor_rate": censored / delays.size,
-        "reliable": censored / delays.size < 1e-3,
-    }
-    return _mean_estimate(delays ** float(r), f"average_delay_r{r:g}", censored, extras)
+    return _delay_estimates(
+        td, config.horizon, (r,), "average_delay", "T > nu",
+        theta=list(map(float, theta_vec)),
+        nu_beyond_horizon=int((td.nus >= config.horizon).sum()),
+    )[float(r)]
 
 
 def estimate_integrated_risk(
@@ -295,22 +278,19 @@ def estimate_integrated_risk(
     td = run_trials(
         config, TrialSpec(mode="prior", q_short_circuit=False, stream_tag=stream_tag)
     )
-    stopped = td.stop_times > 0
-    false_alarm = stopped & (td.stop_times <= td.nus)
-    detected = stopped & (td.stop_times > td.nus)
-    censored_mask = (~stopped) & (td.nus < config.horizon)
+    delays, detected, false_alarm, censored = _outcomes(td, config.horizon)
+    delayed = detected | censored
     contrib = np.zeros(config.trials)
     contrib[false_alarm] = 1.0
-    contrib[detected] = c * (td.stop_times[detected] - td.nus[detected]) ** float(r)
-    contrib[censored_mask] = c * (config.horizon - td.nus[censored_mask]) ** float(r)
-    censored = int((~stopped).sum())
+    contrib[delayed] = c * delays[delayed] ** float(r)
+    unstopped = config.trials - int((detected | false_alarm).sum())  # any nu
     extras = {
         "cost": c,
         "moment": float(r),
         "false_alarm_fraction": float(false_alarm.mean()),
-        "censor_rate": censored / config.trials,
+        "censor_rate": unstopped / config.trials,
     }
-    return _mean_estimate(contrib, f"integrated_risk_r{r:g}", censored, extras)
+    return _mean_estimate(contrib, f"integrated_risk_r{r:g}", unstopped, extras)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ def delay_rate(detector: str, i: float | None, mu: float) -> float | None:
     """
     if i is None:
         return None
-    rate = i + mu if detector == "ms" else i
+    rate = i + mu if detector.lower() == "ms" else i
     return rate if 0.0 < rate < math.inf else None
 
 

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from mixdetect._engine import (
     BLOCK,
     CHUNK,
     GROUP,
+    TrialData,
     TrialSpec,
     _alarm_floor,
     _draw_trials,
@@ -242,6 +244,51 @@ class TestIntegratedRisk:
         # T = 1 surely: false alarm iff nu >= 1, delay 1 iff nu = 0
         expected = float(PRIOR.tail(1)) + c * float(np.exp(PRIOR.log_pmf(0)))
         assert est.point == pytest.approx(expected, abs=3.5 * est.stderr + 1e-12)
+
+
+# horizon 10: a detection (T = 5 > nu = 2), a false alarm (T = nu = 3), a
+# censored trial (nu = 4), an unstopped trial with nu at the horizon, and a
+# false alarm at T = nu = horizon
+OUTCOME_TRIALS = TrialData(
+    stop_times=np.array([5, 3, 0, 0, 10]),
+    log_stat_at_stop=np.array([3.0, 3.0, np.nan, np.nan, 3.0]),
+    nus=np.array([2, 3, 4, 10, 10]),
+)
+
+
+class TestOutcomes:
+    def test_each_trial_classified_once(self):
+        delays, detected, false_alarm, censored = montecarlo._outcomes(OUTCOME_TRIALS, 10)
+        assert delays.tolist() == [3, 0, 6, 0, 0]
+        assert detected.tolist() == [True, False, False, False, False]
+        assert false_alarm.tolist() == [False, True, False, False, True]
+        assert censored.tolist() == [False, False, True, False, False]
+
+    def test_estimators_reduce_the_classification(self, monkeypatch):
+        """Both delay estimators keep the detection and the censored trial; the
+        risk counts every unstopped trial as censored, nu at the horizon too."""
+        monkeypatch.setattr(montecarlo, "run_trials", lambda config, spec: OUTCOME_TRIALS)
+        cfg = make_config(trials=5, horizon=10)
+        ests = estimate_delay_moments(cfg, 2, (1.0,), r_list=[1.0, 2.0])
+        assert (ests[1.0].point, ests[2.0].point) == (4.5, 22.5)
+        avg = estimate_average_delay_risk(cfg, (1.0,), 2.0)
+        assert avg.point == 22.5 and avg.extras["nu_beyond_horizon"] == 2
+        for est in (ests[1.0], avg):
+            assert (est.trials, est.censored, est.extras["rejected"]) == (2, 1, 2)
+            assert est.extras["censor_rate"] == 0.5 and not est.extras["reliable"]
+        assert "nu_beyond_horizon" not in ests[1.0].extras
+        risk = estimate_integrated_risk(cfg, 0.5, 1.0)
+        assert risk.point == (0.5 * 3 + 1.0 + 0.5 * 6 + 0.0 + 1.0) / 5
+        assert (risk.trials, risk.censored, risk.extras["censor_rate"]) == (5, 2, 0.4)
+        assert risk.extras["false_alarm_fraction"] == 0.4
+
+    def test_pfa_posterior_censored_trials_raise_no_warning(self):
+        """Censored trials carry a NaN statistic, which contributes zero."""
+        cfg = make_config(log_threshold=1e6, trials=50, horizon=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_pfa_posterior(cfg)
+        assert est.censored == 50 and est.point == 0.0
 
 
 class TestEstimatorContracts:

@@ -60,3 +60,13 @@ def test_streaming_demo(tmp_path):
     rate[200:] += 1.0
     np.savetxt(tmp_path / "reference.csv", rate, delimiter=",", header="rate", comments="")
     assert (outdir / "rate.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_false_alarm_bounds_refuses_a_short_horizon(tmp_path):
+    """simulate's horizon check on the same setting: the prior tail past the
+    horizon must be below 1% of the smallest alpha, here 0.01."""
+    proc = _run("false_alarm_bounds.py", "--trials", "64", "--horizon", "20", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: montecarlo.horizon: prior tail Pi(20) = ")
+    assert proc.stderr.endswith(" is not below 0.01 * alpha = 1.000e-04; raise the horizon\n")

@@ -25,6 +25,7 @@ from mixdetect.theory import (
         ("msr", 0.5, math.inf, 0.5),
         ("ms", None, 0.25, None),  # no information number
         ("msr", None, 0.0, None),
+        ("MS", 0.5, 0.25, 0.75),  # the rule name in any case, as configs give it
     ],
 )
 def test_delay_rate(detector, i, mu, rate):
