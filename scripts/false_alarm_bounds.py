@@ -20,13 +20,25 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "pfa_bounds.json"
 ALPHAS = (0.10, 0.05, 0.01)
 
 
+def at_least(low):
+    """An argparse type: an integer >= ``low``, as simulate's config requires."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    return integer
+
+
 def main():
     run = load_experiment(str(CONFIG), need_montecarlo=True).run
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=run.trials)
-    ap.add_argument("--horizon", type=int, default=run.horizon)
-    ap.add_argument("--seed", type=int, default=run.master_seed)
-    ap.add_argument("--workers", type=int, default=run.workers)
+    ap.add_argument("--trials", type=at_least(1), default=run.trials)
+    ap.add_argument("--horizon", type=at_least(1), default=run.horizon)
+    ap.add_argument("--seed", type=at_least(0), default=run.master_seed)
+    ap.add_argument("--workers", type=at_least(1), default=run.workers)
     args = ap.parse_args()
     run = replace(
         run, trials=args.trials, horizon=args.horizon, master_seed=args.seed, workers=args.workers

@@ -390,9 +390,7 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         raise ConfigError(f"{where}.name: expected a non-empty string")
     if os.sep in name or (os.altsep and os.altsep in name):
         raise ConfigError(f"{where}.name: must not contain a path separator")
-    moments = sc.get("moments", [1])
-    if not isinstance(moments, list) or not all(_is_number(m) for m in moments):
-        raise ConfigError(f"{where}.moments: expected a list of numbers")
+    moments = _numbers(sc, where, "moments") if "moments" in sc else [1]
     if not moments:
         raise ConfigError(f"{where}.moments: need a non-empty list")
     # m >= 1 is the domain of the delay predictions in ``theory``
@@ -564,6 +562,13 @@ def _threshold_record(spec: ThresholdSpec) -> dict:
     return {**asdict(spec), "threshold": spec.threshold}
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as JSON with sorted keys, a two-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_calibrate(config_path: str) -> int:
     exp = load_experiment(config_path, need_montecarlo=False)
     spec = exp.threshold
@@ -574,9 +579,7 @@ def cmd_calibrate(config_path: str) -> int:
         print(f"  {key} = {val:.12g}" if isinstance(val, float) else f"  {key} = {val}")
     out = exp.output.get("threshold_json")
     if out:
-        with open(out, "w") as fh:
-            json.dump(_threshold_record(spec), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, _threshold_record(spec))
         print(f"wrote {out}")
     return 0
 
@@ -738,9 +741,7 @@ def cmd_simulate(config_path: str) -> int:
     }
     out_path = exp.output.get("report")
     if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_path, report)
     ladder_dir = exp.output.get("ladder_dir", ".")
     for row in rows:
         if "ladder" not in row:
@@ -786,9 +787,9 @@ def cmd_simulate(config_path: str) -> int:
 CSV_CHUNK = 4096
 
 
-def load_csv_stream(path: str, dimension: int) -> np.ndarray:
-    """Read a (T, dimension) observation stream; blank lines are skipped, and
-    the first non-blank line may be a header.
+def load_csv_stream(path: str, dimension: int) -> tuple[np.ndarray, list[int]]:
+    """Read a (T, dimension) observation stream and the ascending file lines
+    it skips: blank lines, and the first non-blank line when it is a header.
 
     The file is read CSV_CHUNK lines at a time.  A chunk whose every line
     holds ``dimension`` fields that ``float`` reads as finite values is
@@ -798,19 +799,19 @@ def load_csv_stream(path: str, dimension: int) -> np.ndarray:
     lone surrogates, which ``float`` rejects, so a file that is not UTF-8
     fails at the line of its first such byte, unless an earlier line fails.
     """
-    chunks = []
+    chunks, skipped = [], []
     first = True  # no non-blank line read yet
     lineno = 0  # lines read before the chunk
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         while lines := list(islice(fh, CSV_CHUNK)):
             rows = _parse_chunk(lines, dimension)
             if rows is None:
-                rows, first = _parse_lines(path, lines, lineno, dimension, first)
+                rows, first = _parse_lines(path, lines, lineno, dimension, first, skipped)
             else:
                 first = False
             chunks.append(rows)
             lineno += len(lines)
-    return np.concatenate(chunks) if chunks else np.empty((0, dimension))
+    return np.concatenate(chunks) if chunks else np.empty((0, dimension)), skipped
 
 
 def _parse_chunk(lines: list[str], dimension: int) -> np.ndarray | None:
@@ -826,10 +827,12 @@ def _parse_chunk(lines: list[str], dimension: int) -> np.ndarray | None:
     return rows if np.isfinite(rows).all() else None
 
 
-def _parse_lines(path: str, lines: list[str], lineno: int, dimension: int, first: bool):
+def _parse_lines(
+    path: str, lines: list[str], lineno: int, dimension: int, first: bool, skipped: list[int]
+):
     """(rows, first) of ``lines``, which start after file line ``lineno``, one
     line at a time; ``first`` says that no non-blank line came before them, so
-    that the first one may be a header."""
+    that the first one may be a header.  Blank and header lines go to ``skipped``."""
     rows = []
     for lineno, line in enumerate(lines, start=lineno + 1):
         try:
@@ -838,6 +841,7 @@ def _parse_lines(path: str, lines: list[str], lineno: int, dimension: int, first
             raise RuntimeError(f"{path}:{lineno}: not valid UTF-8 text") from None
         line = line.strip()
         if not line:
+            skipped.append(lineno)
             continue
         parts = [p.strip() for p in line.split(",")]
         try:
@@ -845,6 +849,7 @@ def _parse_lines(path: str, lines: list[str], lineno: int, dimension: int, first
         except ValueError:
             if first:
                 first = False
+                skipped.append(lineno)
                 continue
             raise RuntimeError(f"{path}:{lineno}: malformed CSV row {line!r}")
         first = False
@@ -856,15 +861,6 @@ def _parse_lines(path: str, lines: list[str], lineno: int, dimension: int, first
             raise RuntimeError(f"{path}:{lineno}: non-finite value in row {line!r}")
         rows.append(vals)
     return np.array(rows, dtype=float).reshape(-1, dimension), first
-
-
-def _data_line(path: str, rows: int, row: int) -> int:
-    """File line of the ``row``-th (1-based) of the ``rows`` rows that
-    ``load_csv_stream`` read from ``path``: blank lines are skipped, and a
-    header can only be the first non-blank line."""
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = [i for i, line in enumerate(fh, start=1) if line.strip()]
-    return lines[len(lines) - rows + row - 1]
 
 
 # trajectory rows formatted at a time by _write_trajectory; no byte depends on it
@@ -902,7 +898,7 @@ def cmd_detect(
     traj_path = exp.output.get("trajectory")
     if trajectory and not traj_path:
         raise ConfigError("output.trajectory: required with --trajectory")
-    data = load_csv_stream(data_path, exp.model.dimension)
+    data, skipped = load_csv_stream(data_path, exp.model.dimension)
     log_a = exp.threshold.log_threshold
     try:
         records, tail = _multicyclic_with_tail(
@@ -916,7 +912,9 @@ def cmd_detect(
             restart=multicyclic,
         )
     except (NonFiniteIncrements, PriorSupportExhausted) as exc:
-        line = _data_line(data_path, len(data), exc.row)
+        line = exc.row  # the file line of that row: one more per skipped line up to it
+        for s in skipped:
+            line += s <= line
         overflow = isinstance(exc, NonFiniteIncrements)
         reason = "observation out of range, its LLR increments overflow" if overflow else exc
         raise RuntimeError(f"{data_path}:{line}: {reason}") from None

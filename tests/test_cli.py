@@ -1431,15 +1431,18 @@ class TestDetect:
     def test_header_detection(self, tmp_path):
         data = tmp_path / "h.csv"
         data.write_text("value\n1.5\n2.5\n")
-        rows = load_csv_stream(str(data), 1)
+        rows, skipped = load_csv_stream(str(data), 1)
         np.testing.assert_allclose(rows.ravel(), [1.5, 2.5])
+        assert skipped == [1]
 
     def test_header_after_blank_lines(self, tmp_path, capsys):
         """The first non-blank line may be a header, after leading blank lines
         too, and later lines keep their own line numbers in errors."""
         data = tmp_path / "b.csv"
         data.write_text("\nx\n1.5\n2.5\n")
-        np.testing.assert_array_equal(load_csv_stream(str(data), 1).ravel(), [1.5, 2.5])
+        rows, skipped = load_csv_stream(str(data), 1)
+        np.testing.assert_array_equal(rows.ravel(), [1.5, 2.5])
+        assert skipped == [1, 2]
         data.write_text("\n\nx\n1.5\ny\n")
         with pytest.raises(RuntimeError, match=rf"^{data}:5: malformed CSV row 'y'$"):
             load_csv_stream(str(data), 1)
@@ -1454,11 +1457,17 @@ class TestDetect:
         text first row is still the header, and lines keep their numbers."""
         data = tmp_path / "bom.csv"
         data.write_bytes("\ufeff1.5\n2.5\n".encode())
-        np.testing.assert_array_equal(load_csv_stream(str(data), 1).ravel(), [1.5, 2.5])
+        rows, skipped = load_csv_stream(str(data), 1)
+        np.testing.assert_array_equal(rows.ravel(), [1.5, 2.5])
+        assert skipped == []
         data.write_bytes("\ufeffx\n1.5\n2.5\n".encode())
-        np.testing.assert_array_equal(load_csv_stream(str(data), 1).ravel(), [1.5, 2.5])
+        rows, skipped = load_csv_stream(str(data), 1)
+        np.testing.assert_array_equal(rows.ravel(), [1.5, 2.5])
+        assert skipped == [1]
         data.write_bytes("\ufeff0.5,1\n2,3\n".encode())
-        np.testing.assert_array_equal(load_csv_stream(str(data), 2), [[0.5, 1.0], [2.0, 3.0]])
+        rows, skipped = load_csv_stream(str(data), 2)
+        np.testing.assert_array_equal(rows, [[0.5, 1.0], [2.0, 3.0]])
+        assert skipped == []
         doc = self.detect_doc(tmp_path, mixing={"kind": "atoms", "atoms": [[2.0]]})
         path = write_config(tmp_path, doc)
         data.write_bytes("\ufeff0.0\n\n-1e308\n".encode())
@@ -1499,15 +1508,80 @@ class TestDetect:
             assert err == f"error: {data}:{error}\n"
         assert not (tmp_path / "alarms.csv").exists()
 
+    # an overflow at row 3, after a header and before a blank line: line 5
+    OVERFLOW_AT_LINE_5 = "x\n0.1\n0.2\n\n1.7e308\n0.3\n"
+
+    def overflow_config(self, tmp_path):
+        return write_config(
+            tmp_path, self.detect_doc(tmp_path, mixing={"kind": "atoms", "atoms": [[2.0]]})
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_piped_stream_names_line(self, tmp_path):
+        """A pipe can be read only once: the line comes from that one read."""
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixdetect.cli", "detect", self.overflow_config(tmp_path),
+             "/dev/stdin", "--multicyclic"],
+            input=self.OVERFLOW_AT_LINE_5,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: /dev/stdin:5: observation out of range, its LLR increments overflow\n"
+        )
+
+    def test_growing_file_names_line_of_the_read(self, tmp_path, capsys, monkeypatch):
+        """Lines appended after the load do not move the line of the failing row."""
+        data = tmp_path / "d.csv"
+        data.write_text(self.OVERFLOW_AT_LINE_5)
+        run = cli._multicyclic_with_tail
+
+        def append_then_run(*args, **kwargs):
+            with open(data, "a") as fh:
+                fh.write("0.4\n0.5\n")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_multicyclic_with_tail", append_then_run)
+        assert main(["detect", self.overflow_config(tmp_path), str(data)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {data}:5: observation out of range, its LLR increments overflow\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text,code", [(OVERFLOW_AT_LINE_5, 3), ("x\n0.1\n\n0.2\n", 0)], ids=["fails", "succeeds"]
+    )
+    def test_data_file_opened_once(self, tmp_path, monkeypatch, text, code):
+        """detect opens its data file once, whether it fails or not."""
+        import builtins
+
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        path = self.overflow_config(tmp_path)
+        opened = []
+        builtin_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["detect", path, str(data)]) == code
+        assert opened.count(str(data)) == 1
+
 
 # ---------------------------------------------------------------------------
 # The chunked CSV loader against the per-line loader it replaced.
 # ---------------------------------------------------------------------------
 
 
-def _per_line_load_csv_stream(path: str, dimension: int) -> np.ndarray:
-    """The loader that parsed every line on its own, kept as the reference."""
-    rows = []
+def _per_line_load_csv_stream(path: str, dimension: int) -> tuple[np.ndarray, list[int]]:
+    """The loader that parsed every line on its own, kept as the reference,
+    with the file line of each row."""
+    rows, lines = [], []
     header = False
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -1529,7 +1603,8 @@ def _per_line_load_csv_stream(path: str, dimension: int) -> np.ndarray:
             if not all(math.isfinite(v) for v in vals):
                 raise RuntimeError(f"{path}:{lineno}: non-finite value in row {line!r}")
             rows.append(vals)
-    return np.array(rows, dtype=float).reshape(-1, dimension)
+            lines.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, dimension), lines
 
 
 _CSV_PAD = st.sampled_from(["", "", " ", "\t", "  ", "\x0c"])
@@ -1590,7 +1665,8 @@ def _csv_text(draw):
 @example(case=(3, "1,2,3\n4,5,6\n1,2\n"), chunk=2)
 def test_chunked_loader_matches_per_line_loader(case, chunk):
     """Chunks of 1 to 5 lines put headers, blank lines and errors on chunk
-    edges; the loader returns the reference's bits or raises its message."""
+    edges; the loader returns the reference's bits or raises its message, and
+    detect's walk over the skipped lines gives each row the reference's line."""
     import tempfile
 
     import mixdetect.cli as cli
@@ -1602,15 +1678,21 @@ def test_chunked_loader_matches_per_line_loader(case, chunk):
         with open(path, "w", newline="") as fh:
             fh.write(text)
         try:
-            want = _per_line_load_csv_stream(path, dimension)
+            want, want_lines = _per_line_load_csv_stream(path, dimension)
         except RuntimeError as exc:
             with pytest.raises(RuntimeError) as got:
                 load_csv_stream(path, dimension)
             assert str(got.value) == str(exc)
             return
-        got = load_csv_stream(path, dimension)
+        got, skipped = load_csv_stream(path, dimension)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert skipped == sorted(set(skipped))
+    for row, want_line in enumerate(want_lines, start=1):
+        line = row  # the walk in cmd_detect
+        for s in skipped:
+            line += s <= line
+        assert line == want_line
 
 
 # ---------------------------------------------------------------------------

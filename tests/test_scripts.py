@@ -70,3 +70,16 @@ def test_false_alarm_bounds_refuses_a_short_horizon(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error: montecarlo.horizon: prior tail Pi(20) = ")
     assert proc.stderr.endswith(" is not below 0.01 * alpha = 1.000e-04; raise the horizon\n")
+
+
+@pytest.mark.parametrize(
+    "option,value,bound",
+    [("--trials", "0", 1), ("--horizon", "0", 1), ("--seed", "-1", 0), ("--workers", "0", 1)],
+)
+def test_false_alarm_bounds_refuses_a_bad_budget(option, value, bound, tmp_path):
+    """simulate refuses the same values in its config; the script exits 2 and
+    names the option before it runs anything."""
+    proc = _run("false_alarm_bounds.py", option, value, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(f"error: argument {option}: must be >= {bound}\n")
