@@ -37,6 +37,10 @@ class ThresholdSpec:
     inputs: dict = field(default_factory=dict)
     note: str = ""
 
+    def __post_init__(self):  # a bound's A can overflow a float, and log A with it
+        if not math.isfinite(self.log_threshold):
+            raise ValueError(f"log_threshold must be finite, got {self.log_threshold}")
+
     @property
     def threshold(self) -> float:
         try:
@@ -46,8 +50,6 @@ class ThresholdSpec:
 
 
 def fixed_threshold(log_threshold: float) -> ThresholdSpec:
-    if not np.isfinite(log_threshold):
-        raise ValueError("log_threshold must be finite")
     return ThresholdSpec(
         kind="fixed", log_threshold=float(log_threshold), inputs={}, note="user-supplied"
     )

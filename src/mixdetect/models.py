@@ -31,8 +31,9 @@ one-path case: the alarm loop scores each window of stream rows with
 ``increment_block`` on its own ``increment_state(1)``, so streaming and
 batch values agree bit for bit.
 Sampling is vectorised across the listed paths, and each path still draws
-from its own generator only; the Gaussian and AR models draw with their
-``sample_block``, which the base ``simulate_block`` scores.  The AR model
+from its own generator only; the AR model, whose one white-noise channel is
+the Gaussian model, draws with its ``sample_block``, which the base
+``simulate_block`` scores.  The AR model
 evaluates each block's raw and whitened signal rows from their closed forms,
 the bits of a table of the whole horizon, so its states hold only each
 path's filter memory.  The HMM has one
@@ -46,6 +47,7 @@ memory grows with the horizon or the stream.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -231,56 +233,6 @@ def sample_path(model: ObservationModel, nu, theta, horizon: int, rng) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Gaussian i.i.d. model: N(0,1) before the change, N(theta,1) after.
-# ---------------------------------------------------------------------------
-
-
-class GaussianIidModel(ObservationModel):
-    """Unit-variance Gaussian mean shift; increment l_n(theta) = theta*x - theta^2/2."""
-
-    def __init__(self, grid: MixingGrid):
-        if grid.dimension != 1:
-            raise ValueError("gaussian_iid_model requires scalar grid atoms")
-        self.grid = grid
-        self.dimension = 1
-        self._theta = grid.atoms[:, 0]
-        self._half_theta_sq = 0.5 * self._theta**2
-
-    def sampler_state(self, nus, thetas, horizon, rngs):
-        return _sampler(nus, thetas, rngs, 1)
-
-    def sample_block(self, state, rows, n0, n1):
-        x = np.empty((len(rows), n1 - n0, 1))
-        for r, i in enumerate(rows.tolist()):
-            state.rngs[i].standard_normal(out=x[r, :, 0])
-        post = np.arange(n0, n1)[None, :] >= state.nus[rows, None]  # column t is time t+1
-        x[:, :, 0] += post * state.thetas[rows]
-        return x
-
-    def increment_state(self, batch):
-        return None  # memoryless
-
-    def increment_block(self, state, rows, x, n0):
-        ell = np.empty((x.shape[1], len(self._theta), len(x)))
-        np.multiply(x[:, :, 0].T[:, None, :], self._theta[:, None], out=ell)
-        ell -= self._half_theta_sq[:, None]
-        return ell
-
-    # copies of the base methods in the class body, which per-class
-    # instrumentation (perfbench/tracer.py) reads from the class __dict__
-    step = ObservationModel.step
-    sample_paths = ObservationModel.sample_paths
-    path_increments = ObservationModel.path_increments
-
-    def info_number(self, theta_vec: np.ndarray) -> float:
-        return 0.5 * float(theta_vec[0]) ** 2
-
-
-def gaussian_iid_model(grid: MixingGrid) -> GaussianIidModel:
-    return GaussianIidModel(grid)
-
-
-# ---------------------------------------------------------------------------
 # Multichannel AR model: deterministic signals with unknown amplitudes in
 # Gaussian autoregressive noise.
 # ---------------------------------------------------------------------------
@@ -382,11 +334,12 @@ class QLimit:
     spread: float
 
 
+@functools.lru_cache
 def q_limit(spec: ArChannelSpec, channel: int, horizon: int = 10_000) -> QLimit:
     """Numeric long-run average of (S~_n)^2 for one channel.
 
     Averages over the windows (0, horizon] and (horizon, 2*horizon] and
-    returns the max with the two-window spread.
+    returns the max with the two-window spread, cached: it depends on nothing else.
     """
     if horizon < 10_000:
         raise ValueError("horizon must be >= 10^4 for a stable average")
@@ -428,7 +381,7 @@ def _ar_noise(w: np.ndarray, fir: np.ndarray, z: np.ndarray) -> tuple[np.ndarray
 
 
 class MultichannelArModel(ObservationModel):
-    """Signals with unknown positive amplitudes in AR Gaussian noise.
+    """Signals with unknown amplitudes in AR Gaussian noise.
 
     The model whitens both the data and the signals with the channel FIR
     filters; the increment is
@@ -436,7 +389,8 @@ class MultichannelArModel(ObservationModel):
         l_n(theta) = sum_c [ theta_c S~_n^c X~_n^c - theta_c^2 (S~_n^c)^2 / 2 ]
 
     which is the exact conditional-density log-ratio given zero initial
-    values of the noise recursions.
+    values of the noise recursions.  ``multichannel_ar_model`` admits
+    positive amplitudes only.
     """
 
     def __init__(self, spec: ArChannelSpec, grid: MixingGrid):
@@ -445,8 +399,6 @@ class MultichannelArModel(ObservationModel):
             raise ValueError(
                 f"grid atoms have dimension {grid.dimension}, model has {n} channels"
             )
-        if np.any(grid.atoms <= 0.0):
-            raise ValueError("amplitude atoms must have positive components")
         self.spec = spec
         self.grid = grid
         self.dimension = n
@@ -463,7 +415,9 @@ class MultichannelArModel(ObservationModel):
             s = sres[:, c]
             if c == 1:
                 term = np.empty_like(out)
-            np.multiply((s * resid[:, :, c]).T[:, None, :], theta[:, None], out=term)
+            sx = np.multiply(s[:, None], resid[:, :, c].T, order="C")  # S~ X~, time first
+            np.multiply(sx[:, None, :], theta[:, None], out=term)
+            del sx  # freed before the temporaries below, which a long block makes large
             term -= ((0.5 * s**2)[:, None] * theta_sq)[:, :, None]
             if c:
                 out += term
@@ -492,15 +446,17 @@ class MultichannelArModel(ObservationModel):
 
     def increment_block(self, state, rows, x, n0):
         p, length = self._order, x.shape[1]
-        past = np.concatenate([state["lags"][rows], x], axis=1)  # row p+r is x[:, r]
-        resid = x.copy()
-        for c in range(self.dimension):
-            # lags before time 1 are zero, so rows before time j+1 see no lag j
-            for j, beta in enumerate(self.spec.ar_coeffs[c], start=1):
-                s = max(j - n0, 0)
-                if s < length:
-                    resid[:, s:, c] -= beta * past[:, p - j + s : p - j + length, c]
-        state["lags"][rows] = past[:, length:, :]
+        resid = x  # without lags there is nothing to whiten
+        if p:
+            past = np.concatenate([state["lags"][rows], x], axis=1)  # row p+r is x[:, r]
+            resid = x.copy()
+            for c in range(self.dimension):
+                # lags before time 1 are zero, so rows before time j+1 see no lag j
+                for j, beta in enumerate(self.spec.ar_coeffs[c], start=1):
+                    s = max(j - n0, 0)
+                    if s < length:
+                        resid[:, s:, c] -= beta * past[:, p - j + s : p - j + length, c]
+            state["lags"][rows] = past[:, length:, :]
         # np.convolve sums in another order when the signal is not longer than
         # the FIR, so the rows asked for run p + 2 or more past max(n0 - p, 0)
         horizon = max(n0 + length, max(n0 - p, 0) + p + 2)
@@ -518,7 +474,41 @@ class MultichannelArModel(ObservationModel):
 
 
 def multichannel_ar_model(spec: ArChannelSpec, grid: MixingGrid) -> MultichannelArModel:
-    return MultichannelArModel(spec, grid)
+    model = MultichannelArModel(spec, grid)
+    if np.any(grid.atoms <= 0.0):
+        raise ValueError("amplitude atoms must have positive components")
+    return model
+
+
+# ---------------------------------------------------------------------------
+# Gaussian i.i.d. model: N(0,1) before the change, N(theta,1) after.
+# ---------------------------------------------------------------------------
+
+# one white-noise channel carrying the unit signal S_n = sin(pi/2) = 1
+_WHITE_NOISE = ArChannelSpec(ar_coeffs=((),), signals=(HarmonicSignal(1.0, 0.0, math.pi / 2),))
+
+
+class GaussianIidModel(MultichannelArModel):
+    """Unit-variance Gaussian mean shift, l_n(theta) = theta*x - theta^2/2: the AR
+    model's one white-noise channel with the unit signal, and atoms of any sign."""
+
+    def __init__(self, grid: MixingGrid):
+        if grid.dimension != 1:
+            raise ValueError("gaussian_iid_model requires scalar grid atoms")
+        super().__init__(_WHITE_NOISE, grid)
+
+    # copies of the base methods in the class body, which per-class
+    # instrumentation (perfbench/tracer.py) reads from the class __dict__
+    step = ObservationModel.step
+    sample_paths = ObservationModel.sample_paths
+    path_increments = ObservationModel.path_increments
+
+    def info_number(self, theta_vec: np.ndarray) -> float:
+        return 0.5 * float(theta_vec[0]) ** 2
+
+
+def gaussian_iid_model(grid: MixingGrid) -> GaussianIidModel:
+    return GaussianIidModel(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ class TestMsThreshold:
             ms_threshold(0.5, q=0.6)
         ms_threshold(0.3, q=0.6)  # fine
 
+    def test_overflowing_threshold_rejected(self):
+        # (1 - alpha)/alpha = 1e310 is past the largest float
+        with pytest.raises(ValueError, match="log_threshold must be finite, got inf"):
+            ms_threshold(1e-310)
+
 
 class TestMsrThreshold:
     def test_zero_headstart(self):
@@ -52,6 +57,12 @@ class TestMsrThreshold:
             msr_threshold(0.0, 0.0, geometric_prior(0.1))
         with pytest.raises(ValueError):
             msr_threshold(1.0, 0.0, geometric_prior(0.1))
+
+    @pytest.mark.parametrize("alpha, omega", [(1e-308, 0.0), (0.05, 1e308)])
+    def test_overflowing_threshold_rejected(self, alpha, omega):
+        # mean 9 over alpha 1e-308, or a head start that overflows omega*b
+        with pytest.raises(ValueError, match="log_threshold must be finite, got inf"):
+            msr_threshold(alpha, omega, geometric_prior(0.1))
 
 
 class TestDConstant:

@@ -297,6 +297,29 @@ class TestCalibrate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == THRESHOLD_JSON_DIGESTS[kind]
 
 
+def test_bayes_load_evaluates_each_channels_q_once(tmp_path):
+    """The Bayes threshold takes one information number per atom; each AR
+    channel's Q is evaluated once for all 400 atoms, and the values are those
+    of an evaluation per atom."""
+    from mixdetect import models
+
+    doc = base_config(
+        model={
+            "kind": "multichannel_ar",
+            "ar_coeffs": [[0.5], [0.3]],
+            "signals": [{"omega": 0.3}, {"amplitude": 0.8, "phase": math.pi / 2}],
+        },
+        mixing={"kind": "uniform_grid", "lower": [0.5, 0.5], "upper": [1.5, 1.5], "counts": [20, 20]},
+        calibration={"kind": "bayes-cost", "c": 0.01, "r": 1},
+    )
+    models.q_limit.cache_clear()
+    exp = load_experiment(write_config(tmp_path, doc))
+    assert models.q_limit.cache_info().misses == 2
+    qs = np.array([models.q_limit.__wrapped__(exp.model.spec, c).value for c in range(2)])
+    for atom in exp.grid.atoms[[0, 7, 399]]:
+        assert exp.model.info_number(atom) == 0.5 * float(np.sum(atom**2 * qs))
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = base_config()
@@ -340,6 +363,35 @@ class TestConfigValidation:
         assert main([command, write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
         assert f"calibration.kind: {calibration['kind']!r} calibrates the" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate", "detect"])
+    @pytest.mark.parametrize(
+        "detector, calibration",
+        [
+            ({"kind": "ms"}, {"kind": "ms-pfa", "alpha": 1e-310}),
+            ({"kind": "msr", "omega": 1e308}, {"kind": "msr-pfa", "alpha": 0.05}),
+        ],
+        ids=["ms-pfa", "msr-pfa"],
+    )
+    def test_overflowing_threshold_rejected(self, tmp_path, capsys, command, detector, calibration):
+        # A = (1 - alpha)/alpha or (omega*b + mean_nu)/alpha past the largest float
+        report, data = tmp_path / "report.json", tmp_path / "data.csv"
+        data.write_text("0.0\n1.0\n")
+        doc = base_config(
+            detector=detector,
+            calibration=calibration,
+            montecarlo={
+                "trials": 50,
+                "horizon": 100,
+                "seed": 1,
+                "scenarios": [{"quantity": "pfa_tail"}],
+            },
+            output={"report": str(report)},
+        )
+        argv = [command, write_config(tmp_path, doc)] + ([str(data)] if command == "detect" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: calibration: ")
         assert not report.exists()
 
     def test_grid_model_dimension_cross_check(self, tmp_path, capsys):

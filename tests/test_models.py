@@ -351,6 +351,37 @@ def test_whitened_rows_of_a_window_match_the_whole_table(p, q, seed, n0, length)
     )
 
 
+@settings(max_examples=50)
+@given(
+    hnp.arrays(np.float64, st.integers(1, 4), elements=st.floats(-4.0, 4.0), unique=True),
+    st.lists(st.integers(1, 2 * BLOCK), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+@example(np.array([-1.5, 0.5]), [3, BLOCK, 1], 0)
+def test_white_noise_channel_is_the_gaussian_closed_form(atoms, cuts, seed):
+    """One AR channel without coefficients and with the unit signal, built
+    directly so that its atoms may have either sign, samples z + 1{t >= nu}
+    theta from each path's own normals and scores theta x - theta^2 / 2, to
+    the bit, however the time axis is cut into blocks."""
+    spec = ArChannelSpec(ar_coeffs=((),), signals=(HarmonicSignal(1.0, 0.0, math.pi / 2),))
+    model = MultichannelArModel(spec, grid_from_atoms(atoms[:, None]))
+    horizon, rows = sum(cuts), np.arange(3)
+    pick = np.random.default_rng(seed)
+    nus, thetas = pick.integers(0, horizon + 1, 3), atoms[pick.integers(0, len(atoms), 3)]
+    sampler = model.sampler_state(nus, thetas[:, None], horizon, spawn_rngs(seed, 3))
+    scorer, blocks, n0 = model.increment_state(3), [], 0
+    for length in cuts:
+        blocks.append(model.simulate_block(sampler, scorer, rows, n0, n0 + length))
+        n0 += length
+    x = np.concatenate([b[0] for b in blocks], axis=1)[:, :, 0]
+    ell = np.concatenate([b[1] for b in blocks])
+    for i, rng in enumerate(spawn_rngs(seed, 3)):
+        z = rng.standard_normal(horizon)
+        np.testing.assert_array_equal(_bits(x[i]), _bits(z + (np.arange(horizon) >= nus[i]) * thetas[i]))
+    expected = x.T[:, None, :] * atoms[:, None] - atoms[:, None] ** 2 / 2
+    np.testing.assert_array_equal(_bits(ell), _bits(expected))
+
+
 @pytest.mark.parametrize("start, horizon", [(0, 0), (7, 7), (9, 4)])
 def test_an_empty_whitening_window_has_no_rows(start, horizon):
     """A window with start >= horizon whitens no rows, for a channel without

@@ -114,10 +114,10 @@ def test_the_walk_names_what_is_not_per_path():
     ]
 
 
-# increment state of 5 paths: the AR lags (batch, p, channels), the HMM's
-# filter tables (parameters, batch), and nothing for the Gaussian
+# increment state of 5 paths: the AR lags (batch, p, channels), empty for the
+# Gaussian's one white-noise channel, and the HMM's filter tables (parameters, batch)
 INCREMENT_STATE = {
-    "gaussian": [],
+    "gaussian": [("state['lags']", (5, 0, 1))],
     "ar": [("state['lags']", (5, 2, 2))],
     "hmm": [("state[0]", (3, 5)), ("state[1]", (3, 5))],
 }
