@@ -29,10 +29,11 @@ Each group of trials is sampled and scored in that one call (the HMM runs
 one forward filter for both, with one extra table row for an off-grid
 theta), recursed with the block's ``prior_window``, and carries model and
 statistic state to the next block; the chunk stops once every trial has
-alarmed.  Inside a group, after a step where trials alarm, the alarmed
-trials are dropped from the recursion once at most half of the group's
-current rows are live and the block has steps left; each drop at least
-halves the rows, so the copying is a constant factor.  The chunk's
+alarmed, and a trial censored at the horizon keeps its statistic there, as
+a streaming censored record does.  Inside a group, after a step where trials
+alarm, the alarmed trials are dropped from the recursion once at most half
+of the group's current rows are live and the block has steps left; each
+drop at least halves the rows, so the copying is a constant factor.  The chunk's
 statistic is stored atoms first, (n_atoms, count), and every model's block
 kernel writes its increments as (steps, n_atoms, trials), so the recursion
 reduces over contiguous atom rows.  The recursion runs on every
@@ -158,18 +159,18 @@ class TrialSpec:
 
 @dataclass
 class TrialData:
-    """Per-trial outcomes in trial-index order (stop_time 0 = censored)."""
+    """Per-trial outcomes in trial-index order: the stop time (0 = censored)
+    and the statistic at the last step, the alarm or else the horizon."""
 
     stop_times: np.ndarray
     log_stat_at_stop: np.ndarray
     nus: np.ndarray
-    final_log_stat: np.ndarray | None = None
 
     @staticmethod
     def concatenate(parts: list["TrialData"]) -> "TrialData":
-        """Each field of the parts joined in order; a field that is None stays None."""
+        """Each field of the parts joined in order."""
         columns = ([getattr(p, f.name) for p in parts] for f in fields(TrialData))
-        return TrialData(*(None if col[0] is None else np.concatenate(col) for col in columns))
+        return TrialData(*map(np.concatenate, columns))
 
 
 def _draw_trials(
@@ -247,8 +248,8 @@ def run_chunk(
     steps over the live trials GROUP at a time.  Trials that have alarmed are
     neither sampled nor scored again, they leave the recursion mid-block once
     at most half of their group's rows are live, and the chunk ends once none
-    is left.  With ``log_threshold`` None no trial stops: every trial runs to
-    ``horizon``, and the result carries its final statistic.
+    is left.  A trial that never alarms gets stop time 0 and its statistic at
+    ``horizon``; with ``log_threshold`` None that is every trial.
     """
     rngs = trial_rngs(master_seed, spec.stream_tag, start, count)
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
@@ -319,12 +320,6 @@ def run_chunk(
             alive[rows] = live
             del ell  # freed before the next group's increments are made
 
-    return TrialData(
-        stop_times=stop,
-        log_stat_at_stop=stat_at_stop,
-        nus=nus,
-        final_log_stat=(
-            # no trial stops, so the last window ends at Pi(horizon)
-            log_statistic(stat_state, logw, log_tail[-1]) if log_threshold is None else None
-        ),
-    )
+    # the censored trials ran every block, so the last window ends at Pi(horizon)
+    stat_at_stop[alive] = log_statistic(stat_state[:, alive], logw, log_tail[-1])
+    return TrialData(stop_times=stop, log_stat_at_stop=stat_at_stop, nus=nus)

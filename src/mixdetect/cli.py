@@ -411,7 +411,6 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
                 raise ConfigError(f"{where}.log_thresholds[{j}]: expected a number")
         if len(set(map(float, log_thresholds))) < 2:  # the slope fit needs a spread
             raise ConfigError(f"{where}.log_thresholds: need at least two distinct values")
-        moments = [1]  # the ladder fits the mean delay
     if q in ("pfa_tail", "pfa_posterior"):
         check_tail(exp.prior, horizon, _implied_alpha(exp), "alpha")
     if q == "pfa_posterior" and exp.detector != "ms":
@@ -703,7 +702,7 @@ _QUANTITIES = {
     "average_delay": ({"name", "theta", "moment"}, _run_average_delay),
     "integrated_risk": ({"name"}, _run_integrated_risk),
     "delay_ladder": (
-        {"name", "change_point", "theta", "moments", "log_thresholds"},
+        {"name", "change_point", "theta", "log_thresholds"},  # fits the mean delay
         _run_delay_ladder,
     ),
 }

@@ -404,7 +404,8 @@ class MultichannelArModel(ObservationModel):
         self.dimension = n
         self._order = max((len(c) for c in spec.ar_coeffs), default=0)
         atoms = np.ascontiguousarray(grid.atoms.T)  # row c: every atom's channel c
-        self._atom_cols = list(zip(atoms, atoms**2))
+        with np.errstate(over="ignore"):  # a square past the largest float is inf
+            self._atom_cols = list(zip(atoms, atoms**2))
 
     def _ell(self, resid: np.ndarray, sres: np.ndarray) -> np.ndarray:
         """Increments (L, n_atoms, B) from whitened data resid (B, L, channels)
@@ -470,7 +471,8 @@ class MultichannelArModel(ObservationModel):
 
     def info_number(self, theta_vec: np.ndarray) -> float:
         qs = [q_limit(self.spec, c).value for c in range(self.dimension)]
-        return 0.5 * float(np.sum(np.asarray(theta_vec) ** 2 * np.asarray(qs)))
+        with np.errstate(over="ignore"):  # a square past the largest float is inf
+            return 0.5 * float(np.sum(np.asarray(theta_vec) ** 2 * np.asarray(qs)))
 
 
 def multichannel_ar_model(spec: ArChannelSpec, grid: MixingGrid) -> MultichannelArModel:
@@ -504,7 +506,10 @@ class GaussianIidModel(MultichannelArModel):
     path_increments = ObservationModel.path_increments
 
     def info_number(self, theta_vec: np.ndarray) -> float:
-        return 0.5 * float(theta_vec[0]) ** 2
+        try:  # float ** 2 keeps the pinned bits (theta * theta does not) but can overflow
+            return 0.5 * float(theta_vec[0]) ** 2
+        except OverflowError:
+            return math.inf
 
 
 def gaussian_iid_model(grid: MixingGrid) -> GaussianIidModel:

@@ -66,7 +66,7 @@ class ExperimentConfig:
     rule, budget, seed.
 
     ``log_threshold`` None runs every trial to the horizon without stopping,
-    and the trials then carry their final statistic.
+    and ``-inf`` stops every trial at n = 1; ``+inf`` and NaN are refused.
     """
 
     model: ObservationModel
@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.detector.lower() not in ("ms", "msr"):
             raise ValueError(f"unknown detector {self.detector!r}")
+        if self.log_threshold is not None and not self.log_threshold < math.inf:
+            raise ValueError(f"log_threshold must be finite or -inf, got {self.log_threshold}")
 
 
 def _chunk_payloads(config: ExperimentConfig, spec: TrialSpec):
@@ -133,8 +135,7 @@ def statistic_at_horizon(
 ) -> np.ndarray:
     """log statistic after exactly ``horizon`` steps for every trial (no stopping)."""
     spec = spec or TrialSpec(mode="no_change", stream_tag=0)
-    td = run_trials(replace(config, log_threshold=None), spec)
-    return td.final_log_stat
+    return run_trials(replace(config, log_threshold=None), spec).log_stat_at_stop
 
 
 def estimate_pfa_tail(config: ExperimentConfig, stream_tag: int = 0) -> Estimate:
@@ -172,8 +173,7 @@ def estimate_pfa_posterior(config: ExperimentConfig, stream_tag: int = 1) -> Est
         TrialSpec(mode="prior", q_short_circuit=True, stream_tag=stream_tag),
     )
     stopped = td.stop_times > 0
-    with np.errstate(invalid="ignore"):  # censored trials carry NaN
-        contrib = np.where(stopped, np.exp(-np.logaddexp(0.0, td.log_stat_at_stop)), 0.0)
+    contrib = np.where(stopped, np.exp(-np.logaddexp(0.0, td.log_stat_at_stop)), 0.0)
     censored = int((~stopped).sum())
     extras = {
         "estimator": "posterior-identity",

@@ -320,6 +320,59 @@ def test_bayes_load_evaluates_each_channels_q_once(tmp_path):
         assert exp.model.info_number(atom) == 0.5 * float(np.sum(atom**2 * qs))
 
 
+# the Gaussian model and the same model spelled as one white-noise AR channel
+# with the unit signal sin(pi/2)
+GAUSSIAN_SPELLINGS = {
+    "gaussian_iid": {"kind": "gaussian_iid"},
+    "white_noise_ar": {
+        "kind": "multichannel_ar", "ar_coeffs": [[]], "signals": [{"phase": math.pi / 2}]
+    },
+}
+
+
+def _cli(tmp_path, *args):
+    """``mixdetect *args`` in a new interpreter, whose warnings print to stderr."""
+    code = f"from mixdetect.cli import main\nraise SystemExit(main({list(args)!r}))"
+    return _fresh_python(code, cwd=tmp_path)
+
+
+class TestOverflowingInformationNumber:
+    """An atom or a delay theta whose square passes the largest float gives
+    I = inf and no prediction, silently, under either spelling of the model."""
+
+    def test_calibrate(self, tmp_path):
+        outputs = []
+        for model in sorted(GAUSSIAN_SPELLINGS):
+            doc = base_config(
+                model=GAUSSIAN_SPELLINGS[model],
+                mixing={"kind": "atoms", "atoms": [[1.0], [1e200]]},
+                calibration={"kind": "bayes-cost", "c": 0.01, "r": 1},
+            )
+            proc = _cli(tmp_path, "calibrate", write_config(tmp_path, doc, name=f"{model}.json"))
+            assert (proc.returncode, proc.stderr) == (0, ""), model
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and "A = " in outputs[0]
+
+    @pytest.mark.parametrize("model", sorted(GAUSSIAN_SPELLINGS))
+    def test_simulate_delay(self, tmp_path, model):
+        doc = base_config(
+            model=GAUSSIAN_SPELLINGS[model],
+            mixing={"kind": "atoms", "atoms": [[1.0]]},
+            calibration={"kind": "fixed", "log_threshold": 3.0},
+            montecarlo={
+                "trials": 16, "horizon": 20, "seed": 1,
+                "scenarios": [
+                    {"name": "d", "quantity": "delay", "theta": [1e200], "change_point": 5}
+                ],
+            },
+            output={"report": "report.json"},
+        )
+        proc = _cli(tmp_path, "simulate", write_config(tmp_path, doc))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        moment = json.loads((tmp_path / "report.json").read_text())["scenarios"][0]["moments"]["1"]
+        assert moment["prediction"] is None and moment["estimate"]["point"] == 1.0
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = base_config()
@@ -778,7 +831,7 @@ class TestSimulate:
                     "moments": [],
                     "log_thresholds": [3, 4, 5, 6],
                 },
-                r"scenarios\[2\]\.moments: need a non-empty list$",
+                r"scenarios\[2\]\.moments: unknown key$",
             ),
         ],
         ids=[

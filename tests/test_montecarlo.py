@@ -463,12 +463,10 @@ def test_block_boundaries_match_streaming(model_name, detector, mode, horizon, g
     pivot = min(horizon, BLOCK)
     td = run_trials(replace(cfg, log_threshold=log_a), spec)
     for i, rec in enumerate(recs):
-        if rec.censored:
-            assert td.stop_times[i] == 0
-            assert np.isnan(td.log_stat_at_stop[i])
-        else:
-            assert td.stop_times[i] == rec.stop_time
-            assert td.log_stat_at_stop[i] == rec.log_stat_at_stop
+        # a censored trial carries its statistic at the horizon, as streaming does
+        assert td.stop_times[i] == (0 if rec.censored else rec.stop_time)
+        got, want = np.array([td.log_stat_at_stop[i], rec.log_stat_at_stop])
+        assert got.view(np.uint64) == want.view(np.uint64)
     stops = td.stop_times
     assert np.any((stops >= 1) & (stops <= pivot))
     if horizon >= 2 * BLOCK:
@@ -602,46 +600,63 @@ def test_prior_support_exhausted_unchanged(k0, horizon, log_threshold, no_stoppi
         assert np.all(td.stop_times == expected)
 
 
+@pytest.mark.parametrize("log_threshold", [math.inf, math.nan], ids=["inf", "nan"])
+def test_threshold_that_no_statistic_reaches_refused(log_threshold):
+    """+inf and NaN would censor every trial (+inf with an inf - inf warning
+    in the alarm floor); None and -inf stay the two non-finite settings."""
+    message = f"log_threshold must be finite or -inf, got {log_threshold}"
+    with pytest.raises(ValueError, match=message):
+        make_config(log_threshold=log_threshold)
+
+
 # SHA-256 of per-trial outputs, recorded before the engine was block-stepped
 # (200 trials, horizon 150, so stops fall in all three blocks; numpy 2.4,
 # scipy 1.17).  A change of any per-trial random value or statistic shows
 # here even if streaming and lockstep paths still agree with each other.
+# "censored_log_stat", the censored trials' statistics at the horizon, was
+# recorded when censored trials began to carry them.
 PINNED_DIGESTS = {
     "gaussian-ms": {
         "stop_times": "29d93d976ec427d4775430d69c827137effe361d475712c34c6aeaa27fa571f4",
         "log_stat_at_stop": "72bc4cf15bd682073367c657813438e84c82c420dd7dfe1d0d8dc83d84c05a31",
         "nus": "737b82ff264add6de6331b17a8aab697ea53e054f70ff30a1e42aaf6860df505",
         "final_log_stat": "be1218210cd46d2cac5431976f327e1baeb387e103e0c42d4ca826ae55d9e54e",
+        "censored_log_stat": "6c2a384ad668bf4fadc776ca502c1de5117ed2f3bdd4c2ddd55c33cd42e57248",
     },
     "gaussian-msr": {
         "stop_times": "9c071eb6792f0707edf2261686256edcb7467bbbf0fd12df4906325f23bb6cae",
         "log_stat_at_stop": "25cac863abbeec7cbb28a66e2321402961360b6fdc1f7194f11c09ada3ba5190",
         "nus": "61257e48d2aa24a23a8df4aa7e07dc7513c05d1af69d309cc9634832764e1249",
         "final_log_stat": "9a9df6155a746cf87af6a2696f17fddf8f90ed77e28bf1f5c643c8b48101fd20",
+        "censored_log_stat": "28f5a87cb1413a729afa341732d82e29f46ae48096185e3ab44cd6eefc89d3d0",
     },
     "ar-ms": {
         "stop_times": "525e13ddd0284cd8da0d79c89bcd03194d9a8620e3e622361e29dc8308ce9e7c",
         "log_stat_at_stop": "e0841eb08b61a62512b8beb3942e2c52812cb309ec5fd3b06d9df83fde3cc127",
         "nus": "737b82ff264add6de6331b17a8aab697ea53e054f70ff30a1e42aaf6860df505",
         "final_log_stat": "c71a34b6a4aecab73157bed902faaa451e71a85202d73f21b037e80aa830e82c",
+        "censored_log_stat": "312850b6b4db630135ab28386dc5e42327ddccfc08ab496f4d72a17686b9ad00",
     },
     "ar-msr": {
         "stop_times": "961e8c8ba6b4a2b318df0dde723e4cbb94c5688b9a1beb6ab394a7c584119736",
         "log_stat_at_stop": "46dd3e21207683790bee7605543ce0b3fe22c745df7ecbb2978449fc957ddde6",
         "nus": "61257e48d2aa24a23a8df4aa7e07dc7513c05d1af69d309cc9634832764e1249",
         "final_log_stat": "8400f2410004ebc590f9f987921691fcd11dfd4f6b542972c703dace56757c57",
+        "censored_log_stat": "55404608d27541d77cacebfff3bea220dd2459ae6c9d849164baffc99f7571a2",
     },
     "hmm-ms": {
         "stop_times": "b96a9528d0b6e91226a1b0ac8cb1742529139f1eefd4cce8a488bc04b753d876",
         "log_stat_at_stop": "b168395a4299c59256d5b4c312de0cf4a05c6fb69a33d6990884460b5d5aae5b",
         "nus": "737b82ff264add6de6331b17a8aab697ea53e054f70ff30a1e42aaf6860df505",
         "final_log_stat": "d795b195aa3fefa0653aaf619e2f4b1dd55a90ebb21b4cdcee391b130fa1e8d1",
+        "censored_log_stat": "26d3f048939458afbb6e4257772ec75c9e59b8db65a744855ef49b4bceeb0636",
     },
     "hmm-msr": {
         "stop_times": "6fb93d4d2ff1102de0af22b29607e9c0b2d4470f0f524cb6a19ba5cc032bb204",
         "log_stat_at_stop": "90550bbbc125c984c9424221fb6c938744b41e5f0eaac817748d689f65c259fd",
         "nus": "61257e48d2aa24a23a8df4aa7e07dc7513c05d1af69d309cc9634832764e1249",
         "final_log_stat": "d8c410ba3cce86fa8b20c380a5c56570e1c4f5882917647fbe86fe8d999c2a32",
+        "censored_log_stat": "3837ecc110c9d6beb0556b76a60da83e287725067c6deeea8c47673b31d2d698",
     },
 }
 
@@ -673,11 +688,15 @@ def test_pinned_per_trial_values(model_name, detector):
     whole = run_trials(
         replace(cfg, log_threshold=None), TrialSpec(mode="prior", stream_tag=8)
     )
+    censored = stopped.stop_times == 0
     got = {
         "stop_times": _sha256(stopped.stop_times),
-        "log_stat_at_stop": _sha256(stopped.log_stat_at_stop),
+        # recorded when censored trials carried NaN
+        "log_stat_at_stop": _sha256(np.where(censored, np.nan, stopped.log_stat_at_stop)),
         "nus": _sha256(stopped.nus),
-        "final_log_stat": _sha256(whole.final_log_stat),
+        # recorded when a run without a threshold kept its statistics in a field of their own
+        "final_log_stat": _sha256(whole.log_stat_at_stop),
+        "censored_log_stat": _sha256(stopped.log_stat_at_stop[censored]),
     }
     assert got == PINNED_DIGESTS[f"{model_name}-{detector}"]
 
@@ -741,8 +760,7 @@ def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
 @pytest.mark.parametrize("no_stopping", [False, True])
 def test_run_trials_joins_its_chunks_field_by_field(no_stopping):
     """run_trials over CHUNK + 5 trials is its two run_chunk parts, every
-    field joined in trial order; final_log_stat is None unless the run has
-    no threshold."""
+    field joined in trial order, with or without a threshold."""
     from dataclasses import fields
 
     cfg = make_config(trials=CHUNK + 5, horizon=40)
@@ -755,12 +773,8 @@ def test_run_trials_joins_its_chunks_field_by_field(no_stopping):
         run_chunk(*args, cfg.log_threshold, cfg.horizon, spec, cfg.master_seed, start, count)
         for start, count in ((0, CHUNK), (CHUNK, 5))
     ]
-    assert (whole.final_log_stat is None) is (not no_stopping)
     for f in fields(whole):
         got = getattr(whole, f.name)
-        if got is None:
-            assert all(getattr(p, f.name) is None for p in parts)
-            continue
         want = np.concatenate([getattr(p, f.name) for p in parts])
         assert got.dtype == want.dtype and got.shape == (CHUNK + 5,)
         assert got.tobytes() == want.tobytes()
@@ -954,9 +968,10 @@ def test_alarm_floor_never_hides_a_crossing(inputs):
 
 
 @pytest.mark.parametrize("detector", ["ms", "msr"])
-def test_threshold_tie_stops_like_streaming(detector):
+def test_threshold_tie_stops_like_streaming(detector, monkeypatch):
     """log A equal to a value the streaming statistic reaches: that trial stops
-    on the tie, and every trial's stop time and statistic match streaming."""
+    on the tie, and every trial's stop time and statistic match streaming,
+    for the engine's GROUP and for groups of 8 and 1."""
     grid = grid_from_atoms([[0.25], [0.5], [1.0], [1.5], [2.0]])
     cfg = make_config(grid=grid, detector=detector, omega=0.5, trials=40, horizon=130)
     spec = TrialSpec(mode="fixed", nu=60, theta=(1.0,), stream_tag=8)
@@ -970,17 +985,16 @@ def test_threshold_tie_stops_like_streaming(detector):
     log_a = float(traj[tie, 1])
     assert traj[:tie, 1].max() < log_a, "trial 0 reaches log A before the tie"
 
-    td = run_trials(replace(cfg, log_threshold=log_a), spec)
-    assert td.stop_times[0] == tie + 1 and td.log_stat_at_stop[0] == log_a
-    for i, path in enumerate(paths):
-        rec = _streaming(cfg, path, log_a)
-        if rec.censored:
-            assert td.stop_times[i] == 0 and np.isnan(td.log_stat_at_stop[i])
-        else:
-            assert td.stop_times[i] == rec.stop_time
+    recs = [_streaming(cfg, path, log_a) for path in paths]
+    for group in (GROUP, 8, 1):
+        monkeypatch.setattr(_engine, "GROUP", group)
+        td = run_trials(replace(cfg, log_threshold=log_a), spec)
+        assert td.stop_times[0] == tie + 1 and td.log_stat_at_stop[0] == log_a
+        for i, rec in enumerate(recs):
+            assert td.stop_times[i] == (0 if rec.censored else rec.stop_time)
             got, want = np.array([td.log_stat_at_stop[i], rec.log_stat_at_stop])
             assert got.view(np.uint64) == want.view(np.uint64)
-    assert np.count_nonzero(td.stop_times) > 1
+        assert 1 < np.count_nonzero(td.stop_times) < cfg.trials
 
 
 # ---------------------------------------------------------------------------
@@ -1027,11 +1041,12 @@ def _whole_path_statistics(model, prior, detector, omega, horizon, spec, seed, c
 @pytest.mark.parametrize("detector", ["ms", "msr"])
 @pytest.mark.parametrize("mode", sorted(HMM_KERNEL_MODES))
 @pytest.mark.parametrize("transitions", sorted(HMM_KERNEL_SPECS))
-def test_hmm_block_kernel_matches_whole_paths(transitions, mode, detector):
+def test_hmm_block_kernel_matches_whole_paths(transitions, mode, detector, monkeypatch):
     """run_chunk, which samples and scores each block with one filter, gives
     the bits of whole-path sampling and scoring: stop times, statistics at
     the stop and final statistics, over four blocks with trials dropped
-    mid-block."""
+    mid-block, for the engine's GROUP and for groups of 8 (groups of 1, with
+    an HMM among the models, are in test_block_boundaries_match_streaming)."""
     beta, gamma = HMM_KERNEL_SPECS[transitions]
     model = hmm2_model(
         Hmm2Spec(theta0=(0.0, 1.0), beta=beta, gamma=gamma),
@@ -1046,19 +1061,22 @@ def test_hmm_block_kernel_matches_whole_paths(transitions, mode, detector):
     args = (model, prior, model.grid, detector, omega)
     stats = _whole_path_statistics(model, prior, detector, omega, horizon, spec, seed, count)
 
-    # every trial is live in all four blocks, and the final statistic reads
-    # Pi(horizon) from the last block's prior window
-    whole = run_chunk(*args, None, horizon, spec, seed, 0, count)
-    assert whole.final_log_stat.tobytes() == stats[-1].tobytes()
-
     # a log A that nine in ten trials reach within two blocks, so that trials
     # stop in several blocks and a few run on
     log_a = float(np.quantile(stats[: 2 * BLOCK].max(axis=0), 0.1))
-    td = run_chunk(*args, log_a, horizon, spec, seed, 0, count)
     crossed = stats >= log_a
     want_stop = np.where(crossed.any(axis=0), crossed.argmax(axis=0) + 1, 0)
-    want_stat = np.where(want_stop > 0, stats[want_stop - 1, np.arange(count)], np.nan)
-    np.testing.assert_array_equal(td.stop_times, want_stop)
-    assert td.log_stat_at_stop.tobytes() == want_stat.tobytes()
-    assert any(compacted for *_, compacted in _compactions(td.stop_times, horizon))
-    assert np.any((td.stop_times == 0) | (td.stop_times > 2 * BLOCK)), "no third block"
+    # a censored trial carries its statistic at the horizon
+    want_stat = stats[np.where(want_stop > 0, want_stop, horizon) - 1, np.arange(count)]
+    for group in (GROUP, 8):
+        monkeypatch.setattr(_engine, "GROUP", group)
+        # every trial is live in all four blocks, and the final statistic reads
+        # Pi(horizon) from the last block's prior window
+        whole = run_chunk(*args, None, horizon, spec, seed, 0, count)
+        assert whole.log_stat_at_stop.tobytes() == stats[-1].tobytes()
+
+        td = run_chunk(*args, log_a, horizon, spec, seed, 0, count)
+        np.testing.assert_array_equal(td.stop_times, want_stop)
+        assert td.log_stat_at_stop.tobytes() == want_stat.tobytes()
+    assert any(compacted for *_, compacted in _compactions(want_stop, horizon))
+    assert np.any((want_stop == 0) | (want_stop > 2 * BLOCK)), "no third block"
