@@ -4,8 +4,9 @@
 Both calibration routes are conservative (they ignore the overshoot of the
 statistic over the threshold); this script makes the slack visible by
 printing, for a ladder of target levels alpha, the bound and the estimated
-weighted PFA for the MS and MSR rules on the setting of
-configs/pfa_bounds.json, whose montecarlo section gives the defaults.
+weighted PFA for the MS and MSR rules on the setting of a config,
+configs/pfa_bounds.json by default, whose montecarlo section gives the
+trials, horizon, seed and workers.
 """
 
 import argparse
@@ -20,30 +21,15 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "pfa_bounds.json"
 ALPHAS = (0.10, 0.05, 0.01)
 
 
-def at_least(low):
-    """An argparse type: an integer >= ``low``, as simulate's config requires."""
-
-    def integer(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}")
-        return value
-
-    return integer
-
-
 def main():
-    run = load_experiment(str(CONFIG), need_montecarlo=True).run
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=at_least(1), default=run.trials)
-    ap.add_argument("--horizon", type=at_least(1), default=run.horizon)
-    ap.add_argument("--seed", type=at_least(0), default=run.master_seed)
-    ap.add_argument("--workers", type=at_least(1), default=run.workers)
+    ap.add_argument("config", nargs="?", default=str(CONFIG))
     args = ap.parse_args()
-    run = replace(
-        run, trials=args.trials, horizon=args.horizon, master_seed=args.seed, workers=args.workers
-    )
-    try:  # simulate's horizon check for its PFA scenarios; the smallest alpha binds
+    try:
+        run = load_experiment(args.config).run
+        if run is None:
+            raise ConfigError("montecarlo: missing required section")
+        # simulate's horizon check for its PFA scenarios; the smallest alpha binds
         check_tail(run.prior, run.horizon, min(ALPHAS), "alpha")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

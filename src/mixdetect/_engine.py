@@ -55,7 +55,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .detectors import BLOCK, PriorSupportExhausted, _log_init, advance, log_statistic, prior_window
+from .detectors import BLOCK, NonFiniteIncrements, PriorSupportExhausted, _log_init, advance
+from .detectors import log_statistic, prior_window
 from .measures import ChangePrior, MixingGrid
 from .models import ObservationModel, _SeedWords
 
@@ -229,6 +230,7 @@ def _alarm_floor(log_threshold: float, log_tail: np.ndarray, n_atoms: int) -> np
     return log_threshold + log_tail - np.log(n_atoms) - tol
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_chunk(
     model: ObservationModel,
     prior: ChangePrior,
@@ -249,7 +251,11 @@ def run_chunk(
     neither sampled nor scored again, they leave the recursion mid-block once
     at most half of their group's rows are live, and the chunk ends once none
     is left.  A trial that never alarms gets stop time 0 and its statistic at
-    ``horizon``; with ``log_threshold`` None that is every trial.
+    ``horizon``; with ``log_threshold`` None that is every trial.  As in the
+    alarm loop, a group's first step n where a live trial's increments are
+    not finite (a huge atom or observation overflows them) raises
+    ``NonFiniteIncrements`` with ``row`` n; a group's block is checked once,
+    and NumPy's overflow and invalid-value warnings are silenced.
     """
     rngs = trial_rngs(master_seed, spec.stream_tag, start, count)
     nus, thetas = _draw_trials(spec, prior, grid, horizon, rngs)
@@ -281,6 +287,7 @@ def run_chunk(
             rows = block_rows[g0 : g0 + width]
             # (L, K, B), so step n reads the contiguous (K, B) slice ell[n - 1 - off]
             ell = model.simulate_block(sampler, scorer, rows, n0, n1)[1]
+            finite = np.isfinite(ell).all()
             off = n0
             state = np.take(stat_state, rows, axis=1)  # contiguous (K, B)
             live = alive[rows]
@@ -288,6 +295,8 @@ def run_chunk(
                 j = n - 1 - n0
                 if exhausted[j] and live.any():
                     raise PriorSupportExhausted(n)
+                if not finite and not np.isfinite(ell[n - 1 - off][:, live]).all():
+                    raise NonFiniteIncrements(f"step {n}: LLR increments overflow", row=n)
                 state = advance(state, ell[n - 1 - off], log_pi[j])
                 if log_threshold is None:
                     continue

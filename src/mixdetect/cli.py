@@ -11,10 +11,10 @@ Subcommands:
   channel, optional header); emit alarm times, optionally the per-step
   log-statistic trajectory.
 
-Configs are strict JSON: unknown keys are rejected, cross-field rules
-(horizon vs prior tail, alpha vs q, grid vs model dimension) are checked at
-load, and every random experiment requires an explicit seed.  Exit codes:
-0 success, 2 config error, 3 runtime/estimation error.
+Configs are strict JSON, loaded the same way by every command: unknown keys
+are rejected, cross-field rules (horizon vs prior tail, alpha vs q, grid vs
+model dimension) are checked at load, and every random experiment requires an
+explicit seed.  Exit codes: 0 success, 2 config error, 3 runtime/estimation error.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ class Experiment:
     """A fully validated experiment: objects plus the raw document echo.
 
     ``run`` is the ``montecarlo`` section's run at the calibrated threshold,
-    None when the section is not loaded (``calibrate`` and ``detect``).
+    None only when the file has no such section.
     """
 
     doc: dict
@@ -361,12 +361,9 @@ def _scenario_theta(grid: MixingGrid, sc: dict, where: str) -> np.ndarray:
     if not isinstance(theta, (int, list)):
         raise ConfigError(f"{where}.theta: expected an atom index or a vector")
     try:
-        vec = grid.theta_vector(theta)
+        return grid.theta_vector(theta)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.theta: {exc}") from exc
-    if not np.isfinite(vec).all():
-        raise ConfigError(f"{where}.theta: expected finite components")
-    return vec
 
 
 def _scenario(exp: Experiment, index: int, sc) -> Scenario:
@@ -406,6 +403,8 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
         log_thresholds = sc.get("log_thresholds")
         if not isinstance(log_thresholds, list) or len(log_thresholds) < 4:
             raise ConfigError(f"{where}.log_thresholds: need a list of >= 4 values")
+        if len(log_thresholds) > 1000:  # rung j runs on tag_base + j, below the next scenario's
+            raise ConfigError(f"{where}.log_thresholds: at most 1000 values")
         for j, la in enumerate(log_thresholds):
             if not _is_number(la):
                 raise ConfigError(f"{where}.log_thresholds[{j}]: expected a number")
@@ -446,7 +445,8 @@ def _scenario(exp: Experiment, index: int, sc) -> Scenario:
     )
 
 
-def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
+def load_experiment(path: str) -> Experiment:
+    """Load and check every section of the config at ``path``, for any command."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -501,9 +501,7 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
         if not isinstance(val, str):
             raise ConfigError(f"output.{key}: expected a string")
 
-    if need_montecarlo:
-        if "montecarlo" not in doc:
-            raise ConfigError("montecarlo: missing required section")
+    if "montecarlo" in doc:
         mc = doc["montecarlo"]
         _check_keys(
             mc, "montecarlo", {"trials", "horizon", "seed", "workers", "scenarios"},
@@ -538,11 +536,9 @@ def load_experiment(path: str, need_montecarlo: bool = False) -> Experiment:
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ConfigError(f"montecarlo.scenarios[{i}].name: duplicate name {name!r}")
-
-    # grid/model compatibility was enforced by the model constructor; priors
-    # with zero tail inside the horizon break the MS recursion, catch it now
-    if need_montecarlo and kind == "ms":
-        if not np.isfinite(float(prior.log_tail(exp.run.horizon))):
+        # grid/model compatibility was enforced by the model constructor; priors
+        # with zero tail inside the horizon break the MS recursion, catch it now
+        if kind == "ms" and not np.isfinite(float(prior.log_tail(horizon))):
             raise ConfigError(
                 "montecarlo.horizon: the prior's support ends inside the horizon; "
                 "the ms statistic is undefined there (use msr or shorten the horizon)"
@@ -568,8 +564,7 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def cmd_calibrate(config_path: str) -> int:
-    exp = load_experiment(config_path, need_montecarlo=False)
+def cmd_calibrate(exp: Experiment) -> int:
     spec = exp.threshold
     print(f"kind: {spec.kind}")
     print(f"A = {spec.threshold:.12g}")
@@ -725,13 +720,14 @@ def _print_estimate(label: str, estimate: dict, prediction, ratio) -> None:
     )
 
 
-def cmd_simulate(config_path: str) -> int:
-    exp = load_experiment(config_path, need_montecarlo=True)
+def cmd_simulate(exp: Experiment) -> int:
+    if exp.run is None:
+        raise ConfigError("montecarlo: missing required section")
     rows = []
     for sc in exp.scenarios:
         try:
             rows.append(_run_scenario(exp, sc))
-        except EstimationError as exc:
+        except (EstimationError, NonFiniteIncrements) as exc:
             raise RuntimeError(f"scenario {sc.name}: {exc}") from exc
     report = {
         "config": exp.doc,
@@ -888,12 +884,8 @@ def _write_trajectory(path: str, segments: list[np.ndarray]) -> None:
 
 
 def cmd_detect(
-    config_path: str,
-    data_path: str,
-    multicyclic: bool = False,
-    trajectory: bool = False,
+    exp: Experiment, data_path: str, multicyclic: bool = False, trajectory: bool = False
 ) -> int:
-    exp = load_experiment(config_path, need_montecarlo=False)
     traj_path = exp.output.get("trajectory")
     if trajectory and not traj_path:
         raise ConfigError("output.trajectory: required with --trajectory")
@@ -971,19 +963,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        exp = load_experiment(args.config)
         if args.command == "calibrate":
-            return cmd_calibrate(args.config)
+            return cmd_calibrate(exp)
         if args.command == "simulate":
-            return cmd_simulate(args.config)
-        if args.command == "detect":
-            return cmd_detect(args.config, args.data, args.multicyclic, args.trajectory)
+            return cmd_simulate(exp)
+        return cmd_detect(exp, args.data, args.multicyclic, args.trajectory)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

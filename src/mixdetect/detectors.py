@@ -166,8 +166,8 @@ class MsrState:
 class NonFiniteIncrements(ValueError):
     """A row's LLR increments are not all finite.
 
-    ``row`` is the 1-based index of that row in the stream when the alarm
-    loop raised it, and None from a bare ``ms_update``/``msr_update``.
+    ``row`` is the 1-based row of the stream (alarm loop) or step of the
+    trial (Monte Carlo engine), and None from a bare ``ms_update``/``msr_update``.
     """
 
     def __init__(self, message: str, row: int | None = None):

@@ -174,6 +174,8 @@ def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
 
     c = float(c_exponent)
     norm = float(zeta(c, 2.0))  # sum_{m>=2} m^-c
+    if norm == 0.0:  # its first term 2^-c is below the smallest float
+        raise ValueError(f"c_exponent must be below about 1075, where zeta(c, 2) is 0; got {c:g}")
     log_norm = math.log(norm)
     log_1mq = math.log1p(-q)
     if c > 2.0:
@@ -318,7 +320,7 @@ class MixingGrid:
 
         An index must lie in [0, size): negative ones do not count from the
         end, and booleans are not indexes.  A vector needs ``dimension``
-        entries; off-grid vectors are allowed.
+        finite entries; off-grid vectors are allowed.
         """
         if isinstance(theta, (bool, np.bool_)):
             raise ValueError("expected an atom index or a vector, not a boolean")
@@ -329,6 +331,8 @@ class MixingGrid:
         vec = np.atleast_1d(np.asarray(theta, dtype=float))
         if vec.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} components, got shape {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("expected finite components")
         return vec
 
     def sample_index(self, rng: np.random.Generator) -> int:

@@ -708,8 +708,9 @@ class TwoStateHmmModel(ObservationModel):
         With beta = gamma = 1/2 the observations are i.i.d. two-component
         mixtures, so I is the Kullback-Leibler divergence of the post- from
         the pre-change mixture.  The integrand is smooth with Gaussian tails,
-        so the trapezoid rule on a grid of step <= 0.1 reaching 12 beyond the
-        outermost mean is accurate to well below 1e-10.
+        so the trapezoid rule of step <= 0.1 on [m - 12, m + 12] around each
+        mean m, merged where they overlap, is accurate to well below 1e-10.  A
+        mean near 1e16 or beyond, where floats hold no such grid, is refused.
         """
         if not self.spec.symmetric:
             raise NotImplementedError(
@@ -718,14 +719,22 @@ class TwoStateHmmModel(ObservationModel):
             )
         a1, a2 = float(theta_vec[0]), float(theta_vec[1])
         b1, b2 = self.spec.theta0
-        lo, hi = min(a1, a2, b1, b2) - 12.0, max(a1, a2, b1, b2) + 12.0
-        n = math.ceil((hi - lo) / 0.1)
-        x = np.linspace(lo, hi, n + 1)
-        log_num = np.logaddexp(_log_normal_pdf(x, a1), _log_normal_pdf(x, a2))
-        log_den = np.logaddexp(_log_normal_pdf(x, b1), _log_normal_pdf(x, b2))
-        f = (log_num - log_den) * 0.5 * np.exp(log_num)
-        # trapezoid sum by hand: np.trapezoid needs numpy >= 2
-        return float((hi - lo) / n * (f.sum() - 0.5 * (f[0] + f[-1])))
+        ms = sorted((a1, a2, b1, b2))
+        cuts = [0, *(i for i in (1, 2, 3) if ms[i] - 12.0 > ms[i - 1] + 12.0), 4]
+        windows = [(ms[i] - 12.0, ms[j - 1] + 12.0) for i, j in zip(cuts, cuts[1:])]
+        grids = [np.linspace(lo, hi, math.ceil((hi - lo) / 0.1) + 1) for lo, hi in windows]
+        # checked before any density is evaluated, which a huge mean would overflow
+        if not all(len(x) > 1 and (np.diff(x) > 0).all() for x in grids):
+            big = max(ms, key=abs)
+            raise NotImplementedError(f"info number: no float grid of step 0.1 near {big:g}")
+        total = 0.0
+        for x in grids:
+            log_num = np.logaddexp(_log_normal_pdf(x, a1), _log_normal_pdf(x, a2))
+            log_den = np.logaddexp(_log_normal_pdf(x, b1), _log_normal_pdf(x, b2))
+            f = (log_num - log_den) * 0.5 * np.exp(log_num)
+            # trapezoid sum by hand: np.trapezoid needs numpy >= 2
+            total += (x[-1] - x[0]) / (len(x) - 1) * (f.sum() - 0.5 * (f[0] + f[-1]))
+        return float(total)
 
 
 def hmm2_model(spec: Hmm2Spec, grid: MixingGrid) -> TwoStateHmmModel:

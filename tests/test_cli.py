@@ -53,12 +53,13 @@ _SCIPY_LOADED = (
 
 
 def _fresh_python(code: str, cwd=None) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports mixdetect from src/."""
+    """Run ``code`` in a new interpreter that imports mixdetect from src/ and
+    turns any warning into an error."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-c", _SCIPY_LOADED + code],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"},
         capture_output=True,
         text=True,
         timeout=120,
@@ -75,7 +76,7 @@ def test_gaussian_config_loads_without_signal_or_integrate():
     heavy-tail prior needs scipy, and it imports it itself."""
     code = (
         "from mixdetect.cli import load_experiment\n"
-        f"load_experiment({str(ROOT / 'configs' / 'pfa_bounds.json')!r}, need_montecarlo=True)\n"
+        f"load_experiment({str(ROOT / 'configs' / 'pfa_bounds.json')!r})\n"
         "loaded()\n"
     )
     assert _loaded_lines(_fresh_python(code)) == ["loaded []"]
@@ -331,7 +332,7 @@ GAUSSIAN_SPELLINGS = {
 
 
 def _cli(tmp_path, *args):
-    """``mixdetect *args`` in a new interpreter, whose warnings print to stderr."""
+    """``mixdetect *args`` in a new interpreter, where a warning is an error."""
     code = f"from mixdetect.cli import main\nraise SystemExit(main({list(args)!r}))"
     return _fresh_python(code, cwd=tmp_path)
 
@@ -371,6 +372,142 @@ class TestOverflowingInformationNumber:
         assert (proc.returncode, proc.stderr) == (0, "")
         moment = json.loads((tmp_path / "report.json").read_text())["scenarios"][0]["moments"]["1"]
         assert moment["prediction"] is None and moment["estimate"]["point"] == 1.0
+
+
+SYMMETRIC_HMM = {"kind": "hmm2", "theta0": [0.0, 1.0], "beta": 0.5, "gamma": 0.5}
+_BUDGET = {"trials": 16, "horizon": 50, "seed": 1}
+
+
+def _edge_config(model, atoms, scenario=None, **overrides):
+    """A config whose atoms or scenario reach the edge of the float range."""
+    doc = base_config(
+        model=model,
+        mixing={"kind": "atoms", "atoms": atoms},
+        detector={"kind": "msr"},
+        calibration={"kind": "fixed", "log_threshold": 3.0},
+        output={"report": "report.json"},
+    )
+    if scenario is not None:
+        doc["montecarlo"] = {**_BUDGET, "scenarios": [scenario]}
+    doc.update(overrides)
+    return doc
+
+
+def _delay(theta, change_point=5):
+    return {"name": "d", "quantity": "delay", "theta": theta, "change_point": change_point}
+
+
+def _null_prediction(tmp_path, stdout):
+    moment = json.loads((tmp_path / "report.json").read_text())["scenarios"][0]["moments"]["1"]
+    return moment["prediction"] is None and moment["estimate"]["point"] >= 1.0
+
+
+def _finite_threshold(tmp_path, stdout):
+    (log_a,) = [ln for ln in stdout.splitlines() if ln.startswith("log A = ")]
+    return math.isfinite(float(log_a.split(" = ")[1]))
+
+
+_LADDER = {
+    "name": "ladder", "quantity": "delay_ladder", "theta": 0,
+    "log_thresholds": [1.0 + j / 1000 for j in range(1000)] + [math.log(19.0)],
+}
+_TRAILS = {**_BUDGET, "trails": 16, "scenarios": [_delay(0)]}
+
+# (command, config, exit code, stderr, check of the outputs): configs at the
+# edge of the float range or of a field's domain, each run in a new interpreter
+EDGE_CASES = {
+    # a mean of 1e19 leaves the increments finite; the information number has
+    # no float grid there, so the prediction is null
+    "hmm_delay_far_mean": (
+        "simulate", _edge_config(SYMMETRIC_HMM, [[0.8, 1.8]], _delay([1e19, 2.0])), 0, "", _null_prediction,
+    ),
+    "hmm_bayes_far_atom": (
+        "calibrate",
+        _edge_config(SYMMETRIC_HMM, [[0.8, 1e12]], detector={"kind": "ms"},
+                     calibration={"kind": "bayes-cost", "c": 0.01}),
+        0, "", _finite_threshold,
+    ),
+    "hmm_bayes_huge_atom": (
+        "calibrate",
+        _edge_config(SYMMETRIC_HMM, [[0.8, 1e200]], detector={"kind": "ms"},
+                     calibration={"kind": "bayes-cost", "c": 0.01}),
+        2, "config error: calibration: info number: no float grid of step 0.1 near 1e+200\n", None,
+    ),
+    "hmm_delay_huge_mean": (
+        "simulate", _edge_config(SYMMETRIC_HMM, [[0.8, 1.8]], _delay([1e200, 2.0])),
+        3, "error: scenario d: step 6: LLR increments overflow\n", None,
+    ),
+    "gaussian_huge_atom_delay": (
+        "simulate", _edge_config({"kind": "gaussian_iid"}, [[1.0], [1e200]], _delay(1, 0)),
+        3, "error: scenario d: step 1: LLR increments overflow\n", None,
+    ),
+    "gaussian_huge_atom_pfa": (
+        "simulate",
+        _edge_config(
+            {"kind": "gaussian_iid"}, [[1.0], [1e200]],
+            montecarlo={**_BUDGET, "horizon": 200, "scenarios": [{"quantity": "pfa_tail"}]},
+        ),
+        3, "error: scenario pfa_tail_0: step 1: LLR increments overflow\n", None,
+    ),
+    "ladder_of_1001": (
+        "simulate", _edge_config({"kind": "gaussian_iid"}, [[1.0]], _LADDER),
+        2, "config error: montecarlo.scenarios[0].log_thresholds: at most 1000 values\n", None,
+    ),
+    "heavy_tail_c_1e6": (
+        "calibrate",
+        _edge_config({"kind": "gaussian_iid"}, [[1.0]],
+                     prior={"kind": "heavy_tail", "c_exponent": 1e6}),
+        2, "config error: prior: c_exponent must be below about 1075, "
+        "where zeta(c, 2) is 0; got 1e+06\n", None,
+    ),
+    "calibrate_trails": (
+        "calibrate", _edge_config({"kind": "gaussian_iid"}, [[1.0]], montecarlo=_TRAILS),
+        2, "config error: montecarlo.trails: unknown key\n", None,
+    ),
+    "detect_trails": (
+        "detect", _edge_config({"kind": "gaussian_iid"}, [[1.0]], montecarlo=_TRAILS),
+        2, "config error: montecarlo.trails: unknown key\n", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_config_verdict(tmp_path, case):
+    """Each edge config gets its exit code and message, with no traceback and
+    no NumPy warning (which the new interpreter would turn into an error)."""
+    command, doc, code, err, check = EDGE_CASES[case]
+    args = [command, write_config(tmp_path, doc)]
+    if command == "detect":
+        (tmp_path / "data.csv").write_text("0.5\n-0.25\n")
+        args.append(str(tmp_path / "data.csv"))
+    proc = _cli(tmp_path, *args)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert check is None or check(tmp_path, proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "montecarlo, message",
+    [
+        (_TRAILS, "montecarlo.trails: unknown key"),
+        ({**_BUDGET, "trials": 0, "scenarios": [_delay(0)]}, "montecarlo.trials: must be >= 1"),
+        ({**_BUDGET, "scenarios": []}, "montecarlo.scenarios: need a non-empty list"),
+        ({**_BUDGET, "scenarios": [_LADDER]}, None),
+    ],
+    ids=["unknown_key", "no_trials", "no_scenarios", "long_ladder"],
+)
+def test_every_command_gives_one_verdict(tmp_path, capsys, montecarlo, message):
+    """calibrate, simulate and detect load a config the same way, so a bad
+    montecarlo section fails all three with one message."""
+    cfg = write_config(tmp_path, base_config(montecarlo=montecarlo))
+    data = tmp_path / "data.csv"
+    data.write_text("0.5\n")
+    verdicts = []
+    for args in (["calibrate", cfg], ["simulate", cfg], ["detect", cfg, str(data)]):
+        verdicts.append((main(args), capsys.readouterr()))
+    assert {(code, out.err) for code, out in verdicts} == {(2, verdicts[0][1].err)}
+    assert all(out.out == "" for _, out in verdicts)
+    assert message is None or verdicts[0][1].err == f"config error: {message}\n"
 
 
 class TestConfigValidation:
@@ -866,7 +1003,7 @@ class TestSimulate:
         doc = self.small_doc(tmp_path)
         doc["montecarlo"]["scenarios"].append(scenario)
         with pytest.raises(ConfigError, match=message):
-            load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
+            load_experiment(write_config(tmp_path, doc))
 
     def test_bad_scenario_exits_2_before_running(self, tmp_path, capsys):
         doc = self.small_doc(tmp_path)
@@ -1021,7 +1158,7 @@ class TestSimulate:
         doc = self.small_doc(tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc).replace('"seed": 7', f'"seed": {self.BIG}'))
-        assert load_experiment(str(path), need_montecarlo=True).run.master_seed == self.BIG
+        assert load_experiment(str(path)).run.master_seed == self.BIG
         assert main(["simulate", str(path)]) == 0
         assert (tmp_path / "report.json").exists()
 
@@ -1064,26 +1201,26 @@ class TestSimulate:
             doc["calibration"] = {"kind": "fixed", "log_threshold": 3.0}
             doc["montecarlo"]["scenarios"] = doc["montecarlo"]["scenarios"][1:]
         path = write_config(tmp_path, doc)
-        load_experiment(path, need_montecarlo=True)  # integral values load
+        load_experiment(path)  # integral values load
         doc[section][key] = value
         expected = "a non-negative integer" if key == "seed" else "an integer"
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected {expected}$"):
-            load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
+            load_experiment(write_config(tmp_path, doc))
 
     def test_workers_env_named_in_message(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, self.small_doc(tmp_path))
         monkeypatch.setenv("MIXDETECT_WORKERS", "0")
         with pytest.raises(ConfigError, match=r"^MIXDETECT_WORKERS: must be >= 1$"):
-            load_experiment(path, need_montecarlo=True)
+            load_experiment(path)
         monkeypatch.delenv("MIXDETECT_WORKERS")
         doc = self.small_doc(tmp_path, workers=0)
         with pytest.raises(ConfigError, match=r"^montecarlo\.workers: must be >= 1$"):
-            load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
+            load_experiment(write_config(tmp_path, doc))
 
     def test_integral_float_change_point_accepted(self, tmp_path):
         doc = self.small_doc(tmp_path)
         doc["montecarlo"]["scenarios"][1]["change_point"] = 3.0
-        exp = load_experiment(write_config(tmp_path, doc), need_montecarlo=True)
+        exp = load_experiment(write_config(tmp_path, doc))
         assert exp.scenarios[1].change_point == 3.0
 
     def test_report_written_and_echo_roundtrips(self, tmp_path):

@@ -17,9 +17,8 @@ CONFIGS = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
 @pytest.mark.parametrize("name", CONFIGS)
 def test_shipped_config_loads(name):
     path = ROOT / "configs" / name
-    need_montecarlo = "montecarlo" in json.loads(path.read_text())
-    exp = load_experiment(str(path), need_montecarlo=need_montecarlo)
-    assert (exp.run is not None) is need_montecarlo
+    exp = load_experiment(str(path))
+    assert (exp.run is not None) is ("montecarlo" in json.loads(path.read_text()))
 
 
 def test_readme_and_configs_agree():

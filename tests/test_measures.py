@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,15 @@ class TestHeavyTailPrior:
         with pytest.raises(ValueError):
             heavy_tail_prior(0.5)
 
+    def test_exponent_whose_normalizer_underflows_rejected(self):
+        """zeta(c, 2) is about 2^-c, which is 0 in floats past c = 1074; log 0
+        would fail with a bare math domain error."""
+        assert heavy_tail_prior(1074.0).log_pmf(0) == 0.0
+        for c in (1076.0, 1e6):
+            message = f"c_exponent must be below about 1075, where zeta(c, 2) is 0; got {c:g}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                heavy_tail_prior(c)
+
 
 def test_heavy_tail_prior_unpickles_without_scipy_loaded():
     """Workers receive priors by pickle.  The heavy-tail kernels import zeta
@@ -115,7 +125,7 @@ def test_heavy_tail_prior_unpickles_without_scipy_loaded():
     proc = subprocess.run(
         [sys.executable, "-c", code],
         input=pickle.dumps((prior, n)),
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"},
         capture_output=True,
         timeout=120,
     )
@@ -262,6 +272,11 @@ class TestThetaVector:
     @pytest.mark.parametrize("theta", [(1.0,), (1.0, 2.0, 3.0), [[0.5, 1.0]]])
     def test_wrong_dimension_rejected(self, theta):
         with pytest.raises(ValueError, match="expected 2 components"):
+            self.GRID.theta_vector(theta)
+
+    @pytest.mark.parametrize("theta", [(math.nan, 1.0), (0.5, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_vector_rejected(self, theta):
+        with pytest.raises(ValueError, match="^expected finite components$"):
             self.GRID.theta_vector(theta)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -477,6 +478,42 @@ class TestTwoStateHmm:
 
             expected, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-10, limit=400)
             assert abs(info_number(m, 0) - expected) < 1e-10, (a1, a2, b1, b2)
+
+    @staticmethod
+    def _one_grid(a1, a2, b1, b2):
+        """The trapezoid rule on one grid of step <= 0.1 over [min - 12, max + 12]."""
+        lo, hi = min(a1, a2, b1, b2) - 12.0, max(a1, a2, b1, b2) + 12.0
+        n = math.ceil((hi - lo) / 0.1)
+        x = np.linspace(lo, hi, n + 1)
+        log_num = np.logaddexp(log_phi(x, a1), log_phi(x, a2))
+        log_den = np.logaddexp(log_phi(x, b1), log_phi(x, b2))
+        f = (log_num - log_den) * 0.5 * np.exp(log_num)
+        return float((hi - lo) / n * (f.sum() - 0.5 * (f[0] + f[-1])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, 4, elements=st.floats(-10.0, 10.0)))
+    def test_info_number_of_chained_windows_is_one_grid(self, means):
+        """Means within 24 of each other chain their windows into one
+        interval, whose grid and bits are those of one grid over all four."""
+        a1, a2, b1, b2 = map(float, means)
+        m = hmm2_model(Hmm2Spec(theta0=(b1, b2), beta=0.5, gamma=0.5), grid_from_atoms([[a1, a2]]))
+        assert info_number(m, 0) == self._one_grid(a1, a2, b1, b2)
+
+    @pytest.mark.parametrize("far", [30.0, -100.0, 1000.0])
+    def test_info_number_of_separated_windows(self, far):
+        """A far mean gets a window of its own; the sum over the windows is the
+        one-grid value up to rounding."""
+        m = hmm2_model(Hmm2Spec(theta0=(0.0, 1.0), beta=0.5, gamma=0.5), grid_from_atoms([[0.8, far]]))
+        assert info_number(m, 0) == pytest.approx(self._one_grid(0.8, far, 0.0, 1.0), rel=1e-13)
+
+    def test_info_number_of_a_huge_mean(self):
+        """A mean of 1e12 costs a few windows of 241 points, not 1e13; from
+        about 1e16 on floats hold no grid of step 0.1, and it is refused."""
+        m = hmm2_model(Hmm2Spec(theta0=(0.0, 1.0), beta=0.5, gamma=0.5), hmm_grid())
+        assert 0.0 < info_number(m, (0.8, 1e12)) < math.inf
+        for big in (1e16, -1e200):
+            with pytest.raises(NotImplementedError, match=re.escape(f"near {big:g}") + "$"):
+                info_number(m, (big, 2.0))
 
     def test_info_number_nonsymmetric_unsupported(self):
         spec = Hmm2Spec(theta0=(0.0, 1.0), beta=0.3, gamma=0.6)

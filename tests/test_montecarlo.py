@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from mixdetect._engine import (
     trial_rngs,
 )
 from mixdetect.detectors import (
+    NonFiniteIncrements,
     PriorSupportExhausted,
     _log_init,
     advance,
@@ -607,6 +609,48 @@ def test_threshold_that_no_statistic_reaches_refused(log_threshold):
     message = f"log_threshold must be finite or -inf, got {log_threshold}"
     with pytest.raises(ValueError, match=message):
         make_config(log_threshold=log_threshold)
+
+
+def _huge_mean_run(log_threshold, **kw):
+    """A symmetric-HMM MSR run whose paths change at nu = 5 to a state mean of
+    1e200, which overflows every increment from step 6 on."""
+    spec = Hmm2Spec(theta0=(0.0, 1.0), beta=0.5, gamma=0.5)
+    cfg = make_config(
+        model=hmm2_model(spec, grid_from_atoms([[0.8, 1.8]])), detector="msr",
+        log_threshold=log_threshold, trials=40, horizon=50, **kw,
+    )
+    return run_trials(cfg, TrialSpec(mode="fixed", nu=5, theta=(1e200, 2.0), stream_tag=4))
+
+
+def test_non_finite_increments_refused_at_their_step():
+    """The engine refuses the first step at which a live trial's increments
+    are not finite, as the alarm loop refuses the row, and keeps that step
+    through a worker's pickle; NumPy warns of nothing."""
+    with pytest.raises(NonFiniteIncrements, match="^step 6: LLR increments overflow$") as info:
+        _huge_mean_run(math.log(1e6))
+    assert info.value.row == 6
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (str(copy), copy.row) == (str(info.value), 6)
+
+
+def test_non_finite_increments_after_every_alarm_pass():
+    """Trials that all alarm at step 1 never reach the overflowing step."""
+    assert np.all(_huge_mean_run(-np.inf).stop_times == 1)
+
+
+def test_huge_atom_refused_under_no_change():
+    """An atom of 1e200 makes its increment theta x - theta^2/2 = -inf at every
+    step: a PFA run is refused at step 1, as detect refuses row 1."""
+    cfg = make_config(grid=grid_from_atoms([[1.0], [1e200]]), trials=8, horizon=20)
+    with pytest.raises(NonFiniteIncrements, match="^step 1: "):
+        estimate_pfa_tail(cfg)
+
+
+@pytest.mark.parametrize("theta", [[math.nan], [math.inf]])
+def test_non_finite_delay_theta_rejected(theta):
+    """A delay run at a NaN theta would censor every trial, with a warning each."""
+    with pytest.raises(ValueError, match="^expected finite components$"):
+        estimate_delay_moments(make_config(trials=8, horizon=20), 0, theta)
 
 
 # SHA-256 of per-trial outputs, recorded before the engine was block-stepped

@@ -1,5 +1,6 @@
 """Smoke tests: each example script runs at a tiny size and prints its header."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(script, *args, cwd):
-    env = dict(os.environ)
+    """Run a script in a new interpreter, and its children, with warnings as errors."""
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -22,19 +24,28 @@ def _run(script, *args, cwd):
     )
 
 
+def _pfa_bounds_copy(tmp_path, **montecarlo) -> str:
+    """A copy of configs/pfa_bounds.json with some montecarlo values replaced."""
+    doc = json.loads((ROOT / "configs" / "pfa_bounds.json").read_text())
+    doc["montecarlo"].update(montecarlo)
+    path = tmp_path / "pfa_bounds.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize(
-    "script,args,header",
+    "script,budget,header",
     [
         (
             "false_alarm_bounds.py",
-            ["--trials", "64", "--horizon", "200"],
+            {"trials": 64, "horizon": 200},
             "rule     alpha          A     tail est     post est  est/alpha",
         ),
     ],
     ids=["false_alarm_bounds"],
 )
-def test_script_prints_table(script, args, header, tmp_path):
-    proc = _run(script, *args, cwd=tmp_path)
+def test_script_prints_table(script, budget, header, tmp_path):
+    proc = _run(script, _pfa_bounds_copy(tmp_path, **budget), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == header
@@ -64,8 +75,11 @@ def test_streaming_demo(tmp_path):
 
 def test_false_alarm_bounds_refuses_a_short_horizon(tmp_path):
     """simulate's horizon check on the same setting: the prior tail past the
-    horizon must be below 1% of the smallest alpha, here 0.01."""
-    proc = _run("false_alarm_bounds.py", "--trials", "64", "--horizon", "20", cwd=tmp_path)
+    horizon must be below 1% of the smallest alpha, here 0.01.  The config has
+    no PFA scenario, so that its load does not refuse the horizon first."""
+    delay = {"name": "delay", "quantity": "delay", "theta": 1}
+    config = _pfa_bounds_copy(tmp_path, trials=64, horizon=20, scenarios=[delay])
+    proc = _run("false_alarm_bounds.py", config, cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error: montecarlo.horizon: prior tail Pi(20) = ")
@@ -73,13 +87,21 @@ def test_false_alarm_bounds_refuses_a_short_horizon(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "option,value,bound",
-    [("--trials", "0", 1), ("--horizon", "0", 1), ("--seed", "-1", 0), ("--workers", "0", 1)],
+    "key,value,message",
+    [
+        ("trials", 0, "must be >= 1"),
+        ("horizon", 0, "must be >= 1"),
+        ("seed", -1, "expected a non-negative integer"),
+        ("workers", 0, "must be >= 1"),
+    ],
+    # the ids of the script options that once took these values
+    ids=["--trials-0-1", "--horizon-0-1", "--seed--1-0", "--workers-0-1"],
 )
-def test_false_alarm_bounds_refuses_a_bad_budget(option, value, bound, tmp_path):
-    """simulate refuses the same values in its config; the script exits 2 and
-    names the option before it runs anything."""
-    proc = _run("false_alarm_bounds.py", option, value, cwd=tmp_path)
+def test_false_alarm_bounds_refuses_a_bad_budget(key, value, message, tmp_path, monkeypatch):
+    """The script loads its config as simulate does, so it refuses the same
+    values: it exits 2 and names the field before it runs anything."""
+    monkeypatch.delenv("MIXDETECT_WORKERS", raising=False)
+    proc = _run("false_alarm_bounds.py", _pfa_bounds_copy(tmp_path, **{key: value}), cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.endswith(f"error: argument {option}: must be >= {bound}\n")
+    assert proc.stderr == f"config error: montecarlo.{key}: {message}\n"
