@@ -11,10 +11,12 @@ Subcommands:
   channel, optional header); emit alarm times, optionally the per-step
   log-statistic trajectory.
 
-Configs are strict JSON, loaded the same way by every command: unknown keys
-are rejected, cross-field rules (horizon vs prior tail, alpha vs q, grid vs
-model dimension) are checked at load, and every random experiment requires an
-explicit seed.  Exit codes: 0 success, 2 config error, 3 runtime/estimation error.
+Configs are strict JSON, loaded the same way by every command.  Each entry
+declares its keys once, key -> default or REQUIRED (``_KINDS``, ``_QUANTITIES``,
+``_KEYS``), and ``_checked`` refuses an unknown or missing key and fills in the
+defaults; cross-field rules (horizon vs prior tail, alpha vs q, grid vs model
+dimension) are checked at load, and every random experiment requires an explicit
+seed.  Exit codes: 0 success, 2 config error, 3 runtime/estimation error.
 """
 
 from __future__ import annotations
@@ -87,15 +89,42 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the failing field."""
 
 
-def _check_keys(obj: dict, where: str, allowed: set[str], required: set[str] = frozenset()):
+REQUIRED = object()  # the default of a key that its entry must give
+
+
+def _checked(obj, where: str, keys: dict) -> dict:
+    """``obj`` with the defaults of its declaration ``keys`` (key -> default, or
+    REQUIRED) filled in, once it is an object with no unknown key and every
+    REQUIRED one, the first failure in that order being the error.  A None
+    default marks a key read as absent; defaults are shared, so none may be mutated."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     for key in obj:
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"{where}.{key}: unknown key")
-    for key in required:
-        if key not in obj:
+    for key, default in keys.items():
+        if default is REQUIRED and key not in obj:
             raise ConfigError(f"{where}.{key}: missing required key")
+    return {**keys, **obj}
+
+
+# entry -> declaration, for the entries that pick no row of _KINDS or _QUANTITIES
+_KEYS = {
+    "config": {
+        "model": REQUIRED, "prior": REQUIRED, "mixing": REQUIRED, "detector": REQUIRED,
+        "calibration": REQUIRED, "montecarlo": None, "output": {},
+    },
+    "detector": {"kind": REQUIRED, "omega": 0.0},
+    "montecarlo": {
+        "trials": REQUIRED, "horizon": REQUIRED, "seed": REQUIRED, "workers": 1,
+        "scenarios": REQUIRED,
+    },
+    "output": {
+        "report": None, "ladder_dir": ".", "alarms": None, "trajectory": None,
+        "threshold_json": None,
+    },
+    "model.signals[i]": {"amplitude": 1.0, "omega": 0.0, "phase": 0.0},
+}
 
 
 def _is_number(val) -> bool:
@@ -105,27 +134,20 @@ def _is_number(val) -> bool:
     return number and abs(val) <= sys.float_info.max
 
 
-def _number(obj: dict, where: str, key: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}.{key}: missing required key")
-        return default
+def _number(obj: dict, where: str, key: str):
     val = obj[key]
     if not _is_number(val):
         raise ConfigError(f"{where}.{key}: expected a number")
     return val
 
 
-def _integer(
-    obj: dict, where: str, key: str, default=None, nonnegative: bool = False, int64: bool = True
-) -> int:
+def _integer(obj: dict, where: str, key: str, nonnegative: bool = False, int64: bool = True) -> int:
     """A whole number: integral floats such as 3.0 pass, 2.5 and booleans do not.
 
     With ``int64`` a value must also be below 2**63, as numpy counts steps
-    and indexes arrays in int64; a seed takes any size.  Keys without a
-    default must be required by the section's ``_check_keys``.
+    and indexes arrays in int64; a seed takes any size.
     """
-    val = obj.get(key, default)
+    val = obj[key]
     if not (
         (type(val) is int or _is_number(val) and val.is_integer())  # an int is whole at any size
         and (val >= 0 or not nonnegative)
@@ -148,53 +170,44 @@ def _numbers(obj: dict, where: str, key: str, nested: bool = False) -> list:
 
 
 def _entry(obj, where: str, table: dict, key: str = "kind"):
-    """The builder of the ``table`` entry that ``obj[key]`` names; checks obj's keys."""
-    if not isinstance(obj, dict) or key not in obj:
+    """(builder, ``_checked`` obj) of the ``table`` row that the object's ``key`` names."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    if key not in obj:
         raise ConfigError(f"{where}.{key}: missing required key")
     kind = obj[key]
     if not isinstance(kind, str) or kind not in table:
         raise ConfigError(f"{where}.{key}: unknown {key} {kind!r}")
     keys, build = table[kind]
-    _check_keys(obj, where, keys | {key})
-    return build
+    return build, _checked(obj, where, {key: REQUIRED, **keys})
 
 
 def _section(doc: dict, where: str, *args):
-    """Build config section ``where`` through its ``_KINDS`` entry.
+    """Build config section ``where`` through its ``_KINDS`` row, defaults filled in.
 
-    A ConfigError passes through; a KeyError names the missing key, and any
-    other ValueError, TypeError or NotImplementedError is prefixed with the
-    section.
+    A ConfigError passes through, and any other ValueError, TypeError or
+    NotImplementedError is prefixed with the section.
     """
-    obj = doc[where]
+    build, obj = _entry(doc[where], where, _KINDS[where])
     try:
-        return _entry(obj, where, _KINDS[where])(obj, *args)
+        return build(obj, *args)
     except ConfigError:
         raise
     except GridTooLarge as exc:
         raise ConfigError(f"{where}.{exc.field}: {exc}") from exc
-    except KeyError as exc:
-        raise ConfigError(f"{where}.{exc.args[0]}: missing required key") from exc
     except (ValueError, TypeError, NotImplementedError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _ar_model(doc: dict, grid: MixingGrid) -> ObservationModel:
     ar_coeffs = _numbers(doc, "model", "ar_coeffs", nested=True)
-    raw_signals = doc.get("signals", [])
-    if not isinstance(raw_signals, list):
+    if not isinstance(doc["signals"], list):
         raise ConfigError("model.signals: expected a list of objects")
-    signals = []
-    for i, s in enumerate(raw_signals):
+    signals, keys = [], _KEYS["model.signals[i]"]  # HarmonicSignal's fields
+    for i, raw in enumerate(doc["signals"]):
         where = f"model.signals[{i}]"
-        _check_keys(s, where, {"amplitude", "omega", "phase"})
-        signals.append(
-            HarmonicSignal(
-                amplitude=_number(s, where, "amplitude", 1.0),
-                omega=_number(s, where, "omega", 0.0),
-                phase=_number(s, where, "phase", 0.0),
-            )
-        )
+        s = _checked(raw, where, keys)
+        signals.append(HarmonicSignal(**{key: _number(s, where, key) for key in keys}))
     spec = ArChannelSpec(ar_coeffs=tuple(tuple(ch) for ch in ar_coeffs), signals=tuple(signals))
     return multichannel_ar_model(spec, grid)
 
@@ -212,7 +225,7 @@ def _hmm_model(doc: dict, grid: MixingGrid) -> ObservationModel:
 
 
 def _atoms_grid(doc: dict) -> MixingGrid:
-    weights = None if doc.get("weights") is None else _numbers(doc, "mixing", "weights")
+    weights = None if doc["weights"] is None else _numbers(doc, "mixing", "weights")
     atoms = _numbers(doc, "mixing", "atoms", nested=True)
     # unlike ar_coeffs, whose channels may differ in order, atoms form a matrix
     if not (atoms and atoms[0] and all(len(a) == len(atoms[0]) for a in atoms)):
@@ -222,56 +235,54 @@ def _atoms_grid(doc: dict) -> MixingGrid:
 
 def _bayes_threshold(doc: dict, prior: ChangePrior, model: ObservationModel, *_) -> ThresholdSpec:
     c = _number(doc, "calibration", "c")
-    r = _number(doc, "calibration", "r", 1.0)
+    r = _number(doc, "calibration", "r")
     info = np.array([info_number(model, i) for i in range(model.grid.size)])
     return bayes_threshold(c, r, d_constant(model.grid, info, prior.mu, r))
 
 
-# section -> kind -> (the kind's keys besides "kind", its builder).  Builders
-# look the constructors and calibration functions up in this module's globals
-# as they run, so code that wraps those names sees every call.
+# section -> kind -> (the kind's declaration besides "kind", its builder).
+# Builders look the constructors and calibration functions up in this module's
+# globals as they run, so code that wraps those names sees every call.
 _KINDS = {
     "prior": {
         "geometric": (
-            {"rho", "q"},
-            lambda d: geometric_prior(_number(d, "prior", "rho"), _number(d, "prior", "q", 0.0)),
+            {"rho": REQUIRED, "q": 0.0},
+            lambda d: geometric_prior(_number(d, "prior", "rho"), _number(d, "prior", "q")),
         ),
         "heavy_tail": (
-            {"c_exponent", "q"},
-            lambda d: heavy_tail_prior(
-                _number(d, "prior", "c_exponent"), _number(d, "prior", "q", 0.0)
-            ),
+            {"c_exponent": REQUIRED, "q": 0.0},
+            lambda d: heavy_tail_prior(_number(d, "prior", "c_exponent"), _number(d, "prior", "q")),
         ),
-        "point_mass": ({"k0"}, lambda d: point_mass_prior(_integer(d, "prior", "k0", 0))),
+        "point_mass": ({"k0": 0}, lambda d: point_mass_prior(_integer(d, "prior", "k0"))),
     },
     "mixing": {
         "uniform_grid": (
-            {"lower", "upper", "counts"},
+            {"lower": REQUIRED, "upper": REQUIRED, "counts": REQUIRED},
             lambda d: uniform_grid(
                 *(_numbers(d, "mixing", key) for key in ("lower", "upper", "counts"))
             ),
         ),
-        "atoms": ({"atoms", "weights"}, _atoms_grid),
+        "atoms": ({"atoms": REQUIRED, "weights": None}, _atoms_grid),
     },
     "model": {
-        "gaussian_iid": (set(), lambda d, grid: gaussian_iid_model(grid)),
-        "multichannel_ar": ({"ar_coeffs", "signals"}, _ar_model),
-        "hmm2": ({"theta0", "beta", "gamma"}, _hmm_model),
+        "gaussian_iid": ({}, lambda d, grid: gaussian_iid_model(grid)),
+        "multichannel_ar": ({"ar_coeffs": REQUIRED, "signals": []}, _ar_model),
+        "hmm2": ({"theta0": REQUIRED, "beta": REQUIRED, "gamma": REQUIRED}, _hmm_model),
     },
     "calibration": {
         "ms-pfa": (
-            {"alpha"},
+            {"alpha": REQUIRED},
             lambda d, prior, *_: ms_threshold(_number(d, "calibration", "alpha"), prior.q),
         ),
         "msr-pfa": (
-            {"alpha"},
+            {"alpha": REQUIRED},
             lambda d, prior, _, omega: msr_threshold(
                 _number(d, "calibration", "alpha"), omega, prior
             ),
         ),
-        "bayes-cost": ({"c", "r"}, _bayes_threshold),
+        "bayes-cost": ({"c": REQUIRED, "r": 1.0}, _bayes_threshold),
         "fixed": (
-            {"log_threshold"},
+            {"log_threshold": REQUIRED},
             lambda d, *_: fixed_threshold(_number(d, "calibration", "log_threshold")),
         ),
     },
@@ -354,53 +365,51 @@ def check_tail(prior: ChangePrior, horizon: int, scale: float, name: str) -> Non
         )
 
 
-def _scenario_theta(grid: MixingGrid, sc: dict, where: str) -> np.ndarray:
-    theta = sc.get("theta")
-    if theta is None:
-        raise ConfigError(f"{where}.theta: missing required key")
-    if not isinstance(theta, (int, list)):
-        raise ConfigError(f"{where}.theta: expected an atom index or a vector")
-    try:
-        return grid.theta_vector(theta)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}.theta: {exc}") from exc
-
-
-def _scenario(exp: Experiment, index: int, sc) -> Scenario:
+def _scenario(exp: Experiment, index: int, raw) -> Scenario:
     """Check one raw scenario against the loaded experiment and convert it."""
     where = f"montecarlo.scenarios[{index}]"
-    _entry(sc, where, _QUANTITIES, key="quantity")
+    _, sc = _entry(raw, where, _QUANTITIES, key="quantity")
     q = sc["quantity"]
-    keys, _ = _QUANTITIES[q]
-    theta, on_grid = None, True
-    if "theta" in keys:
-        vec = _scenario_theta(exp.grid, sc, where)
+    # the fields of keys the quantity lacks: no theta or change, the mean delay a ladder fits
+    theta, on_grid, change_point, moments = None, True, 0, [1]
+    if "theta" in sc:
+        if not isinstance(sc["theta"], (int, list)):
+            raise ConfigError(f"{where}.theta: expected an atom index or a vector")
+        try:
+            vec = exp.grid.theta_vector(sc["theta"])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where}.theta: {exc}") from exc
         theta = tuple(map(float, vec))
         on_grid = any(np.array_equal(vec, atom) for atom in exp.grid.atoms)
     horizon = exp.run.horizon
-    # the horizon bounds it, with its own message
-    change_point = _integer(sc, where, "change_point", 0, nonnegative=True, int64=False)
-    if change_point >= horizon:
-        raise ConfigError(f"{where}.change_point: must be below montecarlo.horizon = {horizon}")
-    name = sc.get("name", f"{q}_{index}")
+    if "change_point" in sc:
+        # the horizon bounds it, with its own message
+        change_point = _integer(sc, where, "change_point", nonnegative=True, int64=False)
+        if change_point >= horizon:
+            raise ConfigError(f"{where}.change_point: must be below montecarlo.horizon = {horizon}")
+    name = raw.get("name", f"{q}_{index}")
     if not (isinstance(name, str) and name):
         raise ConfigError(f"{where}.name: expected a non-empty string")
     if os.sep in name or (os.altsep and os.altsep in name):
         raise ConfigError(f"{where}.name: must not contain a path separator")
-    moments = _numbers(sc, where, "moments") if "moments" in sc else [1]
-    if not moments:
-        raise ConfigError(f"{where}.moments: need a non-empty list")
-    # m >= 1 is the domain of the delay predictions in ``theory``
-    for j, m in enumerate(moments):
-        if m < 1:
-            raise ConfigError(f"{where}.moments[{j}]: must be >= 1")
-    if q == "average_delay":
-        moments = [_number(sc, where, "moment", 1)]
+    if "moments" in sc:
+        moments = _numbers(sc, where, "moments")
+        if not moments:
+            raise ConfigError(f"{where}.moments: need a non-empty list")
+        # m >= 1 is the domain of the delay predictions in ``theory``; the
+        # report keys its row of order m by f"{m:g}", so no two may share one
+        for j, m in enumerate(moments):
+            if m < 1:
+                raise ConfigError(f"{where}.moments[{j}]: must be >= 1")
+            if f"{m:g}" in (f"{x:g}" for x in moments[:j]):
+                raise ConfigError(f"{where}.moments[{j}]: duplicate moment {m:g}")
+    if "moment" in sc:
+        moments = [_number(sc, where, "moment")]
         if moments[0] < 1:
             raise ConfigError(f"{where}.moment: must be >= 1")
     log_thresholds = [exp.threshold.log_threshold]
-    if q == "delay_ladder":
-        log_thresholds = sc.get("log_thresholds")
+    if "log_thresholds" in sc:
+        log_thresholds = sc["log_thresholds"]
         if not isinstance(log_thresholds, list) or len(log_thresholds) < 4:
             raise ConfigError(f"{where}.log_thresholds: need a list of >= 4 values")
         if len(log_thresholds) > 1000:  # rung j runs on tag_base + j, below the next scenario's
@@ -455,36 +464,34 @@ def load_experiment(path: str) -> Experiment:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    _check_keys(
-        doc,
-        "config",
-        {"model", "prior", "mixing", "detector", "calibration", "montecarlo", "output"},
-        {"model", "prior", "mixing", "detector", "calibration"},
-    )
-    prior = _section(doc, "prior")
-    grid = _section(doc, "mixing")
-    model = _section(doc, "model", grid)
+    top = _checked(doc, "config", _KEYS["config"])
+    prior = _section(top, "prior")
+    grid = _section(top, "mixing")
+    model = _section(top, "model", grid)
 
-    det = doc["detector"]
-    _check_keys(det, "detector", {"kind", "omega"}, {"kind"})
+    det = _checked(top["detector"], "detector", _KEYS["detector"])
     kind = str(det["kind"]).lower()
     if kind not in ("ms", "msr"):
         raise ConfigError(f"detector.kind: expected 'ms' or 'msr', got {det['kind']!r}")
-    omega = _number(det, "detector", "omega", 0.0)
+    omega = _number(det, "detector", "omega")
     if omega < 0.0:
         raise ConfigError("detector.omega: must be >= 0")
     if kind == "ms" and omega != 0.0:
         raise ConfigError("detector.omega: the head-start applies to the msr rule only")
 
     # refused before the threshold is solved for: the other rule's equation may not apply
-    cal = doc["calibration"]
+    cal = top["calibration"]
     cal_kind = cal.get("kind") if isinstance(cal, dict) else None
     rules = _CALIBRATED_RULES.get(cal_kind) if isinstance(cal_kind, str) else None
     if rules and kind not in rules:
         raise ConfigError(
             f"calibration.kind: {cal_kind!r} calibrates the {rules[0]} rule, not {kind}"
         )
-    threshold = _section(doc, "calibration", prior, model, omega)
+    threshold = _section(top, "calibration", prior, model, omega)
+    output = _checked(top["output"], "output", _KEYS["output"])
+    for key in top["output"]:
+        if not isinstance(output[key], str):
+            raise ConfigError(f"output.{key}: expected a string")
     exp = Experiment(
         doc=doc,
         prior=prior,
@@ -492,25 +499,15 @@ def load_experiment(path: str) -> Experiment:
         detector=kind,
         omega=omega,
         threshold=threshold,
-        output=doc.get("output", {}),
+        output=output,
     )
-    _check_keys(
-        exp.output, "output", {"report", "ladder_dir", "alarms", "trajectory", "threshold_json"}
-    )
-    for key, val in exp.output.items():
-        if not isinstance(val, str):
-            raise ConfigError(f"output.{key}: expected a string")
 
     if "montecarlo" in doc:
-        mc = doc["montecarlo"]
-        _check_keys(
-            mc, "montecarlo", {"trials", "horizon", "seed", "workers", "scenarios"},
-            {"trials", "horizon", "seed", "scenarios"},
-        )
+        mc = _checked(doc["montecarlo"], "montecarlo", _KEYS["montecarlo"])
         trials = _integer(mc, "montecarlo", "trials")
         horizon = _integer(mc, "montecarlo", "horizon")
         seed = _integer(mc, "montecarlo", "seed", nonnegative=True, int64=False)
-        workers = _integer(mc, "montecarlo", "workers", 1)
+        workers = _integer(mc, "montecarlo", "workers")
         env_workers = os.environ.get(WORKERS_ENV)
         if env_workers:
             try:
@@ -571,7 +568,7 @@ def cmd_calibrate(exp: Experiment) -> int:
     print(f"log A = {spec.log_threshold:.9f}")
     for key, val in spec.inputs.items():
         print(f"  {key} = {val:.12g}" if isinstance(val, float) else f"  {key} = {val}")
-    out = exp.output.get("threshold_json")
+    out = exp.output["threshold_json"]
     if out:
         _write_json(out, _threshold_record(spec))
         print(f"wrote {out}")
@@ -686,18 +683,20 @@ def _run_integrated_risk(exp: Experiment, sc: Scenario) -> dict:
     return _compare(est, pred)
 
 
-# quantity -> (its scenario keys besides "quantity", its runner).  A runner
-# returns the report row's fields; it looks the estimators and predictions up
-# in this module's globals as it runs, so code that wraps those names sees
-# every call.
+# quantity -> (its scenario declaration besides "quantity", its runner).  A
+# name's default, <quantity>_<i>, depends on the entry's index, so _scenario
+# sets it.  A runner returns the report row's fields; it looks the estimators
+# and predictions up in this module's globals as it runs, so code that wraps
+# those names sees every call.
 _QUANTITIES = {
-    "pfa_tail": ({"name"}, lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_tail)),
-    "pfa_posterior": ({"name"}, lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_posterior)),
-    "delay": ({"name", "change_point", "theta", "moments"}, _run_delay),
-    "average_delay": ({"name", "theta", "moment"}, _run_average_delay),
-    "integrated_risk": ({"name"}, _run_integrated_risk),
+    "pfa_tail": ({"name": None}, lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_tail)),
+    "pfa_posterior": ({"name": None}, lambda exp, sc: _run_pfa(exp, sc, estimate_pfa_posterior)),
+    "delay": ({"name": None, "theta": REQUIRED, "change_point": 0, "moments": [1]}, _run_delay),
+    "average_delay": ({"name": None, "theta": REQUIRED, "moment": 1}, _run_average_delay),
+    "integrated_risk": ({"name": None}, _run_integrated_risk),
     "delay_ladder": (
-        {"name", "change_point", "theta", "log_thresholds"},  # fits the mean delay
+        # fits the mean delay, so it takes no moments
+        {"name": None, "theta": REQUIRED, "change_point": 0, "log_thresholds": REQUIRED},
         _run_delay_ladder,
     ),
 }
@@ -734,10 +733,10 @@ def cmd_simulate(exp: Experiment) -> int:
         "threshold": _threshold_record(exp.threshold),
         "scenarios": rows,
     }
-    out_path = exp.output.get("report")
+    out_path = exp.output["report"]
     if out_path:
         _write_json(out_path, report)
-    ladder_dir = exp.output.get("ladder_dir", ".")
+    ladder_dir = exp.output["ladder_dir"]
     for row in rows:
         if "ladder" not in row:
             continue
@@ -886,7 +885,7 @@ def _write_trajectory(path: str, segments: list[np.ndarray]) -> None:
 def cmd_detect(
     exp: Experiment, data_path: str, multicyclic: bool = False, trajectory: bool = False
 ) -> int:
-    traj_path = exp.output.get("trajectory")
+    traj_path = exp.output["trajectory"]
     if trajectory and not traj_path:
         raise ConfigError("output.trajectory: required with --trajectory")
     data, skipped = load_csv_stream(data_path, exp.model.dimension)
@@ -913,7 +912,7 @@ def cmd_detect(
     # a single-shot run has a tail only when it is censored
     censored = not multicyclic and tail is not None
 
-    alarms_path = exp.output.get("alarms")
+    alarms_path = exp.output["alarms"]
     if alarms_path:
         with open(alarms_path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -151,9 +151,41 @@ def _poly_log_pmf(k, c, log_1mq, log_norm):
 
 
 def _poly_log_tail(n, c, log_1mq, log_norm):
-    from scipy.special import zeta
+    return log_1mq + log_hurwitz_zeta(c, n + 2.0) - log_norm
 
-    return log_1mq + np.log(zeta(c, n + 2.0)) - log_norm
+
+# (2j)! / B_2j for j = 1 .. 12, B the Bernoulli numbers: the Euler-Maclaurin
+# terms of log_hurwitz_zeta divide by these
+_EM_DIVISORS = np.array([
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1892437580.3183792, 74724249600.0,
+    -2950130727918.164, 116467828143500.67, -4597978722407473.0, 1.8152105401943546e17,
+    -7.166165256175667e18,
+])
+_EM_DIRECT = 9  # terms summed one by one before the Euler-Maclaurin remainder
+
+
+def log_hurwitz_zeta(c: float, a) -> np.ndarray:
+    """log zeta(c, a) = log sum_{k>=0} (a + k)^-c for c > 1 and a >= 1, elementwise.
+
+    Taken in the log domain, so it stays finite where zeta(c, a) is below the
+    smallest float: log zeta(c, a) = -c log a + log S, S = sum_k (1 + k/a)^-c,
+    whose first term is 1.  S is its first _EM_DIRECT terms plus the
+    Euler-Maclaurin remainder at w = a + _EM_DIRECT,
+
+        (1 + _EM_DIRECT/a)^-c (w/(c-1) + 1/2 + sum_j (c)_{2j-1} w^{1-2j} B_2j/(2j)!),
+
+    (c)_m the rising factorial, whose truncation error stays near 1e-20 of S:
+    either w is large beside c or the factor in front is tiny.  Against a 50-digit
+    sum, the log is within 2e-15 relative for c in [1.01, 1074] and a in
+    [2, 9e18].
+    """
+    a = np.asarray(a, dtype=float)
+    direct = np.exp(-c * np.log1p(np.arange(_EM_DIRECT) / a[..., None])).sum(axis=-1)
+    w = a + _EM_DIRECT
+    rising = np.cumprod(c + np.arange(2 * _EM_DIVISORS.size - 1))[::2]  # (c)_1, (c)_3, ...
+    odd_powers = w[..., None] ** -np.arange(1, 2 * _EM_DIVISORS.size, 2)
+    remainder = w / (c - 1.0) + 0.5 + (odd_powers * (rising / _EM_DIVISORS)).sum(axis=-1)
+    return -c * np.log(a) + np.log(direct + np.exp(-c * np.log1p(_EM_DIRECT / a)) * remainder)
 
 
 def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
@@ -161,15 +193,17 @@ def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
 
     The tail is computed from the Hurwitz zeta function,
     Pi(n) = (1-q) * zeta(c, n+2) / zeta(c, 2), which keeps pmf and tail
-    exactly consistent.  The tail rate mu is zero; the mean is finite only
-    for c > 2.
+    consistent.  The normalizer zeta(c, 2) is scipy's; the tail, the mean and
+    b take zeta(c, n+2) in the log domain (``log_hurwitz_zeta``), so they stay
+    finite and accurate where zeta itself is below the smallest float.  The
+    tail rate mu is zero; the mean is finite only for c > 2.
     """
     if not c_exponent > 1.0:
         raise ValueError(f"c_exponent must exceed 1 for normalizability, got {c_exponent}")
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must be in [0, 1), got {q}")
-    # imported here and in _poly_log_tail, not at module level, so that runs
-    # without a heavy-tail prior never load scipy
+    # imported here, not at module level, so that runs without a heavy-tail
+    # prior never load scipy
     from scipy.special import zeta
 
     c = float(c_exponent)
@@ -178,20 +212,23 @@ def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
         raise ValueError(f"c_exponent must be below about 1075, where zeta(c, 2) is 0; got {c:g}")
     log_norm = math.log(norm)
     log_1mq = math.log1p(-q)
+    log_tail = partial(_poly_log_tail, c=c, log_1mq=log_1mq, log_norm=log_norm)
+    mean = math.inf
     if c > 2.0:
-        # sum_{m>=2} (m-2) m^-c = zeta(c-1, 2) - 2 zeta(c, 2)
-        mean = (1.0 - q) * (float(zeta(c - 1.0, 2.0)) - 2.0 * norm) / norm
-    else:
-        mean = math.inf
+        # sum_{m>=3} (m-2) m^-c = zeta(c-1, 3) - 2 zeta(c, 3), each term a ratio
+        # to the normalizer; every m-th summand of the first is at least 3/2 of
+        # the second's, so the difference loses at most two bits
+        ratio = [math.exp(log_hurwitz_zeta(s, 3.0) - log_norm) for s in (c - 1.0, c)]
+        mean = (1.0 - q) * (ratio[0] - 2.0 * ratio[1])
 
     return ChangePrior(
         name="heavy_tail",
         q=q,
         mu=0.0,
         mean=mean,
-        b=(1.0 - q) * float(zeta(c, 3.0)) / norm,
+        b=math.exp(log_tail(np.int64(1))),
         log_pmf_fn=partial(_poly_log_pmf, c=c, log_1mq=log_1mq, log_norm=log_norm),
-        log_tail_fn=partial(_poly_log_tail, c=c, log_1mq=log_1mq, log_norm=log_norm),
+        log_tail_fn=log_tail,
     )
 
 

@@ -18,6 +18,7 @@ from mixdetect.measures import (
     geometric_prior,
     grid_from_atoms,
     heavy_tail_prior,
+    log_hurwitz_zeta,
     point_mass_prior,
     uniform_grid,
 )
@@ -378,3 +379,73 @@ def test_grid_inverse_cdf_matches_sample_index():
     np.testing.assert_array_equal(grid.inverse_cdf(u), want)
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
     assert [grid.sample_index(rng) for _ in range(100)] == list(grid.inverse_cdf(ref.random(100)))
+
+
+# ---------------------------------------------------------------------------
+# The heavy-tail prior's zeta in the log domain: finite where zeta underflows.
+# ---------------------------------------------------------------------------
+
+
+def _log_tail_close(got, ref):
+    """The log-tail tolerance: 1e-12 of max(1, |log Pi(n)|)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return bool(np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))))
+
+
+class TestHeavyTailLogDomain:
+    @pytest.mark.parametrize("c", [20.0, 37.5, 100.0, 300.0, 1000.0])
+    def test_log_tail_matches_a_direct_log_domain_sum(self, c):
+        """Where the sum converges fast (c >= 20), sum (1 + k/a)^-c directly
+        to well past the point its terms reach 1e-17 of the first."""
+        from scipy.special import zeta
+
+        prior = heavy_tail_prior(c, q=0.25)
+        log_norm = math.log(zeta(c, 2.0))
+        n = np.array([0, 1, 2, 7, 100, 2000])
+        ref = []
+        for a in (n + 2).tolist():
+            k = np.arange(8 * a + 64)
+            log_s = math.log(math.fsum(np.exp(-c * np.log1p(k / a)).tolist()))
+            ref.append(math.log1p(-0.25) - log_norm - c * math.log(a) + log_s)
+        assert _log_tail_close(prior.log_tail(n), ref)
+
+    @pytest.mark.parametrize("c", [1.01, 1.1, 1.5, 2.0, 3.0, 7.5, 20.0, 100.0, 1000.0])
+    def test_log_tail_matches_zeta_where_it_is_a_normal_float(self, c):
+        from scipy.special import zeta
+
+        n = np.array([0, 1, 2, 5, 10, 100, 1000, 10**4, 10**6, 10**9, 10**15])
+        z = zeta(c, n + 2.0)
+        normal = z >= np.finfo(float).tiny
+        assert normal[0]
+        ref = np.log(z[normal]) - math.log(zeta(c, 2.0))
+        assert _log_tail_close(heavy_tail_prior(c).log_tail(n[normal]), ref)
+        got = log_hurwitz_zeta(c, n[normal] + 2.0)
+        assert np.all(np.abs(got - np.log(z[normal])) <= 1e-14 * np.abs(np.log(z[normal])) + 1e-15)
+
+    def test_log_tail_finite_where_zeta_underflows(self):
+        """zeta(100, 2002) is below the smallest float; its log is not."""
+        prior = heavy_tail_prior(100.0)
+        assert float(prior.log_tail(2000)) == pytest.approx(-687.8440704, abs=1e-7)
+        log_tail = prior.log_tail(np.array([10**4, 10**6, 2**62]))
+        assert np.all(np.isfinite(log_tail)) and np.all(np.diff(log_tail) < 0)
+
+    @pytest.mark.parametrize("c", [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0])
+    def test_mean_matches_the_direct_sum(self, c):
+        """The direct sum converges fast for c >= 20; the old closed form
+        (zeta(c-1, 2) - 2 zeta(c, 2)) / zeta(c, 2) cancelled to 0 from c near 100."""
+        prior = heavy_tail_prior(c, q=0.1)
+        k = np.arange(100_000)
+        direct = math.fsum((k * np.exp(prior.log_pmf(k))).tolist())
+        assert prior.mean == pytest.approx(direct, rel=1e-12)
+
+    def test_mean_at_c_100(self):
+        assert heavy_tail_prior(100.0).mean == pytest.approx(2.4596544e-18, rel=1e-7)
+
+    @pytest.mark.parametrize("c", [3.0, 100.0, 700.0, 1000.0])
+    def test_b_is_the_tail_at_one(self, c):
+        """b = Pi(1), a normal float for every c the prior takes; the old
+        ratio zeta(c, 3) / zeta(c, 2) underflowed to 0 past c near 680."""
+        prior = heavy_tail_prior(c, q=0.2)
+        assert prior.b == math.exp(float(prior.log_tail(1)))
+        if c >= 100.0:  # zeta(c, 3) / zeta(c, 2) = (2/3)^c to far below 1e-12
+            assert prior.b == pytest.approx(0.8 * (2.0 / 3.0) ** c, rel=1e-12)
