@@ -207,7 +207,10 @@ def _ar_model(doc: dict, grid: MixingGrid) -> ObservationModel:
     for i, raw in enumerate(doc["signals"]):
         where = f"model.signals[{i}]"
         s = _checked(raw, where, keys)
-        signals.append(HarmonicSignal(**{key: _number(s, where, key) for key in keys}))
+        signal = HarmonicSignal(**{key: _number(s, where, key) for key in keys})
+        if signal.amplitude == 0 or (signal.omega == 0 and math.sin(signal.phase) == 0):
+            raise ConfigError(f"{where}: the signal is zero at every step")
+        signals.append(signal)
     spec = ArChannelSpec(ar_coeffs=tuple(tuple(ch) for ch in ar_coeffs), signals=tuple(signals))
     return multichannel_ar_model(spec, grid)
 
@@ -862,24 +865,23 @@ TRAJECTORY_CHUNK = 4096
 
 
 def _write_trajectory(path: str, segments: list[np.ndarray]) -> None:
-    """Write the rows (n, log_stat, crossed) as ``csv.writer`` would, with
-    ``repr`` floats, so a value reads back to the same bits.
+    """Write each segment's rows (n, log_stat, crossed), skipping None, as
+    ``csv.writer`` would, with ``repr`` floats, so a value reads back to the same bits.
 
-    One %-format builds the text of TRAJECTORY_CHUNK rows: ``%d,%r,%d`` and
-    a CRLF per row (csv.writer's default line end; no field here needs
-    quoting) over the chunk's fields in row order.
+    One %-format builds the text of up to TRAJECTORY_CHUNK rows of a segment:
+    ``%d,%r,%d`` and a CRLF per row (csv.writer's default line end; no field
+    here needs quoting) over their fields in order, so no segment is copied whole.
     """
-    segments = [seg for seg in segments if seg is not None and seg.size]
-    rows = np.concatenate(segments) if segments else np.empty((0, 3))
     with open(path, "w", newline="") as fh:
         fh.write("n,log_stat,crossed\r\n")
-        for start in range(0, len(rows), TRAJECTORY_CHUNK):
-            part = rows[start : start + TRAJECTORY_CHUNK]
-            fields = [None] * part.size
-            fields[0::3] = part[:, 0].astype(np.int64).tolist()
-            fields[1::3] = part[:, 1].tolist()
-            fields[2::3] = part[:, 2].astype(np.int64).tolist()
-            fh.write("%d,%r,%d\r\n" * len(part) % tuple(fields))
+        for seg in segments:
+            for start in range(0, 0 if seg is None else len(seg), TRAJECTORY_CHUNK):
+                part = seg[start : start + TRAJECTORY_CHUNK]
+                fields = [None] * part.size
+                fields[0::3] = part[:, 0].astype(np.int64).tolist()
+                fields[1::3] = part[:, 1].tolist()
+                fields[2::3] = part[:, 2].astype(np.int64).tolist()
+                fh.write("%d,%r,%d\r\n" * len(part) % tuple(fields))
 
 
 def cmd_detect(

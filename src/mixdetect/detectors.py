@@ -279,7 +279,9 @@ def _multicyclic_with_tail(
     With ``restart`` (multicyclic) the statistic restarts after every alarm
     and the tail has no statistic.  Without it (``run_detector``, single-shot
     ``detect``) the loop returns at the first alarm with tail None, and a
-    censored tail reports the last statistic.
+    censored tail reports the last statistic.  With ``record_trajectory`` a
+    cycle keeps its segments' statistics, and ``_trajectory`` builds its
+    record's rows once, when it alarms or the stream ends.
 
     An ``ndarray`` is sliced into windows of ``_window_rows(K)`` rows for K
     atoms: WINDOW, or fewer so that a window holds at most WINDOW_CELLS
@@ -316,7 +318,7 @@ def _multicyclic_with_tail(
     state = np.full(grid.size, init)
     clock = 0  # steps since the last (re)start
     records: list[AlarmRecord] = []
-    cycle: list[np.ndarray] = []  # trajectory rows since the last (re)start
+    cycle: list[np.ndarray] = []  # the statistic's segments since the last (re)start
     last_stat = None
     n = 0  # rows read before the current window
     sliced = isinstance(observations, np.ndarray)
@@ -348,7 +350,7 @@ def _multicyclic_with_tail(
                 if steps:
                     last_stat = float(stats[steps - 1])
                     if record_trajectory:
-                        cycle.append(_trajectory_rows(n + i + 1, stats[:steps], hit.size > 0))
+                        cycle.append(stats[:steps])
                 i += steps
                 clock += steps
                 if hit.size:
@@ -357,7 +359,9 @@ def _multicyclic_with_tail(
                             stop_time=n + i,
                             censored=False,
                             log_stat_at_stop=last_stat,
-                            trajectory=_trajectory(cycle) if record_trajectory else None,
+                            trajectory=(
+                                _trajectory(cycle, n + i, True) if record_trajectory else None
+                            ),
                         )
                     )
                     if not restart:
@@ -373,23 +377,17 @@ def _multicyclic_with_tail(
         stop_time=None,
         censored=True,
         log_stat_at_stop=None if restart else last_stat,
-        trajectory=_trajectory(cycle) if record_trajectory else None,
+        trajectory=_trajectory(cycle, n, False) if record_trajectory else None,
     )
     return records, tail
 
 
-def _trajectory_rows(first: int, stats: np.ndarray, crossed: bool) -> np.ndarray:
-    """Trajectory rows (n, log_stat, crossed_flag) for steps first, first + 1, ...;
-    only the last step can carry the crossing."""
-    out = np.zeros((stats.size, 3))
-    out[:, 0] = np.arange(first, first + stats.size)
-    out[:, 1] = stats
-    out[-1, 2] = crossed
-    return out
-
-
-def _trajectory(cycle: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(cycle) if cycle else np.empty((0, 3))
+def _trajectory(cycle: list[np.ndarray], last_row: int, crossed: bool) -> np.ndarray:
+    """A cycle's rows (n, log_stat, crossed_flag), (0, 3) for none, from its
+    statistic's segments; the last is row ``last_row``, the only one that can cross."""
+    stats = np.concatenate([np.empty(0), *cycle])
+    n = np.arange(last_row - stats.size + 1, last_row + 1)
+    return np.column_stack([n, stats, (n == last_row) & crossed])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -193,9 +194,10 @@ def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
 
     The tail is computed from the Hurwitz zeta function,
     Pi(n) = (1-q) * zeta(c, n+2) / zeta(c, 2), which keeps pmf and tail
-    consistent.  The normalizer zeta(c, 2) is scipy's; the tail, the mean and
-    b take zeta(c, n+2) in the log domain (``log_hurwitz_zeta``), so they stay
-    finite and accurate where zeta itself is below the smallest float.  The
+    consistent.  The normalizer zeta(c, 2) is scipy's where it is a normal
+    float; the tail, the mean and b, and the normalizer past c of about 1022,
+    take zeta in the log domain (``log_hurwitz_zeta``), so they stay finite
+    and accurate where zeta itself is below the smallest normal float.  The
     tail rate mu is zero; the mean is finite only for c > 2.
     """
     if not c_exponent > 1.0:
@@ -210,7 +212,8 @@ def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
     norm = float(zeta(c, 2.0))  # sum_{m>=2} m^-c
     if norm == 0.0:  # its first term 2^-c is below the smallest float
         raise ValueError(f"c_exponent must be below about 1075, where zeta(c, 2) is 0; got {c:g}")
-    log_norm = math.log(norm)
+    # a subnormal zeta(c, 2) (c above about 1022) holds only a few bits
+    log_norm = math.log(norm) if norm >= sys.float_info.min else float(log_hurwitz_zeta(c, 2.0))
     log_1mq = math.log1p(-q)
     log_tail = partial(_poly_log_tail, c=c, log_1mq=log_1mq, log_norm=log_norm)
     mean = math.inf

@@ -9,6 +9,7 @@ so a kind, quantity or key added to a table is covered with no new test.
 
 import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -43,7 +44,7 @@ BAYES = {**MS, "calibration": {"kind": "bayes-cost", "c": 0.01, "r": 1.0}}
 AR = {
     "model": {
         "kind": "multichannel_ar", "ar_coeffs": [[0.5]],
-        "signals": [{"amplitude": 1.0, "omega": 0.0, "phase": 0.0}],
+        "signals": [{"amplitude": 1.0, "omega": 0.0, "phase": math.pi / 2}],
     }
 }
 
@@ -290,6 +291,27 @@ def test_distinct_moments_each_get_a_row(tmp_path, monkeypatch):
     assert main(["simulate", write_config(tmp_path, doc)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert list(report["scenarios"][0]["moments"]) == ["1", "1.5", "2"]
+
+
+@pytest.mark.parametrize(
+    "signal,zero",
+    [
+        ({}, True),
+        ({"amplitude": 0, "omega": 0.3}, True),
+        ({"omega": 0.3}, False),
+        ({"phase": math.pi / 2}, False),
+    ],
+    ids=["defaults", "amplitude_0", "sine", "constant"],
+)
+def test_zero_signal_refused_at_load(tmp_path, monkeypatch, capsys, signal, zero):
+    """A signal that is 0 at every step, as the defaults' sin(0) is, leaves no
+    increment that depends on the data; a sine or the constant sin(pi/2) loads."""
+    monkeypatch.chdir(tmp_path)
+    doc = copy.deepcopy({**BASE, **AR})
+    doc["model"]["signals"] = [signal]
+    assert main(["calibrate", write_config(tmp_path, doc)]) == (2 if zero else 0)
+    message = "config error: model.signals[0]: the signal is zero at every step\n"
+    assert capsys.readouterr().err == (message if zero else "")
 
 
 def test_defaults_fill_an_entry_without_changing_the_echo(tmp_path):

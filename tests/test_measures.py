@@ -449,3 +449,13 @@ class TestHeavyTailLogDomain:
         assert prior.b == math.exp(float(prior.log_tail(1)))
         if c >= 100.0:  # zeta(c, 3) / zeta(c, 2) = (2/3)^c to far below 1e-12
             assert prior.b == pytest.approx(0.8 * (2.0 / 3.0) ** c, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.0, 0.2])
+    @pytest.mark.parametrize("c", [1050.5, 1070.5])
+    def test_normaliser_where_zeta_is_subnormal(self, c, q):
+        """Past c near 1022 zeta(c, 2) is subnormal and holds a few bits, so
+        the normaliser is taken in the log domain: log Pi(0) = log(1 - q), and
+        log pi_0 is within (2/3)^c of it."""
+        prior = heavy_tail_prior(c, q=q)
+        for value in (prior.log_pmf(0), prior.log_tail(0)):
+            assert abs(float(value) - math.log1p(-q)) < 1e-12
