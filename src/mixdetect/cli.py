@@ -208,7 +208,8 @@ def _ar_model(doc: dict, grid: MixingGrid) -> ObservationModel:
         where = f"model.signals[{i}]"
         s = _checked(raw, where, keys)
         signal = HarmonicSignal(**{key: _number(s, where, key) for key in keys})
-        if signal.amplitude == 0 or (signal.omega == 0 and math.sin(signal.phase) == 0):
+        # zero in exact arithmetic, as sin(pi n) is, reads about 1e-16 n in floats
+        if np.abs(signal.values(4096)).max() <= 1e-9 * abs(signal.amplitude):
             raise ConfigError(f"{where}: the signal is zero at every step")
         signals.append(signal)
     spec = ArChannelSpec(ar_coeffs=tuple(tuple(ch) for ch in ar_coeffs), signals=tuple(signals))

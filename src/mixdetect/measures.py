@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -152,7 +151,8 @@ def _poly_log_pmf(k, c, log_1mq, log_norm):
 
 
 def _poly_log_tail(n, c, log_1mq, log_norm):
-    return log_1mq + log_hurwitz_zeta(c, n + 2.0) - log_norm
+    # the normaliser cancels before log(1 - q) is added, so Pi(0) = 1 - q exactly
+    return log_1mq + (log_hurwitz_zeta(c, n + 2.0) - log_norm)
 
 
 # (2j)! / B_2j for j = 1 .. 12, B the Bernoulli numbers: the Euler-Maclaurin
@@ -178,7 +178,8 @@ def log_hurwitz_zeta(c: float, a) -> np.ndarray:
     (c)_m the rising factorial, whose truncation error stays near 1e-20 of S:
     either w is large beside c or the factor in front is tiny.  Against a 50-digit
     sum, the log is within 2e-15 relative for c in [1.01, 1074] and a in
-    [2, 9e18].
+    [2, 9e18]; at a = 2, against scipy's zeta, it is within 1e-15 of
+    max(1, |log zeta|) for c in [1.0001, 1022], where scipy's is a normal float.
     """
     a = np.asarray(a, dtype=float)
     direct = np.exp(-c * np.log1p(np.arange(_EM_DIRECT) / a[..., None])).sum(axis=-1)
@@ -194,26 +195,20 @@ def heavy_tail_prior(c_exponent: float, q: float = 0.0) -> ChangePrior:
 
     The tail is computed from the Hurwitz zeta function,
     Pi(n) = (1-q) * zeta(c, n+2) / zeta(c, 2), which keeps pmf and tail
-    consistent.  The normalizer zeta(c, 2) is scipy's where it is a normal
-    float; the tail, the mean and b, and the normalizer past c of about 1022,
-    take zeta in the log domain (``log_hurwitz_zeta``), so they stay finite
-    and accurate where zeta itself is below the smallest normal float.  The
-    tail rate mu is zero; the mean is finite only for c > 2.
+    consistent.  The normalizer, the tail, the mean and b all take zeta in
+    the log domain (``log_hurwitz_zeta``), so they stay finite and accurate
+    where zeta itself is below the smallest normal float, and Pi(0) = 1 - q
+    exactly.  c must be below 1075, where 2^-c, and so zeta(c, 2) in floats,
+    is 0.  The tail rate mu is zero; the mean is finite only for c > 2.
     """
     if not c_exponent > 1.0:
         raise ValueError(f"c_exponent must exceed 1 for normalizability, got {c_exponent}")
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must be in [0, 1), got {q}")
-    # imported here, not at module level, so that runs without a heavy-tail
-    # prior never load scipy
-    from scipy.special import zeta
-
     c = float(c_exponent)
-    norm = float(zeta(c, 2.0))  # sum_{m>=2} m^-c
-    if norm == 0.0:  # its first term 2^-c is below the smallest float
+    if c >= 1075.0:  # the first term 2^-c of zeta(c, 2) is below the smallest float
         raise ValueError(f"c_exponent must be below about 1075, where zeta(c, 2) is 0; got {c:g}")
-    # a subnormal zeta(c, 2) (c above about 1022) holds only a few bits
-    log_norm = math.log(norm) if norm >= sys.float_info.min else float(log_hurwitz_zeta(c, 2.0))
+    log_norm = float(log_hurwitz_zeta(c, 2.0))  # log sum_{m>=2} m^-c
     log_1mq = math.log1p(-q)
     log_tail = partial(_poly_log_tail, c=c, log_1mq=log_1mq, log_norm=log_norm)
     mean = math.inf

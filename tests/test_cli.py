@@ -72,8 +72,7 @@ def _loaded_lines(proc: subprocess.CompletedProcess) -> list[str]:
 
 
 def test_gaussian_config_loads_without_signal_or_integrate():
-    """A fresh Gaussian load imports no scipy module at all: only the
-    heavy-tail prior needs scipy, and it imports it itself."""
+    """A fresh Gaussian load imports no scipy module at all."""
     code = (
         "from mixdetect.cli import load_experiment\n"
         f"load_experiment({str(ROOT / 'configs' / 'pfa_bounds.json')!r})\n"
@@ -84,7 +83,9 @@ def test_gaussian_config_loads_without_signal_or_integrate():
 
 def test_gaussian_and_hmm_simulate_import_no_scipy(tmp_path):
     """A Gaussian simulate and a symmetric-HMM simulate with a delay scenario,
-    whose information number I_theta is computed, import no scipy module."""
+    whose information number I_theta is computed, import no scipy module; nor
+    do a load and a shrunk simulate of the heavy-tail ladder study, whose
+    normaliser zeta(c, 2) is taken in NumPy."""
     scenarios = [
         {"name": "pfa", "quantity": "pfa_tail"},
         {"name": "delay", "quantity": "delay", "theta": 0, "change_point": 5},
@@ -102,27 +103,22 @@ def test_gaussian_and_hmm_simulate_import_no_scipy(tmp_path):
         montecarlo={"trials": 64, "horizon": 100, "seed": 3, "scenarios": scenarios},
         output={"report": "hmm.json"},
     )
-    code = "from mixdetect.cli import main\n" + "".join(
+    ladder_cfg = str(ROOT / "configs" / "delay_ladder.json")
+    ladder = json.loads(Path(ladder_cfg).read_text())
+    ladder["montecarlo"].update(trials=64, horizon=100)
+    code = (
+        "from mixdetect.cli import load_experiment, main\n"
+        f"assert load_experiment({ladder_cfg!r}).prior.name == 'heavy_tail'\n"
+        "loaded()\n"
+    ) + "".join(
         f"assert main(['simulate', {write_config(tmp_path, doc, name=name)!r}]) == 0\nloaded()\n"
-        for name, doc in (("gauss_cfg.json", gauss), ("hmm_cfg.json", hmm))
+        for name, doc in (
+            ("gauss_cfg.json", gauss), ("hmm_cfg.json", hmm), ("ladder_cfg.json", ladder)
+        )
     )
-    assert _loaded_lines(_fresh_python(code, cwd=tmp_path)) == ["loaded []"] * 2
+    assert _loaded_lines(_fresh_python(code, cwd=tmp_path)) == ["loaded []"] * 4
     delay = json.loads((tmp_path / "hmm.json").read_text())["scenarios"][1]
     assert delay["moments"]["1"]["prediction"]["inputs"]["I"] > 0.0
-
-
-def test_heavy_tail_config_imports_scipy_special_on_load():
-    """The heavy-tail prior still loads, and it is what imports scipy.special."""
-    code = (
-        "from mixdetect.cli import load_experiment\n"
-        "loaded()\n"
-        f"exp = load_experiment({str(ROOT / 'configs' / 'delay_ladder.json')!r})\n"
-        "assert exp.prior.name == 'heavy_tail'\n"
-        "print('has special', 'scipy.special' in sys.modules)\n"
-    )
-    proc = _fresh_python(code)
-    assert _loaded_lines(proc) == ["loaded []"]
-    assert "has special True" in proc.stdout.splitlines()
 
 
 def test_ar_commands_run_without_signal_or_stats(tmp_path):

@@ -300,12 +300,23 @@ def test_distinct_moments_each_get_a_row(tmp_path, monkeypatch):
         ({"amplitude": 0, "omega": 0.3}, True),
         ({"omega": 0.3}, False),
         ({"phase": math.pi / 2}, False),
+        ({"omega": math.pi}, True),
+        ({"phase": math.pi}, True),
+        ({"omega": 2 * math.pi, "phase": 0}, True),
+        ({"omega": 1e-3}, False),
+        ({"omega": 1e-9}, False),
+        ({"amplitude": 1e-300, "phase": math.pi / 2}, False),
     ],
-    ids=["defaults", "amplitude_0", "sine", "constant"],
+    ids=[
+        "defaults", "amplitude_0", "sine", "constant", "omega_pi", "phase_pi", "omega_2pi",
+        "slow_sine", "slowest_sine", "tiny_constant",
+    ],
 )
 def test_zero_signal_refused_at_load(tmp_path, monkeypatch, capsys, signal, zero):
     """A signal that is 0 at every step, as the defaults' sin(0) is, leaves no
-    increment that depends on the data; a sine or the constant sin(pi/2) loads."""
+    increment that depends on the data; a sine or the constant sin(pi/2) loads.
+    sin(pi n) is 0 in exact arithmetic but about 1e-16 n in floats, and is
+    refused too; a slow sine or a tiny constant is not."""
     monkeypatch.chdir(tmp_path)
     doc = copy.deepcopy({**BASE, **AR})
     doc["model"]["signals"] = [signal]

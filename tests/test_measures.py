@@ -110,9 +110,9 @@ class TestHeavyTailPrior:
 
 
 def test_heavy_tail_prior_unpickles_without_scipy_loaded():
-    """Workers receive priors by pickle.  The heavy-tail kernels import zeta
-    themselves, so a fresh interpreter that has not loaded scipy computes the
-    same bits."""
+    """Workers receive priors by pickle.  The heavy-tail kernels are plain
+    NumPy, so a fresh interpreter that has not loaded scipy computes the same
+    bits."""
     prior = heavy_tail_prior(2.5, q=0.1)
     n = np.arange(0, 3000, 7)
     code = (
@@ -449,6 +449,41 @@ class TestHeavyTailLogDomain:
         assert prior.b == math.exp(float(prior.log_tail(1)))
         if c >= 100.0:  # zeta(c, 3) / zeta(c, 2) = (2/3)^c to far below 1e-12
             assert prior.b == pytest.approx(0.8 * (2.0 / 3.0) ** c, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("c", [1.0001, 1.5, 2.0, 3.0, 100.0, 1000.0, 1074.99])
+    def test_tail_at_zero_is_one_minus_q_exactly(self, c, q):
+        """The tail and its normaliser take zeta(c, 2) the same way, and the
+        normaliser cancels before log(1 - q) is added."""
+        assert float(heavy_tail_prior(c, q=q).log_tail(0)) == math.log1p(-q)
+
+    def test_log_normaliser_matches_zeta(self):
+        """log zeta(c, 2) against scipy's zeta wherever that is a normal float,
+        c from just above 1 (zeta near 1e4) to c near 1022, within 1e-15 of
+        max(1, |log zeta|): a relative tolerance on zeta where it is near 1."""
+        from scipy.special import zeta
+
+        c = np.concatenate([[1.0001, 1.001, 1.01], np.geomspace(1.0001, 1074.99, 500)])
+        z = zeta(c, 2.0)
+        normal = z >= np.finfo(float).tiny
+        assert normal[:3].all() and normal.sum() > 450
+        ref = np.log(z[normal])
+        got = np.array([float(log_hurwitz_zeta(x, 2.0)) for x in c[normal]])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+    def test_refused_exactly_where_zeta_is_zero(self):
+        """The refusal at c >= 1075 is where scipy's zeta(c, 2) is 0 in floats."""
+        from scipy.special import zeta
+
+        grid = np.concatenate([np.linspace(1074.0, 1076.0, 201), [np.nextafter(1075.0, 0.0)]])
+        for c in grid.tolist():
+            try:
+                heavy_tail_prior(c)
+            except ValueError:
+                refused = True
+            else:
+                refused = False
+            assert refused == (zeta(c, 2.0) == 0.0), c
 
     @pytest.mark.parametrize("q", [0.0, 0.2])
     @pytest.mark.parametrize("c", [1050.5, 1070.5])
