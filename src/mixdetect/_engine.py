@@ -12,8 +12,9 @@ streaming runs agree bit for bit.
 A chunk derives all of its trials' streams in one pass: ``trial_rngs``
 hashes every ``SeedSequence([master_seed, stream_tag, i])`` with NumPy's
 fixed seed-hashing algorithm (NEP 19) over an array of trial indices, and
-seeds each trial's PCG64 from those words.  When a seed word does not fit
-in 32 bits it falls back to the exact per-trial ``trial_rng``.  Each trial
+seeds each trial's PCG64 from those words.  A seed, stream tag or trial
+index of any size enters the hash as the 32-bit words SeedSequence makes of
+it, so every stream equals its own ``trial_rng``.  Each trial
 then draws its (nu, theta) uniforms from its own stream in the same order
 as before, and the prior and the mixing grid are inverted for all trials at
 once, so every drawn value is unchanged.
@@ -51,6 +52,7 @@ grows with time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,6 +67,7 @@ GROUP = 1024  # trials per simulate_block call after block 0; never affects valu
 
 
 def trial_rng(master_seed: int, stream_tag: int, trial_index: int) -> np.random.Generator:
+    """One trial's generator, made one at a time: the reference ``trial_rngs`` equals."""
     return np.random.default_rng(
         np.random.SeedSequence([master_seed, stream_tag, trial_index])
     )
@@ -81,10 +84,12 @@ _MASK32 = 0xFFFFFFFF
 def _seed_state(entropy: list) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` for each column of ``entropy``.
 
-    ``entropy`` holds at most ``_POOL_SIZE`` words, each a uint32 array or
-    scalar (broadcast together); the result has shape (n, 4).  This is
-    SeedSequence's pool mixing and output hash in wrapping uint32 arithmetic;
-    the hash constants do not depend on the data, so they stay Python ints.
+    ``entropy`` holds SeedSequence's 32-bit words in order, each a uint32
+    array or scalar (broadcast together); the result has shape (n, 4).  This
+    is SeedSequence's pool mixing, including its mixing of the words past
+    the pool into every pool word, and its output hash in wrapping uint32
+    arithmetic; the hash constants do not depend on the data, so they stay
+    Python ints.
     """
     u32 = np.uint32
     cols = np.broadcast_arrays(*[np.asarray(w, dtype=u32) for w in entropy])
@@ -104,11 +109,14 @@ def _seed_state(entropy: list) -> np.ndarray:
         result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
         return result ^ (result >> u32(16))
 
-    pool = [hashmix(w) for w in words]
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
                 pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
 
     state = np.empty((n, 8), dtype=u32)
     hash_const = _INIT_B
@@ -120,22 +128,35 @@ def _seed_state(entropy: list) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _words(value: int) -> list:
+    """SeedSequence's 32-bit words of a non-negative integer, lowest first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
 def trial_rngs(master_seed: int, stream_tag: int, start: int, count: int) -> list:
     """``trial_rng(master_seed, stream_tag, i)`` for i in [start, start + count).
 
-    The seed words of all trials are hashed at once.  SeedSequence turns an
-    integer of 2^32 or more into several words, which the one-word-per-entry
-    hash does not cover, so such chunks (and anything that is not a
-    non-negative integer) take the per-trial ``trial_rng`` path instead.
+    The seed words of all trials are hashed at once.  The seed and the
+    stream tag enter as their SeedSequence words, however many; the trial
+    indices are hashed in runs split at each multiple of 2^32, so that in a
+    run only the lowest index word varies.  A negative entry raises
+    ``ValueError``, as SeedSequence does.
     """
-    ends = (master_seed, stream_tag, start, start + count - 1)
-    if not all(isinstance(w, (int, np.integer)) and 0 <= w <= _MASK32 for w in ends):
-        return [trial_rng(master_seed, stream_tag, i) for i in range(start, start + count)]
+    master_seed, stream_tag, start = map(operator.index, (master_seed, stream_tag, start))
+    if min(master_seed, stream_tag, start) < 0:
+        raise ValueError("seed, stream tag and trial index must be non-negative")
+    head = _words(master_seed) + _words(stream_tag)
     seeder = _SeedWords()  # its words are set before each generator is made
     rngs = []
-    for words in _seed_state([master_seed, stream_tag, np.arange(start, start + count)]):
-        seeder.words = words
-        rngs.append(np.random.Generator(np.random.PCG64(seeder)))
+    while len(rngs) < count:
+        low, *high = _words(start + len(rngs))
+        run = min(count - len(rngs), _MASK32 + 1 - low)
+        for words in _seed_state(head + [np.arange(low, low + run)] + high):
+            seeder.words = words
+            rngs.append(np.random.Generator(np.random.PCG64(seeder)))
     return rngs
 
 

@@ -22,7 +22,6 @@ seed.  Exit codes: 0 success, 2 config error, 3 runtime/estimation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -208,8 +207,13 @@ def _ar_model(doc: dict, grid: MixingGrid) -> ObservationModel:
         where = f"model.signals[{i}]"
         s = _checked(raw, where, keys)
         signal = HarmonicSignal(**{key: _number(s, where, key) for key in keys})
+        with np.errstate(over="ignore", invalid="ignore"):  # omega * n may overflow
+            values = signal.values(4096)
+        if not np.isfinite(values).all():
+            step = np.argmin(np.isfinite(values)) + 1  # values[0] is S_1
+            raise ConfigError(f"{where}: the signal is not finite at step {step}")
         # zero in exact arithmetic, as sin(pi n) is, reads about 1e-16 n in floats
-        if np.abs(signal.values(4096)).max() <= 1e-9 * abs(signal.amplitude):
+        if np.abs(values).max() <= 1e-9 * abs(signal.amplitude):
             raise ConfigError(f"{where}: the signal is zero at every step")
         signals.append(signal)
     spec = ArChannelSpec(ar_coeffs=tuple(tuple(ch) for ch in ar_coeffs), signals=tuple(signals))
@@ -361,6 +365,11 @@ def _implied_alpha(exp: Experiment) -> float:
 def check_tail(prior: ChangePrior, horizon: int, scale: float, name: str) -> None:
     """Refuse a horizon whose prior tail Pi(horizon) is not below 0.01 * ``scale``
     (the estimate's size, called ``name``): trials see no change beyond it."""
+    if 0.01 * scale == 0.0:
+        raise ConfigError(
+            f"montecarlo.horizon: 0.01 * {name} underflows to 0 ({name} = {scale:.3e}), "
+            "and no prior tail is below it at any horizon"
+        )
     tail = float(prior.tail(horizon))
     if not tail < 0.01 * scale:
         raise ConfigError(
@@ -745,11 +754,9 @@ def cmd_simulate(exp: Experiment) -> int:
         if "ladder" not in row:
             continue
         os.makedirs(ladder_dir, exist_ok=True)
+        lines = [LADDER_COLUMNS] + [[repr(r[col]) for col in LADDER_COLUMNS] for r in row["ladder"]]
         with open(os.path.join(ladder_dir, f"{row['name']}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(LADDER_COLUMNS)
-            for rung in row["ladder"]:
-                w.writerow([repr(rung[col]) for col in LADDER_COLUMNS])
+            fh.writelines(",".join(line) + "\r\n" for line in lines)  # as csv.writer
 
     print(f"{'scenario':<28} {'estimate':>14} {'prediction':>14} {'ratio':>8}")
     for row in rows:
@@ -917,13 +924,9 @@ def cmd_detect(
 
     alarms_path = exp.output["alarms"]
     if alarms_path:
+        lines = ["alarm_time", *alarms] + (["CENSORED"] if censored else [])
         with open(alarms_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["alarm_time"])
-            for t in alarms:
-                w.writerow([t])
-            if censored:
-                w.writerow(["CENSORED"])
+            fh.writelines(f"{line}\r\n" for line in lines)  # as csv.writer
     if trajectory:
         segments = [r.trajectory for r in records] + ([tail.trajectory] if tail else [])
         _write_trajectory(traj_path, segments)

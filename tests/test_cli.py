@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -624,6 +625,41 @@ class TestConfigValidation:
         )
         assert main(["simulate", write_config(tmp_path, doc)]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "log_threshold,message",
+        [
+            (
+                720,
+                "montecarlo.horizon: 0.01 * alpha underflows to 0 (alpha = 0.000e+00), "
+                "and no prior tail is below it at any horizon",
+            ),
+            (
+                700,
+                "montecarlo.horizon: prior tail Pi(2000) = 3.055e-92 is not below "
+                "0.01 * alpha = 9.860e-307; raise the horizon",
+            ),
+        ],
+        ids=["underflow", "tiny"],
+    )
+    def test_pfa_level_that_underflows(self, tmp_path, capsys, log_threshold, message):
+        """exp(720) overflows, so the MS rule's implied alpha 1 / (1 + A) is 0:
+        no horizon can bring the prior tail below 0, and the message says so
+        instead of asking for a longer horizon.  At exp(700), 0.01 * alpha is
+        a positive float and the usual horizon message stands."""
+        doc = base_config(
+            calibration={"kind": "fixed", "log_threshold": log_threshold},
+            montecarlo={
+                "trials": 100,
+                "horizon": 2000,
+                "seed": 1,
+                "scenarios": [{"quantity": "pfa_tail"}],
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
     @pytest.mark.parametrize(
         "prior,tail",
@@ -2252,6 +2288,27 @@ def test_simulate_outputs_pinned(tmp_path, monkeypatch, capsys, name):
                 path.read_bytes()
             ).hexdigest()
     assert got == PINNED_SIMULATE_DIGESTS[name]
+
+
+def test_simulate_with_a_two_word_seed_pinned(tmp_path, monkeypatch, capsys):
+    """``configs/pfa_bounds.json`` cut to 600 trials, with a seed of two
+    SeedSequence words, writes the same report and stdout as the per-trial
+    SeedSequence seeding did."""
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((ROOT / "configs" / "pfa_bounds.json").read_text())
+    doc["montecarlo"].update(trials=600, seed=2**40 + 7)
+    doc["output"] = {"report": "report.json"}
+    assert main(["simulate", write_config(tmp_path, doc, name="config.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "25c4f278eecf73a665cd7001e2877096b820957df29501ff68d599d03d144dfc"
+    )
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == (
+        "07ad356a92a3ff100e52a9747df14a9fdd0401c011c96d3da1099c5a00b039be"
+    )
 
 
 def test_report_records_are_their_dataclass_fields(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import copy
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,31 @@ def test_zero_signal_refused_at_load(tmp_path, monkeypatch, capsys, signal, zero
     assert main(["calibrate", write_config(tmp_path, doc)]) == (2 if zero else 0)
     message = "config error: model.signals[0]: the signal is zero at every step\n"
     assert capsys.readouterr().err == (message if zero else "")
+
+
+@pytest.mark.parametrize(
+    "signal,step",
+    [
+        ({"omega": 1e306}, 180),
+        ({"amplitude": 0, "omega": 1e306}, 180),
+        ({"omega": 1e300, "phase": 1.0}, None),
+    ],
+    ids=["omega_1e306", "amplitude_0_omega_1e306", "omega_1e300"],
+)
+def test_non_finite_signal_refused_at_load(tmp_path, monkeypatch, capsys, signal, step):
+    """omega * n overflows to inf for a large enough omega, and sin(inf) is NaN:
+    such a signal is refused at its first non-finite step, before the zero
+    rule and with no warning.  omega = 1e300 stays finite over the steps
+    checked and loads."""
+    monkeypatch.chdir(tmp_path)
+    doc = copy.deepcopy({**BASE, **AR})
+    doc["model"]["signals"] = [signal]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["calibrate", write_config(tmp_path, doc)])
+    assert code == (0 if step is None else 2)
+    message = f"config error: model.signals[0]: the signal is not finite at step {step}\n"
+    assert capsys.readouterr().err == ("" if step is None else message)
 
 
 def test_defaults_fill_an_entry_without_changing_the_echo(tmp_path):

@@ -851,7 +851,7 @@ def test_seed_state_over_a_range_of_trials():
 
 
 @pytest.mark.parametrize(
-    "master_seed,stream_tag,start,batched",
+    "master_seed,stream_tag,start,one_word",
     [
         (1234, 9, CHUNK - 3, True),  # spans a chunk boundary
         (0, 0, 0, True),
@@ -861,13 +861,15 @@ def test_seed_state_over_a_range_of_trials():
         (7, 9, 2**32 - 3, False),  # indices cross into two words
     ],
 )
-def test_trial_rngs_match_trial_rng(master_seed, stream_tag, start, batched):
+def test_trial_rngs_match_trial_rng(master_seed, stream_tag, start, one_word):
     count = 6
+    assert (max(master_seed, stream_tag, start + count - 1) < 2**32) == one_word
     rngs = trial_rngs(master_seed, stream_tag, start, count)
     assert len(rngs) == count
     for i, rng in zip(range(start, start + count), rngs):
         ref = trial_rng(master_seed, stream_tag, i)
-        assert isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence) != batched
+        # every row, one-word or not, is seeded by the batched hash
+        assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
         np.testing.assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
         np.testing.assert_array_equal(rng.random(5), ref.random(5))
         np.testing.assert_array_equal(rng.standard_normal((3, 2)), ref.standard_normal((3, 2)))
@@ -875,9 +877,51 @@ def test_trial_rngs_match_trial_rng(master_seed, stream_tag, start, batched):
 
 def test_trial_rngs_empty_and_invalid_seed():
     assert trial_rngs(1, 2, 10, 0) == []
-    # not a non-negative integer: the exact SeedSequence path raises as before
+    # a negative entry raises, as SeedSequence does
     with pytest.raises(ValueError):
         trial_rngs(-1, 0, 0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    tag=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**33),
+    count=st.integers(0, 8),
+)
+@example(seed=2**32, tag=0, start=2**32 - 4, count=8)
+@example(seed=2**100 + 17, tag=2**33 + 1, start=0, count=3)
+@example(seed=2**128 - 1, tag=2**64 - 1, start=2**33, count=8)
+def test_trial_rngs_states_match_seed_sequence(seed, tag, start, count):
+    """Every generator's state is its own SeedSequence's, for seeds and
+    stream tags of several words and indices on both sides of 2^32."""
+    rngs = trial_rngs(seed, tag, start, count)
+    assert len(rngs) == count
+    for k, rng in enumerate(rngs):
+        want = np.random.default_rng(np.random.SeedSequence([seed, tag, start + k]))
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(WORD, min_size=5, max_size=8))
+def test_seed_state_mixes_words_past_the_pool(words):
+    """Words past SeedSequence's 4-word pool are mixed into every pool word."""
+    want = np.random.SeedSequence(words).generate_state(4, np.uint64)
+    np.testing.assert_array_equal(_seed_state(words), [want])
+
+
+@pytest.mark.parametrize("master_seed,stream_tag", [(2**40 + 7, 3), (5, 2**32)])
+def test_trial_rngs_never_seeds_one_trial_at_a_time(monkeypatch, master_seed, stream_tag):
+    """A seed or stream tag of two words is hashed in the one batched pass."""
+
+    def refuse(*args):
+        raise AssertionError("trial_rngs called trial_rng")
+
+    monkeypatch.setattr(_engine, "trial_rng", refuse)
+    rngs = trial_rngs(master_seed, stream_tag, 0, 4)
+    for i, rng in enumerate(rngs):
+        want = np.random.default_rng(np.random.SeedSequence([master_seed, stream_tag, i]))
+        assert rng.bit_generator.state == want.bit_generator.state
 
 
 @pytest.mark.parametrize("q_short_circuit", [False, True])
