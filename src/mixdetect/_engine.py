@@ -14,10 +14,11 @@ hashes every ``SeedSequence([master_seed, stream_tag, i])`` with NumPy's
 fixed seed-hashing algorithm (NEP 19) over an array of trial indices, and
 seeds each trial's PCG64 from those words.  A seed, stream tag or trial
 index of any size enters the hash as the 32-bit words SeedSequence makes of
-it, so every stream equals its own ``trial_rng``.  Each trial
-then draws its (nu, theta) uniforms from its own stream in the same order
-as before, and the prior and the mixing grid are inverted for all trials at
-once, so every drawn value is unchanged.
+it, so every stream equals its own ``trial_rng``.  A ``TrialSpec`` holds
+the nu (``math.inf`` for no change) and the theta its trials fix, or None
+for either one the trials draw: each trial draws it as a uniform from its
+own stream, and the prior and the mixing grid are inverted for all trials
+at once.
 
 A chunk of at most CHUNK trials advances in time blocks.  Block 0 spans
 every trial of the chunk and runs min(BLOCK, BLOCK * GROUP // count) steps,
@@ -52,6 +53,7 @@ grows with time.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 
@@ -162,18 +164,16 @@ def trial_rngs(master_seed: int, stream_tag: int, start: int, count: int) -> lis
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """How one scenario draws (nu, theta) for each trial.
+    """The law of (nu, theta) for each trial of one scenario: what it fixes.
 
-    mode "no_change": nu beyond the horizon, theta unused.
-    mode "fixed":     nu and theta fixed for every trial.
-    mode "prior":     nu sampled from the prior restricted to k >= 0 (with an
-                      optional q-mass short-circuit to "change already in
-                      effect", i.e. nu = 0); theta fixed if given, otherwise
-                      sampled from the mixing weights.
+    ``nu`` is the change point, capped at the horizon, and ``math.inf`` means
+    no change; None draws nu from the prior restricted to k >= 0, where
+    ``q_short_circuit`` first sends mass q to nu = 0 (a change already in
+    effect).  ``theta`` is the post-change parameter, or None to draw an atom
+    from the mixing weights for each trial, unless nu is ``math.inf``.
     """
 
-    mode: str
-    nu: int | None = None
+    nu: float | None = None
     theta: tuple | None = None
     q_short_circuit: bool = False
     stream_tag: int = 0
@@ -202,35 +202,30 @@ def _draw_trials(
     horizon: int,
     rngs: list[np.random.Generator],
 ):
+    """Each trial's (nu, theta): what ``spec`` fixes, and the rest drawn."""
     b = len(rngs)
-    nus = np.empty(b, dtype=np.int64)
-    thetas = np.zeros((b, grid.dimension))
-    fixed_theta = None if spec.theta is None else np.asarray(spec.theta, dtype=float)
-    if spec.mode == "no_change":
-        nus[:] = horizon
-    elif spec.mode == "fixed":
-        if spec.nu is None or fixed_theta is None:
-            raise ValueError("fixed mode needs both nu and theta")
-        nus[:] = min(int(spec.nu), horizon)
-        thetas[:] = fixed_theta
-    elif spec.mode == "prior":
-        # each trial's uniforms in stream order: the q short-circuit, nu, the atom
-        short_circuit = spec.q_short_circuit and prior.q > 0.0
-        at_zero = np.zeros(b, dtype=bool)
-        u_nu = np.zeros(b)
-        u_atom = np.zeros(b)
-        for i, rng in enumerate(rngs):
-            if short_circuit and rng.random() < prior.q:
-                at_zero[i] = True
-            else:
-                u_nu[i] = rng.random()
-            if fixed_theta is None:
-                u_atom[i] = rng.random()
-        nus[at_zero] = 0
+    draw_nu = spec.nu is None
+    draw_atom = spec.theta is None and spec.nu != math.inf
+    short_circuit = draw_nu and spec.q_short_circuit and prior.q > 0.0
+    # each trial's uniforms in stream order: the q short-circuit, nu, the atom
+    at_zero = np.zeros(b, dtype=bool)
+    u_nu = np.zeros(b)
+    u_atom = np.zeros(b)
+    for i, rng in enumerate(rngs):
+        if short_circuit and rng.random() < prior.q:
+            at_zero[i] = True
+        elif draw_nu:
+            u_nu[i] = rng.random()
+        if draw_atom:
+            u_atom[i] = rng.random()
+    nus = np.full(b, 0 if draw_nu else min(spec.nu, horizon), dtype=np.int64)
+    if draw_nu:
         nus[~at_zero] = np.minimum(prior.inverse_cdf(u_nu[~at_zero]), horizon)
-        thetas[:] = grid.atoms[grid.inverse_cdf(u_atom)] if fixed_theta is None else fixed_theta
-    else:
-        raise ValueError(f"unknown trial mode {spec.mode!r}")
+    thetas = np.zeros((b, grid.dimension))
+    if draw_atom:
+        thetas[:] = grid.atoms[grid.inverse_cdf(u_atom)]
+    elif spec.theta is not None:
+        thetas[:] = spec.theta
     return nus, thetas
 
 

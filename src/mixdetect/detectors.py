@@ -236,8 +236,9 @@ def run_detector(
     iterator is read BLOCK rows at a time, so up to BLOCK - 1 rows after the
     alarm may be read from it, and an ndarray is scored a window at a time;
     ``horizon`` caps the number of steps, and no row past it is read.  The
-    comparison is on log values, with >= so that exact ties stop.  A
-    censored record carries the last statistic.
+    comparison is on log values, with >= so that exact ties stop; a
+    ``log_threshold`` of -inf stops at row 1, and +inf and NaN are refused.
+    A censored record carries the last statistic.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -308,8 +309,8 @@ def _multicyclic_with_tail(
     kernels give the same bits for any cut of the time axis.  NumPy's
     overflow and invalid-value warnings are silenced for the loop.
     """
-    if not np.isfinite(log_threshold):
-        raise ValueError("log_threshold must be finite")
+    if not log_threshold < np.inf:
+        raise ValueError(f"log_threshold must be finite or -inf, got {log_threshold}")
     scorer = model.increment_state(1)
     init = _log_init(kind, prior, omega)
     grid = model.grid

@@ -134,7 +134,7 @@ def statistic_at_horizon(
     config: ExperimentConfig, spec: TrialSpec | None = None
 ) -> np.ndarray:
     """log statistic after exactly ``horizon`` steps for every trial (no stopping)."""
-    spec = spec or TrialSpec(mode="no_change", stream_tag=0)
+    spec = spec or TrialSpec(nu=math.inf)
     return run_trials(replace(config, log_threshold=None), spec).log_stat_at_stop
 
 
@@ -146,7 +146,7 @@ def estimate_pfa_tail(config: ExperimentConfig, stream_tag: int = 0) -> Estimate
     upward by at most Pi(horizon), recorded as a bias certificate, so the
     false-alarm bound test stays honest without unbounded runs.
     """
-    td = run_trials(config, TrialSpec(mode="no_change", stream_tag=stream_tag))
+    td = run_trials(config, TrialSpec(nu=math.inf, stream_tag=stream_tag))
     stopped = td.stop_times > 0
     tail_at_stop = config.prior.tail(np.where(stopped, td.stop_times, config.horizon))
     censored = int((~stopped).sum())
@@ -168,10 +168,7 @@ def estimate_pfa_posterior(config: ExperimentConfig, stream_tag: int = 1) -> Est
     """
     if config.detector.lower() != "ms":
         raise ValueError("the posterior identity applies to the MS rule only")
-    td = run_trials(
-        config,
-        TrialSpec(mode="prior", q_short_circuit=True, stream_tag=stream_tag),
-    )
+    td = run_trials(config, TrialSpec(q_short_circuit=True, stream_tag=stream_tag))
     stopped = td.stop_times > 0
     contrib = np.where(stopped, np.exp(-np.logaddexp(0.0, td.log_stat_at_stop)), 0.0)
     censored = int((~stopped).sum())
@@ -230,10 +227,7 @@ def estimate_delay_moments(
     if not 0 <= k < config.horizon:
         raise ValueError(f"change point k must be in [0, horizon = {config.horizon}), got {k}")
     theta_vec = config.model.grid.theta_vector(theta)
-    td = run_trials(
-        config,
-        TrialSpec(mode="fixed", nu=k, theta=tuple(theta_vec), stream_tag=stream_tag),
-    )
+    td = run_trials(config, TrialSpec(nu=k, theta=tuple(theta_vec), stream_tag=stream_tag))
     return _delay_estimates(
         td, config.horizon, r_list, "delay_moment", "T > k",
         change_point=k, theta=list(map(float, theta_vec)),
@@ -251,10 +245,7 @@ def estimate_average_delay_risk(
     horizon count as (horizon-nu)^r, flagged as a downward bias.
     """
     theta_vec = config.model.grid.theta_vector(theta)
-    td = run_trials(
-        config,
-        TrialSpec(mode="prior", theta=tuple(theta_vec), stream_tag=stream_tag),
-    )
+    td = run_trials(config, TrialSpec(theta=tuple(theta_vec), stream_tag=stream_tag))
     return _delay_estimates(
         td, config.horizon, (r,), "average_delay", "T > nu",
         theta=list(map(float, theta_vec)),
@@ -275,9 +266,7 @@ def estimate_integrated_risk(
     """
     if c < 0.0:
         raise ValueError("cost c must be >= 0")
-    td = run_trials(
-        config, TrialSpec(mode="prior", q_short_circuit=False, stream_tag=stream_tag)
-    )
+    td = run_trials(config, TrialSpec(stream_tag=stream_tag))
     delays, detected, false_alarm, censored = _outcomes(td, config.horizon)
     delayed = detected | censored
     contrib = np.zeros(config.trials)

@@ -201,7 +201,7 @@ def test_criterion_05_martingale_mean():
             horizon=50,
             master_seed=31415,
         )
-        stat = statistic_at_horizon(cfg, TrialSpec(mode="no_change", stream_tag=5))
+        stat = statistic_at_horizon(cfg, TrialSpec(nu=math.inf, stream_tag=5))
         r = np.exp(stat)
         mean = float(r.mean())
         se = float(r.std(ddof=1) / math.sqrt(r.size))

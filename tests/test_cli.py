@@ -512,6 +512,98 @@ def test_every_command_gives_one_verdict(tmp_path, capsys, montecarlo, message):
     assert message is None or verdicts[0][1].err == f"config error: {message}\n"
 
 
+_FIXED = {"kind": "fixed", "log_threshold": 3.0}
+_INFINITE_MEAN = {"kind": "heavy_tail", "c_exponent": 1.5}
+
+
+def _budget(*scenarios, horizon=100):
+    return {**_BUDGET, "horizon": horizon, "scenarios": list(scenarios)}
+
+
+# (command, config document or raw text or None for no file, MIXDETECT_WORKERS,
+# the config error with {path} for the config's path)
+REFUSALS = {
+    "msr_pfa_under_an_infinite_mean_prior": (
+        "simulate",
+        base_config(prior=_INFINITE_MEAN, detector={"kind": "msr"}, calibration=_FIXED,
+                    montecarlo=_budget({"quantity": "pfa_tail"})),
+        None,
+        "montecarlo.horizon: cannot bound the false-alarm level of an MSR rule under an "
+        "infinite-mean prior; use a finite-mean prior for PFA scenarios",
+    ),
+    "pfa_posterior_of_msr": (
+        "simulate",
+        base_config(detector={"kind": "msr"}, calibration=_FIXED,
+                    montecarlo=_budget({"quantity": "pfa_posterior"})),
+        None,
+        "montecarlo.scenarios[0]: pfa_posterior applies to the ms rule only",
+    ),
+    "average_delay_short_of_an_infinite_mean_prior": (
+        "simulate",
+        base_config(prior=_INFINITE_MEAN, calibration=_FIXED,
+                    montecarlo=_budget({"quantity": "average_delay", "theta": 0}, horizon=50)),
+        None,
+        "montecarlo.scenarios[0]: horizon must cover 99.99% of the prior mass "
+        "when the prior mean is infinite",
+    ),
+    "integrated_risk_at_a_fixed_threshold": (
+        "simulate",
+        base_config(calibration=_FIXED, montecarlo=_budget({"quantity": "integrated_risk"})),
+        None,
+        "montecarlo.scenarios[0]: integrated_risk requires bayes-cost calibration",
+    ),
+    "no_config_file": (
+        "calibrate", None, None,
+        "cannot read config: [Errno 2] No such file or directory: '{path}'",
+    ),
+    "config_not_json": (
+        "calibrate", "not json", None,
+        "config is not valid JSON: Expecting value: line 1 column 1 (char 0)",
+    ),
+    "unknown_detector_kind": (
+        "calibrate", base_config(detector={"kind": "cusum"}), None,
+        "detector.kind: expected 'ms' or 'msr', got 'cusum'",
+    ),
+    "negative_head_start": (
+        "calibrate", base_config(detector={"kind": "msr", "omega": -1.0}, calibration=_FIXED),
+        None, "detector.omega: must be >= 0",
+    ),
+    "workers_not_an_integer": (
+        "simulate", base_config(montecarlo=_budget({"quantity": "pfa_tail"})), "four",
+        "MIXDETECT_WORKERS: expected an integer",
+    ),
+    "ms_prior_support_ends_inside_the_horizon": (
+        "simulate",
+        base_config(prior={"kind": "point_mass", "k0": 20}, calibration=_FIXED,
+                    montecarlo=_budget({"quantity": "delay", "theta": 0})),
+        None,
+        "montecarlo.horizon: the prior's support ends inside the horizon; "
+        "the ms statistic is undefined there (use msr or shorten the horizon)",
+    ),
+    "simulate_without_montecarlo": (
+        "simulate", base_config(), None, "montecarlo: missing required section",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_config_refusal(tmp_path, capsys, monkeypatch, case):
+    """Each refused config exits 2 with its one line on stderr and nothing on stdout."""
+    command, doc, workers, message = REFUSALS[case]
+    path = tmp_path / "cfg.json"
+    if isinstance(doc, dict):
+        path.write_text(json.dumps(doc))
+    elif doc is not None:
+        path.write_text(doc)
+    if workers is None:
+        monkeypatch.delenv("MIXDETECT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MIXDETECT_WORKERS", workers)
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"config error: {message.format(path=path)}\n")
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = base_config()
@@ -2178,7 +2270,7 @@ class TestShiftScenario:
             horizon=700,
             master_seed=606,
         )
-        td = run_trials(cfg, TrialSpec(mode="fixed", nu=500, theta=(1.0,), stream_tag=1))
+        td = run_trials(cfg, TrialSpec(nu=500, theta=(1.0,), stream_tag=1))
         assert int((td.stop_times == 0).sum()) == 0  # nothing censored
         frac_after = float((td.stop_times >= 501).mean())
         assert frac_after >= 0.99

@@ -339,7 +339,7 @@ class TestEstimatorContracts:
 class TestEngineMatchesStreamingDetector:
     def test_stop_times_and_statistics_agree(self):
         cfg = make_config(trials=64, horizon=120)
-        spec = TrialSpec(mode="fixed", nu=4, theta=(1.0,), stream_tag=5)
+        spec = TrialSpec(nu=4, theta=(1.0,), stream_tag=5)
         td = run_trials(cfg, spec)
         model = cfg.model
         for i in range(cfg.trials):
@@ -379,11 +379,9 @@ BLOCK_MODELS = {
 }
 
 BLOCK_SPECS = {
-    "fixed": lambda grid: TrialSpec(
-        mode="fixed", nu=40, theta=tuple(grid.atoms[-1]), stream_tag=21
-    ),
-    "prior": lambda grid: TrialSpec(mode="prior", q_short_circuit=True, stream_tag=22),
-    "no_change": lambda grid: TrialSpec(mode="no_change", stream_tag=23),
+    "fixed": lambda grid: TrialSpec(nu=40, theta=tuple(grid.atoms[-1]), stream_tag=21),
+    "prior": lambda grid: TrialSpec(q_short_circuit=True, stream_tag=22),
+    "no_change": lambda grid: TrialSpec(nu=math.inf, stream_tag=23),
 }
 
 
@@ -479,7 +477,7 @@ def test_chunk_wider_than_block_times_group_moves(monkeypatch):
     """With more than BLOCK * GROUP trials in a chunk, block 0 still runs one
     step, so the chunk ends and gives the values of the engine's own GROUP."""
     cfg = make_config(detector="msr", log_threshold=math.log(1e3), trials=100, horizon=150)
-    spec = TrialSpec(mode="fixed", nu=50, theta=(1.0,), stream_tag=5)
+    spec = TrialSpec(nu=50, theta=(1.0,), stream_tag=5)
     want = run_trials(cfg, spec)
     real = GaussianIidModel.simulate_block
 
@@ -526,7 +524,7 @@ def test_simulate_block_calls_stay_within_block_memory(model_name, monkeypatch):
     cfg = make_config(
         model=model, detector="msr", log_threshold=math.log(1e4), trials=CHUNK + 5, horizon=40
     )
-    spec = TrialSpec(mode="no_change", stream_tag=11)
+    spec = TrialSpec(nu=math.inf, stream_tag=11)
     for log_a in (cfg.log_threshold, None):
         calls.clear()
         run_trials(replace(cfg, log_threshold=log_a), spec)
@@ -551,7 +549,7 @@ def test_short_high_order_ar_paths_match_streaming(order):
         ),
         grid_from_atoms([[0.5], [1.0], [1.5]]),
     )
-    spec = TrialSpec(mode="prior", q_short_circuit=True, stream_tag=24)
+    spec = TrialSpec(q_short_circuit=True, stream_tag=24)
     for horizon in range(1, order + 3):
         for detector in ("ms", "msr"):
             cfg = ExperimentConfig(
@@ -592,7 +590,7 @@ def test_prior_support_exhausted_unchanged(k0, horizon, log_threshold, no_stoppi
         trials=40,
         horizon=horizon,
     )
-    spec = TrialSpec(mode="no_change", stream_tag=9)
+    spec = TrialSpec(nu=math.inf, stream_tag=9)
     if raises:
         with pytest.raises(PriorSupportExhausted, match=rf"Pi\({k0 + 1}\)"):
             run_trials(cfg, spec)
@@ -611,6 +609,32 @@ def test_threshold_that_no_statistic_reaches_refused(log_threshold):
         make_config(log_threshold=log_threshold)
 
 
+@pytest.mark.parametrize("log_threshold", [math.inf, math.nan], ids=["inf", "nan"])
+def test_alarm_loop_refuses_what_the_engine_refuses(log_threshold):
+    message = f"log_threshold must be finite or -inf, got {log_threshold}"
+    with pytest.raises(ValueError, match=message):
+        run_detector("ms", gaussian_iid_model(GRID), PRIOR, log_threshold, np.zeros(3))
+
+
+@pytest.mark.parametrize("detector", ["ms", "msr"])
+@pytest.mark.parametrize("model_name", sorted(BLOCK_MODELS))
+def test_alarm_loop_stops_at_row_one_at_minus_inf(model_name, detector):
+    """At log A = -inf the alarm loop, as the engine, stops every path at row 1,
+    with the engine's statistic there bit for bit."""
+    cfg = ExperimentConfig(
+        model=BLOCK_MODELS[model_name](), prior=geometric_prior(0.02, q=0.1),
+        detector=detector, omega=0.5, log_threshold=-math.inf, trials=8, horizon=20,
+        master_seed=77,
+    )
+    spec = TrialSpec(q_short_circuit=True, stream_tag=6)
+    td = run_trials(cfg, spec)
+    assert (td.stop_times == 1).all()
+    for i in range(cfg.trials):
+        rec = _streaming(cfg, _trial_path(cfg, spec, i), -math.inf)
+        assert rec.stop_time == 1
+        assert np.float64(rec.log_stat_at_stop).tobytes() == td.log_stat_at_stop[i].tobytes()
+
+
 def _huge_mean_run(log_threshold, **kw):
     """A symmetric-HMM MSR run whose paths change at nu = 5 to a state mean of
     1e200, which overflows every increment from step 6 on."""
@@ -619,7 +643,7 @@ def _huge_mean_run(log_threshold, **kw):
         model=hmm2_model(spec, grid_from_atoms([[0.8, 1.8]])), detector="msr",
         log_threshold=log_threshold, trials=40, horizon=50, **kw,
     )
-    return run_trials(cfg, TrialSpec(mode="fixed", nu=5, theta=(1e200, 2.0), stream_tag=4))
+    return run_trials(cfg, TrialSpec(nu=5, theta=(1e200, 2.0), stream_tag=4))
 
 
 def test_non_finite_increments_refused_at_their_step():
@@ -727,10 +751,10 @@ def _sha256(arr):
 def test_pinned_per_trial_values(model_name, detector):
     cfg = _pinned_config(BLOCK_MODELS[model_name](), detector)
     stopped = run_trials(
-        cfg, TrialSpec(mode="prior", q_short_circuit=detector == "ms", stream_tag=7)
+        cfg, TrialSpec(q_short_circuit=detector == "ms", stream_tag=7)
     )
     whole = run_trials(
-        replace(cfg, log_threshold=None), TrialSpec(mode="prior", stream_tag=8)
+        replace(cfg, log_threshold=None), TrialSpec(stream_tag=8)
     )
     censored = stopped.stop_times == 0
     got = {
@@ -764,7 +788,7 @@ def test_benchmark_hook_points(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "run_chunk", recording)
     cfg = make_config(trials=CHUNK + 5, horizon=20)
-    run_trials(cfg, TrialSpec(mode="no_change"))
+    run_trials(cfg, TrialSpec(nu=math.inf))
     assert [args[10] for args, _ in calls] == [CHUNK, 5]
     for args, kwargs in calls:
         assert len(args) == 11 and not kwargs
@@ -792,7 +816,7 @@ def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = make_config(trials=CHUNK + 5, horizon=40, workers=5000)
-    spec = TrialSpec(mode="no_change", stream_tag=3)
+    spec = TrialSpec(nu=math.inf, stream_tag=3)
     pooled = run_trials(cfg, spec)
     assert sizes == [2]
     serial = run_trials(replace(cfg, workers=1), spec)
@@ -810,7 +834,7 @@ def test_run_trials_joins_its_chunks_field_by_field(no_stopping):
     cfg = make_config(trials=CHUNK + 5, horizon=40)
     if no_stopping:
         cfg = replace(cfg, log_threshold=None)
-    spec = TrialSpec(mode="prior", stream_tag=7)
+    spec = TrialSpec(stream_tag=7)
     whole = run_trials(cfg, spec)
     args = (cfg.model, cfg.prior, cfg.model.grid, cfg.detector, cfg.omega)
     parts = [
@@ -929,7 +953,7 @@ def test_trial_rngs_never_seeds_one_trial_at_a_time(monkeypatch, master_seed, st
 def test_draw_trials_keeps_per_trial_uniform_order(q_short_circuit, theta):
     """(nu, theta) per trial as drawn one uniform at a time from its own stream."""
     prior = heavy_tail_prior(2.0, q=0.2)
-    spec = TrialSpec(mode="prior", theta=theta, q_short_circuit=q_short_circuit, stream_tag=3)
+    spec = TrialSpec(theta=theta, q_short_circuit=q_short_circuit, stream_tag=3)
     count, horizon = 600, 400
     nus, thetas = _draw_trials(spec, prior, GRID, horizon, trial_rngs(99, 3, 0, count))
     for i in range(count):
@@ -942,6 +966,31 @@ def test_draw_trials_keeps_per_trial_uniform_order(q_short_circuit, theta):
         want = GRID.atoms[GRID.sample_index(rng)] if theta is None else theta
         np.testing.assert_array_equal(thetas[i], want)
     assert 0 < (nus == 0).sum() < count and (nus == horizon).any()
+
+
+@pytest.mark.parametrize("nu", [0, 37, 400, 10**6, math.inf])
+def test_fixed_change_point_with_drawn_atom(nu):
+    """TrialSpec(nu=k) fixes the change point, capped at the horizon, and draws
+    each trial's atom from W as its stream's first uniform, unless nu is inf,
+    which draws nothing; the engine then samples each path from there."""
+    spec = TrialSpec(nu=nu, stream_tag=4)
+    count, horizon = 600, 400
+    rngs = trial_rngs(99, 4, 0, count)
+    nus, thetas = _draw_trials(spec, PRIOR, GRID, horizon, rngs)
+    assert (nus == min(nu, horizon)).all()
+    for i, rng in enumerate(rngs):
+        want = trial_rng(99, 4, i)
+        atom = np.zeros(GRID.dimension) if nu == math.inf else GRID.atoms[GRID.sample_index(want)]
+        np.testing.assert_array_equal(thetas[i], atom)
+        assert rng.random() == want.random()
+    assert len(np.unique(thetas, axis=0)) == (1 if nu == math.inf else GRID.size)
+
+    cfg = make_config(trials=32, horizon=120)
+    td = run_trials(cfg, spec)
+    for i in range(cfg.trials):
+        rec = _streaming(cfg, _trial_path(cfg, spec, i), cfg.log_threshold)
+        assert td.stop_times[i] == (0 if rec.censored else rec.stop_time)
+        assert td.log_stat_at_stop[i] == rec.log_stat_at_stop
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +1027,7 @@ def _drift_config(detector, log_threshold, master_seed, **kw):
     )
 
 
-DRIFT_SPEC = TrialSpec(mode="fixed", nu=0, theta=(1.0,), stream_tag=3)
+DRIFT_SPEC = TrialSpec(nu=0, theta=(1.0,), stream_tag=3)
 
 
 @pytest.mark.parametrize(
@@ -1062,7 +1111,7 @@ def test_threshold_tie_stops_like_streaming(detector, monkeypatch):
     for the engine's GROUP and for groups of 8 and 1."""
     grid = grid_from_atoms([[0.25], [0.5], [1.0], [1.5], [2.0]])
     cfg = make_config(grid=grid, detector=detector, omega=0.5, trials=40, horizon=130)
-    spec = TrialSpec(mode="fixed", nu=60, theta=(1.0,), stream_tag=8)
+    spec = TrialSpec(nu=60, theta=(1.0,), stream_tag=8)
     paths = [_trial_path(cfg, spec, i) for i in range(cfg.trials)]
     # trial 0's largest statistic over the second block, first reached at `tie`
     traj = run_detector(
@@ -1096,13 +1145,13 @@ HMM_KERNEL_SPECS = {
     "gamma0": (0.3, 0.0),
 }
 HMM_KERNEL_MODES = {
-    "fixed_on_grid": TrialSpec(mode="fixed", nu=70, theta=(1.0, 2.5), stream_tag=31),
-    "fixed_off_grid": TrialSpec(mode="fixed", nu=70, theta=(1.3, -0.4), stream_tag=32),
-    "prior": TrialSpec(mode="prior", q_short_circuit=True, stream_tag=33),
-    "prior_off_grid_theta": TrialSpec(mode="prior", theta=(0.7, 1.8), stream_tag=34),
-    "no_change": TrialSpec(mode="no_change", stream_tag=35),
+    "fixed_on_grid": TrialSpec(nu=70, theta=(1.0, 2.5), stream_tag=31),
+    "fixed_off_grid": TrialSpec(nu=70, theta=(1.3, -0.4), stream_tag=32),
+    "prior": TrialSpec(q_short_circuit=True, stream_tag=33),
+    "prior_off_grid_theta": TrialSpec(theta=(0.7, 1.8), stream_tag=34),
+    "no_change": TrialSpec(nu=math.inf, stream_tag=35),
     # under a heavy-tailed prior log pi_k and log Pi(n) are not linear in k
-    "prior_heavy_tail": TrialSpec(mode="prior", q_short_circuit=True, stream_tag=36),
+    "prior_heavy_tail": TrialSpec(q_short_circuit=True, stream_tag=36),
 }
 
 

@@ -179,7 +179,7 @@ def _peak_mb(model_name: str, horizon: int) -> float:
         horizon=horizon,
         master_seed=7,
     )
-    spec = TrialSpec(mode="fixed", nu=0, theta=OFF_GRID[model_name])
+    spec = TrialSpec(nu=0, theta=OFF_GRID[model_name])
     tracemalloc.start()
     try:
         td = run_trials(cfg, spec)
