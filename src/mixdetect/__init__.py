@@ -71,7 +71,6 @@ from .montecarlo import (
     estimate_pfa_posterior,
     estimate_pfa_tail,
     slope_regression,
-    statistic_at_horizon,
 )
 from .theory import (
     Prediction,

@@ -32,10 +32,11 @@ one forward filter for both, with one extra table row for an off-grid
 theta), recursed with the block's ``prior_window``, and carries model and
 statistic state to the next block; the chunk stops once every trial has
 alarmed, and a trial censored at the horizon keeps its statistic there, as
-a streaming censored record does.  Inside a group, after a step where trials
-alarm, the alarmed trials are dropped from the recursion once at most half
-of the group's current rows are live and the block has steps left; each
-drop at least halves the rows, so the copying is a constant factor.  The chunk's
+a streaming censored record does: every trial at log A = +inf (at -inf every
+trial stops at n = 1).  Inside a group, after a step where trials alarm, the
+alarmed trials are dropped from the recursion once at most half of the
+group's current rows are live and the block has steps left; each drop at
+least halves the rows, so the copying is a constant factor.  The chunk's
 statistic is stored atoms first, (n_atoms, count), and every model's block
 kernel writes its increments as (steps, n_atoms, trials), so the recursion
 reduces over contiguous atom rows.  The recursion runs on every
@@ -240,8 +241,10 @@ def _alarm_floor(log_threshold: float, log_tail: np.ndarray, n_atoms: int) -> np
     |log A| + |log Pi(n)| + log K in size, so the fold errs by less than
     1e-9 * (1 + |log A| + |log Pi(n)|) for K < 10^5 atoms, which
     ``measures.MAX_ATOMS`` enforces on every grid (a block of increments for
-    that many atoms would take 50 GB).
+    that many atoms would take 50 GB).  At log A = +inf it is +inf, not inf - inf.
     """
+    if log_threshold == np.inf:
+        return np.full(log_tail.shape, np.inf)
     tol = 1e-9 * (1.0 + abs(log_threshold) + np.abs(log_tail))
     return log_threshold + log_tail - np.log(n_atoms) - tol
 
@@ -253,7 +256,7 @@ def run_chunk(
     grid: MixingGrid,
     detector: str,
     omega: float,
-    log_threshold: float | None,
+    log_threshold: float,
     horizon: int,
     spec: TrialSpec,
     master_seed: int,
@@ -267,7 +270,7 @@ def run_chunk(
     neither sampled nor scored again, they leave the recursion mid-block once
     at most half of their group's rows are live, and the chunk ends once none
     is left.  A trial that never alarms gets stop time 0 and its statistic at
-    ``horizon``; with ``log_threshold`` None that is every trial.  As in the
+    ``horizon``; with ``log_threshold`` +inf that is every trial.  As in the
     alarm loop, a group's first step n where a live trial's increments are
     not finite (a huge atom or observation overflows them) raises
     ``NonFiniteIncrements`` with ``row`` n; a group's block is checked once,
@@ -293,8 +296,7 @@ def run_chunk(
         n0, n1 = n1, min(n1 + (BLOCK if n1 else first), horizon)
         log_pi, log_tail = prior_window(detector, prior, n0, n1 - n0)
         exhausted = ~np.isfinite(log_tail)  # never, for MSR
-        if log_threshold is not None:
-            floor = _alarm_floor(log_threshold, log_tail, grid.size)
+        floor = _alarm_floor(log_threshold, log_tail, grid.size)
         block_rows = np.flatnonzero(alive)  # the trials this block advances
         if block_rows.size == 0:
             break
@@ -314,8 +316,6 @@ def run_chunk(
                 if not finite and not np.isfinite(ell[n - 1 - off][:, live]).all():
                     raise NonFiniteIncrements(f"step {n}: LLR increments overflow", row=n)
                 state = advance(state, ell[n - 1 - off], log_pi[j])
-                if log_threshold is None:
-                    continue
                 # the exact statistic only where the bound allows an alarm; a NaN
                 # max fails the < test, so its column takes the exact path too
                 near = np.flatnonzero(live & ~((state + logw).max(axis=0) < floor[j]))

@@ -568,9 +568,11 @@ def _threshold_record(spec: ThresholdSpec) -> dict:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    """Write ``doc`` as JSON with sorted keys, a two-space indent and a final newline."""
+    """Write ``doc`` as strict JSON, each NaN or +-inf float as null, with sorted
+    keys, a two-space indent and a final newline."""
+    strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)  # NaN, Infinity
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -31,9 +31,9 @@ exp(+-hundreds) and are never exponentiated except inside the guarded
 posterior computation.
 
 The stopping rules raise an alarm at the first n >= 1 whose log statistic
-meets the log threshold (ties stop).  A multi-cyclic wrapper restarts the
-statistic from its initial value after every alarm for surveillance use,
-at that row, in the middle of a block too.
+meets the log threshold (ties stop); at -inf that is n = 1, and +inf never
+stops.  A multi-cyclic wrapper restarts the statistic from its initial value
+after every alarm for surveillance use, at that row, in the middle of a block too.
 """
 
 from __future__ import annotations
@@ -163,6 +163,12 @@ class MsrState:
             self.log_stat = log_w
 
 
+def _check_log_threshold(log_threshold: float) -> None:
+    """Refuse NaN, the one float off [-inf, +inf], where log A lies."""
+    if np.isnan(log_threshold):
+        raise ValueError(f"log_threshold must be a number on [-inf, +inf], got {log_threshold}")
+
+
 class NonFiniteIncrements(ValueError):
     """A row's LLR increments are not all finite.
 
@@ -237,8 +243,8 @@ def run_detector(
     alarm may be read from it, and an ndarray is scored a window at a time;
     ``horizon`` caps the number of steps, and no row past it is read.  The
     comparison is on log values, with >= so that exact ties stop; a
-    ``log_threshold`` of -inf stops at row 1, and +inf and NaN are refused.
-    A censored record carries the last statistic.
+    ``log_threshold`` of -inf stops at row 1, +inf censors at the last row,
+    and NaN is refused.  A censored record carries the last statistic.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -309,8 +315,7 @@ def _multicyclic_with_tail(
     kernels give the same bits for any cut of the time axis.  NumPy's
     overflow and invalid-value warnings are silenced for the loop.
     """
-    if not log_threshold < np.inf:
-        raise ValueError(f"log_threshold must be finite or -inf, got {log_threshold}")
+    _check_log_threshold(log_threshold)
     scorer = model.increment_state(1)
     init = _log_init(kind, prior, omega)
     grid = model.grid

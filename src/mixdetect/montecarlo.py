@@ -17,11 +17,12 @@ byte-identical results for any number of workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._engine import CHUNK, TrialData, TrialSpec, run_chunk
+from .detectors import _check_log_threshold
 from .measures import ChangePrior
 from .models import ObservationModel
 
@@ -65,15 +66,15 @@ class ExperimentConfig:
     """Everything a scenario run needs: model (with its mixing grid), prior,
     rule, budget, seed.
 
-    ``log_threshold`` None runs every trial to the horizon without stopping,
-    and ``-inf`` stops every trial at n = 1; ``+inf`` and NaN are refused.
+    ``log_threshold`` lies on [-inf, +inf]: -inf stops every trial at n = 1,
+    +inf runs every trial to the horizon without stopping, and NaN is refused.
     """
 
     model: ObservationModel
     prior: ChangePrior
     detector: str  # "ms" | "msr"
     omega: float
-    log_threshold: float | None
+    log_threshold: float
     trials: int
     horizon: int
     master_seed: int
@@ -86,8 +87,7 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.detector.lower() not in ("ms", "msr"):
             raise ValueError(f"unknown detector {self.detector!r}")
-        if self.log_threshold is not None and not self.log_threshold < math.inf:
-            raise ValueError(f"log_threshold must be finite or -inf, got {self.log_threshold}")
+        _check_log_threshold(self.log_threshold)
 
 
 def _chunk_payloads(config: ExperimentConfig, spec: TrialSpec):
@@ -128,14 +128,6 @@ def run_trials(config: ExperimentConfig, spec: TrialSpec) -> TrialData:
         with ProcessPoolExecutor(max_workers=min(config.workers, len(payloads))) as pool:
             parts = list(pool.map(_run_chunk_star, payloads))
     return TrialData.concatenate(parts)
-
-
-def statistic_at_horizon(
-    config: ExperimentConfig, spec: TrialSpec | None = None
-) -> np.ndarray:
-    """log statistic after exactly ``horizon`` steps for every trial (no stopping)."""
-    spec = spec or TrialSpec(nu=math.inf)
-    return run_trials(replace(config, log_threshold=None), spec).log_stat_at_stop
 
 
 def estimate_pfa_tail(config: ExperimentConfig, stream_tag: int = 0) -> Estimate:

@@ -1,11 +1,11 @@
 """Exact operating characteristics of the one-atom Gaussian MS and MSR rules.
 
 With Gaussian observations, one atom theta (the rule knows the post-change
-parameter), a geometric prior with q = 0 and head start omega = 0, each
-statistic is a one-dimensional Markov chain:
+parameter) and a geometric prior, each statistic is a one-dimensional
+Markov chain:
 
-    MS:   S_n = (S_{n-1} + rho) L_n / (1 - rho),   S_0 = 0
-    MSR:  R_n = (R_{n-1} + 1) L_n,                 R_0 = 0
+    MS:   S_n = (S_{n-1} + rho) L_n / (1 - rho),   S_0 = q / (1 - q)
+    MSR:  R_n = (R_{n-1} + 1) L_n,                 R_0 = omega
 
 where log L_n = theta x_n - theta^2 / 2 is N(-theta^2 / 2, theta^2) before
 the change and N(+theta^2 / 2, theta^2) after it.  The rule stops at the
@@ -20,9 +20,10 @@ to the next cells with the Gaussian masses seen from its midpoint, the mass
 at or above log A stops the rule, and the mass below y_lo is lumped into the
 lowest cell.  A step from any state starts from at least the value a step
 from S = 0 starts from, and y_lo lies 12 sd below that step's mean, so
-in practice no mass is lumped.  The error falls as 1/N^2: from N = 400 to
-N = 800 the PFA of MS (rho = 0.1, log A = 6) moves by 7e-4 of itself, and
-the delays by less than 1e-5 of themselves.
+in practice no mass is lumped.  The start state S_0 enters only the first
+step.  The error falls as 1/N^2: from N = 400 to N = 800 the PFA of MS
+(rho = 0.1, log A = 6) moves by 7e-4 of itself, and the delays by less
+than 1e-5 of themselves.
 """
 
 from __future__ import annotations
@@ -62,23 +63,27 @@ def _kernel(start: float, g, edges: np.ndarray, mean: float, sd: float) -> Kerne
 class OneAtomChain:
     """One rule at one threshold: the chain before and after the change.
 
-    ``rule`` is "ms" (geometric prior with parameter ``rho``, q = 0) or
-    "msr" (omega = 0, which needs no prior for its delay).
+    ``rule`` is "ms" (geometric prior with parameters ``rho`` and ``q``) or
+    "msr" (head start ``omega``, which needs no prior for its delay); the
+    PFA takes the prior of either rule.
     """
 
     def __init__(self, rule: str, log_a: float, rho: float | None = None,
-                 theta: float = 1.0, n_cells: int = 800):
+                 theta: float = 1.0, n_cells: int = 800, q: float = 0.0,
+                 omega: float = 0.0):
         # one step maps y to g(y) + log L, with g(y) = log(e^y + c) + d
         log_c, d = (math.log(rho), -math.log1p(-rho)) if rule == "ms" else (0.0, 0.0)
 
         def g(y):
             return np.logaddexp(y, log_c) + d
 
+        s0 = q / (1.0 - q) if rule == "ms" else omega
+        start = float(g(math.log(s0) if s0 > 0.0 else -math.inf))
         half = theta**2 / 2.0
         edges = np.linspace(log_c + d - half - 12.0 * theta, log_a, n_cells + 1)
-        self.rho = rho
-        self.pre = _kernel(log_c + d, g, edges, -half, theta)
-        self.post = _kernel(log_c + d, g, edges, half, theta)
+        self.rho, self.q = rho, q
+        self.pre = _kernel(start, g, edges, -half, theta)
+        self.post = _kernel(start, g, edges, half, theta)
         self.eye = np.eye(n_cells)
 
     def _steps_to_stop(self) -> np.ndarray:
@@ -101,9 +106,9 @@ class OneAtomChain:
         return b * np.linalg.solve((self.eye - b * self.pre.p).T, self.pre.p0)
 
     def pfa(self) -> float:
-        """P(T <= nu) = E_inf[(1 - rho)^T] under the geometric prior."""
+        """P(T <= nu) = E_inf[Pi(T)] = (1 - q) E_inf[(1 - rho)^T] under the geometric prior."""
         b = 1.0 - self.rho
-        return b * self.pre.s0 + self._discounted() @ (b * self.pre.s)
+        return (1.0 - self.q) * (b * self.pre.s0 + self._discounted() @ (b * self.pre.s))
 
     def average_delay(self) -> float:
         """E[T - nu | T > nu] with nu drawn from the geometric prior."""

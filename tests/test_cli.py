@@ -36,6 +36,43 @@ def base_config(**overrides):
     return doc
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.fixture(autouse=True)
+def written_json_is_strict(monkeypatch):
+    """Every report and ``threshold_json`` a test here writes parses as strict
+    JSON, with a ``parse_constant`` hook that refuses NaN and +-Infinity."""
+    written = []
+    real = cli._write_json
+
+    def recording(path, doc):
+        real(path, doc)
+        written.append(os.path.abspath(path))
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    yield written
+    for path in written:
+        json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
+def test_strict_json_check_sees_each_write_and_refuses_constants(
+    tmp_path, written_json_is_strict
+):
+    """The check above records the file ``calibrate`` writes, where A = e^750
+    overflows to inf and is written as null; its hook refuses what json
+    writes for a non-finite float by default."""
+    out = tmp_path / "t.json"
+    doc = dict(THRESHOLD_JSON_CONFIGS["fixed"], output={"threshold_json": str(out)})
+    assert main(["calibrate", write_config(tmp_path, doc)]) == 0
+    assert written_json_is_strict == [str(out)]
+    assert json.loads(out.read_text(), parse_constant=_refuse_constant)["threshold"] is None
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="is not strict JSON"):
+            json.loads(json.dumps({"x": value}), parse_constant=_refuse_constant)
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -250,7 +287,7 @@ THRESHOLD_JSON_DIGESTS = {
     "ms-pfa": "a1b980a5f89bd3939a448c06c20487ae879737944942a232d06bee00bb1019c3",
     "msr-pfa": "a36bc5e3112a3fb78630d2ac00aaa6a084f68db662485b239cdd6ba31360334e",
     "bayes-cost": "cfda6a106335da75c9af52a9737c073cc0bc19dd4485983db8bc684b2e764e1a",
-    "fixed": "90c1ac1c826fb38a2af39522bd096212301d40a1a40ae4a0981625fc2139f191",
+    "fixed": "790160d6b2866767baaec0778130814dedb09f260e72e89c016965b39f39ecb3",
 }
 
 
@@ -291,7 +328,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("kind", sorted(THRESHOLD_JSON_CONFIGS))
     def test_threshold_json_pinned(self, tmp_path, kind):
         """SHA-256 of the threshold record ``calibrate`` writes, for each kind;
-        the ``fixed`` case has A = e^750, which overflows to Infinity."""
+        the ``fixed`` case has A = e^750, which overflows to inf, written as null."""
         import hashlib
 
         out = tmp_path / "t.json"
@@ -1403,7 +1440,7 @@ class TestSimulate:
         assert main(["simulate", write_config(tmp_path, doc)]) == 0
         row = json.loads((tmp_path / "r.json").read_text())["scenarios"][0]
         assert row["prediction_slope"] is None and row["slope_ratio"] is None
-        assert all(math.isnan(p["prediction"]) for p in row["ladder"])
+        assert all(p["prediction"] is None for p in row["ladder"])
 
     def test_point_mass_ms_delay_has_no_prediction(self, tmp_path):
         # a point mass has tail rate mu = inf, so the ms first-order delay
@@ -1426,7 +1463,7 @@ class TestSimulate:
         assert delay["moments"]["1"]["prediction"] is None
         assert delay["moments"]["1"]["ratio"] is None
         assert ladder["prediction_slope"] is None and ladder["slope_ratio"] is None
-        assert all(math.isnan(p["prediction"]) for p in ladder["ladder"])
+        assert all(p["prediction"] is None for p in ladder["ladder"])
 
     @pytest.mark.parametrize("detector", ["ms", "msr"])
     def test_zero_information_delay_prediction(self, tmp_path, detector):
@@ -1452,7 +1489,7 @@ class TestSimulate:
         pred = delay["moments"]["1"]["prediction"]
         if detector == "msr":
             assert pred is None and ladder["prediction_slope"] is None
-            assert all(math.isnan(p["prediction"]) for p in ladder["ladder"])
+            assert all(p["prediction"] is None for p in ladder["ladder"])
             return
         mu = -math.log(1.0 - 0.1)
         assert pred["value"] == pytest.approx(3.0 / mu, rel=1e-12)
@@ -2297,7 +2334,7 @@ class TestShiftScenario:
 # ---------------------------------------------------------------------------
 # simulate outputs pinned byte for byte: every quantity, an off-grid theta
 # (the robustness-probe note) and a model without an information number
-# (asymmetric HMM: every prediction is None or NaN).
+# (asymmetric HMM: every prediction is null, NaN in the ladder CSV).
 # ---------------------------------------------------------------------------
 
 PINNED_SIMULATE = {
@@ -2357,7 +2394,7 @@ PINNED_SIMULATE_DIGESTS = {
     },
     "hmm-asymmetric-msr": {
         "delay_ladder_1.csv": "b99ec98709187895ab14eafc665fbf09163bf70a486fdc453fb2954def6819bb",
-        "report.json": "eed840426d203f5b94f78222480d8908933b7c41734ee7ddcea7038d84ea0da0",
+        "report.json": "112be53ba4baf1dadf6b50eaf37917120d8e46ca2ab955a3a22e580133ecd1ea",
         "stdout": "f51ab5505fad6e3bd773595f94b30d34833825b2bf048078a864ddb922cdba22",
     },
 }

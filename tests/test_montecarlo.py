@@ -34,6 +34,7 @@ from mixdetect.detectors import (
     _log_init,
     advance,
     log_statistic,
+    multicyclic_run,
     run_detector,
 )
 from mixdetect.measures import (
@@ -63,7 +64,6 @@ from mixdetect.montecarlo import (
     estimate_pfa_tail,
     run_trials,
     slope_regression,
-    statistic_at_horizon,
 )
 
 GRID = grid_from_atoms([[0.5], [1.0], [1.5]])
@@ -458,7 +458,8 @@ def _block_reference(model_name, detector, mode, horizon):
 def test_block_boundaries_match_streaming(model_name, detector, mode, horizon, group, monkeypatch):
     monkeypatch.setattr(_engine, "GROUP", group)
     cfg, spec, final, log_a, recs = _block_reference(model_name, detector, mode, horizon)
-    np.testing.assert_array_equal(statistic_at_horizon(cfg, spec), final)
+    whole = run_trials(replace(cfg, log_threshold=math.inf), spec)
+    np.testing.assert_array_equal(whole.log_stat_at_stop, final)
 
     pivot = min(horizon, BLOCK)
     td = run_trials(replace(cfg, log_threshold=log_a), spec)
@@ -525,7 +526,7 @@ def test_simulate_block_calls_stay_within_block_memory(model_name, monkeypatch):
         model=model, detector="msr", log_threshold=math.log(1e4), trials=CHUNK + 5, horizon=40
     )
     spec = TrialSpec(nu=math.inf, stream_tag=11)
-    for log_a in (cfg.log_threshold, None):
+    for log_a in (cfg.log_threshold, math.inf):
         calls.clear()
         run_trials(replace(cfg, log_threshold=log_a), spec)
         assert max(cells for _, cells in calls) <= BLOCK * GROUP
@@ -564,7 +565,8 @@ def test_short_high_order_ar_paths_match_streaming(order):
             )
             paths = [_trial_path(cfg, spec, i) for i in range(cfg.trials)]
             stream = [_streaming(cfg, p, 1e300).log_stat_at_stop for p in paths]
-            assert statistic_at_horizon(cfg, spec).tobytes() == np.array(stream).tobytes()
+            whole = run_trials(replace(cfg, log_threshold=math.inf), spec)
+            assert whole.log_stat_at_stop.tobytes() == np.array(stream).tobytes()
         for x in paths:
             scorer = model.increment_state(1)
             steps = np.array([model.step(scorer, row, n) for n, row in enumerate(x)])
@@ -586,7 +588,7 @@ def test_short_high_order_ar_paths_match_streaming(order):
 def test_prior_support_exhausted_unchanged(k0, horizon, log_threshold, no_stopping, raises):
     cfg = make_config(
         prior=point_mass_prior(k0),
-        log_threshold=None if no_stopping else log_threshold,
+        log_threshold=math.inf if no_stopping else log_threshold,
         trials=40,
         horizon=horizon,
     )
@@ -600,20 +602,25 @@ def test_prior_support_exhausted_unchanged(k0, horizon, log_threshold, no_stoppi
         assert np.all(td.stop_times == expected)
 
 
-@pytest.mark.parametrize("log_threshold", [math.inf, math.nan], ids=["inf", "nan"])
+NAN_REFUSED = r"log_threshold must be a number on \[-inf, \+inf\], got nan"
+
+
+@pytest.mark.parametrize("log_threshold", [math.nan], ids=["nan"])
 def test_threshold_that_no_statistic_reaches_refused(log_threshold):
-    """+inf and NaN would censor every trial (+inf with an inf - inf warning
-    in the alarm floor); None and -inf stay the two non-finite settings."""
-    message = f"log_threshold must be finite or -inf, got {log_threshold}"
-    with pytest.raises(ValueError, match=message):
+    """NaN is the one float refused: log A lies on [-inf, +inf].  None, the
+    engine's old spelling of +inf, is no number at all."""
+    with pytest.raises(ValueError, match=NAN_REFUSED):
         make_config(log_threshold=log_threshold)
+    with pytest.raises(TypeError):
+        make_config(log_threshold=None)
 
 
-@pytest.mark.parametrize("log_threshold", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("log_threshold", [math.nan], ids=["nan"])
 def test_alarm_loop_refuses_what_the_engine_refuses(log_threshold):
-    message = f"log_threshold must be finite or -inf, got {log_threshold}"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=NAN_REFUSED):
         run_detector("ms", gaussian_iid_model(GRID), PRIOR, log_threshold, np.zeros(3))
+    with pytest.raises(ValueError, match=NAN_REFUSED):
+        multicyclic_run("msr", gaussian_iid_model(GRID), PRIOR, log_threshold, np.zeros(3))
 
 
 @pytest.mark.parametrize("detector", ["ms", "msr"])
@@ -633,6 +640,32 @@ def test_alarm_loop_stops_at_row_one_at_minus_inf(model_name, detector):
         rec = _streaming(cfg, _trial_path(cfg, spec, i), -math.inf)
         assert rec.stop_time == 1
         assert np.float64(rec.log_stat_at_stop).tobytes() == td.log_stat_at_stop[i].tobytes()
+
+
+@pytest.mark.parametrize("detector", ["ms", "msr"])
+@pytest.mark.parametrize("model_name", sorted(BLOCK_MODELS))
+def test_rule_never_stops_at_plus_inf(model_name, detector, monkeypatch):
+    """At log A = +inf the engine censors every trial with its statistic at the
+    horizon, the alarm loop's censored statistic on the same path bit for bit,
+    and computes no exact statistic before the horizon: one per chunk."""
+    cfg = ExperimentConfig(
+        model=BLOCK_MODELS[model_name](), prior=geometric_prior(0.02, q=0.1),
+        detector=detector, omega=0.5, log_threshold=math.inf, trials=8, horizon=150,
+        master_seed=78,
+    )
+    spec = TrialSpec(q_short_circuit=True, stream_tag=6)
+    calls = []
+    monkeypatch.setattr(
+        _engine, "log_statistic", lambda *args: calls.append(args) or log_statistic(*args)
+    )
+    td = run_trials(cfg, spec)
+    assert len(calls) == 1 and (td.stop_times == 0).all()
+    for i in range(cfg.trials):
+        path = _trial_path(cfg, spec, i)
+        rec = _streaming(cfg, path, math.inf)
+        assert rec.censored and rec.stop_time is None
+        assert np.float64(rec.log_stat_at_stop).tobytes() == td.log_stat_at_stop[i].tobytes()
+        assert multicyclic_run(detector, cfg.model, cfg.prior, math.inf, path, cfg.omega) == []
 
 
 def _huge_mean_run(log_threshold, **kw):
@@ -754,7 +787,7 @@ def test_pinned_per_trial_values(model_name, detector):
         cfg, TrialSpec(q_short_circuit=detector == "ms", stream_tag=7)
     )
     whole = run_trials(
-        replace(cfg, log_threshold=None), TrialSpec(stream_tag=8)
+        replace(cfg, log_threshold=math.inf), TrialSpec(stream_tag=8)
     )
     censored = stopped.stop_times == 0
     got = {
@@ -828,12 +861,12 @@ def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
 @pytest.mark.parametrize("no_stopping", [False, True])
 def test_run_trials_joins_its_chunks_field_by_field(no_stopping):
     """run_trials over CHUNK + 5 trials is its two run_chunk parts, every
-    field joined in trial order, with or without a threshold."""
+    field joined in trial order, at a finite threshold and at +inf."""
     from dataclasses import fields
 
     cfg = make_config(trials=CHUNK + 5, horizon=40)
     if no_stopping:
-        cfg = replace(cfg, log_threshold=None)
+        cfg = replace(cfg, log_threshold=math.inf)
     spec = TrialSpec(stream_tag=7)
     whole = run_trials(cfg, spec)
     args = (cfg.model, cfg.prior, cfg.model.grid, cfg.detector, cfg.omega)
@@ -1209,7 +1242,7 @@ def test_hmm_block_kernel_matches_whole_paths(transitions, mode, detector, monke
         monkeypatch.setattr(_engine, "GROUP", group)
         # every trial is live in all four blocks, and the final statistic reads
         # Pi(horizon) from the last block's prior window
-        whole = run_chunk(*args, None, horizon, spec, seed, 0, count)
+        whole = run_chunk(*args, math.inf, horizon, spec, seed, 0, count)
         assert whole.log_stat_at_stop.tobytes() == stats[-1].tobytes()
 
         td = run_chunk(*args, log_a, horizon, spec, seed, 0, count)
